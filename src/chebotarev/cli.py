@@ -27,10 +27,11 @@ from . import bounds as bnd
 from .crowns import crown_data
 from .errors import ChebotarevError, TooManySievesError
 from .exact import (
+    DEFAULT_SIEVE_CAP,
+    ChebValue,
     build_sieves,
-    chebotarev_exact,
+    chebotarev_of_group,
     decimal_string,
-    trivial_cheb_value,
 )
 from .groupspec import parse_group
 from .mc import mc_estimate
@@ -80,7 +81,7 @@ def _print_report(report: dict, as_json: bool) -> None:
     if cheb:
         print(
             f"C(G) = {cheb['exact']} = {cheb['decimal']}"
-            f"  ({cheb['sieve_count']} sieves, {cheb['term_count']} terms)"
+            f"  ({cheb['sieve_count']} sieves, {cheb['state_count']} states)"
         )
     mc = report.get("mc")
     if mc:
@@ -118,16 +119,12 @@ def _print_report(report: dict, as_json: bool) -> None:
         print(f"{status} {item['key']}: {item['title']} ({item['seconds']:.2f}s)")
 
 
-def _cheb_block(G, max_sieves: int) -> Optional[dict]:
-    if G.order == 1:
-        cv = trivial_cheb_value()
-    else:
-        cv = chebotarev_exact(build_sieves(G), max_sieves=max_sieves)
+def _cheb_block(cv: ChebValue) -> dict:
     return {
         "exact": str(cv.exact),
         "decimal": decimal_string(cv.exact, DISPLAY_DIGITS),
         "sieve_count": cv.sieve_count,
-        "term_count": cv.term_count,
+        "state_count": cv.state_count,
     }
 
 
@@ -150,7 +147,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "--cap-sieves",
             type=int,
             help="maximum reduced conjugate-unions for the exact engine",
-            **(kw if suppress else {"default": 24}),
+            **(kw if suppress else {"default": DEFAULT_SIEVE_CAP}),
         )
 
     parser = argparse.ArgumentParser(
@@ -182,7 +179,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify-paper":
             results = run_all()
             report = {
-                "schema_version": 1,
+                "schema_version": 2,
                 "group": {"label": "catalog", "order": 1, "soluble": True},
                 "verify": [
                     {
@@ -209,13 +206,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         parsed = parse_group(text, order_cap=args.cap_order)
         G = parsed.group
         report: dict = {
-            "schema_version": 1,
+            "schema_version": 2,
             "group": _group_block(parsed.label, G),
         }
         exit_code = 0
 
         if args.command == "exact":
-            report["chebotarev"] = _cheb_block(G, args.cap_sieves)
+            report["chebotarev"] = _cheb_block(
+                chebotarev_of_group(G, max_sieves=args.cap_sieves)
+            )
         elif args.command == "mc":
             if G.order == 1:
                 parser.error("Monte Carlo needs a nontrivial group")
@@ -236,37 +235,24 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         elif args.command == "bounds":
             cd = crown_data(G)
-            exact: Optional[Fraction] = None
-            cheb_block = None
-            if G.order > 1:
-                try:
-                    cv = chebotarev_exact(
-                        build_sieves(G), max_sieves=args.cap_sieves
-                    )
-                    exact = cv.exact
-                    cheb_block = {
-                        "exact": str(cv.exact),
-                        "decimal": decimal_string(cv.exact, DISPLAY_DIGITS),
-                        "sieve_count": cv.sieve_count,
-                        "term_count": cv.term_count,
-                    }
-                except TooManySievesError:
-                    exact = None
-            else:
-                exact = Fraction(0)
-                cheb_block = _cheb_block(G, args.cap_sieves)
+            try:
+                cv: Optional[ChebValue] = chebotarev_of_group(
+                    G, max_sieves=args.cap_sieves
+                )
+            except TooManySievesError:
+                cv = None
             is_klein = G.order == 4 and all(G.mult(i, i) == 0 for i in range(4))
             rb = bnd.build_bound_report(
                 group_id=parsed.label,
                 order=G.order,
                 soluble=is_soluble(G),
                 is_klein=is_klein,
-                exact=exact,
+                exact=None if cv is None else cv.exact,
                 A=cd.A,
                 B=cd.B,
                 d=min_generators(G),
             )
-            report["chebotarev"] = cheb_block
+            report["chebotarev"] = None if cv is None else _cheb_block(cv)
             report["crowns"] = _crowns_block(cd)
             report["bounds"] = {
                 "exact": _frac_str(rb.exact),

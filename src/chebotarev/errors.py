@@ -42,9 +42,8 @@ class SearchCapError(ChebotarevError):
 
 
 class TooManySievesError(ChebotarevError):
-    """More reduced conjugate-unions than the subset-enumeration cap allows.
-
-    Callers should fall back to Monte Carlo estimation.
+    """More reduced conjugate-unions than the exact engine's cap allows,
+    or than the Monte Carlo signature masks hold.
     """
 
 

@@ -1,23 +1,22 @@
-"""Exact Chebotarev invariants via inclusion-exclusion over conjugate-unions.
+"""Exact Chebotarev invariants from the alive-mask chain.
 
 A tuple of elements fails to invariably generate G exactly when it lies
-inside the conjugate-union of some maximal subgroup, so both C(G) and
-the invariable-generation probabilities reduce to signed sums over
-subsets of those unions. With q_T the fraction of G lying in every union
-of a subset T, summing the geometric series per subset gives
+inside the conjugate-union of some maximal subgroup. After k draws, the
+unions still containing every drawn element form the AND of the drawn
+classes' signatures: the alive mask. The waiting time C(G) is the
+expected number of draws until that mask is empty, and P_I(G, k) the
+probability that it is empty after k draws.
 
-    C(G) = sum over nonempty T of (-1)^(|T|+1) / (1 - q_T).
-
-Everything is exact big-rational arithmetic; decimal strings are
-rendering only. Subsets are enumerated in Gray-code order with an
-incrementally maintained trapped-weight per element-conjugacy-class,
-which collapses the 2^r loop to integer work plus one rational term per
-distinct trapped weight.
+Alive masks only move to submasks, so taking the reachable masks in
+increasing numeric order solves the expectation in one triangular pass
+and propagates k-step weights forward. Everything is exact big-rational
+arithmetic; decimal strings are rendering only.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,7 +25,10 @@ from .errors import NotPrimeError, TooManySievesError, TrivialGroupError
 from .perm import PermGroup, conjugacy_classes
 from .subgroups import MaximalClassData, frattini, maximal_classes
 
-DEFAULT_SIEVE_CAP = 24
+# The widest family whose signatures fit the int64 masks of mc_estimate,
+# so by default the exact engine and the Monte Carlo fallback accept the
+# same families.
+DEFAULT_SIEVE_CAP = 63
 
 
 def decimal_string(x: Fraction, digits: int = 20) -> str:
@@ -68,56 +70,35 @@ class SieveSystem:
 
 
 @dataclass(frozen=True)
-class SieveTerm:
-    """Aggregated inclusion-exclusion terms sharing one trapped count.
-
-    ``signed_count`` subsets T have trapped weight m/|G|; their combined
-    contribution to C(G) is ``value`` = signed_count * |G| / (|G| - m).
-    """
-
-    trapped: int
-    signed_count: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class ChebValue:
-    """Exact value of C(G) (or a restricted variant) with its breakdown."""
+    """Exact value of C(G) with the size of the computation behind it.
+
+    ``state_count`` is the number of alive masks the chain reached,
+    including the empty (absorbing) one.
+    """
 
     exact: Fraction
     decimal: str
-    terms: tuple[SieveTerm, ...]
     sieve_count: int
-    term_count: int
+    state_count: int
 
 
 def _reduce_family(
-    unions: Sequence[int], raw_sigs: Sequence[int], indices: Sequence[int]
+    unions: Sequence[int], raw_sigs: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dedupe and containment-reduce a subfamily of unions.
+    """Dedupe and containment-reduce a family of unions.
 
     Returns the kept union bitsets and per-class signatures over them.
     Dropping a union contained in another never changes the union event.
     """
-    uniq: list[int] = []
-    for i in indices:
-        if unions[i] not in uniq:
-            uniq.append(unions[i])
-    kept = [
-        u
-        for u in uniq
-        if not any(v != u and u & ~v == 0 for v in uniq)
-    ]
-    kept.sort()
-    sigs = []
-    for sig_raw in raw_sigs:
-        s = 0
-        for j, u in enumerate(kept):
-            src = next(i for i in indices if unions[i] == u)
-            if (sig_raw >> src) & 1:
-                s |= 1 << j
-        sigs.append(s)
-    return tuple(kept), tuple(sigs)
+    kept = sorted(
+        {u for u in unions if not any(v != u and u & ~v == 0 for v in unions)}
+    )
+    src = [unions.index(u) for u in kept]
+    sigs = tuple(
+        sum(1 << j for j, i in enumerate(src) if (sig >> i) & 1) for sig in raw_sigs
+    )
+    return tuple(kept), sigs
 
 
 def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = None) -> SieveSystem:
@@ -135,7 +116,7 @@ def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = 
             if (u >> rep) & 1:
                 s |= 1 << j
         raw_sigs.append(s)
-    reduced, sigs = _reduce_family(raw, raw_sigs, range(len(raw)))
+    reduced, sigs = _reduce_family(raw, raw_sigs)
     full = G.full_bits
     assert all(u != full for u in reduced), "a conjugate-union covers G"
     assert sigs[table.class_of[0]] == (1 << len(reduced)) - 1
@@ -150,118 +131,101 @@ def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = 
     )
 
 
-def _signed_trap_counts(
-    sizes: Sequence[int],
-    sigs: Sequence[int],
-    r: int,
-    *,
-    max_sieves: int = DEFAULT_SIEVE_CAP,
-) -> dict[int, int]:
-    """Histogram {trapped size m: signed subset count} over nonempty subsets.
+def _alive_chain(
+    sizes: Sequence[int], sigs: Sequence[int], start: int
+) -> dict[int, dict[int, int]]:
+    """Transitions of the alive-mask chain reachable from ``start``.
 
-    Gray-code enumeration: each step flips one union in or out and only
-    touches the classes whose signature lacks that union.
+    Drawing an element of a class with signature sigma moves the alive
+    mask s to s & sigma. Classes with equal signature (masked to
+    ``start``) are merged first. Maps every reachable mask to
+    {next mask: total class size}, with keys in increasing order; that
+    order is topological, since every step goes to a submask.
     """
+    weights: dict[int, int] = {}
+    for size, sig in zip(sizes, sigs):
+        weights[sig & start] = weights.get(sig & start, 0) + size
+    chain: dict[int, dict[int, int]] = {}
+    todo = [start]
+    while todo:
+        s = todo.pop()
+        if s in chain:
+            continue
+        out: dict[int, int] = {}
+        for sig, w in weights.items():
+            out[s & sig] = out.get(s & sig, 0) + w
+        chain[s] = out
+        todo.extend(t for t in out if t not in chain)
+    return dict(sorted(chain.items()))
+
+
+def _expected_wait(order: int, chain: dict[int, dict[int, int]]) -> Fraction:
+    """Expected draws until the alive mask empties, from the chain's top.
+
+    E[0] = 0 and E[s] = (|G| + sum of w * E[t] over moves t != s) / (|G| - w_stay),
+    solved in increasing mask order.
+    """
+    E: dict[int, Fraction] = {}
+    for s, out in chain.items():
+        if s == 0:
+            E[s] = Fraction(0)
+            continue
+        # sum over one common denominator: a single gcd per state
+        moves = [(w, E[t]) for t, w in out.items() if t != s]
+        den = math.lcm(*(e.denominator for _, e in moves))
+        moved = sum(w * e.numerator * (den // e.denominator) for w, e in moves)
+        E[s] = Fraction(order * den + moved, den * (order - out.get(s, 0)))
+    return E[s]  # the last, largest mask is the start
+
+
+def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> ChebValue:
+    """Exact C(G) from the sieve system (alive-mask chain, sieves capped)."""
+    r = S.sieve_count
     if r > max_sieves:
         raise TooManySievesError(
             f"{r} reduced sieves exceed the cap of {max_sieves}; fall back to Monte Carlo"
         )
-    if r == 0:
-        return {}
-    nclasses = len(sizes)
-    lackers = [
-        [c for c in range(nclasses) if not (sigs[c] >> b) & 1] for b in range(r)
-    ]
-    miss = [0] * nclasses
-    trapped = sum(sizes)
-    hist: dict[int, int] = {}
-    gray = 0
-    popcnt = 0
-    for step in range(1, 1 << r):
-        new_gray = step ^ (step >> 1)
-        bit = (gray ^ new_gray).bit_length() - 1
-        if new_gray > gray:
-            popcnt += 1
-            for c in lackers[bit]:
-                if miss[c] == 0:
-                    trapped -= sizes[c]
-                miss[c] += 1
-        else:
-            popcnt -= 1
-            for c in lackers[bit]:
-                miss[c] -= 1
-                if miss[c] == 0:
-                    trapped += sizes[c]
-        gray = new_gray
-        sign = 1 if popcnt & 1 else -1
-        hist[trapped] = hist.get(trapped, 0) + sign
-    return {m: c for m, c in hist.items() if c}
-
-
-def _family_counts(
-    S: SieveSystem, mask: Optional[int], max_sieves: int
-) -> tuple[dict[int, int], int]:
-    """Signed trap counts for the subfamily selected by a raw-index mask."""
-    if mask is None:
-        reduced, sigs = S.reduced_unions, S.class_signatures
-    else:
-        indices = [i for i in range(len(S.raw_unions)) if (mask >> i) & 1]
-        reduced, sigs = _reduce_family(S.raw_unions, S.raw_signatures, indices)
-    r = len(reduced)
-    return _signed_trap_counts(S.class_sizes, sigs, r, max_sieves=max_sieves), r
-
-
-def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> ChebValue:
-    """Exact C(G) from the sieve system (2^r subset enumeration, r capped)."""
-    counts, r = _family_counts(S, None, max_sieves)
-    order = S.order
-    terms = tuple(
-        SieveTerm(trapped=m, signed_count=c, value=Fraction(c * order, order - m))
-        for m, c in sorted(counts.items())
-    )
-    exact = sum((t.value for t in terms), Fraction(0))
+    chain = _alive_chain(S.class_sizes, S.class_signatures, (1 << r) - 1)
+    exact = _expected_wait(S.order, chain)
     return ChebValue(
         exact=exact,
         decimal=decimal_string(exact),
-        terms=terms,
         sieve_count=r,
-        term_count=(1 << r) - 1,
+        state_count=len(chain),
     )
 
 
-def invariable_gen_prob(
-    S: SieveSystem, k: int, *, max_sieves: int = DEFAULT_SIEVE_CAP
-) -> Fraction:
+def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
     """P_I(G, k): probability that k uniform elements invariably generate."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    counts, _ = _family_counts(S, None, max_sieves)
-    order = S.order
-    trapped_prob = sum(
-        (Fraction(c * m**k, order**k) for m, c in counts.items()),
-        Fraction(0),
-    )
-    return 1 - trapped_prob
+    full = (1 << S.sieve_count) - 1
+    chain = _alive_chain(S.class_sizes, S.class_signatures, full)
+    # integer weight of the k-tuples reaching each nonempty alive mask
+    alive = {full: 1}
+    for _ in range(k):
+        step: dict[int, int] = {}
+        for s, c in alive.items():
+            for t, w in chain[s].items():
+                if t:
+                    step[t] = step.get(t, 0) + c * w
+        alive = step
+    return 1 - Fraction(sum(alive.values()), S.order**k)
 
 
-def v_property_sum(
-    S: SieveSystem, omega_mask: int, *, max_sieves: int = DEFAULT_SIEVE_CAP
-) -> Fraction:
+def v_property_sum(S: SieveSystem, omega_mask: int) -> Fraction:
     """Sum over k >= 0 of the probability that k elements all lie in some
     union from the selected subfamily (mask over raw maximal classes).
 
-    Equals the same signed sum as ``chebotarev_exact`` restricted to the
-    subfamily; containment reduction is redone inside the subfamily.
-    Returns 0 for an empty selection.
+    This is the expected wait of the chain on the raw signatures masked
+    to the subfamily; no reduction is needed, since dropping a contained
+    union never changes whether the alive mask is empty. Returns 0 for an
+    empty selection.
     """
     if omega_mask == 0:
         return Fraction(0)
-    counts, _ = _family_counts(S, omega_mask, max_sieves)
-    order = S.order
-    return sum(
-        (Fraction(c * order, order - m) for m, c in counts.items()),
-        Fraction(0),
-    )
+    chain = _alive_chain(S.class_sizes, S.raw_signatures, omega_mask)
+    return _expected_wait(S.order, chain)
 
 
 def elementary_abelian_cheb(p: int, delta: int) -> Fraction:
@@ -283,17 +247,11 @@ def frattini_reduce(G: PermGroup) -> PermGroup:
     return Q
 
 
-def trivial_cheb_value() -> ChebValue:
-    """C of the one-element group: zero, with no sieves."""
-    return ChebValue(
-        exact=Fraction(0), decimal="0", terms=(), sieve_count=0, term_count=0
-    )
-
-
 def chebotarev_of_group(
     G: PermGroup, *, max_sieves: int = DEFAULT_SIEVE_CAP
 ) -> ChebValue:
     """Convenience: build sieves and evaluate C(G); 0 for the trivial group."""
     if G.order == 1:
-        return trivial_cheb_value()
+        # no sieves: the only alive mask is the empty one
+        return ChebValue(exact=Fraction(0), decimal="0", sieve_count=0, state_count=1)
     return chebotarev_exact(build_sieves(G), max_sieves=max_sieves)

@@ -331,15 +331,13 @@ def _parse_spec(
             degree, pos = _take_int(tokens, pos, "degree")
             gens: list[Permutation] = []
             while pos < len(tokens) and tokens[pos].startswith("("):
-                try:
-                    gens.append(Permutation.from_cycle_string(tokens[pos], degree))
-                except ValueError as exc:
-                    raise ParseError(str(exc)) from None
+                gens.append(Permutation.from_cycle_string(tokens[pos], degree))
                 pos += 1
             label = f"perm {degree} " + " ".join(g.cycle_string() for g in gens)
             return PermGroup(degree, gens, order_cap=order_cap), label.strip(), pos
-    except (ValueError, NotPrimeError, SingularMatrixError):
-        raise
+    except ValueError as exc:
+        # constructor argument errors are usage errors, like bad syntax
+        raise ParseError(str(exc)) from None
     raise ParseError(f"unknown group constructor {head!r}")
 
 

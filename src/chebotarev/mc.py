@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrialCapError
+from .errors import TooManySievesError, TrialCapError
 from .exact import SieveSystem
 
 # Hard per-trial draw cap; hitting it means the sieve system is broken
@@ -26,6 +26,9 @@ from .exact import SieveSystem
 TRIAL_DRAW_CAP = 10**6
 
 _BLOCK = 32
+
+# Signatures are packed into np.int64, whose sign bit stays unused.
+_MASK_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,11 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
     """Mean waiting time over seeded trials, with a normal-theory 95% CI."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if S.sieve_count > _MASK_BITS:
+        raise TooManySievesError(
+            f"{S.sieve_count} reduced sieves exceed the {_MASK_BITS}-sieve width"
+            " of the Monte Carlo signature masks"
+        )
     sig_of_element = np.array(
         [S.class_signatures[S.class_of[e]] for e in range(S.order)], dtype=np.int64
     )

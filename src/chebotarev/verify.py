@@ -25,6 +25,7 @@ from .catalog import (
 from .crowns import CrownData, crown_data, omega_membership
 from .errors import TooManySievesError
 from .exact import (
+    DEFAULT_SIEVE_CAP,
     ChebValue,
     SieveSystem,
     build_sieves,
@@ -72,7 +73,7 @@ class GroupWork:
         return G.order == 4 and all(G.mult(i, i) == 0 for i in range(4))
 
 
-def analyze(label: str, *, max_sieves: int = 24) -> GroupWork:
+def analyze(label: str, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> GroupWork:
     G = parse_group(label).group
     sieves = build_sieves(G)
     try:
@@ -160,7 +161,7 @@ def item_elementary_sweep() -> ItemResult:
             else:
                 bound_ok = lhs < rhs
             sieve_count = (p**d - 1) // (p - 1)
-            if sieve_count <= 24:
+            if sieve_count <= DEFAULT_SIEVE_CAP:
                 G = affine_group(p, 1, [], power=d)  # regular representation
                 value = chebotarev_exact(build_sieves(G)).exact
                 engine_ok = value == closed
@@ -331,7 +332,7 @@ def brute_force_invariable_prob(S: SieveSystem, k: int) -> Fraction:
 
     Tuples are enumerated as class tuples weighted by class sizes; a
     tuple is trapped exactly when the AND of its class signatures is
-    nonzero. Independent of the inclusion-exclusion path.
+    nonzero. Independent of the alive-mask chain: nothing is merged.
     """
     sizes = S.class_sizes
     sigs = S.class_signatures
@@ -367,7 +368,7 @@ def item_oracle_equivalence() -> ItemResult:
 
     return _item(
         "oracle-equivalence",
-        "inclusion-exclusion probabilities equal brute-force tuple counts",
+        "exact probabilities equal brute-force tuple counts",
         run,
     )
 

@@ -25,7 +25,7 @@ def test_exact_json(capsys):
     assert report["group"] == {"label": "elementary 2 2", "order": 4, "soluble": True}
     cheb = report["chebotarev"]
     assert Fraction(cheb["exact"]) == Fraction(10, 3)
-    assert cheb["sieve_count"] == 3 and cheb["term_count"] == 7
+    assert cheb["sieve_count"] == 3 and cheb["state_count"] == 5
 
 
 def test_exact_rational_roundtrip(capsys):
@@ -89,3 +89,22 @@ def test_cap_flags(capsys):
     code = main(["--cap-order", "4", "exact", "cyclic", "6"])
     err = capsys.readouterr().err
     assert code == 2 and "cap" in err
+
+
+def test_constructor_argument_errors_exit_2(capsys):
+    for spec in (["cyclic", "0"], ["dihedral", "2"]):
+        code = main(["exact", *spec])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ")
+
+
+def test_exact_elementary_2_5_json_and_cap(capsys):
+    code, report = run_json(capsys, "exact", "elementary", "2", "5")
+    assert code == 0
+    cheb = report["chebotarev"]
+    closed = sum(Fraction(32, 32 - 2**i) for i in range(5))
+    assert Fraction(cheb["exact"]) == closed
+    assert cheb["sieve_count"] == 31 and cheb["state_count"] == 374
+    code = main(["exact", "elementary", "2", "5", "--cap-sieves", "24"])
+    err = capsys.readouterr().err
+    assert code == 2 and "cap of 24" in err

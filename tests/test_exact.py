@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import brute_invariable_prob, naive_cheb_from_unions, naive_prob_from_unions
 from chebotarev.errors import NotPrimeError, TooManySievesError, TrivialGroupError
 from chebotarev.exact import (
+    SieveSystem,
     build_sieves,
     chebotarev_exact,
     chebotarev_of_group,
@@ -64,7 +65,6 @@ def test_sieve_invariants(group_of):
 def test_chebotarev_exact_values(spec, expected, group_of):
     cv = chebotarev_of_group(group_of(spec))
     assert cv.exact == expected
-    assert sum(t.value for t in cv.terms) == cv.exact
 
 
 def test_chebotarev_matches_naive_subset_loop(group_of):
@@ -79,7 +79,8 @@ def test_chebotarev_matches_naive_subset_loop(group_of):
 
 def test_trivial_group_value(group_of):
     cv = chebotarev_of_group(group_of("cyclic 1"))
-    assert cv.exact == 0 and cv.decimal == "0" and cv.terms == ()
+    assert cv.exact == 0 and cv.decimal == "0"
+    assert cv.sieve_count == 0 and cv.state_count == 1
 
 
 def test_invariable_gen_prob_examples(group_of):
@@ -212,10 +213,9 @@ def test_too_many_sieves(group_of):
     G = group_of("elementary 2 5")  # 31 hyperplanes
     S = build_sieves(G)
     assert len(S.reduced_unions) == 31
-    with pytest.raises(TooManySievesError):
-        chebotarev_exact(S)
-    with pytest.raises(TooManySievesError):
-        invariable_gen_prob(S, 2)
+    cv = chebotarev_exact(S)
+    assert cv.exact == elementary_abelian_cheb(2, 5)
+    assert cv.state_count == 374
     # a tightened cap rejects a family the default would accept
     S3 = build_sieves(group_of("elementary 2 3"))
     with pytest.raises(TooManySievesError):
@@ -238,3 +238,40 @@ def test_frattini_invariance_of_value(spec, group_of):
     G = group_of(spec)
     reduced = frattini_reduce(G)
     assert chebotarev_of_group(G).exact == chebotarev_of_group(reduced).exact
+
+
+@st.composite
+def synthetic_sieves(draw):
+    """Singleton classes on n points and r proper unions through point 0."""
+    n = draw(st.integers(2, 12))
+    unions = draw(
+        st.lists(
+            st.integers(0, (1 << (n - 1)) - 2).map(lambda x: x << 1 | 1),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    sigs = tuple(
+        sum(1 << j for j, u in enumerate(unions) if (u >> c) & 1) for c in range(n)
+    )
+    S = SieveSystem(
+        order=n,
+        class_sizes=(1,) * n,
+        class_of=tuple(range(n)),
+        raw_unions=tuple(unions),
+        raw_signatures=sigs,
+        reduced_unions=tuple(unions),
+        class_signatures=sigs,
+    )
+    return S, unions
+
+
+@given(synthetic_sieves(), st.integers(0, 4), st.data())
+def test_chain_matches_naive_subset_sums(system, k, data):
+    S, unions = system
+    n = S.order
+    assert chebotarev_exact(S).exact == naive_cheb_from_unions(n, unions)
+    assert invariable_gen_prob(S, k) == naive_prob_from_unions(n, unions, k)
+    mask = data.draw(st.integers(0, (1 << len(unions)) - 1))
+    selected = [u for j, u in enumerate(unions) if (mask >> j) & 1]
+    assert v_property_sum(S, mask) == naive_cheb_from_unions(n, selected)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebotarev.errors import TrialCapError
+from chebotarev.errors import TooManySievesError, TrialCapError
 from chebotarev.exact import SieveSystem, build_sieves, chebotarev_exact
 from chebotarev.mc import mc_estimate
 
@@ -88,3 +88,24 @@ def test_trial_cap_guards_broken_sieves():
     )
     with pytest.raises(TrialCapError):
         mc_estimate(broken, 10, 0)
+
+
+def test_mask_width_refusal():
+    # 64 unions, each missing one point, need a 64-bit signature for the
+    # identity; the int64 table must refuse with a typed error
+    n = 65
+    unions = tuple(((1 << n) - 1) ^ (1 << (j + 1)) for j in range(64))
+    sigs = tuple(
+        sum(1 << j for j, u in enumerate(unions) if (u >> c) & 1) for c in range(n)
+    )
+    wide = SieveSystem(
+        order=n,
+        class_sizes=(1,) * n,
+        class_of=tuple(range(n)),
+        raw_unions=unions,
+        raw_signatures=sigs,
+        reduced_unions=unions,
+        class_signatures=sigs,
+    )
+    with pytest.raises(TooManySievesError, match="63"):
+        mc_estimate(wide, 10, 0)
