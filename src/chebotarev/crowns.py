@@ -33,6 +33,7 @@ from .perm import (
 from .subgroups import (
     MaximalClassData,
     all_subgroups,
+    maximal_classes,
     minimal_generating_tuple,
     minimal_normal_subgroups,
 )
@@ -188,8 +189,9 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
 
 
 def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    # |UX| = |U||X|/|U n X|, so U complements X/Y iff U n X = Y and the
-    # product set has full size.
+    # Lattice scan, needed only for nonabelian chief factors, whose
+    # complements need not be maximal. |UX| = |U||X|/|U n X|, so U
+    # complements X/Y iff U n X = Y and the product set has full size.
     target = G.order * Y.order
     for U in all_subgroups(G):
         if U.bits & X.bits == Y.bits and U.order * X.order == target:
@@ -197,10 +199,25 @@ def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
     return False
 
 
+def _abelian_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
+    # A complement of an abelian chief factor X/Y is maximal and contains
+    # Y; conversely a maximal M >= Y with X not in M meets X exactly in Y.
+    # X and Y are normal, so they lie in M iff they lie in its core.
+    return any(
+        Y.bits & ~mc.core_bits == 0 and X.bits & ~mc.core_bits
+        for mc in maximal_classes(G)
+    )
+
+
 def is_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y)."""
+    """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y).
+
+    Raises ``NotChiefFactorError`` if a normal subgroup of G lies strictly
+    between Y and X.
+    """
     _validate_section(G, X, Y)
-    return _has_complement(G, X, Y)
+    _check_chief(G, X, Y)
+    return _abelian_complemented(G, X, Y)
 
 
 def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
@@ -214,6 +231,14 @@ def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
         for b in X.witnesses:
             if not (Y.bits >> G.commutator(a, b)) & 1:
                 raise NotAbelianFactorError("section X/Y is not abelian")
+
+
+def _check_chief(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
+    if X.bits == Y.bits:
+        raise NotChiefFactorError("the section X/Y is trivial")
+    for x in bits_iter(X.bits & ~Y.bits):
+        if G.normal_closure_bits(Y.witnesses + (x,)) != X.bits:
+            raise NotChiefFactorError("a normal subgroup sits strictly between Y and X")
 
 
 # -- abelian chief factor modules ----------------------------------------
@@ -280,9 +305,7 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
         t //= pfac
         n_raw += 1
     if check_chief:
-        for x in bits_iter(X.bits & ~Y.bits):
-            if G.normal_closure_bits(Y.witnesses + (x,)) != X.bits:
-                raise NotChiefFactorError("a normal subgroup sits strictly between Y and X")
+        _check_chief(G, X, Y)
 
     # cosets of Y inside X, id 0 = Y itself (identity has element index 0)
     vid: dict[int, int] = {}
@@ -609,7 +632,7 @@ def crown_data(
             nonabelian.append((series.factor_orders[i], _has_complement(G, X, Y)))
             continue
         mod = factor_module(G, X, Y, check_chief=False)
-        comp = _has_complement(G, X, Y)
+        comp = _abelian_complemented(G, X, Y)
         mod = replace(mod, complemented=comp, label=f"factor[{i:02d}]")
         modules.append(mod)
 

@@ -9,6 +9,10 @@ class DegreeMismatchError(ChebotarevError):
     """A permutation has the wrong degree for the requested operation."""
 
 
+class InvariantError(ChebotarevError):
+    """An internal invariant failed: a package bug or inconsistent hand-built input."""
+
+
 class OrderCapError(ChebotarevError):
     """A group (or enumeration) exceeds the configured desk-scale cap."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotPrimeError, TooManySievesError, TrivialGroupError
+from .errors import InvariantError, NotPrimeError, TooManySievesError, TrivialGroupError
 from .perm import PermGroup, conjugacy_classes
 from .subgroups import MaximalClassData, frattini, maximal_classes
 
@@ -118,8 +118,10 @@ def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = 
         raw_sigs.append(s)
     reduced, sigs = _reduce_family(raw, raw_sigs)
     full = G.full_bits
-    assert all(u != full for u in reduced), "a conjugate-union covers G"
-    assert sigs[table.class_of[0]] == (1 << len(reduced)) - 1
+    if full in reduced:
+        raise InvariantError("a conjugate-union covers G")
+    if sigs[table.class_of[0]] != (1 << len(reduced)) - 1:
+        raise InvariantError("the identity lies outside a conjugate-union")
     return SieveSystem(
         order=G.order,
         class_sizes=table.sizes,

@@ -345,6 +345,28 @@ class PermGroup:
                     break
         return tuple(ws)
 
+    def right_cosets(self, bits: int) -> tuple[list[int], list[int], list[int]]:
+        """The right cosets Ht of the subgroup ``bits``, ordered by least element.
+
+        Returns ``(reps, cid, cbits)``: each coset's least element, the coset
+        index of every element, and each coset as a bitmask.
+        """
+        mult = self.mult
+        members = list(bits_iter(bits))
+        cid = [-1] * self.order
+        reps: list[int] = []
+        cbits: list[int] = []
+        for t in range(self.order):
+            if cid[t] >= 0:
+                continue
+            c = len(reps)
+            reps.append(t)
+            coset = [mult(h, t) for h in members]
+            for x in coset:
+                cid[x] = c
+            cbits.append(sum([1 << x for x in coset]))
+        return reps, cid, cbits
+
     def conj_bits(self, bits: int, g: int) -> int:
         out = 0
         for i in bits_iter(bits):
@@ -527,15 +549,7 @@ def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
     if not N.is_normal():
         raise NotNormalError("quotient requires a normal subgroup")
     n = G.order
-    cid = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if cid[i] >= 0:
-            continue
-        c = len(reps)
-        reps.append(i)
-        for m in N.members():
-            cid[G.mult(m, i)] = c
+    reps, cid, _ = G.right_cosets(N.bits)
     num = len(reps)
     assert num * N.order == n
 

@@ -1,9 +1,21 @@
 """Subgroup enumeration, maximal classes, Frattini subgroup, minimal generators.
 
 Enumeration is exhaustive (every subgroup exactly once) by cyclic
-extension: start from all cyclic subgroups and repeatedly extend by one
-element-closure, deduplicating by bitset. This is exact and fast enough
-at desk scale; the default cap refuses groups above order 2000.
+extension: start from all cyclic subgroups and extend each subgroup H
+found by one more element g, deduplicating by bitset. Two facts keep
+this cheap:
+
+- ``<H, g>`` depends only on the right coset ``Hg``, so one ``g`` per
+  coset is tried, its least element.
+- ``<H, g>`` is a union of right cosets of H and ``Hr * s = H(rs)``
+  (Dimino's extension), so it is grown coset by coset: it is the union
+  of the cosets in the orbit of H under right multiplication by H's
+  witnesses and ``g``.
+
+The coset partition is built once per H, in O(|G|). This is exact and
+fast enough at desk scale; the default cap refuses groups above order
+2000. Orders 1501 to 2000 lie above the multiplication-table limit, so
+their products come from ``PermGroup.mult``'s generator-word fallback.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import OrderCapError, TrivialGroupError
+from .errors import InvariantError, OrderCapError, TrivialGroupError
 from .perm import PermGroup, Subgroup, conjugacy_classes
 
 DEFAULT_SUBGROUP_CAP = 2000
@@ -29,7 +41,7 @@ def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subg
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return cached
-    G._ensure_table()
+    mult = G.mult
     seen: dict[int, tuple[int, ...]] = {1: ()}
     queue: list[int] = []
     for x in range(1, G.order):
@@ -45,10 +57,28 @@ def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subg
         if hbits == full:
             continue
         wits = seen[hbits]
-        for g in range(1, G.order):
-            if (hbits >> g) & 1:
-                continue
-            kbits = G.closure_bits(wits + (g,))
+        reps, cid, cbits = G.right_cosets(hbits)
+        wacts = [[cid[mult(r, w)] for r in reps] for w in wits]
+        stamp = [0] * len(reps)
+        # One g per right coset Hg, its least element: the g an element-wise
+        # scan would record first, so the witnesses do not depend on the
+        # pruning. <H, g> is the union of the cosets in the orbit of H
+        # under right multiplication by wits + (g,).
+        for c in range(1, len(reps)):
+            g = reps[c]
+            stamp[0] = stamp[c] = c
+            orbit = [c]
+            for x in orbit:
+                for act in wacts:
+                    y = act[x]
+                    if stamp[y] != c:
+                        stamp[y] = c
+                        orbit.append(y)
+                y = cid[mult(reps[x], g)]
+                if stamp[y] != c:
+                    stamp[y] = c
+                    orbit.append(y)
+            kbits = hbits + sum([cbits[x] for x in orbit])  # disjoint cosets
             if kbits not in seen:
                 seen[kbits] = wits + (g,)
                 queue.append(kbits)
@@ -113,7 +143,8 @@ def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
             core &= b
         rep_bits = min(orbit)
         rep = by_bits.get(rep_bits) or Subgroup(G, rep_bits)
-        assert union != G.full_bits, "conjugate-union of a maximal covers G"
+        if union == G.full_bits:
+            raise InvariantError("conjugate-union of a maximal covers G")
         classes.append(
             MaximalClassData(
                 representative=rep,

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the code paths they check: subgroup lists come
-from closing raw element subsets, invariable generation from explicit
-conjugate substitution, derivation counts from a linear system, and the
-inclusion-exclusion value from a transparent double loop over subsets.
+from closing raw element subsets or from one element closure per
+(subgroup, element) pair, complements from a full lattice scan,
+invariable generation from explicit conjugate substitution, derivation
+counts from a linear system, and the inclusion-exclusion value from a
+transparent double loop over subsets.
 """
 
 from __future__ import annotations
@@ -23,6 +25,42 @@ def brute_subgroup_bits(G: PermGroup) -> set[int]:
         for combo in itertools.combinations(elems, r):
             found.add(G.closure_bits(combo))
     return found
+
+
+def cyclic_extension_subgroups(G: PermGroup) -> list[tuple[int, tuple[int, ...]]]:
+    """``(bits, witnesses)`` of every subgroup, sorted by (order, bits).
+
+    Extends each subgroup H found by every element outside it, closing
+    ``witnesses + (g,)`` anew each time; the first (H, g) to reach
+    a subgroup supplies its witnesses.
+    """
+    seen: dict[int, tuple[int, ...]] = {1: ()}
+    queue: list[int] = []
+    for x in range(1, G.order):
+        bits = G.closure_bits((x,))
+        if bits not in seen:
+            seen[bits] = (x,)
+            queue.append(bits)
+    for hbits in queue:
+        wits = seen[hbits]
+        for g in range(1, G.order):
+            if (hbits >> g) & 1:
+                continue
+            kbits = G.closure_bits(wits + (g,))
+            if kbits not in seen:
+                seen[kbits] = wits + (g,)
+                queue.append(kbits)
+    return sorted(seen.items(), key=lambda item: (item[0].bit_count(), item[0]))
+
+
+def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
+    """Some subgroup U has U n X = Y and |U||X| = |G||Y|, i.e. UX = G."""
+    from chebotarev.subgroups import all_subgroups
+
+    return any(
+        U.bits & X.bits == Y.bits and U.order * X.order == G.order * Y.order
+        for U in all_subgroups(G)
+    )
 
 
 def closure_of(G: PermGroup, seeds) -> int:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import derivation_space_dim
+from oracles import complement_by_lattice_scan, derivation_space_dim
+from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
     chief_series,
     crown_data,
@@ -73,6 +74,20 @@ def test_is_complemented_examples(group_of):
     s3 = group_of("symmetric 3")
     a3 = next(s for s in _normal_subgroups(s3) if s.order == 3)
     assert is_complemented(s3, a3, Subgroup.trivial(s3))
+
+    with pytest.raises(NotChiefFactorError):
+        is_complemented(c4, Subgroup.full(c4), Subgroup.trivial(c4))
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_CATALOG + ("symmetric 5",))
+def test_complement_from_maximal_cores_matches_lattice_scan(spec, group_of):
+    G = group_of(spec)
+    series = chief_series(G)
+    subs = series.subgroups
+    for i in range(len(series)):
+        if series.factor_abelian[i]:
+            X, Y = subs[i], subs[i + 1]
+            assert is_complemented(G, X, Y) == complement_by_lattice_scan(G, X, Y)
 
 
 def test_factor_module_central(group_of):

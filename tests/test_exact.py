@@ -5,7 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import brute_invariable_prob, naive_cheb_from_unions, naive_prob_from_unions
-from chebotarev.errors import NotPrimeError, TooManySievesError, TrivialGroupError
+from chebotarev.errors import (
+    InvariantError,
+    NotPrimeError,
+    TooManySievesError,
+    TrivialGroupError,
+)
 from chebotarev.exact import (
     SieveSystem,
     build_sieves,
@@ -18,7 +23,7 @@ from chebotarev.exact import (
     v_property_sum,
 )
 from chebotarev.crowns import crown_data
-from chebotarev.subgroups import maximal_classes
+from chebotarev.subgroups import MaximalClassData, maximal_classes
 from chebotarev.crowns import omega_membership
 
 
@@ -50,6 +55,17 @@ def test_sieve_invariants(group_of):
             assert u & 1  # every union contains the identity
         for a in S.reduced_unions:
             assert not any(b != a and a & ~b == 0 for b in S.reduced_unions)
+
+
+@pytest.mark.parametrize("union", ["full", "no-identity"])
+def test_build_sieves_rejects_bad_unions(union, group_of):
+    # hand-built classes whose union covers G, or misses the identity
+    G = group_of("symmetric 3")
+    real = maximal_classes(G)[0]
+    bits = G.full_bits if union == "full" else real.union_bits & ~1
+    bad = MaximalClassData(real.representative, real.class_size, bits, real.core_bits)
+    with pytest.raises(InvariantError):
+        build_sieves(G, [bad])
 
 
 @pytest.mark.parametrize(

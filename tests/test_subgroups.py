@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from oracles import brute_subgroup_bits
-from chebotarev.errors import OrderCapError, TrivialGroupError
+from oracles import brute_subgroup_bits, cyclic_extension_subgroups
+from chebotarev import perm
+from chebotarev.errors import InvariantError, OrderCapError, TrivialGroupError
+from chebotarev.groupspec import parse_group
 from chebotarev.perm import Subgroup
 from chebotarev.subgroups import (
     all_subgroups,
@@ -34,6 +36,43 @@ def test_all_subgroups_matches_brute_force(spec, group_of):
     G = group_of(spec)
     got = {s.bits for s in all_subgroups(G)}
     assert got == brute_subgroup_bits(G)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "symmetric 4",
+        "dihedral 12",
+        "affine 7 1 [[3]]",
+        "direct_product cyclic 2 alternating 4",
+        "affine 3 1 [[2]] power 2",
+    ],
+)
+def test_all_subgroups_matches_cyclic_extension(spec, group_of):
+    # same subgroups, witnesses and order as one closure per element
+    G = group_of(spec)
+    got = [(s.bits, s.witnesses) for s in all_subgroups(G)]
+    assert got == cyclic_extension_subgroups(G)
+
+
+def _maximal_class_key(G):
+    return [
+        (c.representative.bits, c.representative.witnesses, c.class_size, c.union_bits, c.core_bits)
+        for c in maximal_classes(G)
+    ]
+
+
+@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 12"])
+def test_lattice_without_multiplication_table(spec, monkeypatch):
+    tabled = parse_group(spec).group
+    expected = [(s.bits, s.witnesses) for s in all_subgroups(tabled)]
+    expected_classes = _maximal_class_key(tabled)
+    monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", tabled.order - 1)
+    G = parse_group(spec).group
+    assert G._ensure_table() is None
+    assert [(s.bits, s.witnesses) for s in all_subgroups(G)] == expected
+    assert _maximal_class_key(G) == expected_classes
+    assert G._mult_table is None
 
 
 def test_all_subgroups_closed_and_unique(group_of):
@@ -69,6 +108,16 @@ def test_maximal_classes_examples(group_of):
 
     with pytest.raises(TrivialGroupError):
         maximal_classes(group_of("cyclic 1"))
+
+
+def test_maximal_union_covering_group_is_typed_error():
+    # A hand-built lattice whose only proper nontrivial member is the
+    # non-subgroup {(), (1 2), (1 2 3)}: its conjugates cover S3.
+    G = parse_group("symmetric 3").group
+    fake = Subgroup(G, 1 | 1 << G.index[(1, 0, 2)] | 1 << G.index[(1, 2, 0)], ())
+    G._cache["all_subgroups"] = [Subgroup.trivial(G), fake, Subgroup.full(G)]
+    with pytest.raises(InvariantError):
+        maximal_classes(G)
 
 
 @pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 10", "quaternion8", "cyclic 36"])
