@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .crowns import ChiefFactorModule
-from .errors import BadProbabilityError, UnclassifiedRatioError
+from .errors import BadProbabilityError, InvariantError, UnclassifiedRatioError
 
 #: Expected surplus of random draws (beyond d(G)) needed to generate a
 #: group plainly, as a fixed 10-digit decimal literal treated as exact.
@@ -88,12 +88,20 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _classified(V: ChiefFactorModule) -> tuple[int, int, int]:
+    """(q, n, delta) of a module, which crown_data must have classified."""
+    if V.q is None or V.n is None or V.delta is None:
+        raise InvariantError(f"module {V.label!r} is not classified by crown_data")
+    return V.q, V.n, V.delta
+
+
 def _crown_term(V: ChiefFactorModule) -> tuple[Fraction, Fraction, Fraction]:
     """(size branch, image branch, min) of the non-central class bound term."""
-    q, n = V.q, V.n
-    assert q is not None and n is not None and V.delta is not None and V.theta is not None
+    q, n, delta = _classified(V)
+    if V.theta is None:
+        raise InvariantError(f"module {V.label!r} has no theta from crown_data")
     qn = q**n
-    dt = V.delta * V.theta
+    dt = delta * V.theta
     c_v = Fraction(q, q - 1)
     by_size = (dt + c_v) * qn
     by_image = (_ceil_div(dt, n) + Fraction(qn, qn - 1)) * V.h_order
@@ -140,9 +148,7 @@ class WaitingEstimate:
 def waiting_estimate(V: ChiefFactorModule) -> WaitingEstimate:
     """Waiting-time estimate for one crown class (the central case uses the
     elementary-abelian expected-generation sum)."""
-    q, n = V.q, V.n
-    assert q is not None and n is not None and V.delta is not None
-    delta = V.delta
+    q, n, delta = _classified(V)
     if V.h_order == 1:
         qd = q**delta
         s = sum((Fraction(qd, qd - q**i) for i in range(delta)), Fraction(0))
@@ -177,12 +183,11 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
     known exceptional shapes (all with |H| < |V|), keyed by
     (delta, q^n, lambda); anything else raises.
     """
-    q, n = V.q, V.n
-    assert q is not None and n is not None and V.delta is not None
+    q, n, delta = _classified(V)
     if V.h_order <= 1:
         raise ValueError("the ratio check applies to non-central classes only")
     qn = q**n
-    u_order = qn**V.delta
+    u_order = qn**delta
     denom = V.h_order * u_order
     if group_order % denom:
         raise ValueError("group order is not a multiple of |H| * |V|^delta")
@@ -314,27 +319,20 @@ def build_bound_report(
                 chosen=str(chosen),
             )
         )
-    verdicts: dict = {}
-    if not soluble:
-        verdicts = {
-            "crown": Verdict.NOT_APPLICABLE,
-            "min_generators": Verdict.NOT_APPLICABLE,
-            "five_thirds": Verdict.NOT_APPLICABLE,
-        }
-    elif exact is None:
+    if not soluble or exact is None:
         verdicts = {
             "crown": Verdict.NOT_APPLICABLE,
             "min_generators": Verdict.NOT_APPLICABLE,
             "five_thirds": Verdict.NOT_APPLICABLE,
         }
     else:
-        verdicts["crown"] = (
-            Verdict.SATISFIED if exact <= crown_b else Verdict.VIOLATED
-        )
-        verdicts["min_generators"] = (
-            Verdict.SATISFIED if exact <= min_gen_effective else Verdict.VIOLATED
-        )
-        verdicts["five_thirds"] = five_thirds_check(exact, order, is_klein)
+        verdicts = {
+            "crown": Verdict.SATISFIED if exact <= crown_b else Verdict.VIOLATED,
+            "min_generators": (
+                Verdict.SATISFIED if exact <= min_gen_effective else Verdict.VIOLATED
+            ),
+            "five_thirds": five_thirds_check(exact, order, is_klein),
+        }
     return BoundReport(
         group_id=group_id,
         order=order,

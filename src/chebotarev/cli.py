@@ -35,7 +35,7 @@ from .exact import (
 )
 from .groupspec import parse_group
 from .mc import mc_estimate
-from .perm import is_soluble
+from .perm import is_klein_four, is_soluble
 from .subgroups import min_generators
 from .verify import run_all
 
@@ -241,12 +241,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
             except TooManySievesError:
                 cv = None
-            is_klein = G.order == 4 and all(G.mult(i, i) == 0 for i in range(4))
             rb = bnd.build_bound_report(
                 group_id=parsed.label,
                 order=G.order,
                 soluble=is_soluble(G),
-                is_klein=is_klein,
+                is_klein=is_klein_four(G),
                 exact=None if cv is None else cv.exact,
                 A=cd.A,
                 B=cd.B,

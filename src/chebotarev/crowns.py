@@ -5,22 +5,27 @@ the conjugation action of G written as k x k matrices over a fixed basis
 of coset representatives (discovery order, so runs are reproducible).
 All reported quantities (q, n, delta, theta, p_fix, m) are basis
 invariant even though the matrices themselves are not.
+
+Every module question is linear over F_p and is answered by one
+reduced row echelon form (``_rref``): G-isomorphism is a nonempty
+intertwiner space (by Schur's lemma a nonzero intertwiner between
+irreducible modules of equal dimension is invertible), the commutant
+field is the self-intertwiner space, and derivations are the nullspace of
+the cocycle condition written along the Cayley graph.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadSectionError,
+    InvariantError,
     NotAbelianFactorError,
     NotChiefFactorError,
     NotIrreducibleError,
-    SearchCapError,
 )
 from .perm import (
     PermGroup,
@@ -34,13 +39,10 @@ from .subgroups import (
     MaximalClassData,
     all_subgroups,
     maximal_classes,
-    minimal_generating_tuple,
     minimal_normal_subgroups,
 )
 
 Mat = tuple[tuple[int, ...], ...]
-
-DERIVATION_SEARCH_CAP = 1 << 24
 
 
 # -- small dense linear algebra over F_p --------------------------------
@@ -60,56 +62,49 @@ def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
     )
 
 
-def mat_vec(A: Mat, v: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple(sum(A[i][j] * v[j] for j in range(len(v))) % p for i in range(len(A)))
+def _rref(
+    rows: Iterable[Sequence[int]], ncols: int, p: int
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p: (nonzero rows, their pivot columns).
+
+    Stops as soon as every row holds a pivot: the columns left are then
+    free and already reduced.
+    """
+    work = [r for r in ([x % p for x in row] for row in rows) if any(r)]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        prow = work[rank] = [(x * inv) % p for x in work[rank]]
+        for r in range(len(work)):
+            f = work[r][col]
+            if f and r != rank:
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], prow)]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
 
 
 def mat_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] % p:
-                f = work[r][col]
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(_rref(rows, len(rows[0]) if rows else 0, p)[1])
 
 
-def nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Basis of {v : rows @ v == 0} over F_p (reduced row echelon form)."""
-    work = [list(r) for r in rows if any(x % p for x in r)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] % p:
-                f = work[r][col]
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows: Iterable[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
+    """Basis of {v : rows @ v == 0} over F_p, one vector per free column."""
+    reduced, pivots = _rref(rows, ncols, p)
     basis = []
-    for fcol in free:
+    for fcol in range(ncols):
+        if fcol in pivots:
+            continue
         vec = [0] * ncols
         vec[fcol] = 1
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = (-work[r][fcol]) % p
+        for row, pcol in zip(reduced, pivots):
+            vec[pcol] = (-row[fcol]) % p
         basis.append(tuple(vec))
     return basis
 
@@ -274,17 +269,6 @@ class ChiefFactorModule:
         return self.p**self.n_raw
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool = True) -> ChiefFactorModule:
     """Matrices, centralizer size and fixed-vector probability for X/Y.
 
@@ -294,9 +278,9 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     """
     _validate_section(G, X, Y)
     vorder = X.order // Y.order
-    pfac = next((d for d in range(2, vorder + 1) if vorder % d == 0), vorder)
-    if not _is_prime(pfac):
-        raise NotChiefFactorError("abelian chief factor must have prime-power order")
+    if vorder == 1:
+        raise NotChiefFactorError("the section X/Y is trivial")
+    pfac = next(d for d in range(2, vorder + 1) if vorder % d == 0)
     n_raw = 0
     t = vorder
     while t > 1:
@@ -317,7 +301,8 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
         coset_rep.append(x)
         for y in bits_iter(Y.bits):
             vid[G.mult(y, x)] = c
-    assert len(coset_rep) == vorder and vid[0] == 0
+    if len(coset_rep) != vorder or vid[0] != 0:
+        raise InvariantError("the cosets of Y do not partition X")
 
     def vadd(a: int, b: int) -> int:
         return vid[G.mult(coset_rep[a], coset_rep[b])]
@@ -339,7 +324,8 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
                     coords[u] = wc[:i] + (c,)
         if vadd(cur, v) != 0:
             raise NotChiefFactorError("section X/Y is not elementary abelian")
-    assert len(coords) == vorder and len(basis) == n_raw
+    if len(coords) != vorder or len(basis) != n_raw:
+        raise InvariantError("the coordinates do not cover X/Y")
     coords = {w: tuple(wc) for w, wc in coords.items()}
 
     def action_matrix(g: int) -> Mat:
@@ -402,21 +388,15 @@ def _intertwiner_space(
     return nullspace(rows, n * n, p)
 
 
-# Solution spaces larger than this are sampled rather than scanned when
-# hunting for an invertible intertwiner (heuristic path, flagged below).
-_ISO_SCAN_LIMIT = 4096
-_ISO_SAMPLE_TRIALS = 64
-
-
 def g_isomorphic(M1: ChiefFactorModule, M2: ChiefFactorModule) -> bool:
-    """True iff an invertible F_p intertwiner exists between the modules.
+    """True iff the irreducible modules are isomorphic as G-modules.
 
     Both modules must carry matrices for the same generator list. A prime
-    or dimension mismatch short-circuits to False. For irreducible
-    modules any nonzero intertwiner is invertible, so the scan normally
-    succeeds on the first basis vector; the random-sampling fallback for
-    huge solution spaces is heuristic and effectively unreachable at desk
-    scale.
+    or dimension mismatch short-circuits to False. By Schur's lemma a
+    nonzero intertwiner between irreducible modules of equal dimension is
+    invertible, so a nonempty intertwiner space decides the question; a
+    singular basis intertwiner proves a module reducible and raises
+    ``NotIrreducibleError``.
     """
     if len(M1.gen_matrices) != len(M2.gen_matrices):
         raise ValueError("modules carry different generator lists")
@@ -426,24 +406,9 @@ def g_isomorphic(M1: ChiefFactorModule, M2: ChiefFactorModule) -> bool:
     basis = _intertwiner_space(M1.gen_matrices, M2.gen_matrices, n, p)
     if not basis:
         return False
-    for v in basis:
-        if mat_is_invertible(_vec_to_mat(v, n), p):
-            return True
-    if p ** len(basis) <= _ISO_SCAN_LIMIT:
-        for v in _span_elements(basis, p):
-            if any(v) and mat_is_invertible(_vec_to_mat(v, n), p):
-                return True
-        return False
-    rng = random.Random(0)
-    for _ in range(_ISO_SAMPLE_TRIALS):
-        coeffs = [rng.randrange(p) for _ in basis]
-        v = tuple(
-            sum(c * b[i] for c, b in zip(coeffs, basis)) % p
-            for i in range(n * n)
-        )
-        if any(v) and mat_is_invertible(_vec_to_mat(v, n), p):
-            return True
-    return False
+    if mat_is_invertible(_vec_to_mat(basis[0], n), p):
+        return True
+    raise NotIrreducibleError("a nonzero intertwiner is singular, so a module is reducible")
 
 
 def endo_field(M: ChiefFactorModule) -> tuple[int, int]:
@@ -496,77 +461,53 @@ class DerivationCount:
     m: int
 
 
-def derivations(
-    H: PermGroup,
-    gen_matrices: Sequence[Mat],
-    p: int,
-    *,
-    search_cap: int = DERIVATION_SEARCH_CAP,
-) -> DerivationCount:
-    """Count derivations H -> V by exhaustive generator-image search.
+def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> DerivationCount:
+    """Count derivations H -> V by solving the cocycle condition over F_p.
 
-    A candidate assigns a vector to each member of a minimal generating
-    tuple of H; it extends uniquely along the BFS tree by
-    zeta(x*g) = zeta(x)^g + zeta(g) and survives iff that relation holds
-    for every (element, generator) pair. ``m`` solves q^m =
-    der_count / inner_count over the commutant field.
+    The unknowns are one vector u_k = zeta(g_k) per distinct BFS generator
+    g_k of H. Along the BFS tree, zeta(x*g) = zeta(x)^g + zeta(g) writes
+    each zeta(x) as a linear map of the unknowns; every other Cayley edge
+    (x, g_k) must satisfy the same relation, n equations each. Every
+    solution is a derivation, so |Z^1| = p^nullity. The inner derivations
+    are the images v -> (v^g - v)_g of V, so |B^1| = p^(n - dim C_V(H)).
+    ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q.
     """
     if H.order == 1:
         raise ValueError("derivations require a nontrivial acting group")
     n = len(gen_matrices[0])
-    vsize = p**n
-    elem_mats = _element_matrices(H, gen_matrices, p)
-    wit = minimal_generating_tuple(H)
-    if vsize ** len(wit) > search_cap:
-        raise SearchCapError(
-            f"candidate space {vsize}^{len(wit)} exceeds cap {search_cap}"
-        )
-    H2 = PermGroup(H.degree, [H.elements[w] for w in wit])
-    assert H2.order == H.order
-    wit_mats = [elem_mats[w] for w in wit]
-    bfs_gen_slot = []
-    for g in H2._bfs_gens:
-        slot = next(i for i, w in enumerate(wit) if H.elements[w].images == g.images)
-        bfs_gen_slot.append(slot)
+    by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
+    gen_mats = [by_images[g.images] for g in H._bfs_gens]
+    ncols = n * len(gen_mats)
 
-    vectors = list(itertools.product(range(p), repeat=n))
-    der_count = 0
-    for assign in itertools.product(range(vsize), repeat=len(wit)):
-        vals = [vectors[a] for a in assign]
-        zeta: list[tuple[int, ...]] = [tuple([0] * n)] * H2.order
-        for j in range(1, H2.order):
-            pj, gj = H2._parent[j], H2._via[j]
-            slot = bfs_gen_slot[gj]
-            moved = mat_vec(wit_mats[slot], zeta[pj], p)
-            zeta[j] = tuple((a + b) % p for a, b in zip(moved, vals[slot]))
-        ok = True
-        for x in range(H2.order):
-            for k in range(len(H2._bfs_gens)):
-                y = H2._gen_right[x][k]
-                slot = bfs_gen_slot[k]
-                moved = mat_vec(wit_mats[slot], zeta[x], p)
-                want = tuple((a + b) % p for a, b in zip(moved, vals[slot]))
-                if zeta[y] != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            der_count += 1
+    def image(L: list[list[int]], k: int) -> list[list[int]]:
+        # coefficient rows of zeta(x)^g_k + u_k, given those of zeta(x)
+        M = gen_mats[k]
+        out = [
+            [sum(M[i][t] * L[t][c] for t in range(n)) % p for c in range(ncols)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            out[i][k * n + i] = (out[i][k * n + i] + 1) % p
+        return out
 
-    inner = set()
-    for v in vectors:
-        inner.add(
-            tuple(
-                tuple((mv - vv) % p for mv, vv in zip(mat_vec(Mw, v, p), v))
-                for Mw in wit_mats
+    lin = [[[0] * ncols for _ in range(n)]]
+    for j in range(1, H.order):
+        lin.append(image(lin[H._parent[j]], H._via[j]))
+    rows: list[list[int]] = []
+    for x in range(H.order):
+        for k, y in enumerate(H._gen_right[x]):
+            if H._parent[y] == x and H._via[y] == k:
+                continue  # a tree edge holds by construction
+            want = image(lin[x], k)
+            rows.extend(
+                [a - b for a, b in zip(lin[y][i], want[i])] for i in range(n)
             )
-        )
-    inner_count = len(inner)
+    z1_dim = ncols - len(_rref(rows, ncols, p)[1])
+    fixed_rows = [
+        [M[i][j] - (i == j) for j in range(n)] for M in gen_mats for i in range(n)
+    ]
+    b1_dim = n - len(nullspace(fixed_rows, n, p))
 
-    ratio = der_count // inner_count
-    if der_count % inner_count:
-        raise NotIrreducibleError("derivation count is not a multiple of the inner count")
     probe = ChiefFactorModule(
         group=H,
         p=p,
@@ -576,15 +517,11 @@ def derivations(
         central=False,
         p_fix=Fraction(0),
     )
-    q, _ = endo_field(probe)
-    m = 0
-    r = ratio
-    while r > 1:
-        if r % q:
-            raise NotIrreducibleError("H^1 size is not a power of the commutant field size")
-        r //= q
-        m += 1
-    return DerivationCount(der_count=der_count, inner_count=inner_count, m=m)
+    _, nv = endo_field(probe)
+    m, rest = divmod(z1_dim - b1_dim, n // nv)
+    if rest:
+        raise NotIrreducibleError("H^1 size is not a power of the commutant field size")
+    return DerivationCount(der_count=p**z1_dim, inner_count=p**b1_dim, m=m)
 
 
 # -- crown data -----------------------------------------------------------
@@ -607,18 +544,13 @@ class CrownData:
         return self.central
 
 
-def crown_data(
-    G: PermGroup,
-    *,
-    series: Optional[ChiefSeries] = None,
-    compute_m: bool = False,
-) -> CrownData:
+def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownData:
     """Group the complemented abelian chief factors into isomorphism classes.
 
     For soluble G every class gets m = 0 (first cohomology vanishes for a
-    soluble group acting faithfully and irreducibly). With
-    ``compute_m=True`` on an insoluble group, m is found by derivation
-    enumeration when the search fits the cap, else left as None.
+    soluble group acting faithfully and irreducibly), as does every
+    central class; the non-central classes of an insoluble G keep
+    m = None.
     """
     if series is None:
         series = chief_series(G)
@@ -654,12 +586,6 @@ def crown_data(
         q, nv = endo_field(rep)
         # first cohomology vanishes for soluble H and trivially for H = 1
         m: Optional[int] = 0 if (soluble or rep.central) else None
-        if m is None and compute_m:
-            HQ, _ = quotient(G, section_kernel(rep))
-            try:
-                m = derivations(HQ, rep.gen_matrices, rep.p).m
-            except SearchCapError:
-                m = None
         rep = replace(
             rep,
             q=q,

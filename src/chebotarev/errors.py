@@ -41,10 +41,6 @@ class NotIrreducibleError(ChebotarevError):
     """The commutant of the module action is not a field, so the module is not irreducible."""
 
 
-class SearchCapError(ChebotarevError):
-    """A brute-force search space exceeds the configured cap."""
-
-
 class TooManySievesError(ChebotarevError):
     """More reduced conjugate-unions than the exact engine's cap allows,
     or than the Monte Carlo signature masks hold.

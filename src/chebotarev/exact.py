@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvariantError, NotPrimeError, TooManySievesError, TrivialGroupError
+from .errors import InvariantError, TooManySievesError, TrivialGroupError
+from .groupspec import check_prime
 from .perm import PermGroup, conjugacy_classes
 from .subgroups import MaximalClassData, frattini, maximal_classes
 
@@ -232,8 +233,7 @@ def v_property_sum(S: SieveSystem, omega_mask: int) -> Fraction:
 
 def elementary_abelian_cheb(p: int, delta: int) -> Fraction:
     """Closed form sum over i < delta of p^delta / (p^delta - p^i)."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     if delta < 1:
         raise ValueError("delta must be >= 1")
     pd = p**delta

@@ -31,7 +31,8 @@ from .errors import NotPrimeError, ParseError, SingularMatrixError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
+    """Raise ``NotPrimeError`` unless p is prime."""
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise NotPrimeError(f"{p} is not prime")
 
@@ -67,7 +68,7 @@ def direct_product(
 def elementary_abelian_group(
     p: int, d: int, *, order_cap: int = DEFAULT_ORDER_CAP
 ) -> PermGroup:
-    _check_prime(p)
+    check_prime(p)
     if d < 1:
         raise ValueError("rank must be >= 1")
     return direct_product([cyclic_group(p) for _ in range(d)], order_cap=order_cap)
@@ -163,7 +164,7 @@ def affine_group(
     generators are the translations by standard basis vectors together
     with the block-diagonal action of each matrix.
     """
-    _check_prime(p)
+    check_prime(p)
     if n_raw < 1 or power < 1:
         raise ValueError("dimensions must be >= 1")
     dim = n_raw * power

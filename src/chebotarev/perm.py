@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (
     BadSectionError,
     DegreeMismatchError,
+    InvariantError,
     NotNormalError,
     OrderCapError,
 )
@@ -537,6 +538,11 @@ def is_soluble(G: PermGroup) -> bool:
     return cached
 
 
+def is_klein_four(G: PermGroup) -> bool:
+    """True iff G is the Klein four-group: order 4 and exponent 2."""
+    return G.order == 4 and all(G.mult(i, i) == 0 for i in range(4))
+
+
 def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
     """The action of G on the right cosets of a normal subgroup N.
 
@@ -551,14 +557,16 @@ def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
     n = G.order
     reps, cid, _ = G.right_cosets(N.bits)
     num = len(reps)
-    assert num * N.order == n
+    if num * N.order != n:
+        raise InvariantError("the right cosets of N do not partition G")
 
     def coset_perm(x: int) -> tuple[int, ...]:
         return tuple(cid[G.mult(r, x)] for r in reps)
 
     gen_perms = [Permutation._raw(coset_perm(gi)) for gi in G.generator_indices]
     Q = PermGroup(num, gen_perms)
-    assert Q.order == num, "coset action must be regular for a normal subgroup"
+    if Q.order != num:
+        raise InvariantError("coset action must be regular for a normal subgroup")
     epi = tuple(Q.index[coset_perm(i)] for i in range(n))
     return Q, epi
 

@@ -38,7 +38,7 @@ from .exact import (
 )
 from .groupspec import affine_group, parse_group
 from .mc import mc_estimate
-from .perm import PermGroup, is_soluble
+from .perm import PermGroup, is_klein_four, is_soluble
 from .subgroups import maximal_classes, min_generators
 
 
@@ -69,8 +69,7 @@ class GroupWork:
 
     @property
     def is_klein(self) -> bool:
-        G = self.group
-        return G.order == 4 and all(G.mult(i, i) == 0 for i in range(4))
+        return is_klein_four(self.group)
 
 
 def analyze(label: str, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> GroupWork:
@@ -470,5 +469,5 @@ ALL_ITEMS: tuple[Callable[[], ItemResult], ...] = (
 )
 
 
-def run_all(verbose_details: bool = False) -> list[ItemResult]:
+def run_all() -> list[ItemResult]:
     return [fn() for fn in ALL_ITEMS]

@@ -4,8 +4,8 @@ These deliberately avoid the code paths they check: subgroup lists come
 from closing raw element subsets or from one element closure per
 (subgroup, element) pair, complements from a full lattice scan,
 invariable generation from explicit conjugate substitution, derivation
-counts from a linear system, and the inclusion-exclusion value from a
-transparent double loop over subsets.
+counts from an exhaustive search over generator images, and the
+inclusion-exclusion value from a transparent double loop over subsets.
 """
 
 from __future__ import annotations
@@ -139,58 +139,57 @@ def naive_prob_from_unions(order: int, unions: list[int], k: int) -> Fraction:
     return 1 - total
 
 
-def derivation_space_dim(gen_matrices, wit_group: PermGroup, p: int) -> int:
-    """dim of the derivation space by Gaussian elimination.
+def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int]:
+    """(|Z^1|, |B^1|) by exhaustive generator-image search.
 
-    The cocycle conditions on every (element, generator) edge of the
-    Cayley graph are linear in the generator images; this sets up that
-    system explicitly and returns the nullspace dimension. Matrices must
-    align with ``wit_group.generators`` and ``wit_group`` must be built
-    from a generating tuple (one unknown vector per generator).
+    A candidate assigns a vector to each member of a minimal generating
+    tuple of H; it extends uniquely along the BFS tree of the group those
+    members generate by zeta(x*g) = zeta(x)^g + zeta(g) and is a
+    derivation iff that relation holds on every (element, generator)
+    pair. Inner derivations are counted as the distinct images
+    (v^g - v)_g of all vectors v. Matrices align with ``H.generators``.
     """
-    from chebotarev.crowns import mat_identity, mat_mul, nullspace
+    from chebotarev.crowns import _element_matrices
+    from chebotarev.subgroups import minimal_generating_tuple
 
-    H = wit_group
     n = len(gen_matrices[0])
-    s = len(H.generators)
-    by_images = {g.images: gen_matrices[i] for i, g in enumerate(H.generators)}
-    elem_mats = [mat_identity(n)] * H.order
-    for j in range(1, H.order):
-        pj, gj = H._parent[j], H._via[j]
-        elem_mats[j] = mat_mul(by_images[H._bfs_gens[gj].images], elem_mats[pj], p)
+    vectors = list(itertools.product(range(p), repeat=n))
 
-    # zeta(x) is linear in the unknowns: zeta(x) = sum_slots L_x[slot] @ v_slot
-    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    lin: list[list] = [[zero] * s for _ in range(H.order)]
-    slot_of_bfs = []
-    for g in H._bfs_gens:
-        slot_of_bfs.append(
-            next(i for i, gg in enumerate(H.generators) if gg.images == g.images)
+    def act(M, v):
+        return tuple(sum(M[i][j] * v[j] for j in range(n)) % p for i in range(n))
+
+    elem_mats = _element_matrices(H, gen_matrices, p)
+    wit = minimal_generating_tuple(H)
+    assert len(vectors) ** len(wit) <= 1 << 24, "exponential oracle; keep the search small"
+    H2 = PermGroup(H.degree, [H.elements[w] for w in wit])
+    assert H2.order == H.order
+    wit_mats = [elem_mats[w] for w in wit]
+    slot = [
+        next(i for i, w in enumerate(wit) if H.elements[w].images == g.images)
+        for g in H2._bfs_gens
+    ]
+
+    def is_derivation(vals) -> bool:
+        zeta = [tuple([0] * n)] * H2.order
+        for j in range(1, H2.order):
+            k = slot[H2._via[j]]
+            moved = act(wit_mats[k], zeta[H2._parent[j]])
+            zeta[j] = tuple((a + b) % p for a, b in zip(moved, vals[k]))
+        for x in range(H2.order):
+            for kk, y in enumerate(H2._gen_right[x]):
+                k = slot[kk]
+                moved = act(wit_mats[k], zeta[x])
+                if zeta[y] != tuple((a + b) % p for a, b in zip(moved, vals[k])):
+                    return False
+        return True
+
+    der_count = sum(
+        is_derivation(vals) for vals in itertools.product(vectors, repeat=len(wit))
+    )
+    inner = {
+        tuple(
+            tuple((a - b) % p for a, b in zip(act(M, v), v)) for M in wit_mats
         )
-    for j in range(1, H.order):
-        pj, gj = H._parent[j], H._via[j]
-        slot = slot_of_bfs[gj]
-        M = by_images[H._bfs_gens[gj].images]
-        row = [mat_mul(M, L, p) for L in lin[pj]]
-        bump = [[list(r) for r in mat] for mat in row]
-        for i in range(n):
-            bump[slot][i][i] = (bump[slot][i][i] + 1) % p
-        lin[j] = [tuple(tuple(r) for r in mat) for mat in bump]
-
-    rows: list[list[int]] = []
-    for x in range(H.order):
-        for kk in range(len(H._bfs_gens)):
-            y = H._gen_right[x][kk]
-            slot = slot_of_bfs[kk]
-            M = by_images[H._bfs_gens[kk].images]
-            moved = [mat_mul(M, L, p) for L in lin[x]]
-            bump = [[list(r) for r in mat] for mat in moved]
-            for i in range(n):
-                bump[slot][i][i] = (bump[slot][i][i] + 1) % p
-            for i in range(n):
-                row = []
-                for sl in range(s):
-                    for c in range(n):
-                        row.append((bump[sl][i][c] - lin[y][sl][i][c]) % p)
-                rows.append(row)
-    return len(nullspace(rows, s * n, p))
+        for v in vectors
+    }
+    return der_count, len(inner)

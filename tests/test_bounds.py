@@ -18,8 +18,8 @@ from chebotarev.bounds import (
     sigma,
     crown_bound,
 )
-from chebotarev.crowns import crown_data
-from chebotarev.errors import BadProbabilityError
+from chebotarev.crowns import chief_series, crown_data, factor_module
+from chebotarev.errors import BadProbabilityError, InvariantError
 from chebotarev.exact import chebotarev_of_group
 from chebotarev.subgroups import min_generators
 
@@ -53,6 +53,21 @@ def test_min_generator_bound_examples(group_of):
     klein = group_of("elementary 2 2")
     cdk = crown_data(klein)
     assert min_generator_bound(cdk.A, 2) == SIGMA
+
+
+def test_unclassified_module_raises(group_of):
+    # a bare factor module has no q, n, delta or theta until crown_data
+    s3 = group_of("symmetric 3")
+    series = chief_series(s3)
+    V = factor_module(s3, series.subgroups[1], series.subgroups[2])
+    assert V.q is None
+    for check in (
+        lambda: crown_bound([V], []),
+        lambda: waiting_estimate(V),
+        lambda: waiting_ratio_check(V, s3.order),
+    ):
+        with pytest.raises(InvariantError):
+            check()
 
 
 def test_waiting_estimate_central(group_of):

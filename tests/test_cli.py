@@ -92,7 +92,12 @@ def test_cap_flags(capsys):
 
 
 def test_constructor_argument_errors_exit_2(capsys):
-    for spec in (["cyclic", "0"], ["dihedral", "2"]):
+    for spec in (
+        ["cyclic", "0"],
+        ["dihedral", "2"],
+        ["elementary", "4", "2"],  # NotPrimeError
+        ["affine", "3", "1", "[[0]]"],  # SingularMatrixError
+    ):
         code = main(["exact", *spec])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ")

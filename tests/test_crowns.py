@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import complement_by_lattice_scan, derivation_space_dim
+from oracles import brute_derivation_count, complement_by_lattice_scan
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
     chief_series,
@@ -13,13 +15,37 @@ from chebotarev.crowns import (
     g_isomorphic,
     is_complemented,
     mat_identity,
+    mat_rank,
+    nullspace,
     omega_membership,
     section_kernel,
     _element_matrices,
 )
-from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError
+from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
 from chebotarev.perm import PermGroup, Permutation, Subgroup, quotient
 from chebotarev.subgroups import all_subgroups, maximal_classes
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-10, 10), min_size=ncols, max_size=ncols), max_size=7
+        )
+    )
+    return p, ncols, rows
+
+
+@given(_matrices_mod_p())
+def test_rank_and_nullspace_agree(case):
+    p, ncols, rows = case
+    basis = nullspace(rows, ncols, p)
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+    assert len(basis) == ncols - mat_rank(rows, p)
+    assert not basis or mat_rank(basis, p) == len(basis)
 
 
 def _normal_subgroups(G):
@@ -151,6 +177,18 @@ def test_g_isomorphic_examples(group_of):
     assert g_isomorphic(m1, m2)  # central factors of equal order
 
 
+def test_g_isomorphic_rejects_reducible_module(group_of):
+    # Klein acting trivially on itself: every 2x2 matrix intertwines, and
+    # the first basis intertwiner is singular, which Schur's lemma forbids
+    # for irreducible modules
+    klein = group_of("elementary 2 2")
+    trivial = factor_module(
+        klein, Subgroup.full(klein), Subgroup.trivial(klein), check_chief=False
+    )
+    with pytest.raises(NotIrreducibleError):
+        g_isomorphic(trivial, trivial)
+
+
 def test_g_isomorphic_equivalence_relation(group_of):
     G = group_of("direct_product cyclic 6 cyclic 6")
     series = chief_series(G)
@@ -234,7 +272,7 @@ def test_crown_data_m_zero_for_soluble(group_of):
 
 
 def test_soluble_m_matches_derivation_search(group_of):
-    # recompute m by exhaustive derivation search for non-central classes
+    # recompute m from the cocycle system for non-central classes
     for spec in ["symmetric 3", "symmetric 4", "alternating 4"]:
         G = group_of(spec)
         for V in crown_data(G).A:
@@ -242,10 +280,37 @@ def test_soluble_m_matches_derivation_search(group_of):
             assert derivations(HQ, V.gen_matrices, V.p).m == 0
 
 
+@pytest.mark.parametrize("spec", SOLUBLE_CATALOG)
+def test_derivations_match_brute_search_on_catalog(spec, group_of):
+    G = group_of(spec)
+    for V in crown_data(G).A:
+        HQ, _ = quotient(G, section_kernel(V))
+        res = derivations(HQ, V.gen_matrices, V.p)
+        assert (res.der_count, res.inner_count) == brute_derivation_count(
+            HQ, V.gen_matrices, V.p
+        )
+        assert res.m == V.m == 0
+
+
 def test_derivations_inversion_action(group_of):
     c2 = group_of("cyclic 2")
     res = derivations(c2, [((2,),)], 3)
     assert (res.der_count, res.inner_count, res.m) == (3, 3, 0)
+    assert brute_derivation_count(c2, [((2,),)], 3) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "spec, p, counts",
+    [("cyclic 2", 3, (1, 1, 0)), ("cyclic 3", 3, (3, 1, 1)), ("elementary 2 2", 2, (4, 1, 2))],
+)
+def test_derivations_trivial_action_are_homomorphisms(spec, p, counts, group_of):
+    # on a trivial module Z^1 = Hom(H, F_p) and B^1 = 0; for cyclic H the
+    # only binding equation is the Cayley edge that closes g^|g| = 1
+    H = group_of(spec)
+    mats = [((1,),)] * len(H.generators)
+    res = derivations(H, mats, p)
+    assert (res.der_count, res.inner_count, res.m) == counts
+    assert brute_derivation_count(H, mats, p) == counts[:2]
 
 
 def test_derivations_gl22_with_complement_oracle(group_of):
@@ -264,6 +329,7 @@ def test_derivations_gl22_with_complement_oracle(group_of):
     assert res.der_count == len(complements) == 4
     assert res.inner_count == 4
     assert res.m == 0
+    assert brute_derivation_count(s3, [((0, 1), (1, 0)), ((0, 1), (1, 1))], 2) == (4, 4)
 
 
 def _gl32():
@@ -285,15 +351,31 @@ def test_derivations_gl32_nonzero_cohomology():
     assert H.order == 168
     res = derivations(H, mats, 2)
     assert (res.der_count, res.inner_count, res.m) == (16, 8, 1)
-    # independent linear-system oracle: dim of the derivation space
-    from chebotarev.subgroups import minimal_generating_tuple
-    from chebotarev.crowns import _element_matrices as em
+    assert brute_derivation_count(H, mats, 2) == (16, 8)
 
-    wit = minimal_generating_tuple(H)
-    elem_mats = em(H, mats, 2)
-    H2 = PermGroup(H.degree, [H.elements[w] for w in wit])
-    wit_mats = [elem_mats[w] for w in wit]
-    assert 2 ** derivation_space_dim(wit_mats, H2, 2) == res.der_count
+
+def test_derivations_rotation_s4_over_f17():
+    # S_4 as the rotation group of the cube, reduced mod 17: 17 does not
+    # divide 24, so H^1 = 0 and every derivation is inner; the generator
+    # images alone span 17^6 candidates, far beyond exhaustive search
+    quarter = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+    third = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+
+    def perm_of(M):
+        return Permutation(
+            tuple(
+                axes.index(tuple(sum(M[i][j] * v[j] for j in range(3)) for i in range(3)))
+                for v in axes
+            )
+        )
+
+    H = PermGroup(6, [perm_of(quarter), perm_of(third)])
+    assert H.order == 24
+    mats = [tuple(tuple(x % 17 for x in row) for row in M) for M in (quarter, third)]
+    res = derivations(H, mats, 17)
+    assert res.der_count == res.inner_count == 17**3
+    assert res.m == 0
 
 
 def test_omega_membership_examples(group_of):
