@@ -12,6 +12,12 @@ this cheap:
   of the cosets in the orbit of H under right multiplication by H's
   witnesses and ``g``.
 
+The walk is breadth-first, so each subgroup's witnesses are a generating
+tuple of minimal length: if ``K = <h_1, ..., h_k>``, then
+``<h_1, ..., h_{k-1}>`` is reached at depth at most k - 1 (induction),
+and extending it by the coset of ``h_k`` reaches K at depth at most k.
+In particular d(G) is the length of G's witnesses.
+
 The coset partition is built once per H, in O(|G|). This is exact and
 fast enough at desk scale; the default cap refuses groups above order
 2000. Orders 1501 to 2000 lie above the multiplication-table limit, so
@@ -21,10 +27,9 @@ their products come from ``PermGroup.mult``'s generator-word fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvariantError, OrderCapError, TrivialGroupError
-from .perm import PermGroup, Subgroup, conjugacy_classes
+from .perm import PermGroup, Subgroup
 
 DEFAULT_SUBGROUP_CAP = 2000
 
@@ -110,15 +115,13 @@ def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     subs = all_subgroups(G)
-    proper = [s for s in subs if s.order < G.order]
-    proper_bits = [s.bits for s in proper]
-    maximal = [
-        s
-        for s in proper
-        if not any(
-            s.bits != b and s.bits & ~b == 0 for b in proper_bits
-        )
-    ]
+    # A proper overgroup of H lies in a maximal subgroup of larger order,
+    # so scanning by decreasing order (G sorts last) H is maximal iff no
+    # maximal subgroup kept so far contains it.
+    maximal: list[Subgroup] = []
+    for s in reversed(subs[:-1]):
+        if not any(s.bits & ~m.bits == 0 for m in maximal):
+            maximal.append(s)
     gens = G._bfs_gen_indices
     assigned: set[int] = set()
     classes: list[MaximalClassData] = []
@@ -194,51 +197,11 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     return out
 
 
-def minimal_generating_tuple(G: PermGroup) -> tuple[int, ...]:
-    """A lexicographically-first generating tuple of minimal length.
-
-    The first coordinate ranges over conjugacy class representatives only
-    (generation is invariant under simultaneous conjugation); later
-    coordinates range over all elements outside the running closure.
-    """
-    cached = G._cache.get("min_gen_tuple")
-    if cached is not None:
-        return cached
-    if G.order == 1:
-        G._cache["min_gen_tuple"] = ()
-        return ()
-    G._ensure_table()
-    full = G.full_bits
-    table = conjugacy_classes(G)
-    reps = [r for r in table.reps if r != 0]
-
-    def search(prefix: tuple[int, ...], bits: int, k: int) -> Optional[tuple[int, ...]]:
-        if len(prefix) == k:
-            return prefix if bits == full else None
-        left_after = k - len(prefix) - 1
-        candidates = reps if not prefix else range(1, G.order)
-        for g in candidates:
-            if (bits >> g) & 1:
-                continue
-            nbits = G.closure_bits(prefix + (g,))
-            # each later proper extension at least doubles the order, so the
-            # remaining steps cannot land exactly on |G| from too large a base
-            if nbits.bit_count() << left_after > G.order:
-                continue
-            found = search(prefix + (g,), nbits, k)
-            if found is not None:
-                return found
-        return None
-
-    k = 1
-    while True:
-        found = search((), 1, k)
-        if found is not None:
-            G._cache["min_gen_tuple"] = found
-            return found
-        k += 1
-
-
 def min_generators(G: PermGroup) -> int:
-    """d(G): the smallest k such that some k-tuple generates G (0 if trivial)."""
-    return len(minimal_generating_tuple(G))
+    """d(G): the smallest k such that some k-tuple generates G (0 if trivial).
+
+    Read off ``all_subgroups``: G sorts last and its witnesses have
+    minimal length (see the module docstring). Shares that function's
+    order cap, so it raises ``OrderCapError`` above order 2000.
+    """
+    return len(all_subgroups(G)[-1].witnesses)

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: subgroup lists come
 from closing raw element subsets or from one element closure per
 (subgroup, element) pair, complements from a full lattice scan,
 invariable generation from explicit conjugate substitution, derivation
-counts from an exhaustive search over generator images, and the
+counts from an exhaustive search over generator images, minimal
+generating tuples from a backtracking search over k-tuples, maximal
+subgroups from comparing every pair of proper subgroups, and the
 inclusion-exclusion value from a transparent double loop over subsets.
 """
 
@@ -61,6 +63,78 @@ def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
         U.bits & X.bits == Y.bits and U.order * X.order == G.order * Y.order
         for U in all_subgroups(G)
     )
+
+
+def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
+    """``(rep_bits, class_size, union_bits, core_bits)`` per maximal class.
+
+    A proper subgroup is maximal when no other proper subgroup contains
+    it; classes are its orbits under conjugation by G's generators, with
+    the least bitset as representative, sorted by (order, bits).
+    """
+    from chebotarev.subgroups import all_subgroups
+
+    proper = [s.bits for s in all_subgroups(G) if s.order < G.order]
+    maximal = {h for h in proper if not any(h != k and h & ~k == 0 for k in proper)}
+    classes = []
+    while maximal:
+        orbit = {min(maximal)}
+        frontier = list(orbit)
+        while frontier:
+            b = frontier.pop()
+            for g in G._bfs_gen_indices:
+                c = G.conj_bits(b, g)
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
+        maximal -= orbit
+        union, core = 0, G.full_bits
+        for b in orbit:
+            union |= b
+            core &= b
+        classes.append((min(orbit), len(orbit), union, core))
+    return sorted(classes, key=lambda c: (c[0].bit_count(), c[0]))
+
+
+def brute_min_generating_tuple(G: PermGroup) -> tuple[int, ...]:
+    """A lexicographically-first generating tuple of minimal length.
+
+    Tries every k-tuple for k = 1, 2, ... by backtracking. The first
+    coordinate ranges over conjugacy class representatives only
+    (generation is invariant under simultaneous conjugation); later
+    coordinates range over all elements outside the running closure.
+    """
+    from chebotarev.perm import conjugacy_classes
+
+    if G.order == 1:
+        return ()
+    G._ensure_table()
+    full = G.full_bits
+    reps = [r for r in conjugacy_classes(G).reps if r != 0]
+
+    def search(prefix: tuple[int, ...], bits: int, k: int):
+        if len(prefix) == k:
+            return prefix if bits == full else None
+        left_after = k - len(prefix) - 1
+        for g in reps if not prefix else range(1, G.order):
+            if (bits >> g) & 1:
+                continue
+            nbits = G.closure_bits(prefix + (g,))
+            # each later proper extension at least doubles the order, so the
+            # remaining steps cannot land exactly on |G| from too large a base
+            if nbits.bit_count() << left_after > G.order:
+                continue
+            found = search(prefix + (g,), nbits, k)
+            if found is not None:
+                return found
+        return None
+
+    k = 1
+    while True:
+        found = search((), 1, k)
+        if found is not None:
+            return found
+        k += 1
 
 
 def closure_of(G: PermGroup, seeds) -> int:
@@ -150,7 +224,6 @@ def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int
     (v^g - v)_g of all vectors v. Matrices align with ``H.generators``.
     """
     from chebotarev.crowns import _element_matrices
-    from chebotarev.subgroups import minimal_generating_tuple
 
     n = len(gen_matrices[0])
     vectors = list(itertools.product(range(p), repeat=n))
@@ -159,7 +232,7 @@ def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int
         return tuple(sum(M[i][j] * v[j] for j in range(n)) % p for i in range(n))
 
     elem_mats = _element_matrices(H, gen_matrices, p)
-    wit = minimal_generating_tuple(H)
+    wit = brute_min_generating_tuple(H)
     assert len(vectors) ** len(wit) <= 1 << 24, "exponential oracle; keep the search small"
     H2 = PermGroup(H.degree, [H.elements[w] for w in wit])
     assert H2.order == H.order

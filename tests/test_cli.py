@@ -66,6 +66,14 @@ def test_bounds_json_and_exit(capsys):
     assert report["bounds"]["d"] == 2
 
 
+def test_bounds_elementary_2_6(capsys):
+    # d(G) = 6 comes from the subgroup lattice, not a search over 6-tuples
+    code, report = run_json(capsys, "bounds", "elementary", "2", "6")
+    assert code == 0
+    assert report["bounds"]["d"] == 6
+    assert set(report["bounds"]["verdicts"].values()) == {"SATISFIED"}
+
+
 def test_bounds_insoluble_not_applicable(capsys):
     code, report = run_json(capsys, "bounds", "alternating", "5")
     assert code == 0

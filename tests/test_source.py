@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import chebotarev
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "chebotarev"
 
 
@@ -14,3 +16,9 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert on lines {lines}"
+
+
+@pytest.mark.parametrize("name", chebotarev.__all__)
+def test_public_names_resolve(name):
+    # a removed export must also leave __all__, which a plain import never checks
+    assert hasattr(chebotarev, name)

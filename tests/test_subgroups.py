@@ -3,18 +3,33 @@ import random
 
 import pytest
 
-from oracles import brute_subgroup_bits, cyclic_extension_subgroups
+from oracles import (
+    brute_min_generating_tuple,
+    brute_subgroup_bits,
+    cyclic_extension_subgroups,
+    maximal_classes_by_pairs,
+)
 from chebotarev import perm
+from chebotarev.catalog import RATIO_CATALOG, SOLUBLE_CATALOG
 from chebotarev.errors import InvariantError, OrderCapError, TrivialGroupError
 from chebotarev.groupspec import parse_group
 from chebotarev.perm import Subgroup
 from chebotarev.subgroups import (
+    DEFAULT_SUBGROUP_CAP,
     all_subgroups,
     frattini,
     maximal_classes,
     min_generators,
-    minimal_generating_tuple,
     minimal_normal_subgroups,
+)
+
+# The benchmark's catalog: soluble catalog, ratio-test constructions, S5, A5.
+CATALOG_SPECS = tuple(
+    dict.fromkeys(
+        SOLUBLE_CATALOG
+        + tuple(case.spec for case in RATIO_CATALOG)
+        + ("symmetric 5", "alternating 5")
+    )
 )
 
 
@@ -150,6 +165,16 @@ def test_maximality_exhaustive(spec, group_of):
     assert maximal_bits <= {H.bits for H in all_maximal}
 
 
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("elementary 2 5",))
+def test_maximal_classes_match_pairwise_scan(spec, group_of):
+    G = group_of(spec)
+    got = [
+        (c.representative.bits, c.class_size, c.union_bits, c.core_bits)
+        for c in maximal_classes(G)
+    ]
+    assert got == maximal_classes_by_pairs(G)
+
+
 def test_core_is_intersection_of_class(group_of):
     G = group_of("symmetric 4")
     for c in maximal_classes(G):
@@ -240,14 +265,40 @@ def test_minimal_normals_match_lattice_scan(spec, group_of):
         ("quaternion8", 2),
         ("symmetric 4", 2),
         ("direct_product cyclic 2 cyclic 4", 2),
+        ("elementary 2 5", 5),
+        ("elementary 2 6", 6),
     ],
 )
 def test_min_generators(spec, d, group_of):
     G = group_of(spec)
     assert min_generators(G) == d
-    tup = minimal_generating_tuple(G)
-    assert len(tup) == d
-    assert G.closure_bits(tup) == G.full_bits
+    wits = all_subgroups(G)[-1].witnesses
+    assert len(wits) == d
+    assert G.closure_bits(wits) == G.full_bits
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_min_generators_match_brute_search(spec, group_of):
+    G = group_of(spec)
+    assert min_generators(G) == len(brute_min_generating_tuple(G))
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric 4", "dihedral 12", "quaternion8", "affine 3 1 [[2]] power 2"]
+)
+def test_subgroup_witnesses_have_minimal_length(spec, group_of):
+    G = group_of(spec)
+    for H in all_subgroups(G)[1:]:
+        sub = perm.PermGroup(G.degree, [G.elements[w] for w in H.witnesses])
+        assert sub.order == H.order
+        assert len(H.witnesses) == len(brute_min_generating_tuple(sub))
+
+
+def test_min_generators_order_cap(group_of):
+    G = group_of("cyclic 2001")
+    assert G.order == DEFAULT_SUBGROUP_CAP + 1
+    with pytest.raises(OrderCapError):
+        min_generators(G)
 
 
 @pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 9", "cyclic 100", "elementary 2 3", "quaternion8"])
