@@ -179,7 +179,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify-paper":
             results = run_all()
             report = {
-                "schema_version": 2,
+                "schema_version": 3,
                 "group": {"label": "catalog", "order": 1, "soluble": True},
                 "verify": [
                     {
@@ -206,7 +206,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parsed = parse_group(text, order_cap=args.cap_order)
         G = parsed.group
         report: dict = {
-            "schema_version": 2,
+            "schema_version": 3,
             "group": _group_block(parsed.label, G),
         }
         exit_code = 0
@@ -226,6 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "ci95": list(rep.ci95),
                 "seed": rep.seed,
                 "max_waiting_time": rep.max_waiting_time,
+                "stream_version": rep.stream_version,
             }
         elif args.command == "crowns":
             cd = crown_data(G)

@@ -60,7 +60,7 @@ class UnclassifiedRatioError(ChebotarevError):
 
 
 class TrialCapError(ChebotarevError):
-    """A Monte Carlo trial exceeded the hard per-trial draw cap (sieve-system bug)."""
+    """A Monte Carlo trial could never end: some union is all of G (sieve-system bug)."""
 
 
 class ParseError(ChebotarevError):

@@ -1,34 +1,37 @@
 """Seeded Monte Carlo estimation of the expected invariable-generation
 waiting time.
 
-Each trial draws uniform element indices and intersects the running mask
-of still-alive sieves (unions containing every sample so far) via the
-per-element signature table; the trial's waiting time is the draw count
-at which the mask empties. The PRNG is numpy's PCG64, seeded explicitly;
-draws are consumed as one stream, row-major over a trials x block matrix
-first and then sequentially for the few trials that outlast the block.
-That layout is part of the reproducibility contract: identical
-(group, trials, seed) inputs give bit-identical reports.
+Each trial keeps the mask of still-alive sieves (the reduced unions
+containing every element drawn so far) and ANDs in the signature of each
+new uniform element; the trial's waiting time is the draw count at which
+the mask empties. All trials advance together, one draw per step, and a
+trial drops out at the step its mask empties. Masks of any width are held
+as one ``uint64`` word per 64 sieves.
+
+The PRNG is numpy's PCG64, seeded explicitly. Step 1 draws
+``integers(0, order, size=trials)``; every later step draws
+``integers(0, order, size=alive)``, one element per trial still alive, in
+trial order. That layout is stream version 2 (version 1 drew a
+trials x 32 block first). Identical (group, trials, seed) inputs give
+bit-identical reports within one stream version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
-from .errors import TooManySievesError, TrialCapError
+from .errors import TrialCapError
 from .exact import SieveSystem
 
-# Hard per-trial draw cap; hitting it means the sieve system is broken
-# (every union is proper, so escape probability per draw is >= 1/|G|).
-TRIAL_DRAW_CAP = 10**6
+STREAM_VERSION = 2
 
-_BLOCK = 32
-
-# Signatures are packed into np.int64, whose sign bit stays unused.
-_MASK_BITS = 63
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,7 @@ class McReport:
     ci95: tuple[float, float]
     seed: int
     max_waiting_time: int
+    stream_version: int = STREAM_VERSION
 
     def within_sigmas(self, exact: float, sigmas: float = 4.0) -> bool:
         if self.trials < 2:
@@ -50,41 +54,44 @@ class McReport:
 
 
 def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
-    """Mean waiting time over seeded trials, with a normal-theory 95% CI."""
+    """Mean waiting time over seeded trials, with a normal-theory 95% CI.
+
+    Raises ``TrialCapError`` before any draw if some union is all of G
+    (the AND of every class signature is nonzero), since then no trial
+    can end.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if S.sieve_count > _MASK_BITS:
-        raise TooManySievesError(
-            f"{S.sieve_count} reduced sieves exceed the {_MASK_BITS}-sieve width"
-            " of the Monte Carlo signature masks"
+    if reduce(and_, S.class_signatures):
+        raise TrialCapError(
+            "some union contains every element class, so no trial can end;"
+            " the sieve system is broken"
         )
-    sig_of_element = np.array(
-        [S.class_signatures[S.class_of[e]] for e in range(S.order)], dtype=np.int64
-    )
+    class_of = np.array(S.class_of, dtype=np.intp)
+    tables = [
+        np.array(
+            [(sig >> shift) & _WORD_MASK for sig in S.class_signatures], dtype=np.uint64
+        )[class_of]
+        for shift in range(0, S.sieve_count, _WORD)
+    ]
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    idx = rng.integers(0, S.order, size=(trials, _BLOCK))
-    sigs = sig_of_element[idx]
-    acc = np.bitwise_and.accumulate(sigs, axis=1)
-    dead = acc == 0
-    done = dead.any(axis=1)
-    waits = np.where(done, dead.argmax(axis=1) + 1, 0).astype(np.int64)
+    # Trials are exchangeable, so only the alive count per step matters:
+    # a trial that takes step s adds 1 to its wait and 2s - 1 to its square.
+    total = total_sq = 0
+    step = 0
+    masks = [np.full(trials, _WORD_MASK, dtype=np.uint64) for _ in tables]
+    while masks[0].size:
+        step += 1
+        alive = masks[0].size
+        total += alive
+        total_sq += (2 * step - 1) * alive
+        idx = rng.integers(0, S.order, size=alive)
+        masks = [m & t[idx] for m, t in zip(masks, tables)]
+        keep = reduce(np.bitwise_or, masks).astype(bool)
+        if not keep.all():
+            masks = [m[keep] for m in masks]
 
-    for row in np.flatnonzero(~done):
-        alive = int(acc[row, -1])
-        count = _BLOCK
-        while alive:
-            e = int(rng.integers(0, S.order))
-            alive &= int(sig_of_element[e])
-            count += 1
-            if count > TRIAL_DRAW_CAP:
-                raise TrialCapError(
-                    f"trial exceeded {TRIAL_DRAW_CAP} draws; sieve system looks broken"
-                )
-        waits[row] = count
-
-    total = int(waits.sum())
-    total_sq = int((waits * waits).sum())
     n = trials
     mean = total / n
     variance = (total_sq - total * total / n) / (n - 1) if n > 1 else 0.0
@@ -95,5 +102,5 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
         variance=variance,
         ci95=(mean - half, mean + half),
         seed=seed,
-        max_waiting_time=int(waits.max()),
+        max_waiting_time=step,
     )

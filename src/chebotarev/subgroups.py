@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, OrderCapError, TrivialGroupError
-from .perm import PermGroup, Subgroup
+from .perm import PermGroup, Subgroup, conjugacy_classes
 
 DEFAULT_SUBGROUP_CAP = 2000
 
@@ -177,16 +177,16 @@ def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     Uses normal closures of single elements: every minimal normal
     subgroup is the normal closure of any of its nontrivial elements, so
     the minimal members of that candidate family are exactly the minimal
-    normal subgroups. Avoids full lattice enumeration.
+    normal subgroups. A normal closure depends only on the conjugacy
+    class, so one representative per nontrivial class is enough. Avoids
+    full lattice enumeration.
     """
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no minimal normal subgroups")
     cached = G._cache.get("minimal_normals")
     if cached is not None:
         return cached
-    closures: set[int] = set()
-    for x in range(1, G.order):
-        closures.add(G.normal_closure_bits((x,)))
+    closures = {G.normal_closure_bits((x,)) for x in conjugacy_classes(G).reps[1:]}
     minimal = [
         b
         for b in closures

@@ -7,13 +7,17 @@ invariable generation from explicit conjugate substitution, derivation
 counts from an exhaustive search over generator images, minimal
 generating tuples from a backtracking search over k-tuples, maximal
 subgroups from comparing every pair of proper subgroups, and the
-inclusion-exclusion value from a transparent double loop over subsets.
+inclusion-exclusion value from a transparent double loop over subsets,
+and Monte Carlo waiting times from a per-trial loop on Python-int masks
+that makes the same generator calls as the vectorised simulation.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from chebotarev.perm import PermGroup
 
@@ -266,3 +270,25 @@ def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int
         for v in vectors
     }
     return der_count, len(inner)
+
+
+def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
+    """Waiting time of every trial under Monte Carlo stream version 2.
+
+    Each step draws one element per alive trial, in trial order; masks are
+    unbounded Python ints over all reduced unions.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    full = (1 << S.sieve_count) - 1
+    masks = {t: full for t in range(trials)}
+    waits = [0] * trials
+    step = 0
+    while masks:
+        step += 1
+        draws = rng.integers(0, S.order, size=len(masks))
+        for t, e in zip(list(masks), draws):
+            masks[t] &= S.class_signatures[S.class_of[int(e)]]
+            if not masks[t]:
+                waits[t] = step
+                del masks[t]
+    return waits

@@ -48,6 +48,18 @@ def test_mc_json_deterministic(capsys):
     assert abs(rep1["mc"]["mean"] - 3.8) < 0.2
 
 
+def test_mc_elementary_2_6_json(capsys):
+    # 63 reduced sieves; the report names the draw stream it came from
+    code, report = run_json(
+        capsys, "mc", "elementary", "2", "6", "--trials", "20000", "--seed", "3"
+    )
+    assert code == 0 and report["schema_version"] == 3
+    mc = report["mc"]
+    assert mc["stream_version"] == 2 and mc["trials"] == 20000
+    closed = float(sum(Fraction(64, 64 - 2**i) for i in range(6)))
+    assert abs(mc["mean"] - closed) <= 4 * (mc["variance"] / mc["trials"]) ** 0.5
+
+
 def test_crowns_json(capsys):
     code, report = run_json(capsys, "crowns", "symmetric", "3")
     assert code == 0

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from chebotarev.errors import TooManySievesError, TrialCapError
+from chebotarev.errors import TrialCapError
 from chebotarev.exact import SieveSystem, build_sieves, chebotarev_exact
 from chebotarev.mc import mc_estimate
+
+from oracles import mc_waits_by_trial
 
 
 def test_reproducibility(group_of):
@@ -54,13 +56,14 @@ def test_means_near_exact(spec, exact, group_of):
 
 
 def test_long_tail_group(group_of):
-    # A_4 has the heaviest single union (3/4); straggler trials past the
-    # vectorised block must be handled and agree with the exact value
+    # A_4 has the heaviest single union (3/4), so a few trials stay alive
+    # for dozens of steps after most have dropped out; the estimate must
+    # still agree with the exact value
     G = group_of("alternating 4")
     S = build_sieves(G)
     exact = float(chebotarev_exact(S).exact)
     rep = mc_estimate(S, 50_000, 11)
-    assert rep.max_waiting_time > 32  # exercises the straggler path
+    assert rep.max_waiting_time > 32  # the long tail is simulated
     assert rep.within_sigmas(exact, 4.0)
 
 
@@ -90,15 +93,14 @@ def test_trial_cap_guards_broken_sieves():
         mc_estimate(broken, 10, 0)
 
 
-def test_mask_width_refusal():
-    # 64 unions, each missing one point, need a 64-bit signature for the
-    # identity; the int64 table must refuse with a typed error
-    n = 65
-    unions = tuple(((1 << n) - 1) ^ (1 << (j + 1)) for j in range(64))
+def _coupon_system(n: int) -> SieveSystem:
+    # order n, one union per non-identity point, missing just that point:
+    # the mask empties once every non-identity point has been drawn
+    unions = tuple(((1 << n) - 1) ^ (1 << (j + 1)) for j in range(n - 1))
     sigs = tuple(
         sum(1 << j for j, u in enumerate(unions) if (u >> c) & 1) for c in range(n)
     )
-    wide = SieveSystem(
+    return SieveSystem(
         order=n,
         class_sizes=(1,) * n,
         class_of=tuple(range(n)),
@@ -107,5 +109,35 @@ def test_mask_width_refusal():
         reduced_unions=unions,
         class_signatures=sigs,
     )
-    with pytest.raises(TooManySievesError, match="63"):
-        mc_estimate(wide, 10, 0)
+
+
+@pytest.mark.parametrize("n", [65, 66])
+def test_coupon_collector_any_width(n):
+    # 64 sieves fill one uint64 word exactly, 65 need a second word
+    S = _coupon_system(n)
+    assert S.sieve_count == n - 1
+    rep = mc_estimate(S, 10_000, 5)
+    exact = n * sum(1 / k for k in range(1, n))  # n * H_{n-1}
+    assert rep.within_sigmas(exact, 4.0)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(lambda group_of: build_sieves(group_of("alternating 4")), id="A4"),
+        pytest.param(lambda group_of: build_sieves(group_of("elementary 2 5")), id="E32"),
+        pytest.param(lambda group_of: _coupon_system(66), id="coupon66"),
+    ],
+)
+def test_stream_matches_per_trial_oracle(system, group_of):
+    # the report is a function of the per-trial waits of stream version 2
+    S = system(group_of)
+    trials = 300
+    waits = mc_waits_by_trial(S, trials, 17)
+    rep = mc_estimate(S, trials, 17)
+    total = sum(waits)
+    total_sq = sum(w * w for w in waits)
+    assert rep.stream_version == 2
+    assert rep.mean == total / trials
+    assert rep.variance == (total_sq - total * total / trials) / (trials - 1)
+    assert rep.max_waiting_time == max(waits)
