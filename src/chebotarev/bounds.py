@@ -46,13 +46,6 @@ def _dec_up(x: Fraction) -> decimal.Decimal:
         return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
 
 
-def _dec_down(x: Fraction) -> decimal.Decimal:
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PREC
-        ctx.rounding = decimal.ROUND_FLOOR
-        return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-
-
 def _sqrt(x: Fraction, rounding: str) -> decimal.Decimal:
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC

@@ -6,6 +6,10 @@ of coset representatives (discovery order, so runs are reproducible).
 All reported quantities (q, n, delta, theta, p_fix, m) are basis
 invariant even though the matrices themselves are not.
 
+No quotient group is built: the chief series and the socle of each
+G/core(M) are found in G by ``minimal_normal_subgroups(G, N)``, which
+returns preimages, and every module acts through G's own generators.
+
 Every module question is linear over F_p and is answered by one
 reduced row echelon form (``_rref``): G-isomorphism is a nonempty
 intertwiner space (by Schur's lemma a nonzero intertwiner between
@@ -32,7 +36,6 @@ from .perm import (
     Subgroup,
     bits_iter,
     is_soluble,
-    quotient,
     section_centralizer,
 )
 from .subgroups import (
@@ -147,31 +150,23 @@ class ChiefSeries:
 
 
 def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
-    """A chief series built bottom-up from minimal normal subgroup choices.
+    """A chief series built bottom-up inside G.
 
-    ``variant`` rotates the choice of minimal normal subgroup at each
-    level; any variant yields a valid series (delta counts downstream do
-    not depend on the choice).
+    Starting from N = 1, each step takes a minimal normal subgroup of G/N
+    as its preimage X in G (``minimal_normal_subgroups(G, N)``, sorted by
+    order and bitset) and continues from N = X. ``variant`` rotates that
+    choice at each level; any variant yields a valid series (delta counts
+    downstream do not depend on the choice).
     """
-    chain_up: list[int] = [1]
+    chain_up = [Subgroup.trivial(G)]
     abelian_flags: list[bool] = []
-    Q = G
-    proj = list(range(G.order))
-    while Q.order > 1:
-        mins = minimal_normal_subgroups(Q)
-        A = mins[variant % len(mins)]
-        preimage = 0
-        for i in range(G.order):
-            if (A.bits >> proj[i]) & 1:
-                preimage |= 1 << i
-        chain_up.append(preimage)
-        abelian_flags.append(
-            all(Q.commutator(a, b) == 0 for a in A.witnesses for b in A.witnesses)
-        )
-        Q2, epi = quotient(Q, A)
-        proj = [epi[proj[i]] for i in range(G.order)]
-        Q = Q2
-    subs = tuple(Subgroup(G, b) for b in reversed(chain_up))
+    while chain_up[-1].order < G.order:
+        N = chain_up[-1]
+        mins = minimal_normal_subgroups(G, N)
+        X = mins[variant % len(mins)]
+        chain_up.append(X)
+        abelian_flags.append(_abelian_over(G, X, N))
+    subs = tuple(reversed(chain_up))
     orders = tuple(
         subs[i].order // subs[i + 1].order for i in range(len(subs) - 1)
     )
@@ -215,6 +210,13 @@ def is_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
     return _abelian_complemented(G, X, Y)
 
 
+def _abelian_over(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
+    # X/Y is abelian iff the commutators of X's generators lie in Y
+    return all(
+        (Y.bits >> G.commutator(a, b)) & 1 for a in X.witnesses for b in X.witnesses
+    )
+
+
 def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
     if X.group is not G or Y.group is not G:
         raise BadSectionError("subgroups belong to a different group")
@@ -222,18 +224,15 @@ def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
         raise BadSectionError("Y is not contained in X")
     if not X.is_normal() or not Y.is_normal():
         raise BadSectionError("X and Y must be normal in G")
-    for a in X.witnesses:
-        for b in X.witnesses:
-            if not (Y.bits >> G.commutator(a, b)) & 1:
-                raise NotAbelianFactorError("section X/Y is not abelian")
+    if not _abelian_over(G, X, Y):
+        raise NotAbelianFactorError("section X/Y is not abelian")
 
 
 def _check_chief(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
     if X.bits == Y.bits:
         raise NotChiefFactorError("the section X/Y is trivial")
-    for x in bits_iter(X.bits & ~Y.bits):
-        if G.normal_closure_bits(Y.witnesses + (x,)) != X.bits:
-            raise NotChiefFactorError("a normal subgroup sits strictly between Y and X")
+    if X not in minimal_normal_subgroups(G, Y):
+        raise NotChiefFactorError("a normal subgroup sits strictly between Y and X")
 
 
 # -- abelian chief factor modules ----------------------------------------
@@ -600,21 +599,6 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     )
 
 
-def section_kernel(mod: ChiefFactorModule) -> Subgroup:
-    """The kernel of the module action inside the ambient group."""
-    G = mod.group
-    n, p = mod.n_raw, mod.p
-    ident = mat_identity(n)
-    # kernel = elements whose action matrix is the identity; builds on the
-    # generator matrices by BFS like _element_matrices
-    mats = _element_matrices(G, mod.gen_matrices, p)
-    bits = 0
-    for i, M in enumerate(mats):
-        if M == ident:
-            bits |= 1 << i
-    return Subgroup(G, bits)
-
-
 # -- omega membership ------------------------------------------------------
 
 
@@ -623,22 +607,16 @@ def socle_factor_modules(
 ) -> list[Optional[ChiefFactorModule]]:
     """Modules of G on the abelian minimal normal subgroups of G/core(M).
 
-    Generator matrices are indexed by G's generator list (the quotient's
-    generators are the images of G's, in order), so the results compare
-    directly with chief factor modules of G.
+    Each minimal normal subgroup of G/core(M) is taken as its preimage N
+    in G, and its module is the section N/core(M) (None where that section
+    is nonabelian). Generator matrices are indexed by G's own generator
+    list, so the results compare directly with chief factor modules of G.
     """
     core = Subgroup(G, mc.core_bits)
-    Q, _ = quotient(G, core)
-    mods: list[Optional[ChiefFactorModule]] = []
-    for N in minimal_normal_subgroups(Q):
-        abelian = all(
-            Q.commutator(a, b) == 0 for a in N.witnesses for b in N.witnesses
-        )
-        if not abelian:
-            mods.append(None)
-            continue
-        mods.append(factor_module(Q, N, Subgroup.trivial(Q), check_chief=False))
-    return mods
+    return [
+        factor_module(G, N, core, check_chief=False) if _abelian_over(G, N, core) else None
+        for N in minimal_normal_subgroups(G, core)
+    ]
 
 
 def omega_membership(

@@ -63,10 +63,6 @@ class SieveSystem:
     class_signatures: tuple[int, ...]
 
     @property
-    def class_weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(s, self.order) for s in self.class_sizes)
-
-    @property
     def sieve_count(self) -> int:
         return len(self.reduced_unions)
 

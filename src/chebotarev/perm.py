@@ -1,4 +1,8 @@
-"""Permutations, finite permutation groups, conjugacy classes, quotients.
+"""Permutations, finite permutation groups, conjugacy classes, sections.
+
+Normal subgroups and sections are bitsets over one group's element
+table; ``quotient`` builds G/N as a group of its own, which only the
+Frattini reduction needs.
 
 Everything downstream assumes a full, deterministically indexed element
 table, so groups here are capped at desk scale (default 20 000 elements).
@@ -319,19 +323,18 @@ class PermGroup:
 
     def normal_closure_bits(self, seeds: Iterable[int]) -> int:
         """Bitmask of the smallest normal subgroup containing the seeds."""
+        # <S> is normal iff s^g lies in <S> for every seed s and generator g
+        # of G, so only seeds are conjugated; a conjugate that falls outside
+        # joins the seed list (and is itself checked later in this loop).
         gens = self._bfs_gen_indices
         seed_list = sorted({int(s) for s in seeds} - {0})
         bits = self.closure_bits(seed_list)
-        changed = True
-        while changed:
-            changed = False
-            for x in list(bits_iter(bits)):
-                for g in gens:
-                    y = self.conj(x, g)
-                    if not (bits >> y) & 1:
-                        seed_list.append(y)
-                        bits = self.closure_bits(seed_list)
-                        changed = True
+        for s in seed_list:
+            for g in gens:
+                y = self.conj(s, g)
+                if not (bits >> y) & 1:
+                    seed_list.append(y)
+                    bits = self.closure_bits(seed_list)
         return bits
 
     def witnesses_for_bits(self, bits: int) -> tuple[int, ...]:
@@ -373,14 +376,6 @@ class PermGroup:
         for i in bits_iter(bits):
             out |= 1 << self.conj(i, g)
         return out
-
-    def is_subgroup_bits(self, bits: int) -> bool:
-        if not bits & 1:
-            return False
-        members = list(bits_iter(bits))
-        return all(
-            (bits >> self.mult(a, b)) & 1 for a in members for b in members
-        )
 
     @property
     def full_bits(self) -> int:
@@ -430,9 +425,6 @@ class Subgroup:
     def members(self) -> Iterator[int]:
         return bits_iter(self.bits)
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other.bits & ~self.bits == 0
-
     def is_normal(self) -> bool:
         g = self.group
         return all(g.conj_bits(self.bits, x) == self.bits for x in g._bfs_gen_indices)
@@ -460,10 +452,6 @@ class ConjClassTable:
         self.class_of = tuple(class_of)
         self.reps = tuple(reps)
         self.sizes = tuple(sizes)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.reps)
 
 
 def build_group(

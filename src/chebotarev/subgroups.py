@@ -27,9 +27,10 @@ their products come from ``PermGroup.mult``'s generator-word fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import InvariantError, OrderCapError, TrivialGroupError
-from .perm import PermGroup, Subgroup, conjugacy_classes
+from .errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
+from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes
 
 DEFAULT_SUBGROUP_CAP = 2000
 
@@ -171,30 +172,39 @@ def frattini(G: PermGroup) -> Subgroup:
     return Subgroup(G, bits)
 
 
-def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """All minimal elements of the set of nontrivial normal subgroups.
+def minimal_normal_subgroups(
+    G: PermGroup, N: Optional[Subgroup] = None
+) -> list[Subgroup]:
+    """The minimal normal subgroups of G/N, as their preimages in G.
 
-    Uses normal closures of single elements: every minimal normal
-    subgroup is the normal closure of any of its nontrivial elements, so
-    the minimal members of that candidate family are exactly the minimal
-    normal subgroups. A normal closure depends only on the conjugacy
-    class, so one representative per nontrivial class is enough. Avoids
-    full lattice enumeration.
+    N must be normal in G (default: trivial). Each one is ``N C_x`` for
+    any of its elements x outside N, where C_x is the normal closure of x
+    and ``N C_x`` the union of the N-cosets meeting C_x. So the answer is
+    the minimal members of that family over one x per conjugacy class;
+    the closures are cached on G. Sorted by (order, bitset); raises
+    ``TrivialGroupError`` when N = G.
     """
-    if G.order == 1:
-        raise TrivialGroupError("the trivial group has no minimal normal subgroups")
-    cached = G._cache.get("minimal_normals")
-    if cached is not None:
-        return cached
-    closures = {G.normal_closure_bits((x,)) for x in conjugacy_classes(G).reps[1:]}
-    minimal = [
-        b
+    nbits = 1 if N is None else N.bits
+    if nbits == G.full_bits:
+        raise TrivialGroupError("G/N is trivial, so it has no minimal normal subgroups")
+    if N is not None and not N.is_normal():
+        raise NotNormalError("N must be normal in G")
+    closures = G._cache.get("class_normal_closures")
+    if closures is None:
+        reps = conjugacy_classes(G).reps[1:]
+        closures = G._cache["class_normal_closures"] = {
+            G.normal_closure_bits((x,)) for x in reps
+        }
+    _, cid, cbits = G.right_cosets(nbits)
+    above = {
+        sum([cbits[c] for c in {cid[x] for x in bits_iter(b)}])  # disjoint cosets
         for b in closures
-        if not any(c != b and c & ~b == 0 for c in closures)
+        if b & ~nbits
+    }
+    minimal = [
+        b for b in above if not any(c != b and c & ~b == 0 for c in above)
     ]
-    out = [Subgroup(G, b) for b in sorted(minimal, key=lambda b: (b.bit_count(), b))]
-    G._cache["minimal_normals"] = out
-    return out
+    return [Subgroup(G, b) for b in sorted(minimal, key=lambda b: (b.bit_count(), b))]
 
 
 def min_generators(G: PermGroup) -> int:

@@ -8,8 +8,11 @@ counts from an exhaustive search over generator images, minimal
 generating tuples from a backtracking search over k-tuples, maximal
 subgroups from comparing every pair of proper subgroups, and the
 inclusion-exclusion value from a transparent double loop over subsets,
-and Monte Carlo waiting times from a per-trial loop on Python-int masks
-that makes the same generator calls as the vectorised simulation.
+Monte Carlo waiting times from a per-trial loop on Python-int masks
+that makes the same generator calls as the vectorised simulation, normal
+closures from closing every conjugate of the seeds, minimal normal
+subgroups above N from the lattice's normal subgroups, and socle modules
+from an explicitly built quotient group.
 """
 
 from __future__ import annotations
@@ -19,7 +22,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from chebotarev.perm import PermGroup
+from chebotarev.catalog import RATIO_CATALOG, SOLUBLE_CATALOG
+from chebotarev.perm import PermGroup, Subgroup
+
+# The benchmark's catalog: soluble catalog, ratio-test constructions, S5, A5.
+CATALOG_SPECS = tuple(
+    dict.fromkeys(
+        SOLUBLE_CATALOG
+        + tuple(case.spec for case in RATIO_CATALOG)
+        + ("symmetric 5", "alternating 5")
+    )
+)
 
 
 def brute_subgroup_bits(G: PermGroup) -> set[int]:
@@ -31,6 +44,24 @@ def brute_subgroup_bits(G: PermGroup) -> set[int]:
         for combo in itertools.combinations(elems, r):
             found.add(G.closure_bits(combo))
     return found
+
+
+def normal_closure_by_conjugates(G: PermGroup, seeds) -> int:
+    """The subgroup generated by every G-conjugate of every seed."""
+    return G.closure_bits({G.conj(s, g) for s in seeds for g in range(G.order)})
+
+
+def minimal_normal_by_lattice(G: PermGroup, N: Subgroup) -> list[int]:
+    """Minimal normal subgroups properly containing N, sorted by (order, bits)."""
+    from chebotarev.subgroups import all_subgroups
+
+    above = [
+        s.bits
+        for s in all_subgroups(G)
+        if s.bits != N.bits and N.bits & ~s.bits == 0 and s.is_normal()
+    ]
+    minimal = [b for b in above if not any(c != b and c & ~b == 0 for c in above)]
+    return sorted(minimal, key=lambda b: (b.bit_count(), b))
 
 
 def cyclic_extension_subgroups(G: PermGroup) -> list[tuple[int, tuple[int, ...]]]:
@@ -292,3 +323,35 @@ def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
                 waits[t] = step
                 del masks[t]
     return waits
+
+
+def section_kernel(mod) -> Subgroup:
+    """The elements of the ambient group acting trivially on the module."""
+    from chebotarev.crowns import _element_matrices, mat_identity
+
+    G = mod.group
+    ident = mat_identity(mod.n_raw)
+    mats = _element_matrices(G, mod.gen_matrices, mod.p)
+    return Subgroup(G, sum(1 << i for i, M in enumerate(mats) if M == ident))
+
+
+def socle_factor_modules_by_quotient(G: PermGroup, mc):
+    """Modules on the abelian minimal normal subgroups of an explicit G/core(M).
+
+    The quotient's generators are the images of G's, in order, so its
+    matrices align with G's generator list; None marks a nonabelian one.
+    """
+    from chebotarev.crowns import factor_module
+    from chebotarev.perm import quotient
+    from chebotarev.subgroups import minimal_normal_subgroups
+
+    Q, _ = quotient(G, Subgroup(G, mc.core_bits))
+    mods = []
+    for N in minimal_normal_subgroups(Q):
+        abelian = all(
+            Q.commutator(a, b) == 0 for a in N.witnesses for b in N.witnesses
+        )
+        mods.append(
+            factor_module(Q, N, Subgroup.trivial(Q), check_chief=False) if abelian else None
+        )
+    return mods

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_derivation_count, complement_by_lattice_scan
+from oracles import (
+    CATALOG_SPECS,
+    brute_derivation_count,
+    complement_by_lattice_scan,
+    section_kernel,
+    socle_factor_modules_by_quotient,
+)
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
     chief_series,
@@ -18,7 +24,6 @@ from chebotarev.crowns import (
     mat_rank,
     nullspace,
     omega_membership,
-    section_kernel,
     _element_matrices,
 )
 from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
@@ -67,11 +72,16 @@ def test_chief_series_examples(group_of):
 
 
 @pytest.mark.parametrize(
-    "spec", ["cyclic 12", "symmetric 4", "dihedral 6", "quaternion8", "alternating 4"]
+    "spec, variant",
+    [
+        pytest.param(spec, variant, id=spec if variant == 0 else f"{spec} variant={variant}")
+        for spec in CATALOG_SPECS
+        for variant in (0, 1)
+    ],
 )
-def test_chief_series_factors_are_chief(spec, group_of):
+def test_chief_series_factors_are_chief(spec, variant, group_of):
     G = group_of(spec)
-    series = chief_series(G)
+    series = chief_series(G, variant=variant)
     subs = series.subgroups
     assert subs[0].order == G.order and subs[-1].order == 1
     normals = _normal_subgroups(G)
@@ -85,6 +95,10 @@ def test_chief_series_factors_are_chief(spec, group_of):
             if N.bits & ~X.bits == 0 and Y.bits & ~N.bits == 0:
                 assert N.bits in (X.bits, Y.bits)
         prod *= series.factor_orders[i]
+        abelian = all(
+            (Y.bits >> G.commutator(a, b)) & 1 for a in X.members() for b in X.members()
+        )
+        assert series.factor_abelian[i] == abelian
     assert prod == G.order
 
 
@@ -415,6 +429,19 @@ def test_omega_vxv_case(group_of):
     ]
     for i in s3_classes:
         assert (mask >> i) & 1
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_CATALOG)
+def test_omega_membership_matches_quotient_socles(spec, group_of):
+    # the socle modules built inside G give the masks of the socle modules
+    # of explicitly built quotients G/core(M)
+    G = group_of(spec)
+    mx = maximal_classes(G)
+    by_quotient = {ci: socle_factor_modules_by_quotient(G, mc) for ci, mc in enumerate(mx)}
+    for V in crown_data(G).A:
+        assert omega_membership(G, mx, V) == omega_membership(
+            G, mx, V, socle_cache=dict(by_quotient)
+        )
 
 
 def test_p_fix_bounds(group_of):

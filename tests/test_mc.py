@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -76,10 +77,16 @@ def test_seed_sweep_agreement(group_of):
     assert hits >= 19
 
 
+def _time_out(signum, frame):
+    raise TimeoutError("mc_estimate ran on instead of refusing the family")
+
+
 def test_trial_cap_guards_broken_sieves():
-    # a union equal to the whole group can never be escaped; the hard cap
-    # must fire instead of looping forever (such unions violate the
-    # build_sieves invariants, so this system is constructed by hand)
+    # a union equal to the whole group can never be escaped, so no trial
+    # can end; mc_estimate must refuse the family before any draw, because
+    # the AND of all class signatures is nonzero (such unions violate the
+    # build_sieves invariants, so this system is constructed by hand).
+    # The alarm turns a missing check into a failure, not an endless loop.
     broken = SieveSystem(
         order=2,
         class_sizes=(1, 1),
@@ -89,8 +96,14 @@ def test_trial_cap_guards_broken_sieves():
         reduced_unions=(0b11,),
         class_signatures=(1, 1),
     )
-    with pytest.raises(TrialCapError):
-        mc_estimate(broken, 10, 0)
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(TrialCapError):
+            mc_estimate(broken, 10, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _coupon_system(n: int) -> SieveSystem:

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import normal_closure_by_conjugates
 from chebotarev.errors import BadSectionError, DegreeMismatchError, NotNormalError, OrderCapError
 from chebotarev.perm import (
     Permutation,
@@ -113,7 +115,7 @@ def test_conjugacy_classes_examples():
     assert sorted(t.sizes) == [1, 2, 3]
     klein = build_group(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
     assert conjugacy_classes(klein).sizes == (1, 1, 1, 1)
-    assert conjugacy_classes(build_group(1, [])).n_classes == 1
+    assert len(conjugacy_classes(build_group(1, [])).reps) == 1
 
 
 @pytest.mark.parametrize("spec", ["symmetric 3", "symmetric 4", "cyclic 12", "quaternion8"])
@@ -137,6 +139,18 @@ def test_is_soluble():
     assert is_soluble(symmetric_group(4))
     assert not is_soluble(alternating_group(5))
     assert not is_soluble(symmetric_group(5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["symmetric 4", "dihedral 6", "quaternion8", "affine 3 1 [[2]] power 2", "alternating 5"],
+)
+def test_normal_closure_matches_conjugate_closure(spec, group_of):
+    G = group_of(spec)
+    rng = random.Random(spec)
+    for _ in range(25):
+        seeds = rng.sample(range(G.order), rng.randint(0, 3))
+        assert G.normal_closure_bits(seeds) == normal_closure_by_conjugates(G, seeds)
 
 
 def test_quotient_examples(group_of):

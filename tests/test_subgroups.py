@@ -4,14 +4,15 @@ import random
 import pytest
 
 from oracles import (
+    CATALOG_SPECS,
     brute_min_generating_tuple,
     brute_subgroup_bits,
     cyclic_extension_subgroups,
     maximal_classes_by_pairs,
+    minimal_normal_by_lattice,
 )
 from chebotarev import perm
-from chebotarev.catalog import RATIO_CATALOG, SOLUBLE_CATALOG
-from chebotarev.errors import InvariantError, OrderCapError, TrivialGroupError
+from chebotarev.errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
 from chebotarev.groupspec import parse_group
 from chebotarev.perm import Subgroup
 from chebotarev.subgroups import (
@@ -21,15 +22,6 @@ from chebotarev.subgroups import (
     maximal_classes,
     min_generators,
     minimal_normal_subgroups,
-)
-
-# The benchmark's catalog: soluble catalog, ratio-test constructions, S5, A5.
-CATALOG_SPECS = tuple(
-    dict.fromkeys(
-        SOLUBLE_CATALOG
-        + tuple(case.spec for case in RATIO_CATALOG)
-        + ("symmetric 5", "alternating 5")
-    )
 )
 
 
@@ -96,7 +88,9 @@ def test_all_subgroups_closed_and_unique(group_of):
     assert len({s.bits for s in subs}) == len(subs) == 30
     assert subs[0].order == 1 and subs[-1].order == G.order
     for s in subs:
-        assert G.is_subgroup_bits(s.bits)
+        members = list(s.members())
+        assert s.bits & 1
+        assert all((s.bits >> G.mult(a, b)) & 1 for a in members for b in members)
 
 
 def test_all_subgroups_cap(group_of):
@@ -241,16 +235,27 @@ def test_minimal_normals_examples(group_of):
         minimal_normal_subgroups(group_of("cyclic 1"))
 
 
-@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 6", "quaternion8", "cyclic 36"])
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
 def test_minimal_normals_match_lattice_scan(spec, group_of):
+    # the minimal normal subgroups of G/N, as preimages, for the default
+    # N = 1 and every proper normal N; G/G has none
     G = group_of(spec)
-    normals = [s for s in all_subgroups(G) if s.order > 1 and s.is_normal()]
-    minimal = {
-        s.bits
-        for s in normals
-        if not any(t.bits != s.bits and t.bits & ~s.bits == 0 for t in normals)
-    }
-    assert {m.bits for m in minimal_normal_subgroups(G)} == minimal
+    assert [m.bits for m in minimal_normal_subgroups(G)] == minimal_normal_by_lattice(
+        G, Subgroup.trivial(G)
+    )
+    normals = [s for s in all_subgroups(G) if s.is_normal()]
+    for N in normals[:-1]:
+        got = [m.bits for m in minimal_normal_subgroups(G, N)]
+        assert got == minimal_normal_by_lattice(G, N)
+    with pytest.raises(TrivialGroupError):
+        minimal_normal_subgroups(G, normals[-1])
+
+
+def test_minimal_normals_reject_non_normal_subgroup(group_of):
+    s3 = group_of("symmetric 3")
+    c2 = next(s for s in all_subgroups(s3) if s.order == 2)
+    with pytest.raises(NotNormalError):
+        minimal_normal_subgroups(s3, c2)
 
 
 @pytest.mark.parametrize(
