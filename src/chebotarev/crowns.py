@@ -1,4 +1,4 @@
-"""Chief series, abelian chief factor modules, crown data, derivations.
+"""Chief series, chief factor modules, complements, crown data, derivations.
 
 An abelian chief factor X/Y of order p^k is treated as an F_p-module with
 the conjugation action of G written as k x k matrices over a fixed basis
@@ -15,14 +15,19 @@ reduced row echelon form (``_rref``): G-isomorphism is a nonempty
 intertwiner space (by Schur's lemma a nonzero intertwiner between
 irreducible modules of equal dimension is invertible), the commutant
 field is the self-intertwiner space, and derivations are the nullspace of
-the cocycle condition written along the Cayley graph.
+the cocycle condition written along the Cayley graph. The complements of
+an abelian chief factor X/Y solve the inhomogeneous form of the same
+condition, written along the coset graph of X (``_cocycle_rows`` builds
+both systems). For a soluble G they are all of its maximal subgroups,
+which ``subgroups.maximal_classes`` takes from here; the chief series
+and ``crown_data`` are computed once per G and cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BadSectionError,
@@ -99,7 +104,13 @@ def mat_rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def nullspace(rows: Iterable[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
     """Basis of {v : rows @ v == 0} over F_p, one vector per free column."""
-    reduced, pivots = _rref(rows, ncols, p)
+    return _kernel_basis(*_rref(rows, ncols, p), ncols, p)
+
+
+def _kernel_basis(
+    reduced: list[list[int]], pivots: list[int], ncols: int, p: int
+) -> list[tuple[int, ...]]:
+    # the nullspace of the first ncols columns of an ``_rref`` result
     basis = []
     for fcol in range(ncols):
         if fcol in pivots:
@@ -176,6 +187,15 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
         factor_orders=orders,
         factor_abelian=tuple(reversed(abelian_flags)),
     )
+
+
+def _default_series(G: PermGroup) -> ChiefSeries:
+    # chief_series(G), built once per G and shared by the maximal classes
+    # of a soluble G and crown_data
+    series = G._cache.get("chief_series")
+    if series is None:
+        series = G._cache["chief_series"] = chief_series(G)
+    return series
 
 
 def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
@@ -268,6 +288,66 @@ class ChiefFactorModule:
         return self.p**self.n_raw
 
 
+def _section_coordinates(
+    G: PermGroup, X: Subgroup, Y: Subgroup, p: int
+) -> tuple[list[int], dict[int, tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """Coordinates over F_p of the elementary abelian section X/Y.
+
+    Returns ``(basis, vec, rep)``: the elements of X whose Y-cosets form
+    the basis, chosen greedily from coset representatives in discovery
+    order; the coordinate vector of every element of X; and, per vector,
+    the representative of its Y-coset.
+    """
+    # cosets of Y inside X, id 0 = Y itself (identity has element index 0)
+    vid: dict[int, int] = {}
+    coset_rep: list[int] = []
+    for x in bits_iter(X.bits):
+        if x in vid:
+            continue
+        c = len(coset_rep)
+        coset_rep.append(x)
+        for y in bits_iter(Y.bits):
+            vid[G.mult(y, x)] = c
+    vorder = len(coset_rep)
+    if vorder * Y.order != X.order or vid[0] != 0:
+        raise InvariantError("the cosets of Y do not partition X")
+
+    def vadd(a: int, b: int) -> int:
+        return vid[G.mult(coset_rep[a], coset_rep[b])]
+
+    coords: dict[int, tuple[int, ...]] = {0: ()}
+    basis: list[int] = []
+    for v in range(vorder):
+        if v in coords:
+            continue
+        i = len(basis)
+        basis.append(v)
+        coords = {w: wc + (0,) for w, wc in coords.items()}
+        cur = 0
+        for c in range(1, p):
+            cur = vadd(cur, v)
+            for w, wc in list(coords.items()):
+                if wc[i] == 0:
+                    u = vadd(w, cur)
+                    coords[u] = wc[:i] + (c,)
+        if vadd(cur, v) != 0:
+            raise NotChiefFactorError("section X/Y is not elementary abelian")
+    if len(coords) != vorder:
+        raise InvariantError("the coordinates do not cover X/Y")
+    vec = {x: coords[c] for x, c in vid.items()}
+    rep = {coords[c]: coset_rep[c] for c in range(vorder)}
+    return [coset_rep[b] for b in basis], vec, rep
+
+
+def _action_matrix(
+    G: PermGroup, basis: Sequence[int], vec: dict[int, tuple[int, ...]], g: int
+) -> Mat:
+    # column j is the image of basis element j under x -> g^-1 x g
+    cols = [vec[G.conj(b, g)] for b in basis]
+    n = len(basis)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
 def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool = True) -> ChiefFactorModule:
     """Matrices, centralizer size and fixed-vector probability for X/Y.
 
@@ -290,53 +370,11 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     if check_chief:
         _check_chief(G, X, Y)
 
-    # cosets of Y inside X, id 0 = Y itself (identity has element index 0)
-    vid: dict[int, int] = {}
-    coset_rep: list[int] = []
-    for x in bits_iter(X.bits):
-        if x in vid:
-            continue
-        c = len(coset_rep)
-        coset_rep.append(x)
-        for y in bits_iter(Y.bits):
-            vid[G.mult(y, x)] = c
-    if len(coset_rep) != vorder or vid[0] != 0:
-        raise InvariantError("the cosets of Y do not partition X")
-
-    def vadd(a: int, b: int) -> int:
-        return vid[G.mult(coset_rep[a], coset_rep[b])]
-
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    basis: list[int] = []
-    for v in range(vorder):
-        if v in coords:
-            continue
-        i = len(basis)
-        basis.append(v)
-        coords = {w: wc + (0,) for w, wc in coords.items()}
-        cur = 0
-        for c in range(1, pfac):
-            cur = vadd(cur, v)
-            for w, wc in list(coords.items()):
-                if wc[i] == 0:
-                    u = vadd(w, cur)
-                    coords[u] = wc[:i] + (c,)
-        if vadd(cur, v) != 0:
-            raise NotChiefFactorError("section X/Y is not elementary abelian")
-    if len(coords) != vorder or len(basis) != n_raw:
+    basis, vec, _ = _section_coordinates(G, X, Y, pfac)
+    if len(basis) != n_raw:
         raise InvariantError("the coordinates do not cover X/Y")
-    coords = {w: tuple(wc) for w, wc in coords.items()}
 
-    def action_matrix(g: int) -> Mat:
-        cols = []
-        for b in basis:
-            img = vid[G.conj(coset_rep[b], g)]
-            cols.append(coords[img])
-        return tuple(
-            tuple(cols[j][i] for j in range(n_raw)) for i in range(n_raw)
-        )
-
-    gen_mats = tuple(action_matrix(gi) for gi in G.generator_indices)
+    gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
 
     C = section_centralizer(G, X, Y)
     h_order = G.order // C.order
@@ -351,7 +389,7 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
             continue
         for c in bits_iter(C.bits):
             seen |= 1 << G.mult(c, g)
-        M = action_matrix(g)
+        M = _action_matrix(G, basis, vec, g)
         delta_rows = [
             [(M[i][j] - ident[i][j]) % pfac for j in range(n_raw)]
             for i in range(n_raw)
@@ -449,6 +487,56 @@ def _element_matrices(
     return mats
 
 
+def _cocycle_rows(
+    right: Sequence[Sequence[int]],
+    parent: Sequence[int],
+    via: Sequence[int],
+    gen_mats: Sequence[Mat],
+    p: int,
+    offset: Optional[Callable[[int, int, int], tuple[int, ...]]] = None,
+) -> list[list[int]]:
+    """Rows of the cocycle condition zeta(y) = M_k zeta(x) + u_k on a graph.
+
+    Node x has one edge ``x -> right[x][k]`` per generator k. The BFS tree
+    ``(parent, via)``, rooted at node 0 with ``parent[j] < j``, writes each
+    zeta(x) as a linear map of the unknowns u_k in F_p^n: zeta(0) = 0 and
+    a tree edge sets zeta(y) = M_k zeta(x) + u_k. Every other edge gives
+    the n rows zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)``, when
+    given, is their right-hand side, appended as one more column.
+    """
+    n = len(gen_mats[0])
+    ncols = n * len(gen_mats)
+
+    def image(L: list[list[int]], k: int) -> list[list[int]]:
+        # coefficient rows of M_k zeta(x) + u_k, given those of zeta(x)
+        out = []
+        for Mi in gen_mats[k]:
+            row = [0] * ncols
+            for m, Lt in zip(Mi, L):
+                if m:
+                    row = [(a + m * b) % p for a, b in zip(row, Lt)]
+            out.append(row)
+        for i in range(n):
+            out[i][k * n + i] = (out[i][k * n + i] + 1) % p
+        return out
+
+    lin = [[[0] * ncols for _ in range(n)]]
+    for j in range(1, len(right)):
+        lin.append(image(lin[parent[j]], via[j]))
+    rows: list[list[int]] = []
+    for x, targets in enumerate(right):
+        for k, y in enumerate(targets):
+            if parent[y] == x and via[y] == k:
+                continue  # a tree edge holds by construction
+            want = image(lin[x], k)
+            block = [[a - b for a, b in zip(lin[y][i], want[i])] for i in range(n)]
+            if offset is not None:
+                for row, b in zip(block, offset(x, k, y)):
+                    row.append(b)
+            rows.extend(block)
+    return rows
+
+
 @dataclass(frozen=True)
 class DerivationCount:
     der_count: int
@@ -473,30 +561,7 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
     gen_mats = [by_images[g.images] for g in H._bfs_gens]
     ncols = n * len(gen_mats)
-
-    def image(L: list[list[int]], k: int) -> list[list[int]]:
-        # coefficient rows of zeta(x)^g_k + u_k, given those of zeta(x)
-        M = gen_mats[k]
-        out = [
-            [sum(M[i][t] * L[t][c] for t in range(n)) % p for c in range(ncols)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            out[i][k * n + i] = (out[i][k * n + i] + 1) % p
-        return out
-
-    lin = [[[0] * ncols for _ in range(n)]]
-    for j in range(1, H.order):
-        lin.append(image(lin[H._parent[j]], H._via[j]))
-    rows: list[list[int]] = []
-    for x in range(H.order):
-        for k, y in enumerate(H._gen_right[x]):
-            if H._parent[y] == x and H._via[y] == k:
-                continue  # a tree edge holds by construction
-            want = image(lin[x], k)
-            rows.extend(
-                [a - b for a, b in zip(lin[y][i], want[i])] for i in range(n)
-            )
+    rows = _cocycle_rows(H._gen_right, H._parent, H._via, gen_mats, p)
     z1_dim = ncols - len(_rref(rows, ncols, p)[1])
     fixed_rows = [
         [M[i][j] - (i == j) for j in range(n)] for M in gen_mats for i in range(n)
@@ -517,6 +582,95 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     if rest:
         raise NotIrreducibleError("H^1 size is not a power of the commutant field size")
     return DerivationCount(der_count=p**z1_dim, inner_count=p**b1_dim, m=m)
+
+
+# -- complements of abelian chief factors --------------------------------
+
+
+def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[Subgroup]:
+    """Every U <= G with UX = G and U n X = Y, for an abelian chief factor X/Y.
+
+    Such a U meets each coset of X in one coset of Y. BFS the cosets of X,
+    from X itself, with G's BFS generators g_k; coset c gets the tree
+    element t_c. U is fixed by its elements g^_k = g_k x(u_k) in the
+    cosets of the g_k: one unknown u_k in X/Y = F_p^n per generator.
+    Build t^_c along the tree, t^_{c g_k} = t^_c g^_k, and write
+    t^_c = t_c x(zeta(c)); then zeta(c g_k) = M_k zeta(c) + u_k, as in
+    ``derivations``. The union of the cosets t^_c Y is a subgroup iff it
+    is closed under the g^_k, that is iff every non-tree edge
+    (c, g_k) -> c' satisfies zeta(c') = M_k zeta(c) + u_k + r, where
+    r = vec(t_c'^-1 t_c g_k) is the offset of t_c g_k from t_c'. So the
+    complements are the solutions of that inhomogeneous cocycle system:
+    none if it is inconsistent, else one per point of an affine space over
+    Z^1 (Celler, Neubueser and Wright, Acta Appl. Math. 21, 1990).
+    Witnesses are the g^_k followed by Y's.
+    """
+    vorder = X.order // Y.order
+    p = next(d for d in range(2, vorder + 1) if vorder % d == 0)
+    basis, vec, rep = _section_coordinates(G, X, Y, p)
+    n = len(basis)
+    gens = G._bfs_gen_indices
+    mult = G.mult
+    _, xcid, _ = G.right_cosets(X.bits)
+    node = {xcid[0]: 0}
+    tree = [0]
+    parent, via, right = [-1], [-1], []
+    for x, t in enumerate(tree):  # grows while it is walked: BFS over the cosets
+        row = []
+        for k, g in enumerate(gens):
+            e = mult(t, g)
+            y = node.get(xcid[e])
+            if y is None:
+                y = node[xcid[e]] = len(tree)
+                tree.append(e)
+                parent.append(x)
+                via.append(k)
+            row.append(y)
+        right.append(row)
+
+    def offset(x: int, k: int, y: int) -> tuple[int, ...]:
+        return vec[mult(G.inv(tree[y]), mult(tree[x], gens[k]))]
+
+    gen_mats = [_action_matrix(G, basis, vec, g) for g in gens]
+    ncols = n * len(gens)
+    rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
+    reduced, pivots = _rref(rows, ncols + 1, p)
+    if ncols in pivots:
+        return []
+    particular = [0] * ncols
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[ncols]
+    solutions = [particular]
+    for b in _kernel_basis(reduced, pivots, ncols, p):
+        solutions = [
+            [(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions
+        ]
+
+    _, ycid, ycbits = G.right_cosets(Y.bits)
+    target = G.order * Y.order
+    found = []
+    for u in solutions:
+        ghat = [mult(g, rep[tuple(u[k * n : (k + 1) * n])]) for k, g in enumerate(gens)]
+        that = [0]
+        for j in range(1, len(tree)):
+            that.append(mult(that[parent[j]], ghat[via[j]]))
+        kbits = sum([ycbits[ycid[t]] for t in that])  # one Y-coset per coset of X
+        if kbits.bit_count() * X.order != target or kbits & X.bits != Y.bits:
+            raise InvariantError("a solution of the complement system is not a complement")
+        found.append(Subgroup(G, kbits, tuple(ghat) + Y.witnesses))
+    return found
+
+
+def soluble_maximal_subgroups(G: PermGroup) -> list[Subgroup]:
+    """Every maximal subgroup of a soluble G, each exactly once.
+
+    A maximal M complements the abelian chief factor N_{j-1}/N_j of the
+    cached chief series where N_j is the first term inside M, and every
+    complement of a chief factor is maximal; so the complements of all
+    factors list each maximal subgroup once.
+    """
+    subs = _default_series(G).subgroups
+    return [K for X, Y in zip(subs, subs[1:]) for K in complements(G, X, Y)]
 
 
 # -- crown data -----------------------------------------------------------
@@ -545,10 +699,14 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     For soluble G every class gets m = 0 (first cohomology vanishes for a
     soluble group acting faithfully and irreducibly), as does every
     central class; the non-central classes of an insoluble G keep
-    m = None.
+    m = None. With the default series the result is cached on G.
     """
-    if series is None:
-        series = chief_series(G)
+    default = series is None
+    if default:
+        cached = G._cache.get("crown_data")
+        if cached is not None:
+            return cached
+        series = _default_series(G)
     soluble = is_soluble(G)
     modules: list[ChiefFactorModule] = []
     nonabelian: list[tuple[int, bool]] = []
@@ -592,11 +750,14 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         (central if rep.central else non_central).append(rep)
 
     keyfun = lambda mod: (mod.p, mod.n_raw, mod.label)
-    return CrownData(
+    cd = CrownData(
         non_central=tuple(sorted(non_central, key=keyfun)),
         central=tuple(sorted(central, key=keyfun)),
         nonabelian_factors=tuple(nonabelian),
     )
+    if default:
+        G._cache["crown_data"] = cd
+    return cd
 
 
 # -- omega membership ------------------------------------------------------

@@ -1,5 +1,11 @@
 """Subgroup enumeration, maximal classes, Frattini subgroup, minimal generators.
 
+For a soluble G, ``maximal_classes`` and ``min_generators`` never walk
+the subgroup lattice: every maximal subgroup complements one abelian
+chief factor, and d(G) follows from the crown classes, so both come from
+``crowns`` (chief series, complement systems, crown data). The lattice
+serves insoluble groups and the test oracles.
+
 Enumeration is exhaustive (every subgroup exactly once) by cyclic
 extension: start from all cyclic subgroups and extend each subgroup H
 found by one more element g, deduplicating by bitset. Two facts keep
@@ -20,19 +26,28 @@ In particular d(G) is the length of G's witnesses.
 
 The coset partition is built once per H, in O(|G|). This is exact and
 fast enough at desk scale; the default cap refuses groups above order
-2000. Orders 1501 to 2000 lie above the multiplication-table limit, so
-their products come from ``PermGroup.mult``'s generator-word fallback.
+2000, on both the lattice and the complement route. Orders 1501 to 2000
+lie above the multiplication-table limit, so their products come from
+``PermGroup.mult``'s generator-word fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
-from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes
+from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes, is_soluble
 
 DEFAULT_SUBGROUP_CAP = 2000
+
+
+def _refuse_above(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> None:
+    if G.order > cap:
+        raise OrderCapError(
+            f"subgroup enumeration capped at order {cap}, group has {G.order}"
+        )
 
 
 def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
@@ -40,10 +55,7 @@ def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subg
 
     Includes the trivial and the full subgroup. Results are cached on G.
     """
-    if G.order > cap:
-        raise OrderCapError(
-            f"subgroup enumeration capped at order {cap}, group has {G.order}"
-        )
+    _refuse_above(G, cap)
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return cached
@@ -109,20 +121,31 @@ class MaximalClassData:
 
 
 def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
-    """Conjugacy classes of maximal subgroups, sorted by (order, bitset)."""
+    """Conjugacy classes of maximal subgroups, sorted by (order, bitset).
+
+    A soluble G takes its maximal subgroups from the complements of its
+    chief factors (``crowns.soluble_maximal_subgroups``); any other G from
+    the subgroup lattice. Both refuse groups above ``DEFAULT_SUBGROUP_CAP``
+    with ``OrderCapError``. Results are cached on G.
+    """
     cached = G._cache.get("maximal_classes")
     if cached is not None:
         return cached
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
-    subs = all_subgroups(G)
-    # A proper overgroup of H lies in a maximal subgroup of larger order,
-    # so scanning by decreasing order (G sorts last) H is maximal iff no
-    # maximal subgroup kept so far contains it.
-    maximal: list[Subgroup] = []
-    for s in reversed(subs[:-1]):
-        if not any(s.bits & ~m.bits == 0 for m in maximal):
-            maximal.append(s)
+    _refuse_above(G)
+    if is_soluble(G):
+        from .crowns import soluble_maximal_subgroups
+
+        maximal = soluble_maximal_subgroups(G)
+    else:
+        # A proper overgroup of H lies in a maximal subgroup of larger order,
+        # so scanning by decreasing order (G sorts last) H is maximal iff no
+        # maximal subgroup kept so far contains it.
+        maximal = []
+        for s in reversed(all_subgroups(G)[:-1]):
+            if not any(s.bits & ~m.bits == 0 for m in maximal):
+                maximal.append(s)
     gens = G._bfs_gen_indices
     assigned: set[int] = set()
     classes: list[MaximalClassData] = []
@@ -180,9 +203,10 @@ def minimal_normal_subgroups(
     N must be normal in G (default: trivial). Each one is ``N C_x`` for
     any of its elements x outside N, where C_x is the normal closure of x
     and ``N C_x`` the union of the N-cosets meeting C_x. So the answer is
-    the minimal members of that family over one x per conjugacy class;
-    the closures are cached on G. Sorted by (order, bitset); raises
-    ``TrivialGroupError`` when N = G.
+    the minimal members of that family over one x per conjugacy class,
+    and classes whose elements generate conjugate cyclic subgroups share
+    one closure; the closures are cached on G. Sorted by (order, bitset);
+    raises ``TrivialGroupError`` when N = G.
     """
     nbits = 1 if N is None else N.bits
     if nbits == G.full_bits:
@@ -191,10 +215,22 @@ def minimal_normal_subgroups(
         raise NotNormalError("N must be normal in G")
     closures = G._cache.get("class_normal_closures")
     if closures is None:
-        reps = conjugacy_classes(G).reps[1:]
-        closures = G._cache["class_normal_closures"] = {
-            G.normal_closure_bits((x,)) for x in reps
-        }
+        table = conjugacy_classes(G)
+        closures = G._cache["class_normal_closures"] = set()
+        known = {0}  # classes whose normal closure is in the set
+        for x in table.reps[1:]:
+            if table.class_of[x] in known:
+                continue
+            closures.add(G.normal_closure_bits((x,)))
+            # x^k generates <x> for k prime to |x|: the same normal closure
+            powers = [x]
+            while powers[-1]:
+                powers.append(G.mult(powers[-1], x))
+            known.update(
+                table.class_of[y]
+                for k, y in enumerate(powers, 1)
+                if gcd(k, len(powers)) == 1
+            )
     _, cid, cbits = G.right_cosets(nbits)
     above = {
         sum([cbits[c] for c in {cid[x] for x in bits_iter(b)}])  # disjoint cosets
@@ -210,8 +246,24 @@ def minimal_normal_subgroups(
 def min_generators(G: PermGroup) -> int:
     """d(G): the smallest k such that some k-tuple generates G (0 if trivial).
 
-    Read off ``all_subgroups``: G sorts last and its witnesses have
-    minimal length (see the module docstring). Shares that function's
-    order cap, so it raises ``OrderCapError`` above order 2000.
+    For soluble G != 1 it comes from the complemented crown classes V of
+    ``crown_data`` (Gaschuetz's count, W. Gaschuetz, Illinois J. Math. 3,
+    1959): the maximum of 1, delta_V over the central classes and
+    1 + ceil((delta_V + m_V) / n_V) over the others, where m_V = 0. Any
+    other G reads it off ``all_subgroups``: G sorts last and its witnesses
+    have minimal length (see the module docstring). Both refuse groups
+    above ``DEFAULT_SUBGROUP_CAP`` with ``OrderCapError``.
     """
-    return len(all_subgroups(G)[-1].witnesses)
+    if G.order == 1:
+        return 0
+    _refuse_above(G)
+    if not is_soluble(G):
+        return len(all_subgroups(G)[-1].witnesses)
+    from .crowns import crown_data
+
+    cd = crown_data(G)
+    return max(
+        [1]
+        + [V.delta for V in cd.central]
+        + [1 + -(-(V.delta + V.m) // V.n) for V in cd.non_central]
+    )

@@ -5,7 +5,8 @@ from closing raw element subsets or from one element closure per
 (subgroup, element) pair, complements from a full lattice scan,
 invariable generation from explicit conjugate substitution, derivation
 counts from an exhaustive search over generator images, minimal
-generating tuples from a backtracking search over k-tuples, maximal
+generating tuples from a backtracking search over k-tuples, d(G) from
+the depth of G in the breadth-first lattice walk, maximal
 subgroups from comparing every pair of proper subgroups, and the
 inclusion-exclusion value from a transparent double loop over subsets,
 Monte Carlo waiting times from a per-trial loop on Python-int masks
@@ -32,6 +33,18 @@ CATALOG_SPECS = tuple(
         + tuple(case.spec for case in RATIO_CATALOG)
         + ("symmetric 5", "alternating 5")
     )
+)
+SOLUBLE_SPECS = CATALOG_SPECS[:-2]
+# The benchmark's exact workload: 12 to 18 reduced sieves each.
+EXACT_SPECS = (
+    "elementary 17 2",
+    "elementary 13 2",
+    "elementary 11 2",
+    "elementary 2 4",
+    "elementary 3 3",
+    "direct_product elementary 2 4 cyclic 3",
+    "direct_product elementary 3 3 elementary 2 2",
+    "direct_product elementary 3 3 cyclic 2",
 )
 
 
@@ -90,14 +103,20 @@ def cyclic_extension_subgroups(G: PermGroup) -> list[tuple[int, tuple[int, ...]]
     return sorted(seen.items(), key=lambda item: (item[0].bit_count(), item[0]))
 
 
-def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
-    """Some subgroup U has U n X = Y and |U||X| = |G||Y|, i.e. UX = G."""
+def complements_by_lattice_scan(G: PermGroup, X, Y) -> set[int]:
+    """Bitsets of the subgroups U with U n X = Y and |U||X| = |G||Y|, i.e. UX = G."""
     from chebotarev.subgroups import all_subgroups
 
-    return any(
-        U.bits & X.bits == Y.bits and U.order * X.order == G.order * Y.order
+    return {
+        U.bits
         for U in all_subgroups(G)
-    )
+        if U.bits & X.bits == Y.bits and U.order * X.order == G.order * Y.order
+    }
+
+
+def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
+    """Some subgroup U has U n X = Y and |U||X| = |G||Y|, i.e. UX = G."""
+    return bool(complements_by_lattice_scan(G, X, Y))
 
 
 def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
@@ -129,6 +148,13 @@ def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
             core &= b
         classes.append((min(orbit), len(orbit), union, core))
     return sorted(classes, key=lambda c: (c[0].bit_count(), c[0]))
+
+
+def min_generators_by_lattice(G: PermGroup) -> int:
+    """d(G) as the length of G's witnesses in the breadth-first lattice walk."""
+    from chebotarev.subgroups import all_subgroups
+
+    return len(all_subgroups(G)[-1].witnesses)
 
 
 def brute_min_generating_tuple(G: PermGroup) -> tuple[int, ...]:

@@ -1,9 +1,13 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from oracles import SOLUBLE_SPECS
+from chebotarev import subgroups
 from chebotarev.cli import main
 
 SCHEMA = json.loads(
@@ -133,3 +137,28 @@ def test_exact_elementary_2_5_json_and_cap(capsys):
     code = main(["exact", "elementary", "2", "5", "--cap-sieves", "24"])
     err = capsys.readouterr().err
     assert code == 2 and "cap of 24" in err
+
+
+def _refuse_lattice(monkeypatch):
+    # every namespace that binds all_subgroups gets a stand-in that raises
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the subgroup lattice was walked")
+
+    original = subgroups.all_subgroups
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "chebotarev" and getattr(mod, "all_subgroups", None) is original:
+            monkeypatch.setattr(mod, "all_subgroups", refuse)
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_SPECS)
+def test_soluble_reports_skip_the_lattice(spec, capsys, monkeypatch):
+    _refuse_lattice(monkeypatch)
+    for command in ("bounds", "exact", "crowns"):
+        code, _ = run_json(capsys, command, *spec.split())
+        assert code == 0
+
+
+def test_insoluble_reports_use_the_lattice(monkeypatch):
+    _refuse_lattice(monkeypatch)
+    with pytest.raises(RuntimeError, match="lattice"):
+        main(["--json", "bounds", "symmetric", "5"])

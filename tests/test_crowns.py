@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from oracles import (
     CATALOG_SPECS,
     brute_derivation_count,
+    SOLUBLE_SPECS,
     complement_by_lattice_scan,
+    complements_by_lattice_scan,
     section_kernel,
     socle_factor_modules_by_quotient,
 )
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
     chief_series,
+    complements,
     crown_data,
     derivations,
     endo_field,
@@ -128,6 +131,22 @@ def test_complement_from_maximal_cores_matches_lattice_scan(spec, group_of):
         if series.factor_abelian[i]:
             X, Y = subs[i], subs[i + 1]
             assert is_complemented(G, X, Y) == complement_by_lattice_scan(G, X, Y)
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_SPECS + ("elementary 2 5",))
+def test_complements_match_lattice_scan(spec, group_of):
+    # the solver's complements of every chief factor, over two series, are
+    # exactly the subgroups U with U n X = Y and UX = G, each found once
+    G = group_of(spec)
+    for variant in (0, 1):
+        subs = chief_series(G, variant=variant).subgroups
+        for X, Y in zip(subs, subs[1:]):
+            found = complements(G, X, Y)
+            got = {K.bits for K in found}
+            assert len(got) == len(found)
+            assert got == complements_by_lattice_scan(G, X, Y)
+            assert bool(found) == complement_by_lattice_scan(G, X, Y)
+            assert all(G.closure_bits(K.witnesses) == K.bits for K in found)
 
 
 def test_factor_module_central(group_of):

@@ -5,16 +5,18 @@ import pytest
 
 from oracles import (
     CATALOG_SPECS,
+    EXACT_SPECS,
     brute_min_generating_tuple,
     brute_subgroup_bits,
     cyclic_extension_subgroups,
     maximal_classes_by_pairs,
+    min_generators_by_lattice,
     minimal_normal_by_lattice,
 )
 from chebotarev import perm
 from chebotarev.errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
 from chebotarev.groupspec import parse_group
-from chebotarev.perm import Subgroup
+from chebotarev.perm import Subgroup, conjugacy_classes
 from chebotarev.subgroups import (
     DEFAULT_SUBGROUP_CAP,
     all_subgroups,
@@ -121,9 +123,11 @@ def test_maximal_classes_examples(group_of):
 
 def test_maximal_union_covering_group_is_typed_error():
     # A hand-built lattice whose only proper nontrivial member is the
-    # non-subgroup {(), (1 2), (1 2 3)}: its conjugates cover S3.
-    G = parse_group("symmetric 3").group
-    fake = Subgroup(G, 1 | 1 << G.index[(1, 0, 2)] | 1 << G.index[(1, 2, 0)], ())
+    # non-subgroup holding one element of each conjugacy class: its
+    # conjugates cover G. A5 is insoluble, so its maximal classes come
+    # from the (planted) lattice.
+    G = parse_group("alternating 5").group
+    fake = Subgroup(G, sum(1 << r for r in conjugacy_classes(G).reps), ())
     G._cache["all_subgroups"] = [Subgroup.trivial(G), fake, Subgroup.full(G)]
     with pytest.raises(InvariantError):
         maximal_classes(G)
@@ -159,7 +163,17 @@ def test_maximality_exhaustive(spec, group_of):
     assert maximal_bits <= {H.bits for H in all_maximal}
 
 
-@pytest.mark.parametrize("spec", CATALOG_SPECS + ("elementary 2 5",))
+@pytest.mark.parametrize(
+    "spec",
+    tuple(
+        dict.fromkeys(
+            CATALOG_SPECS
+            + ("elementary 2 5",)
+            + EXACT_SPECS
+            + ("elementary 2 6", "direct_product symmetric 3 symmetric 3 symmetric 3")
+        )
+    ),
+)
 def test_maximal_classes_match_pairwise_scan(spec, group_of):
     G = group_of(spec)
     got = [
@@ -299,11 +313,28 @@ def test_subgroup_witnesses_have_minimal_length(spec, group_of):
         assert len(H.witnesses) == len(brute_min_generating_tuple(sub))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["elementary 2 6", "elementary 3 4", "direct_product symmetric 3 symmetric 3 symmetric 3"],
+)
+def test_min_generators_match_lattice_depth(spec, group_of):
+    # soluble: the crown count against G's depth in the lattice walk
+    G = group_of(spec)
+    assert min_generators(G) == min_generators_by_lattice(G)
+
+
 def test_min_generators_order_cap(group_of):
     G = group_of("cyclic 2001")
     assert G.order == DEFAULT_SUBGROUP_CAP + 1
     with pytest.raises(OrderCapError):
         min_generators(G)
+
+
+def test_maximal_classes_order_cap(group_of):
+    # the complement route refuses the same orders as the lattice
+    G = group_of("cyclic 2001")
+    with pytest.raises(OrderCapError):
+        maximal_classes(G)
 
 
 @pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 9", "cyclic 100", "elementary 2 3", "quaternion8"])
