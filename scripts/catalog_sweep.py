@@ -8,7 +8,7 @@ import argparse
 import math
 import sys
 
-from chebotarev.bounds import SIGMA, crown_bound
+from chebotarev.bounds import SIGMA
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.verify import work_for
 
@@ -23,7 +23,7 @@ def main() -> int:
         w = work_for(label)
         exact = w.exact.exact
         ratio = float(exact) / math.sqrt(w.group.order)
-        crown_b = crown_bound(w.crowns.A, w.crowns.B)
+        crown_b = w.report.crown_bound_value
         slack = float(crown_b - exact)
         rows.append((label, w.group.order, exact, ratio, float(crown_b), slack, w.d))
 

@@ -41,7 +41,6 @@ from .perm import (
     Subgroup,
     bits_iter,
     is_soluble,
-    section_centralizer,
 )
 from .subgroups import (
     MaximalClassData,
@@ -352,8 +351,8 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     """Matrices, centralizer size and fixed-vector probability for X/Y.
 
     The basis is chosen greedily from coset representatives in discovery
-    order. ``p_fix`` counts, over a transversal of C_G(X/Y), the elements
-    whose action matrix has a nonzero fixed vector (kernel of M - I).
+    order. ``p_fix`` is the share of the action matrices of G, each counted
+    once, that have a nonzero fixed vector (kernel of M - I).
     """
     _validate_section(G, X, Y)
     vorder = X.order // Y.order
@@ -376,20 +375,14 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
 
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
 
-    C = section_centralizer(G, X, Y)
-    h_order = G.order // C.order
+    # g acts on X/Y through its matrix, with kernel C_G(X/Y): the distinct
+    # matrices are the |G : C| elements of the acting group H
+    image = {_action_matrix(G, basis, vec, g) for g in range(G.order)}
+    h_order = len(image)
     central = h_order == 1
-
-    # transversal of C in G; cosets of C act identically on X/Y
-    seen = 0
     fix_count = 0
     ident = mat_identity(n_raw)
-    for g in range(G.order):
-        if (seen >> g) & 1:
-            continue
-        for c in bits_iter(C.bits):
-            seen |= 1 << G.mult(c, g)
-        M = _action_matrix(G, basis, vec, g)
+    for M in image:
         delta_rows = [
             [(M[i][j] - ident[i][j]) % pfac for j in range(n_raw)]
             for i in range(n_raw)

@@ -42,9 +42,7 @@ class NotIrreducibleError(ChebotarevError):
 
 
 class TooManySievesError(ChebotarevError):
-    """More reduced conjugate-unions than the exact engine's cap allows,
-    or than the Monte Carlo signature masks hold.
-    """
+    """More reduced conjugate-unions than the exact engine's cap allows."""
 
 
 class NotPrimeError(ChebotarevError):

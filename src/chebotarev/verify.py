@@ -29,7 +29,7 @@ from .exact import (
     ChebValue,
     SieveSystem,
     build_sieves,
-    chebotarev_exact,
+    chebotarev_of_group,
     decimal_string,
     elementary_abelian_cheb,
     frattini_reduce,
@@ -57,36 +57,43 @@ class ItemResult:
 
 @dataclass
 class GroupWork:
-    """Everything the sweeps need about one catalog group, computed once."""
+    """One group carried through the analysis pipeline, computed once."""
 
     label: str
     group: PermGroup
-    soluble: bool
-    sieves: SieveSystem
-    exact: Optional[ChebValue]
+    exact: Optional[ChebValue]  # None when the engine refuses the family
     crowns: CrownData
     d: int
-
-    @property
-    def is_klein(self) -> bool:
-        return is_klein_four(self.group)
+    report: bnd.BoundReport
 
 
-def analyze(label: str, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> GroupWork:
-    G = parse_group(label).group
-    sieves = build_sieves(G)
+def analyze(
+    G: PermGroup, label: str, *, max_sieves: int = DEFAULT_SIEVE_CAP
+) -> GroupWork:
+    """Crowns, exact C(G), d(G) and every bound verdict for one group.
+
+    The one pipeline behind ``chebotarev bounds``, the catalog sweeps and
+    ``scripts/``. C(G) is None when the reduced sieves exceed
+    ``max_sieves``; the verdicts are then NOT_APPLICABLE.
+    """
+    crowns = crown_data(G)
     try:
-        exact = chebotarev_exact(sieves, max_sieves=max_sieves)
+        exact: Optional[ChebValue] = chebotarev_of_group(G, max_sieves=max_sieves)
     except TooManySievesError:
         exact = None
-    return GroupWork(
-        label=label,
-        group=G,
+    d = min_generators(G)
+    report = bnd.build_bound_report(
+        group_id=label,
+        order=G.order,
         soluble=is_soluble(G),
-        sieves=sieves,
-        exact=exact,
-        crowns=crown_data(G),
-        d=min_generators(G),
+        is_klein=is_klein_four(G),
+        exact=None if exact is None else exact.exact,
+        A=crowns.A,
+        B=crowns.B,
+        d=d,
+    )
+    return GroupWork(
+        label=label, group=G, exact=exact, crowns=crowns, d=d, report=report
     )
 
 
@@ -95,7 +102,7 @@ _WORK_CACHE: dict[str, GroupWork] = {}
 
 def work_for(label: str) -> GroupWork:
     if label not in _WORK_CACHE:
-        _WORK_CACHE[label] = analyze(label)
+        _WORK_CACHE[label] = analyze(parse_group(label).group, label)
     return _WORK_CACHE[label]
 
 
@@ -162,7 +169,7 @@ def item_elementary_sweep() -> ItemResult:
             sieve_count = (p**d - 1) // (p - 1)
             if sieve_count <= DEFAULT_SIEVE_CAP:
                 G = affine_group(p, 1, [], power=d)  # regular representation
-                value = chebotarev_exact(build_sieves(G)).exact
+                value = chebotarev_of_group(G).exact
                 engine_ok = value == closed
                 details.append(
                     f"({p},{d}): engine {value} == closed {closed}, bound {'=' if (p, d) == (2, 2) else '<'} ok={bound_ok}"
@@ -185,31 +192,17 @@ def item_elementary_sweep() -> ItemResult:
 # -- items 3, 4, 9: catalog sweeps ------------------------------------------
 
 
-def _catalog_report(w: GroupWork) -> bnd.BoundReport:
-    return bnd.build_bound_report(
-        group_id=w.label,
-        order=w.group.order,
-        soluble=w.soluble,
-        is_klein=w.is_klein,
-        exact=None if w.exact is None else w.exact.exact,
-        A=w.crowns.A,
-        B=w.crowns.B,
-        d=w.d,
-    )
-
-
 def item_five_thirds_catalog() -> ItemResult:
     def run(details: list[str]) -> bool:
         ok = True
         equalities = []
         for label in SOLUBLE_CATALOG:
             w = work_for(label)
-            if not w.soluble or w.exact is None:
+            if not w.report.soluble or w.exact is None:
                 details.append(f"{label}: skipped (insoluble or no exact value)")
                 ok = False
                 continue
-            verdict = bnd.five_thirds_check(w.exact.exact, w.group.order, w.is_klein)
-            if verdict != bnd.Verdict.SATISFIED:
+            if w.report.verdicts["five_thirds"] != bnd.Verdict.SATISFIED:
                 ok = False
                 details.append(f"{label}: VIOLATED")
             if 9 * w.exact.exact**2 == 25 * w.group.order:
@@ -232,10 +225,9 @@ def item_bound_soundness() -> ItemResult:
         ok = True
         for label in SOLUBLE_CATALOG:
             w = work_for(label)
-            report = _catalog_report(w)
             bad = [
                 k
-                for k, v in report.verdicts.items()
+                for k, v in w.report.verdicts.items()
                 if k in ("crown", "min_generators") and v != bnd.Verdict.SATISFIED
             ]
             if bad:
@@ -260,12 +252,13 @@ def item_v_property_decomposition() -> ItemResult:
                 ok = False
                 details.append(f"{label}: no exact value")
                 continue
+            sieves = build_sieves(w.group)
             mx = maximal_classes(w.group)
             cache: dict = {}
             total = Fraction(0)
             for V in w.crowns.A:
                 mask = omega_membership(w.group, mx, V, socle_cache=cache)
-                total += v_property_sum(w.sieves, mask)
+                total += v_property_sum(sieves, mask)
             if w.crowns.B:
                 total += max(V.delta for V in w.crowns.B)
             total += bnd.SIGMA
@@ -290,7 +283,7 @@ def item_ratio_cases() -> ItemResult:
         ok = True
         for case in RATIO_CATALOG:
             w = work_for(case.spec)
-            if w.exact is None or not w.soluble:
+            if w.exact is None or not w.report.soluble:
                 ok = False
                 details.append(f"{case.spec}: unexpected analysis failure")
                 continue
@@ -356,9 +349,10 @@ def item_oracle_equivalence() -> ItemResult:
             if w.group.order > 24:
                 continue
             count += 1
+            sieves = build_sieves(w.group)
             for k in range(5):
-                lhs = invariable_gen_prob(w.sieves, k)
-                rhs = brute_force_invariable_prob(w.sieves, k)
+                lhs = invariable_gen_prob(sieves, k)
+                rhs = brute_force_invariable_prob(sieves, k)
                 if lhs != rhs:
                     ok = False
                     details.append(f"{label} k={k}: {lhs} != {rhs}")
@@ -381,9 +375,10 @@ def item_mc_consistency() -> ItemResult:
         for label in MC_CATALOG:
             w = work_for(label)
             exact = float(w.exact.exact)
+            sieves = build_sieves(w.group)
             hits = 0
             for seed in range(50):
-                rep = mc_estimate(w.sieves, 100_000, seed)
+                rep = mc_estimate(sieves, 100_000, seed)
                 if rep.within_sigmas(exact, 4.0):
                     hits += 1
             details.append(f"{label}: {hits}/50 runs within 4 sigma")
@@ -432,11 +427,7 @@ def item_frattini_invariance() -> ItemResult:
         for label in FRATTINI_CATALOG:
             w = work_for(label)
             Q = frattini_reduce(w.group)
-            reduced_value = (
-                Fraction(0)
-                if Q.order == 1
-                else chebotarev_exact(build_sieves(Q)).exact
-            )
+            reduced_value = chebotarev_of_group(Q).exact
             if w.exact.exact != reduced_value:
                 ok = False
                 details.append(

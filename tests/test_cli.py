@@ -96,6 +96,24 @@ def test_bounds_insoluble_not_applicable(capsys):
     assert set(report["bounds"]["verdicts"].values()) == {"NOT_APPLICABLE"}
 
 
+def test_bounds_trivial_group(capsys):
+    code, report = run_json(capsys, "bounds", "cyclic", "1")
+    assert code == 0
+    assert Fraction(report["chebotarev"]["exact"]) == 0
+    assert report["bounds"]["d"] == 0
+    assert set(report["bounds"]["verdicts"].values()) == {"SATISFIED"}
+
+
+def test_bounds_over_the_sieve_cap_is_not_applicable(capsys):
+    # the engine refuses 31 sieves, so no verdict can be reached
+    code, report = run_json(
+        capsys, "bounds", "elementary", "2", "5", "--cap-sieves", "24"
+    )
+    assert code == 0
+    assert report["chebotarev"] is None and report["bounds"]["exact"] is None
+    assert set(report["bounds"]["verdicts"].values()) == {"NOT_APPLICABLE"}
+
+
 def test_table_output(capsys):
     code = main(["exact", "cyclic", "6"])
     out = capsys.readouterr().out
@@ -125,6 +143,13 @@ def test_constructor_argument_errors_exit_2(capsys):
         code = main(["exact", *spec])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ")
+
+
+def test_mc_trivial_group_exit_2(capsys):
+    # the trivial group has no sieves to draw against
+    code = main(["mc", "cyclic", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_exact_elementary_2_5_json_and_cap(capsys):

@@ -30,7 +30,7 @@ from chebotarev.crowns import (
     _element_matrices,
 )
 from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
-from chebotarev.perm import PermGroup, Permutation, Subgroup, quotient
+from chebotarev.perm import PermGroup, Permutation, Subgroup, quotient, section_centralizer
 from chebotarev.subgroups import all_subgroups, maximal_classes
 
 
@@ -176,6 +176,34 @@ def test_factor_module_a4(group_of):
     mod = factor_module(a4, v4, Subgroup.trivial(a4))
     assert (mod.p, mod.n_raw, mod.h_order) == (2, 2, 3)
     assert mod.p_fix == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_SPECS)
+def test_factor_module_action_matches_section_centralizer(spec, group_of):
+    # H is read off the distinct action matrices; check it against the
+    # commutator centralizer, and p_fix against a count over all of G
+    G = group_of(spec)
+    subs = chief_series(G).subgroups
+    for X, Y in zip(subs, subs[1:]):
+        mod = factor_module(G, X, Y)
+        C = section_centralizer(G, X, Y)
+        assert section_kernel(mod) == C
+        assert mod.h_order * C.order == G.order
+        assert mod.central == (C.order == G.order)
+        ident = mat_identity(mod.n_raw)
+        fixing = sum(
+            1
+            for M in _element_matrices(G, mod.gen_matrices, mod.p)
+            if mat_rank(
+                [
+                    [(M[i][j] - ident[i][j]) % mod.p for j in range(mod.n_raw)]
+                    for i in range(mod.n_raw)
+                ],
+                mod.p,
+            )
+            < mod.n_raw
+        )
+        assert mod.p_fix == Fraction(fixing, G.order)
 
 
 def test_factor_module_rejects_bad_sections(group_of):

@@ -22,3 +22,21 @@ def test_no_assert_statements(path):
 def test_public_names_resolve(name):
     # a removed export must also leave __all__, which a plain import never checks
     assert hasattr(chebotarev, name)
+
+
+
+def test_one_bound_report_pipeline():
+    # every bound verdict comes from verify.analyze; another caller of
+    # build_bound_report would be a second pipeline
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            f = getattr(node, "func", None)
+            if getattr(f, "attr", getattr(f, "id", None)) != "build_bound_report":
+                continue
+            owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            innermost = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
+            calls.append((path.name, innermost and innermost.name))
+    assert calls == [("verify.py", "analyze")]
