@@ -123,6 +123,16 @@ def _cheb_block(cv: ChebValue) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     def add_common(p, *, suppress):
         # flags repeat on every subcommand so both argument orders work;
@@ -161,7 +171,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     add_cmd("exact", "exact waiting-time expectation")
     mcp = add_cmd("mc", "Monte Carlo estimate")
-    mcp.add_argument("--trials", type=int, default=100_000)
+    mcp.add_argument("--trials", type=_positive_int, default=100_000)
     mcp.add_argument("--seed", type=lambda s: int(s) & (2**64 - 1), default=0)
     add_cmd("crowns", "chief factor crown data")
     add_cmd("bounds", "bound evaluations and verdicts")

@@ -18,9 +18,12 @@ field is the self-intertwiner space, and derivations are the nullspace of
 the cocycle condition written along the Cayley graph. The complements of
 an abelian chief factor X/Y solve the inhomogeneous form of the same
 condition, written along the coset graph of X (``_cocycle_rows`` builds
-both systems). For a soluble G they are all of its maximal subgroups,
-which ``subgroups.maximal_classes`` takes from here; the chief series
-and ``crown_data`` are computed once per G and cached on it.
+both systems). Each abelian section is solved once per G: its F_p
+coordinates (shared by its module and its complements) and its
+complements are cached on G, and complementedness is read off the
+complements. For a soluble G they are all of its maximal subgroups, which
+``subgroups.maximal_classes`` takes from here; the chief series and
+``crown_data`` are cached on G too.
 """
 
 from __future__ import annotations
@@ -29,25 +32,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (
-    BadSectionError,
-    InvariantError,
-    NotAbelianFactorError,
-    NotChiefFactorError,
-    NotIrreducibleError,
-)
+from .errors import InvariantError, NotChiefFactorError, NotIrreducibleError
 from .perm import (
     PermGroup,
     Subgroup,
+    _abelian_over,
+    _validate_section,
     bits_iter,
     is_soluble,
 )
-from .subgroups import (
-    MaximalClassData,
-    all_subgroups,
-    maximal_classes,
-    minimal_normal_subgroups,
-)
+from .subgroups import MaximalClassData, all_subgroups, minimal_normal_subgroups
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -208,43 +202,16 @@ def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
     return False
 
 
-def _abelian_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    # A complement of an abelian chief factor X/Y is maximal and contains
-    # Y; conversely a maximal M >= Y with X not in M meets X exactly in Y.
-    # X and Y are normal, so they lie in M iff they lie in its core.
-    return any(
-        Y.bits & ~mc.core_bits == 0 and X.bits & ~mc.core_bits
-        for mc in maximal_classes(G)
-    )
-
-
 def is_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
     """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y).
 
-    Raises ``NotChiefFactorError`` if a normal subgroup of G lies strictly
-    between Y and X.
+    The answer is whether the complement system of X/Y has a solution
+    (``complements``). Raises ``NotChiefFactorError`` if a normal subgroup
+    of G lies strictly between Y and X.
     """
     _validate_section(G, X, Y)
     _check_chief(G, X, Y)
-    return _abelian_complemented(G, X, Y)
-
-
-def _abelian_over(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    # X/Y is abelian iff the commutators of X's generators lie in Y
-    return all(
-        (Y.bits >> G.commutator(a, b)) & 1 for a in X.witnesses for b in X.witnesses
-    )
-
-
-def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
-    if X.group is not G or Y.group is not G:
-        raise BadSectionError("subgroups belong to a different group")
-    if Y.bits & ~X.bits:
-        raise BadSectionError("Y is not contained in X")
-    if not X.is_normal() or not Y.is_normal():
-        raise BadSectionError("X and Y must be normal in G")
-    if not _abelian_over(G, X, Y):
-        raise NotAbelianFactorError("section X/Y is not abelian")
+    return bool(complements(G, X, Y))
 
 
 def _check_chief(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
@@ -263,8 +230,9 @@ class ChiefFactorModule:
 
     ``gen_matrices`` holds one matrix per ambient-group generator, in the
     generator order of ``group`` (column-vector convention, right action:
-    the matrix of g sends v to the class of g^-1 v g). Fields after
-    ``p_fix`` are filled by crown classification.
+    the matrix of g sends v to the class of g^-1 v g), over the section
+    coordinates that ``complements`` shares. Fields after ``p_fix`` are
+    filled by crown classification, which keeps complemented factors only.
     """
 
     group: PermGroup
@@ -274,7 +242,6 @@ class ChiefFactorModule:
     h_order: int
     central: bool
     p_fix: Fraction
-    complemented: Optional[bool] = None
     q: Optional[int] = None
     n: Optional[int] = None
     delta: Optional[int] = None
@@ -288,15 +255,25 @@ class ChiefFactorModule:
 
 
 def _section_coordinates(
-    G: PermGroup, X: Subgroup, Y: Subgroup, p: int
-) -> tuple[list[int], dict[int, tuple[int, ...]], dict[tuple[int, ...], int]]:
+    G: PermGroup, X: Subgroup, Y: Subgroup
+) -> tuple[int, tuple[int, ...], dict[int, tuple[int, ...]], dict[tuple[int, ...], int]]:
     """Coordinates over F_p of the elementary abelian section X/Y.
 
-    Returns ``(basis, vec, rep)``: the elements of X whose Y-cosets form
-    the basis, chosen greedily from coset representatives in discovery
-    order; the coordinate vector of every element of X; and, per vector,
-    the representative of its Y-coset.
+    Returns ``(p, basis, vec, rep)``: the prime p, the smallest divisor of
+    |X/Y|; the elements of X whose Y-cosets form the basis, chosen greedily
+    from coset representatives in discovery order; the coordinate vector
+    of every element of X; and, per vector, the representative of its
+    Y-coset. Raises ``NotChiefFactorError`` if X/Y is trivial or not
+    elementary abelian. Cached on G per (X, Y).
     """
+    key = ("section_coordinates", X.bits, Y.bits)
+    cached = G._cache.get(key)
+    if cached is not None:
+        return cached
+    vorder = X.order // Y.order
+    if vorder == 1:
+        raise NotChiefFactorError("the section X/Y is trivial")
+    p = next(d for d in range(2, vorder + 1) if vorder % d == 0)
     # cosets of Y inside X, id 0 = Y itself (identity has element index 0)
     vid: dict[int, int] = {}
     coset_rep: list[int] = []
@@ -307,8 +284,7 @@ def _section_coordinates(
         coset_rep.append(x)
         for y in bits_iter(Y.bits):
             vid[G.mult(y, x)] = c
-    vorder = len(coset_rep)
-    if vorder * Y.order != X.order or vid[0] != 0:
+    if len(coset_rep) != vorder or vid[0] != 0:
         raise InvariantError("the cosets of Y do not partition X")
 
     def vadd(a: int, b: int) -> int:
@@ -335,7 +311,8 @@ def _section_coordinates(
         raise InvariantError("the coordinates do not cover X/Y")
     vec = {x: coords[c] for x, c in vid.items()}
     rep = {coords[c]: coset_rep[c] for c in range(vorder)}
-    return [coset_rep[b] for b in basis], vec, rep
+    out = G._cache[key] = (p, tuple(coset_rep[b] for b in basis), vec, rep)
+    return out
 
 
 def _action_matrix(
@@ -355,23 +332,10 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     once, that have a nonzero fixed vector (kernel of M - I).
     """
     _validate_section(G, X, Y)
-    vorder = X.order // Y.order
-    if vorder == 1:
-        raise NotChiefFactorError("the section X/Y is trivial")
-    pfac = next(d for d in range(2, vorder + 1) if vorder % d == 0)
-    n_raw = 0
-    t = vorder
-    while t > 1:
-        if t % pfac:
-            raise NotChiefFactorError("abelian chief factor must have prime-power order")
-        t //= pfac
-        n_raw += 1
+    pfac, basis, vec, _ = _section_coordinates(G, X, Y)
+    n_raw = len(basis)
     if check_chief:
         _check_chief(G, X, Y)
-
-    basis, vec, _ = _section_coordinates(G, X, Y, pfac)
-    if len(basis) != n_raw:
-        raise InvariantError("the coordinates do not cover X/Y")
 
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
 
@@ -580,7 +544,7 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
 # -- complements of abelian chief factors --------------------------------
 
 
-def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[Subgroup]:
+def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     """Every U <= G with UX = G and U n X = Y, for an abelian chief factor X/Y.
 
     Such a U meets each coset of X in one coset of Y. BFS the cosets of X,
@@ -596,11 +560,13 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[Subgroup]:
     complements are the solutions of that inhomogeneous cocycle system:
     none if it is inconsistent, else one per point of an affine space over
     Z^1 (Celler, Neubueser and Wright, Acta Appl. Math. 21, 1990).
-    Witnesses are the g^_k followed by Y's.
+    Witnesses are the g^_k followed by Y's. Cached on G per (X, Y).
     """
-    vorder = X.order // Y.order
-    p = next(d for d in range(2, vorder + 1) if vorder % d == 0)
-    basis, vec, rep = _section_coordinates(G, X, Y, p)
+    key = ("complements", X.bits, Y.bits)
+    cached = G._cache.get(key)
+    if cached is not None:
+        return cached
+    p, basis, vec, rep = _section_coordinates(G, X, Y)
     n = len(basis)
     gens = G._bfs_gen_indices
     mult = G.mult
@@ -629,7 +595,8 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[Subgroup]:
     rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
     reduced, pivots = _rref(rows, ncols + 1, p)
     if ncols in pivots:
-        return []
+        G._cache[key] = ()
+        return ()
     particular = [0] * ncols
     for row, col in zip(reduced, pivots):
         particular[col] = row[ncols]
@@ -651,7 +618,8 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[Subgroup]:
         if kbits.bit_count() * X.order != target or kbits & X.bits != Y.bits:
             raise InvariantError("a solution of the complement system is not a complement")
         found.append(Subgroup(G, kbits, tuple(ghat) + Y.witnesses))
-    return found
+    out = G._cache[key] = tuple(found)
+    return out
 
 
 def soluble_maximal_subgroups(G: PermGroup) -> list[Subgroup]:
@@ -689,10 +657,12 @@ class CrownData:
 def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownData:
     """Group the complemented abelian chief factors into isomorphism classes.
 
-    For soluble G every class gets m = 0 (first cohomology vanishes for a
-    soluble group acting faithfully and irreducibly), as does every
-    central class; the non-central classes of an insoluble G keep
-    m = None. With the default series the result is cached on G.
+    An abelian factor counts iff its complement system has a solution
+    (``complements``); only those get a module. For soluble G every class
+    gets m = 0 (first cohomology vanishes for a soluble group acting
+    faithfully and irreducibly), as does every central class; the
+    non-central classes of an insoluble G keep m = None. With the default
+    series the result is cached on G.
     """
     default = series is None
     if default:
@@ -709,14 +679,12 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         if not series.factor_abelian[i]:
             nonabelian.append((series.factor_orders[i], _has_complement(G, X, Y)))
             continue
-        mod = factor_module(G, X, Y, check_chief=False)
-        comp = _abelian_complemented(G, X, Y)
-        mod = replace(mod, complemented=comp, label=f"factor[{i:02d}]")
-        modules.append(mod)
+        if complements(G, X, Y):
+            mod = factor_module(G, X, Y, check_chief=False)
+            modules.append(replace(mod, label=f"factor[{i:02d}]"))
 
-    complemented = [m for m in modules if m.complemented]
     classes: list[list[ChiefFactorModule]] = []
-    for mod in complemented:
+    for mod in modules:
         for cls in classes:
             if g_isomorphic(cls[0], mod):
                 cls.append(mod)

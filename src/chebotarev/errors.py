@@ -22,19 +22,20 @@ class NotNormalError(ChebotarevError):
 
 
 class BadSectionError(ChebotarevError):
-    """X/Y is not a valid section (containment or normality fails, or it is nonabelian)."""
+    """X/Y is not a valid section: X or Y lies in another group or is not normal,
+    Y is not inside X, or X/Y is nonabelian (the subclass ``NotAbelianFactorError``)."""
 
 
 class TrivialGroupError(ChebotarevError):
     """The operation is undefined for the trivial group."""
 
 
-class NotAbelianFactorError(ChebotarevError):
-    """The chief factor is nonabelian where an abelian one is required."""
+class NotAbelianFactorError(BadSectionError):
+    """The section is nonabelian where an abelian one is required."""
 
 
 class NotChiefFactorError(ChebotarevError):
-    """The section X/Y admits an intermediate normal subgroup, so it is not chief."""
+    """X/Y is trivial, not elementary abelian, or has a normal subgroup strictly between."""
 
 
 class NotIrreducibleError(ChebotarevError):

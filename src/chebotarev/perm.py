@@ -21,6 +21,7 @@ from .errors import (
     BadSectionError,
     DegreeMismatchError,
     InvariantError,
+    NotAbelianFactorError,
     NotNormalError,
     OrderCapError,
 )
@@ -539,7 +540,7 @@ def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
     ``epi[i]`` is the index in Q of the image of G's element ``i``.
     """
     if N.group is not G:
-        raise ValueError("subgroup belongs to a different group")
+        raise BadSectionError("subgroup belongs to a different group")
     if not N.is_normal():
         raise NotNormalError("quotient requires a normal subgroup")
     n = G.order
@@ -559,23 +560,33 @@ def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
     return Q, epi
 
 
-def section_centralizer(G: PermGroup, X: Subgroup, Y: Subgroup) -> Subgroup:
-    """The subgroup {g : [g, x] in Y for all x in X} for an abelian section X/Y.
+def _abelian_over(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
+    # X/Y is abelian iff the commutators of X's generators lie in Y
+    return all(
+        (Y.bits >> G.commutator(a, b)) & 1 for a in X.witnesses for b in X.witnesses
+    )
 
-    Requires Y <= X with both normal in G. Checking commutators against
-    the witnesses of X suffices because Y is normal.
-    """
+
+def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
+    # X/Y must be an abelian section of G: Y <= X, both normal in G
     if X.group is not G or Y.group is not G:
-        raise ValueError("subgroups belong to a different group")
+        raise BadSectionError("subgroups belong to a different group")
     if Y.bits & ~X.bits:
         raise BadSectionError("Y is not contained in X")
     if not X.is_normal() or not Y.is_normal():
-        raise BadSectionError("X and Y must both be normal in G")
+        raise BadSectionError("X and Y must be normal in G")
+    if not _abelian_over(G, X, Y):
+        raise NotAbelianFactorError("section X/Y is not abelian")
+
+
+def section_centralizer(G: PermGroup, X: Subgroup, Y: Subgroup) -> Subgroup:
+    """The subgroup {g : [g, x] in Y for all x in X} for an abelian section X/Y.
+
+    Requires Y <= X with both normal in G (``_validate_section``). Checking
+    commutators against the witnesses of X suffices because Y is normal.
+    """
+    _validate_section(G, X, Y)
     xw = X.witnesses
-    for a in xw:
-        for b in xw:
-            if not (Y.bits >> G.commutator(a, b)) & 1:
-                raise BadSectionError("section X/Y is not abelian")
     bits = 0
     ybits = Y.bits
     for g in range(G.order):

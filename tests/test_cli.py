@@ -152,6 +152,15 @@ def test_mc_trivial_group_exit_2(capsys):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_mc_nonpositive_trials_is_a_usage_error(trials, capsys):
+    # rejected while parsing, like a non-integer count
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "cyclic", "2", "--trials", trials])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--trials" in err and "at least 1" in err
+
+
 def test_exact_elementary_2_5_json_and_cap(capsys):
     code, report = run_json(capsys, "exact", "elementary", "2", "5")
     assert code == 0

@@ -133,6 +133,21 @@ def test_complement_from_maximal_cores_matches_lattice_scan(spec, group_of):
             assert is_complemented(G, X, Y) == complement_by_lattice_scan(G, X, Y)
 
 
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_crown_deltas_count_the_complemented_abelian_factors(spec, group_of):
+    # every complemented abelian factor of the series joins one crown class
+    G = group_of(spec)
+    cd = crown_data(G)
+    series = chief_series(G)
+    subs = series.subgroups
+    complemented = sum(
+        1
+        for i in range(len(series))
+        if series.factor_abelian[i] and complement_by_lattice_scan(G, subs[i], subs[i + 1])
+    )
+    assert sum(V.delta for V in cd.A + cd.B) == complemented
+
+
 @pytest.mark.parametrize("spec", SOLUBLE_SPECS + ("elementary 2 5",))
 def test_complements_match_lattice_scan(spec, group_of):
     # the solver's complements of every chief factor, over two series, are
@@ -210,6 +225,10 @@ def test_factor_module_rejects_bad_sections(group_of):
     c4 = group_of("cyclic 4")
     with pytest.raises(NotChiefFactorError):
         factor_module(c4, Subgroup.full(c4), Subgroup.trivial(c4))
+    # |C6| is no prime power: the coordinates refuse it even unchecked
+    c6 = group_of("cyclic 6")
+    with pytest.raises(NotChiefFactorError):
+        factor_module(c6, Subgroup.full(c6), Subgroup.trivial(c6), check_chief=False)
     s4 = group_of("symmetric 4")
     a4 = next(s for s in _normal_subgroups(s4) if s.order == 12)
     with pytest.raises(NotAbelianFactorError):

@@ -17,7 +17,7 @@ from chebotarev.perm import (
     quotient,
     section_centralizer,
 )
-from chebotarev.groupspec import alternating_group, cyclic_group, symmetric_group
+from chebotarev.groupspec import alternating_group, cyclic_group, parse_group, symmetric_group
 
 perm_strategy = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -239,6 +239,16 @@ def test_section_centralizer_bad_section(group_of):
     with pytest.raises(BadSectionError):
         # Y not inside X
         section_centralizer(s4, v4, a4)
+
+
+def test_sections_of_another_group_are_bad_sections():
+    # two separate parses build two distinct groups
+    G = parse_group("cyclic 6").group
+    H = parse_group("cyclic 6").group
+    with pytest.raises(BadSectionError):
+        section_centralizer(G, Subgroup.full(H), Subgroup.trivial(G))
+    with pytest.raises(BadSectionError):
+        quotient(G, Subgroup.trivial(H))
 
 
 def test_bits_iter():

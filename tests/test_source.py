@@ -40,3 +40,15 @@ def test_one_bound_report_pipeline():
             innermost = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
             calls.append((path.name, innermost and innermost.name))
     assert calls == [("verify.py", "analyze")]
+
+
+def test_crowns_never_reads_the_maximal_classes():
+    # complementedness comes from the complement systems; maximal_classes
+    # of a soluble G is itself built from them
+    tree = ast.parse((SRC / "crowns.py").read_text())
+    called = {
+        getattr(n.func, "attr", getattr(n.func, "id", None))
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+    }
+    assert "maximal_classes" not in called
