@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .crowns import crown_data
 from .errors import ChebotarevError
@@ -123,14 +123,19 @@ def _cheb_block(cv: ChebValue) -> dict:
     }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -144,13 +149,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         p.add_argument(
             "--cap-order",
-            type=int,
+            type=_int_at_least(1),
             help="element-table cap",
             **(kw if suppress else {"default": 20_000}),
         )
         p.add_argument(
             "--cap-sieves",
-            type=int,
+            type=_int_at_least(0),
             help="maximum reduced conjugate-unions for the exact engine",
             **(kw if suppress else {"default": DEFAULT_SIEVE_CAP}),
         )
@@ -171,7 +176,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     add_cmd("exact", "exact waiting-time expectation")
     mcp = add_cmd("mc", "Monte Carlo estimate")
-    mcp.add_argument("--trials", type=_positive_int, default=100_000)
+    mcp.add_argument("--trials", type=_int_at_least(1), default=100_000)
     mcp.add_argument("--seed", type=lambda s: int(s) & (2**64 - 1), default=0)
     add_cmd("crowns", "chief factor crown data")
     add_cmd("bounds", "bound evaluations and verdicts")

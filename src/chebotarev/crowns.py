@@ -6,9 +6,14 @@ of coset representatives (discovery order, so runs are reproducible).
 All reported quantities (q, n, delta, theta, p_fix, m) are basis
 invariant even though the matrices themselves are not.
 
-No quotient group is built: the chief series and the socle of each
+The chief series takes abelian factors first, so it runs through the
+soluble radical R. Below R, the chief series and the socle of each
 G/core(M) are found in G by ``minimal_normal_subgroups(G, N)``, which
 returns preimages, and every module acts through G's own generators.
+Above R, the one quotient G/R is built (``perm.quotient``, cached on G;
+G itself when R = 1, none when G is soluble), and only its subgroup
+lattice is walked: for the maximal subgroups of G that contain R, for
+d(G/R) and for the complements of the nonabelian chief factors.
 
 Every module question is linear over F_p and is answered by one
 reduced row echelon form (``_rref``): G-isomorphism is a nonempty
@@ -21,9 +26,10 @@ condition, written along the coset graph of X (``_cocycle_rows`` builds
 both systems). Each abelian section is solved once per G: its F_p
 coordinates (shared by its module and its complements) and its
 complements are cached on G, and complementedness is read off the
-complements. For a soluble G they are all of its maximal subgroups, which
-``subgroups.maximal_classes`` takes from here; the chief series and
-``crown_data`` are cached on G too.
+complements. The complements of the factors below R, with the preimages
+of the maximal subgroups of G/R, are all the maximal subgroups of G
+(``maximal_subgroups``), which ``subgroups.maximal_classes`` takes from
+here; the chief series and ``crown_data`` are cached on G too.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import InvariantError, NotChiefFactorError, NotIrreducibleError
 from .perm import (
     PermGroup,
+    Permutation,
     Subgroup,
     _abelian_over,
     _validate_section,
     bits_iter,
-    is_soluble,
+    quotient,
 )
 from .subgroups import MaximalClassData, all_subgroups, minimal_normal_subgroups
 
@@ -154,22 +161,28 @@ class ChiefSeries:
 
 
 def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
-    """A chief series built bottom-up inside G.
+    """A chief series built bottom-up inside G, through the soluble radical.
 
     Starting from N = 1, each step takes a minimal normal subgroup of G/N
     as its preimage X in G (``minimal_normal_subgroups(G, N)``, sorted by
-    order and bitset) and continues from N = X. ``variant`` rotates that
-    choice at each level; any variant yields a valid series (delta counts
-    downstream do not depend on the choice).
+    order and bitset) and continues from N = X. An abelian one is taken
+    whenever G/N has one: a minimal normal subgroup is a direct power of a
+    simple group, so it is abelian iff |X:N| is a prime power. The abelian
+    factors at the bottom of the series then end at the soluble radical R
+    (G/N has no abelian minimal normal subgroup iff N = R), so every
+    nonabelian factor lies above R. ``variant`` rotates the choice among
+    the candidates at each level; any variant yields a valid series
+    through R (delta counts downstream do not depend on the choice).
     """
     chain_up = [Subgroup.trivial(G)]
     abelian_flags: list[bool] = []
     while chain_up[-1].order < G.order:
         N = chain_up[-1]
         mins = minimal_normal_subgroups(G, N)
-        X = mins[variant % len(mins)]
-        chain_up.append(X)
-        abelian_flags.append(_abelian_over(G, X, N))
+        abelian = [X for X in mins if _is_prime_power(X.order // N.order)]
+        candidates = abelian or mins
+        chain_up.append(candidates[variant % len(candidates)])
+        abelian_flags.append(bool(abelian))
     subs = tuple(reversed(chain_up))
     orders = tuple(
         subs[i].order // subs[i + 1].order for i in range(len(subs) - 1)
@@ -182,24 +195,94 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
     )
 
 
+def _least_prime(n: int) -> int:
+    # the smallest prime divisor of n >= 2
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def _is_prime_power(n: int) -> bool:
+    p = _least_prime(n)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _default_series(G: PermGroup) -> ChiefSeries:
-    # chief_series(G), built once per G and shared by the maximal classes
-    # of a soluble G and crown_data
+    # chief_series(G), built once per G and shared by maximal_subgroups
+    # and crown_data
     series = G._cache.get("chief_series")
     if series is None:
         series = G._cache["chief_series"] = chief_series(G)
     return series
 
 
+def _radical_index(series: ChiefSeries) -> int:
+    # the index in series.subgroups of the soluble radical R: the top of
+    # the bottom run of abelian factors
+    i = len(series)
+    while i > 0 and series.factor_abelian[i - 1]:
+        i -= 1
+    return i
+
+
+def _radical_quotient(G: PermGroup) -> Optional[tuple[PermGroup, Sequence[int], Subgroup]]:
+    """``(Q, epi, R)``: G/R for the soluble radical R, with the projection.
+
+    ``epi[i]`` is the index in Q of the image of G's element i. Q is G
+    itself (no quotient is built) when R = 1, and the result is None when
+    R = G, that is when G is soluble. Cached on G.
+    """
+    if "radical_quotient" in G._cache:
+        return G._cache["radical_quotient"]
+    series = _default_series(G)
+    R = series.subgroups[_radical_index(series)]
+    out: Optional[tuple[PermGroup, Sequence[int], Subgroup]]
+    if R.order == G.order:
+        out = None
+    elif R.order == 1:
+        out = (G, range(G.order), R)
+    else:
+        out = (*quotient(G, R), R)
+    G._cache["radical_quotient"] = out
+    return out
+
+
+def radical_quotient_min_generators(G: PermGroup) -> int:
+    """d(G/R) for the soluble radical R: 0 when G is soluble.
+
+    G/R sorts last in its subgroup lattice, and the breadth-first walk
+    gives it witnesses of minimal length (see ``subgroups``).
+    """
+    top = _radical_quotient(G)
+    return 0 if top is None else len(all_subgroups(top[0])[-1].witnesses)
+
+
 def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    # Lattice scan, needed only for nonabelian chief factors, whose
-    # complements need not be maximal. |UX| = |U||X|/|U n X|, so U
-    # complements X/Y iff U n X = Y and the product set has full size.
-    target = G.order * Y.order
-    for U in all_subgroups(G):
-        if U.bits & X.bits == Y.bits and U.order * X.order == target:
+    # Lattice scan of G/R, needed only for nonabelian chief factors, whose
+    # complements need not be maximal. On a series through R, R <= Y <= U
+    # for any complement U, so U is the preimage of a subgroup of G/R.
+    # |UX| = |U||X|/|U n X|, so U complements X/Y iff U n X = Y and the
+    # product set has full size.
+    top = _radical_quotient(G)
+    if top is None:
+        raise InvariantError("a soluble group has no nonabelian chief factor")
+    Q, epi, R = top
+    if R.bits & ~Y.bits:
+        raise InvariantError("a nonabelian chief factor lies below the soluble radical")
+    xbits = _image_bits(epi, X.bits)
+    ybits = _image_bits(epi, Y.bits)
+    target = Q.order * ybits.bit_count()
+    for U in all_subgroups(Q):
+        if U.bits & xbits == ybits and U.order * xbits.bit_count() == target:
             return True
     return False
+
+
+def _image_bits(epi: Sequence[int], bits: int) -> int:
+    out = 0
+    for i in bits_iter(bits):
+        out |= 1 << epi[i]
+    return out
 
 
 def is_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
@@ -273,7 +356,7 @@ def _section_coordinates(
     vorder = X.order // Y.order
     if vorder == 1:
         raise NotChiefFactorError("the section X/Y is trivial")
-    p = next(d for d in range(2, vorder + 1) if vorder % d == 0)
+    p = _least_prime(vorder)
     # cosets of Y inside X, id 0 = Y itself (identity has element index 0)
     vid: dict[int, int] = {}
     coset_rep: list[int] = []
@@ -622,16 +705,47 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     return out
 
 
-def soluble_maximal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """Every maximal subgroup of a soluble G, each exactly once.
+def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
+    """Every maximal subgroup of G, each exactly once.
 
-    A maximal M complements the abelian chief factor N_{j-1}/N_j of the
-    cached chief series where N_j is the first term inside M, and every
-    complement of a chief factor is maximal; so the complements of all
-    factors list each maximal subgroup once.
+    Take the cached chief series, which runs through the soluble radical
+    R (``chief_series``). A maximal M that does not contain R complements
+    the abelian chief factor N_{j-1}/N_j below R where N_j is the first
+    term inside M, and every complement of such a factor is maximal: these
+    are the complements of the factors below R. A maximal M that contains
+    R is the preimage of a maximal subgroup of G/R, found in the subgroup
+    lattice of G/R; its witnesses lift those of the maximal subgroup of
+    G/R, followed by R's. A soluble G has R = G and walks no lattice; for
+    R = 1 these are the lattice's own maximal subgroups of G (Cannon and
+    Holt, J. Symbolic Comput. 37, 2004).
     """
-    subs = _default_series(G).subgroups
-    return [K for X, Y in zip(subs, subs[1:]) for K in complements(G, X, Y)]
+    series = _default_series(G)
+    subs = series.subgroups[_radical_index(series):]
+    maximal = [K for X, Y in zip(subs, subs[1:]) for K in complements(G, X, Y)]
+    top = _radical_quotient(G)
+    if top is None:
+        return maximal
+    Q, epi, R = top
+    # A proper overgroup of H lies in a maximal subgroup of larger order, so
+    # scanning by decreasing order (Q sorts last) H is maximal iff no
+    # maximal subgroup kept so far contains it.
+    upper: list[Subgroup] = []
+    for s in reversed(all_subgroups(Q)[:-1]):
+        if not any(s.bits & ~m.bits == 0 for m in upper):
+            upper.append(s)
+    if Q is G:
+        return maximal + upper
+    fibre = [0] * Q.order
+    lift = [-1] * Q.order  # the least element of G over each element of Q
+    for i, q in enumerate(epi):
+        fibre[q] |= 1 << i
+        if lift[q] < 0:
+            lift[q] = i
+    for M in upper:
+        bits = sum([fibre[q] for q in bits_iter(M.bits)])  # disjoint fibres
+        wits = tuple(lift[w] for w in M.witnesses) + R.witnesses
+        maximal.append(Subgroup(G, bits, wits))
+    return maximal
 
 
 # -- crown data -----------------------------------------------------------
@@ -658,10 +772,12 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     """Group the complemented abelian chief factors into isomorphism classes.
 
     An abelian factor counts iff its complement system has a solution
-    (``complements``); only those get a module. For soluble G every class
-    gets m = 0 (first cohomology vanishes for a soluble group acting
-    faithfully and irreducibly), as does every central class; the
-    non-central classes of an insoluble G keep m = None. With the default
+    (``complements``); only those get a module. A nonabelian factor lies
+    above the soluble radical R, and its complementedness is a scan of the
+    lattice of G/R. Every class gets m = dim H^1(G/C_G(V), V) over the
+    commutant field: 0 for a soluble G (first cohomology vanishes for a
+    soluble group acting faithfully and irreducibly) and for a central
+    class, else ``derivations`` on the acting group. With the default
     series the result is cached on G.
     """
     default = series is None
@@ -670,7 +786,7 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         if cached is not None:
             return cached
         series = _default_series(G)
-    soluble = is_soluble(G)
+    soluble = all(series.factor_abelian)
     modules: list[ChiefFactorModule] = []
     nonabelian: list[tuple[int, bool]] = []
     subs = series.subgroups
@@ -698,8 +814,9 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         rep = cls[0]
         delta = len(cls)
         q, nv = endo_field(rep)
-        # first cohomology vanishes for soluble H and trivially for H = 1
-        m: Optional[int] = 0 if (soluble or rep.central) else None
+        m = 0
+        if not (soluble or rep.central):
+            m = derivations(_acting_group(rep), rep.gen_matrices, rep.p).m
         rep = replace(
             rep,
             q=q,
@@ -719,6 +836,27 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     if default:
         G._cache["crown_data"] = cd
     return cd
+
+
+def _acting_group(V: ChiefFactorModule) -> PermGroup:
+    # H = G/C_G(V) as the permutations the generator matrices make of the
+    # p^n vectors of V (vector v is the point sum v_i p^i); its generators
+    # align with V.gen_matrices
+    p, n = V.p, V.n_raw
+    vectors = [[(x // p**i) % p for i in range(n)] for x in range(p**n)]
+
+    def point(M: Mat, v: list[int]) -> int:
+        return sum(
+            (sum(a * b for a, b in zip(row, v)) % p) * p**i for i, row in enumerate(M)
+        )
+
+    H = PermGroup(
+        p**n,
+        [Permutation._raw(tuple(point(M, v) for v in vectors)) for M in V.gen_matrices],
+    )
+    if H.order != V.h_order:
+        raise InvariantError("the generator matrices do not generate the acting group")
+    return H
 
 
 # -- omega membership ------------------------------------------------------

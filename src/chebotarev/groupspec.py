@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .crowns import mat_rank
-from .errors import NotPrimeError, ParseError, SingularMatrixError
+from .errors import NotPrimeError, OrderCapError, ParseError, SingularMatrixError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation
 
 
@@ -37,9 +37,32 @@ def check_prime(p: int) -> None:
         raise NotPrimeError(f"{p} is not prime")
 
 
+def _refuse_order(exceeds: bool, order_cap: int) -> None:
+    # constructors check their closed-form order (or a lower bound on it)
+    # before building a single permutation
+    if exceeds:
+        raise OrderCapError(f"group order exceeds cap {order_cap}")
+
+
+def _power_exceeds(p: int, k: int, cap: int) -> bool:
+    # p**k > cap for p >= 2, without building p**k for a huge k
+    return k > cap.bit_length() or p**k > cap
+
+
+def _factorial_exceeds(n: int, cap: int) -> bool:
+    # n! > cap, multiplying only until the product passes cap
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+        if out > cap:
+            return True
+    return False
+
+
 def cyclic_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
+    _refuse_order(n > order_cap, order_cap)
     if n == 1:
         return PermGroup(1, [], order_cap=order_cap)
     images = tuple((i + 1) % n for i in range(n))
@@ -52,6 +75,10 @@ def direct_product(
     """Product acting on the disjoint union of the factors' points."""
     if not groups:
         raise ValueError("direct product needs at least one factor")
+    order = 1
+    for g in groups:
+        order *= g.order
+    _refuse_order(order > order_cap, order_cap)
     degree = sum(g.degree for g in groups)
     gens: list[Permutation] = []
     offset = 0
@@ -68,15 +95,17 @@ def direct_product(
 def elementary_abelian_group(
     p: int, d: int, *, order_cap: int = DEFAULT_ORDER_CAP
 ) -> PermGroup:
-    check_prime(p)
     if d < 1:
         raise ValueError("rank must be >= 1")
+    _refuse_order(p >= 2 and _power_exceeds(p, d, order_cap), order_cap)
+    check_prime(p)
     return direct_product([cyclic_group(p) for _ in range(d)], order_cap=order_cap)
 
 
 def dihedral_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
     if n < 3:
         raise ValueError("dihedral parameter must be >= 3 (order 2n)")
+    _refuse_order(2 * n > order_cap, order_cap)
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
     flip = Permutation(tuple((n - i) % n for i in range(n)))
     return PermGroup(n, [rot, flip], order_cap=order_cap)
@@ -85,6 +114,7 @@ def dihedral_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
 def symmetric_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
     if n < 1:
         raise ValueError("symmetric degree must be >= 1")
+    _refuse_order(_factorial_exceeds(n, order_cap), order_cap)
     if n == 1:
         return PermGroup(1, [], order_cap=order_cap)
     gens = [Permutation((1, 0) + tuple(range(2, n)))]
@@ -96,6 +126,7 @@ def symmetric_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
 def alternating_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
     if n < 3:
         raise ValueError("alternating degree must be >= 3")
+    _refuse_order(_factorial_exceeds(n, 2 * order_cap), order_cap)
     three = list(range(n))
     three[0], three[1], three[2] = 1, 2, 0
     gens = [Permutation(tuple(three))]
@@ -162,15 +193,15 @@ def affine_group(
 
     Points are the p^(n_raw*power) vectors in mixed-radix order;
     generators are the translations by standard basis vectors together
-    with the block-diagonal action of each matrix.
+    with the block-diagonal action of each matrix. The translations alone
+    have order p^(n_raw*power), so that count is checked against the cap.
     """
-    check_prime(p)
     if n_raw < 1 or power < 1:
         raise ValueError("dimensions must be >= 1")
     dim = n_raw * power
+    _refuse_order(p >= 2 and _power_exceeds(p, dim, order_cap), order_cap)
+    check_prime(p)
     npoints = p**dim
-    if npoints > order_cap:
-        raise ValueError(f"point count {npoints} exceeds cap {order_cap}")
     for M in matrices:
         if len(M) != n_raw or any(len(row) != n_raw for row in M):
             raise ValueError("matrix shape does not match n_raw")

@@ -1,8 +1,9 @@
 """Permutations, finite permutation groups, conjugacy classes, sections.
 
 Normal subgroups and sections are bitsets over one group's element
-table; ``quotient`` builds G/N as a group of its own, which only the
-Frattini reduction needs.
+table; ``quotient`` builds G/N as a group of its own, for two callers:
+G modulo its soluble radical, whose subgroup lattice ``crowns`` walks,
+and the Frattini reduction.
 
 Everything downstream assumes a full, deterministically indexed element
 table, so groups here are capped at desk scale (default 20 000 elements).

@@ -1,10 +1,12 @@
 """Subgroup enumeration, maximal classes, Frattini subgroup, minimal generators.
 
-For a soluble G, ``maximal_classes`` and ``min_generators`` never walk
-the subgroup lattice: every maximal subgroup complements one abelian
-chief factor, and d(G) follows from the crown classes, so both come from
-``crowns`` (chief series, complement systems, crown data). The lattice
-serves insoluble groups and the test oracles.
+``maximal_classes`` and ``min_generators`` take one route for every
+group, through its soluble radical R (``crowns``): the maximal subgroups
+are the complements of the chief factors below R and the preimages of the
+maximal subgroups of G/R, and d(G) is the larger of d(G/R) and the crown
+count. Only G/R walks the subgroup lattice: that is G itself when R = 1,
+and a soluble G (R = G) walks none. The lattice of all of G otherwise
+serves the test oracles.
 
 Enumeration is exhaustive (every subgroup exactly once) by cyclic
 extension: start from all cyclic subgroups and extend each subgroup H
@@ -26,9 +28,10 @@ In particular d(G) is the length of G's witnesses.
 
 The coset partition is built once per H, in O(|G|). This is exact and
 fast enough at desk scale; the default cap refuses groups above order
-2000, on both the lattice and the complement route. Orders 1501 to 2000
-lie above the multiplication-table limit, so their products come from
-``PermGroup.mult``'s generator-word fallback.
+2000, in ``all_subgroups`` and, on |G|, in ``maximal_classes`` and
+``min_generators``. Orders 1501 to 2000 lie above the multiplication-table
+limit, so their products come from ``PermGroup.mult``'s generator-word
+fallback.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
-from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes, is_soluble
+from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes
 
 DEFAULT_SUBGROUP_CAP = 2000
 
@@ -123,10 +126,11 @@ class MaximalClassData:
 def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     """Conjugacy classes of maximal subgroups, sorted by (order, bitset).
 
-    A soluble G takes its maximal subgroups from the complements of its
-    chief factors (``crowns.soluble_maximal_subgroups``); any other G from
-    the subgroup lattice. Both refuse groups above ``DEFAULT_SUBGROUP_CAP``
-    with ``OrderCapError``. Results are cached on G.
+    The maximal subgroups come from ``crowns.maximal_subgroups``: the
+    complements of the chief factors below the soluble radical R, and the
+    preimages of the maximal subgroups of G/R. Refuses groups above
+    ``DEFAULT_SUBGROUP_CAP`` with ``OrderCapError``. Results are cached
+    on G.
     """
     cached = G._cache.get("maximal_classes")
     if cached is not None:
@@ -134,18 +138,9 @@ def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     _refuse_above(G)
-    if is_soluble(G):
-        from .crowns import soluble_maximal_subgroups
+    from .crowns import maximal_subgroups
 
-        maximal = soluble_maximal_subgroups(G)
-    else:
-        # A proper overgroup of H lies in a maximal subgroup of larger order,
-        # so scanning by decreasing order (G sorts last) H is maximal iff no
-        # maximal subgroup kept so far contains it.
-        maximal = []
-        for s in reversed(all_subgroups(G)[:-1]):
-            if not any(s.bits & ~m.bits == 0 for m in maximal):
-                maximal.append(s)
+    maximal = maximal_subgroups(G)
     gens = G._bfs_gen_indices
     assigned: set[int] = set()
     classes: list[MaximalClassData] = []
@@ -246,24 +241,25 @@ def minimal_normal_subgroups(
 def min_generators(G: PermGroup) -> int:
     """d(G): the smallest k such that some k-tuple generates G (0 if trivial).
 
-    For soluble G != 1 it comes from the complemented crown classes V of
-    ``crown_data`` (Gaschuetz's count, W. Gaschuetz, Illinois J. Math. 3,
-    1959): the maximum of 1, delta_V over the central classes and
-    1 + ceil((delta_V + m_V) / n_V) over the others, where m_V = 0. Any
-    other G reads it off ``all_subgroups``: G sorts last and its witnesses
-    have minimal length (see the module docstring). Both refuse groups
-    above ``DEFAULT_SUBGROUP_CAP`` with ``OrderCapError``.
+    With R the soluble radical, d(G) is the maximum of d(G/R), 1, delta_V
+    over the central crown classes V of ``crown_data`` and
+    1 + ceil((delta_V + m_V) / n_V) over the others. Every crown-based
+    power of G has d at most d(G), d(G) is attained on one of them
+    (Dalla Volta and Lucchini, J. Austral. Math. Soc. A 64, 1998), the
+    nonabelian ones are quotients of G/R, and the abelian ones follow
+    Gaschuetz's count (W. Gaschuetz, Illinois J. Math. 3, 1959). d(G/R) is
+    the depth of G/R in its lattice walk (see the module docstring), 0 for
+    a soluble G. Refuses groups above ``DEFAULT_SUBGROUP_CAP`` with
+    ``OrderCapError``.
     """
     if G.order == 1:
         return 0
     _refuse_above(G)
-    if not is_soluble(G):
-        return len(all_subgroups(G)[-1].witnesses)
-    from .crowns import crown_data
+    from .crowns import crown_data, radical_quotient_min_generators
 
     cd = crown_data(G)
     return max(
-        [1]
+        [radical_quotient_min_generators(G), 1]
         + [V.delta for V in cd.central]
         + [1 + -(-(V.delta + V.m) // V.n) for V in cd.non_central]
     )

@@ -133,6 +133,33 @@ def test_cap_flags(capsys):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [
+        ("--cap-order", "0", 1),
+        ("--cap-order", "-1", 1),
+        ("--cap-sieves", "-3", 0),
+    ],
+)
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_cap_flags_below_their_minimum_are_usage_errors(flag, value, low, before, capsys):
+    # rejected while parsing, on either side of the subcommand
+    spec = ["bounds", "cyclic", "6"]
+    argv = [flag, value, *spec] if before else [*spec, flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert flag in captured.err and f"at least {low}" in captured.err
+
+
+def test_cap_flags_at_their_minimum(capsys):
+    code, report = run_json(capsys, "bounds", "cyclic", "1", "--cap-order", "1")
+    assert code == 0 and report["group"]["order"] == 1
+    code, report = run_json(capsys, "--cap-sieves", "0", "bounds", "cyclic", "6")
+    assert code == 0 and report["chebotarev"] is None
+
+
 def test_constructor_argument_errors_exit_2(capsys):
     for spec in (
         ["cyclic", "0"],
@@ -173,15 +200,19 @@ def test_exact_elementary_2_5_json_and_cap(capsys):
     assert code == 2 and "cap of 24" in err
 
 
-def _refuse_lattice(monkeypatch):
-    # every namespace that binds all_subgroups gets a stand-in that raises
-    def refuse(*args, **kwargs):
-        raise RuntimeError("the subgroup lattice was walked")
-
+def _replace_lattice(monkeypatch, stand_in):
+    # every namespace that binds all_subgroups gets the stand-in
     original = subgroups.all_subgroups
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "chebotarev" and getattr(mod, "all_subgroups", None) is original:
-            monkeypatch.setattr(mod, "all_subgroups", refuse)
+            monkeypatch.setattr(mod, "all_subgroups", stand_in)
+
+
+def _refuse_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the subgroup lattice was walked")
+
+    _replace_lattice(monkeypatch, refuse)
 
 
 @pytest.mark.parametrize("spec", SOLUBLE_SPECS)
@@ -190,6 +221,22 @@ def test_soluble_reports_skip_the_lattice(spec, capsys, monkeypatch):
     for command in ("bounds", "exact", "crowns"):
         code, _ = run_json(capsys, command, *spec.split())
         assert code == 0
+
+
+def test_radical_reports_walk_only_the_quotient_lattice(capsys, monkeypatch):
+    # A5 x S4 has soluble radical S4: only A5 = G/R walks the lattice
+    orders = []
+    original = subgroups.all_subgroups
+
+    def record(G, *args, **kwargs):
+        orders.append(G.order)
+        return original(G, *args, **kwargs)
+
+    _replace_lattice(monkeypatch, record)
+    code, report = run_json(capsys, "bounds", *"direct_product alternating 5 symmetric 4".split())
+    assert code == 0 and report["bounds"]["d"] == 2
+    assert orders and set(orders) == {60}
+    assert all(isinstance(V["m"], int) for V in report["crowns"])
 
 
 def test_insoluble_reports_use_the_lattice(monkeypatch):

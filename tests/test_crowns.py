@@ -30,7 +30,7 @@ from chebotarev.crowns import (
     _element_matrices,
 )
 from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
-from chebotarev.perm import PermGroup, Permutation, Subgroup, quotient, section_centralizer
+from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient, section_centralizer
 from chebotarev.subgroups import all_subgroups, maximal_classes
 
 
@@ -370,6 +370,101 @@ def test_derivations_match_brute_search_on_catalog(spec, group_of):
             HQ, V.gen_matrices, V.p
         )
         assert res.m == V.m == 0
+
+
+AGL32 = "affine 2 3 [[1,1,0],[0,1,0],[0,0,1]] [[0,0,1],[1,0,0],[0,1,0]]"
+SL24_ON_F2_4 = (
+    "affine 2 4 [[1,0,1,0],[0,1,0,1],[0,0,1,0],[0,0,0,1]]"
+    " [[1,0,0,1],[0,1,1,1],[0,0,1,0],[0,0,0,1]]"
+    " [[1,0,0,0],[0,1,0,0],[1,0,1,0],[0,1,0,1]]"
+)
+RADICAL_SPECS = (
+    "direct_product alternating 5 cyclic 3",
+    "direct_product symmetric 3 alternating 5",
+    "direct_product alternating 5 alternating 4",
+    "direct_product symmetric 5 symmetric 3",
+)
+
+
+@pytest.mark.parametrize(
+    "spec, order, q, n",
+    [(AGL32, 1344, 2, 3), (SL24_ON_F2_4, 960, 4, 2)],
+    ids=["AGL(3,2)", "2^4:SL(2,4)"],
+)
+def test_insoluble_crown_with_nonzero_cohomology(spec, order, q, n, group_of):
+    # the natural module of GL(3,2) = SL(3,2) and of SL(2,4), each split
+    # by its linear group: H^1 is one-dimensional, so m = 1, and
+    # d(G) = 1 + ceil((delta + m) / n) = 2
+    from chebotarev.subgroups import min_generators
+
+    G = group_of(spec)
+    assert G.order == order
+    cd = crown_data(G)
+    assert not cd.B and len(cd.A) == 1
+    V = cd.A[0]
+    assert (V.q, V.n, V.delta, V.m) == (q, n, 1, 1)
+    HQ, _ = quotient(G, section_kernel(V))
+    assert HQ.order == V.h_order == order // V.module_order
+    der_count, inner_count = brute_derivation_count(HQ, V.gen_matrices, V.p)
+    assert der_count == inner_count * q**V.m
+    # V = R is the bottom factor, and its complements match the derivations
+    subs = chief_series(G).subgroups
+    assert V.label == f"factor[{len(subs) - 2:02d}]"
+    assert len(complements(G, subs[-2], subs[-1])) == der_count
+    assert min_generators(G) == 2
+
+
+def test_insoluble_non_central_class_gets_m(group_of):
+    # C_3 inverted by S_3 / C_3 in S_5 x S_3: m was unknown before the
+    # derivation count on the acting group
+    cd = crown_data(group_of("direct_product symmetric 5 symmetric 3"))
+    assert [(V.p, V.h_order, V.m) for V in cd.A] == [(3, 2, 0)]
+    assert cd.nonabelian_factors == ((60, True),)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + RADICAL_SPECS)
+def test_every_crown_class_has_m(spec, group_of):
+    G = group_of(spec)
+    for V in crown_data(G).A + crown_data(G).B:
+        assert V.m is not None
+        if not V.central:
+            HQ, _ = quotient(G, section_kernel(V))
+            assert derivations(HQ, V.gen_matrices, V.p).m == V.m
+
+
+@pytest.mark.parametrize("variant", [0, 1, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "symmetric 5",
+        "direct_product cyclic 2 symmetric 5",
+        "direct_product alternating 5 cyclic 3",
+        "direct_product symmetric 3 alternating 5",
+    ],
+)
+def test_chief_series_runs_through_the_soluble_radical(spec, variant, group_of):
+    # abelian factors first: the bottom run of abelian factors ends at the
+    # largest soluble normal subgroup, and every nonabelian factor lies
+    # above it and is checked against the lattice scan
+    G = group_of(spec)
+    series = chief_series(G, variant=variant)
+    subs = series.subgroups
+    flags = series.factor_abelian
+    top = max((i for i, a in enumerate(flags) if not a), default=-1) + 1
+    R = subs[top]
+    assert all(flags[top:])
+    soluble_normals = [
+        N
+        for N in _normal_subgroups(G)
+        if is_soluble(PermGroup(G.degree, [G.elements[w] for w in N.witnesses]))
+    ]
+    assert R.bits == max(soluble_normals, key=lambda N: N.order).bits
+    assert all(N.bits & ~R.bits == 0 for N in soluble_normals)
+    cd = crown_data(G, series=series)
+    nonab = [(X, Y) for X, Y, a in zip(subs, subs[1:], flags) if not a]
+    assert [comp for _, comp in cd.nonabelian_factors] == [
+        complement_by_lattice_scan(G, X, Y) for X, Y in nonab
+    ]
 
 
 def test_derivations_inversion_action(group_of):

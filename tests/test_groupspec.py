@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from chebotarev.errors import NotPrimeError, ParseError, SingularMatrixError
+from chebotarev import perm
+from chebotarev.cli import main
+from chebotarev.errors import NotPrimeError, OrderCapError, ParseError, SingularMatrixError
 from chebotarev.groupspec import (
     affine_group,
     alternating_group,
@@ -127,3 +129,74 @@ def test_parse_errors(bad):
 def test_symmetric_factorial_orders():
     for n in range(1, 6):
         assert symmetric_group(n).order == math.factorial(n)
+
+
+@pytest.fixture
+def permgroup_calls(monkeypatch):
+    # records every PermGroup construction, then builds it as usual
+    calls = []
+    original = perm.PermGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(perm.PermGroup, "__init__", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic 20001",
+        "cyclic 99999999999",
+        "dihedral 10001",
+        "elementary 2 15",
+        "elementary 2 99999999999",
+        "symmetric 100000",
+        "alternating 9",
+        "affine 2 15",
+        "affine 2 3 power 99999999999",
+        "direct_product cyclic 200 cyclic 101",
+    ],
+)
+def test_order_cap_refuses_before_building(spec, permgroup_calls, capsys):
+    # the closed-form order (for affine, its point count) is checked first,
+    # so no permutation of the oversized group is built; a direct product
+    # builds only its factors
+    with pytest.raises(OrderCapError):
+        parse_group(spec)
+    assert all(args[0] <= 200 for args in permgroup_calls)
+    if not spec.startswith("direct_product"):
+        assert permgroup_calls == []
+    assert main(["exact", *spec.split()]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (lambda cap: cyclic_group(12, order_cap=cap), 12),
+        (lambda cap: dihedral_group(5, order_cap=cap), 10),
+        (lambda cap: elementary_abelian_group(2, 3, order_cap=cap), 8),
+        (lambda cap: symmetric_group(5, order_cap=cap), 120),
+        (lambda cap: alternating_group(6, order_cap=cap), 360),
+    ],
+)
+def test_order_cap_is_inclusive(build, order, permgroup_calls):
+    assert build(order).order == order
+    permgroup_calls.clear()
+    with pytest.raises(OrderCapError):
+        build(order - 1)
+    assert permgroup_calls == []
+
+
+def test_affine_cap_checks_the_point_count(permgroup_calls):
+    # order 20 on 5 points: the point count is a lower bound on the order
+    assert affine_group(5, 1, [[[2]]], order_cap=20).order == 20
+    with pytest.raises(OrderCapError):
+        affine_group(5, 1, [[[2]]], order_cap=19)
+    permgroup_calls.clear()
+    with pytest.raises(OrderCapError):
+        affine_group(5, 1, [[[2]]], order_cap=4)
+    assert permgroup_calls == []

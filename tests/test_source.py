@@ -24,22 +24,38 @@ def test_public_names_resolve(name):
     assert hasattr(chebotarev, name)
 
 
-
-def test_one_bound_report_pipeline():
-    # every bound verdict comes from verify.analyze; another caller of
-    # build_bound_report would be a second pipeline
+def _calls(name):
+    # (file, innermost enclosing function) of every call to ``name`` in src/
     calls = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         for node in ast.walk(tree):
             f = getattr(node, "func", None)
-            if getattr(f, "attr", getattr(f, "id", None)) != "build_bound_report":
+            if getattr(f, "attr", getattr(f, "id", None)) != name:
                 continue
             owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
             innermost = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
             calls.append((path.name, innermost and innermost.name))
-    assert calls == [("verify.py", "analyze")]
+    return calls
+
+
+def test_one_bound_report_pipeline():
+    # every bound verdict comes from verify.analyze; another caller of
+    # build_bound_report would be a second pipeline
+    assert _calls("build_bound_report") == [("verify.py", "analyze")]
+
+
+def test_one_maximal_subgroup_route():
+    # maximal subgroups, d(G) and nonabelian complementedness all go
+    # through the soluble radical: no solubility fork in subgroups, and
+    # only G/R walks the subgroup lattice
+    assert [c for c in _calls("is_soluble") if c[0] == "subgroups.py"] == []
+    assert sorted(set(_calls("all_subgroups"))) == [
+        ("crowns.py", "_has_complement"),
+        ("crowns.py", "maximal_subgroups"),
+        ("crowns.py", "radical_quotient_min_generators"),
+    ]
 
 
 def test_crowns_never_reads_the_maximal_classes():

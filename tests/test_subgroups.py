@@ -124,8 +124,8 @@ def test_maximal_classes_examples(group_of):
 def test_maximal_union_covering_group_is_typed_error():
     # A hand-built lattice whose only proper nontrivial member is the
     # non-subgroup holding one element of each conjugacy class: its
-    # conjugates cover G. A5 is insoluble, so its maximal classes come
-    # from the (planted) lattice.
+    # conjugates cover G. A5 has a trivial soluble radical, so its maximal
+    # classes come from the (planted) lattice of G itself.
     G = parse_group("alternating 5").group
     fake = Subgroup(G, sum(1 << r for r in conjugacy_classes(G).reps), ())
     G._cache["all_subgroups"] = [Subgroup.trivial(G), fake, Subgroup.full(G)]
@@ -163,6 +163,19 @@ def test_maximality_exhaustive(spec, group_of):
     assert maximal_bits <= {H.bits for H in all_maximal}
 
 
+# Insoluble groups: soluble radical R = 1 (the lattice of G itself) and
+# R != 1 (complements below R, preimages of the maximal subgroups of G/R).
+INSOLUBLE_SPECS = (
+    "symmetric 5",
+    "alternating 5",
+    "alternating 6",
+    "direct_product alternating 5 cyclic 3",
+    "direct_product alternating 5 elementary 2 2",
+    "direct_product cyclic 2 symmetric 5",
+    "direct_product symmetric 3 alternating 5",
+)
+
+
 @pytest.mark.parametrize(
     "spec",
     tuple(
@@ -171,6 +184,7 @@ def test_maximality_exhaustive(spec, group_of):
             + ("elementary 2 5",)
             + EXACT_SPECS
             + ("elementary 2 6", "direct_product symmetric 3 symmetric 3 symmetric 3")
+            + INSOLUBLE_SPECS
         )
     ),
 )
@@ -181,6 +195,8 @@ def test_maximal_classes_match_pairwise_scan(spec, group_of):
         for c in maximal_classes(G)
     ]
     assert got == maximal_classes_by_pairs(G)
+    for c in maximal_classes(G):
+        assert G.closure_bits(c.representative.witnesses) == c.representative.bits
 
 
 def test_core_is_intersection_of_class(group_of):
@@ -315,10 +331,11 @@ def test_subgroup_witnesses_have_minimal_length(spec, group_of):
 
 @pytest.mark.parametrize(
     "spec",
-    ["elementary 2 6", "elementary 3 4", "direct_product symmetric 3 symmetric 3 symmetric 3"],
+    ("elementary 2 6", "elementary 3 4", "direct_product symmetric 3 symmetric 3 symmetric 3")
+    + INSOLUBLE_SPECS,
 )
 def test_min_generators_match_lattice_depth(spec, group_of):
-    # soluble: the crown count against G's depth in the lattice walk
+    # d(G/R) and the crown count against G's depth in the lattice walk
     G = group_of(spec)
     assert min_generators(G) == min_generators_by_lattice(G)
 
