@@ -17,6 +17,7 @@ fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -138,7 +139,10 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only parses."""
+
     def add_common(p, *, suppress):
         # flags repeat on every subcommand so both argument orders work;
         # SUPPRESS keeps an absent subcommand flag from clobbering the
@@ -181,8 +185,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     add_cmd("crowns", "chief factor crown data")
     add_cmd("bounds", "bound evaluations and verdicts")
     add_cmd("verify-paper", "run the full verification catalog", with_spec=False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
 
     try:

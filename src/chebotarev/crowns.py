@@ -28,8 +28,11 @@ coordinates (shared by its module and its complements) and its
 complements are cached on G, and complementedness is read off the
 complements. The complements of the factors below R, with the preimages
 of the maximal subgroups of G/R, are all the maximal subgroups of G
-(``maximal_subgroups``), which ``subgroups.maximal_classes`` takes from
-here; the chief series and ``crown_data`` are cached on G too.
+(``maximal_subgroups``), in the conjugacy classes that
+``subgroups.maximal_classes`` takes from here: a factor's complements
+are classed by their solutions modulo the coboundaries B^1, so only the
+preimages from G/R are classed by conjugation. The chief series, the
+right cosets of its terms and ``crown_data`` are cached on G too.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .perm import (
     bits_iter,
     quotient,
 )
-from .subgroups import MaximalClassData, all_subgroups, minimal_normal_subgroups
+from .subgroups import MaximalClassData, _cosets, all_subgroups, minimal_normal_subgroups
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -178,6 +181,9 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
     abelian_flags: list[bool] = []
     while chain_up[-1].order < G.order:
         N = chain_up[-1]
+        # each term's cosets are partitioned once per G: read here and by
+        # ``complements`` for both factors the term bounds
+        _cosets(G, N.bits, keep=True)
         mins = minimal_normal_subgroups(G, N)
         abelian = [X for X in mins if _is_prime_power(X.order // N.order)]
         candidates = abelian or mins
@@ -208,8 +214,8 @@ def _is_prime_power(n: int) -> bool:
 
 
 def _default_series(G: PermGroup) -> ChiefSeries:
-    # chief_series(G), built once per G and shared by maximal_subgroups
-    # and crown_data
+    # chief_series(G), built once per G and shared by
+    # maximal_subgroups, crown_data and perm.is_soluble
     series = G._cache.get("chief_series")
     if series is None:
         series = G._cache["chief_series"] = chief_series(G)
@@ -411,8 +417,10 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     """Matrices, centralizer size and fixed-vector probability for X/Y.
 
     The basis is chosen greedily from coset representatives in discovery
-    order. ``p_fix`` is the share of the action matrices of G, each counted
-    once, that have a nonzero fixed vector (kernel of M - I).
+    order. The acting group H = G/C_G(X/Y) is the closure of the generator
+    matrices under multiplication, so no other element of G is conjugated.
+    ``p_fix`` is the share of the elements of H that have a nonzero fixed
+    vector (kernel of M - I).
     """
     _validate_section(G, X, Y)
     pfac, basis, vec, _ = _section_coordinates(G, X, Y)
@@ -422,13 +430,20 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
 
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
 
-    # g acts on X/Y through its matrix, with kernel C_G(X/Y): the distinct
-    # matrices are the |G : C| elements of the acting group H
-    image = {_action_matrix(G, basis, vec, g) for g in range(G.order)}
+    # g acts on X/Y through its matrix, with kernel C_G(X/Y): the products
+    # of the generator matrices are the |G : C| elements of the acting group H
+    ident = mat_identity(n_raw)
+    image = {ident}
+    frontier = [ident]
+    for M in frontier:  # grows while it is walked
+        for A in gen_mats:
+            B = mat_mul(A, M, pfac)
+            if B not in image:
+                image.add(B)
+                frontier.append(B)
     h_order = len(image)
     central = h_order == 1
     fix_count = 0
-    ident = mat_identity(n_raw)
     for M in image:
         delta_rows = [
             [(M[i][j] - ident[i][j]) % pfac for j in range(n_raw)]
@@ -645,6 +660,31 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     Z^1 (Celler, Neubueser and Wright, Acta Appl. Math. 21, 1990).
     Witnesses are the g^_k followed by Y's. Cached on G per (X, Y).
     """
+    return _complement_system(G, X, Y)[0]
+
+
+def complement_classes(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[list[Subgroup]]:
+    """The complements of the abelian chief factor X/Y in conjugacy classes.
+
+    G = UX, so the conjugates of a complement U are its conjugates by X,
+    and Y <= U acts trivially. Conjugating by x(v) sends g^_k = g_k x(u_k)
+    to g_k x(u_k + (I - M_k) v), where M_k is the matrix of g_k
+    (``complements``). So two complements are conjugate iff their solution
+    vectors differ by an element of the coboundaries B^1, spanned by
+    ((I - M_k) v)_k over v in X/Y: the classes are the cosets of B^1, in
+    the order of their first member, and no element is conjugated.
+    """
+    classes: dict[tuple[int, ...], list[Subgroup]] = {}
+    for K, key in zip(*_complement_system(G, X, Y)):
+        classes.setdefault(key, []).append(K)
+    return list(classes.values())
+
+
+def _complement_system(
+    G: PermGroup, X: Subgroup, Y: Subgroup
+) -> tuple[tuple[Subgroup, ...], tuple[tuple[int, ...], ...]]:
+    # (the complements of X/Y, each one's solution vector reduced modulo
+    # B^1), cached on G per (X, Y); see ``complements``
     key = ("complements", X.bits, Y.bits)
     cached = G._cache.get(key)
     if cached is not None:
@@ -653,7 +693,7 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     n = len(basis)
     gens = G._bfs_gen_indices
     mult = G.mult
-    _, xcid, _ = G.right_cosets(X.bits)
+    _, xcid, _ = _cosets(G, X.bits)
     node = {xcid[0]: 0}
     tree = [0]
     parent, via, right = [-1], [-1], []
@@ -678,8 +718,8 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
     reduced, pivots = _rref(rows, ncols + 1, p)
     if ncols in pivots:
-        G._cache[key] = ()
-        return ()
+        out = G._cache[key] = ((), ())
+        return out
     particular = [0] * ncols
     for row, col in zip(reduced, pivots):
         particular[col] = row[ncols]
@@ -688,10 +728,17 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
         solutions = [
             [(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions
         ]
+    # B^1 is spanned by ((I - M_k) e_i)_k over the basis vectors e_i
+    coboundaries, b1_pivots = _rref(
+        ([int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)),
+        ncols,
+        p,
+    )
 
-    _, ycid, ycbits = G.right_cosets(Y.bits)
+    _, ycid, ycbits = _cosets(G, Y.bits)
     target = G.order * Y.order
     found = []
+    keys = []
     for u in solutions:
         ghat = [mult(g, rep[tuple(u[k * n : (k + 1) * n])]) for k, g in enumerate(gens)]
         that = [0]
@@ -701,30 +748,37 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
         if kbits.bit_count() * X.order != target or kbits & X.bits != Y.bits:
             raise InvariantError("a solution of the complement system is not a complement")
         found.append(Subgroup(G, kbits, tuple(ghat) + Y.witnesses))
-    out = G._cache[key] = tuple(found)
+        for row, col in zip(coboundaries, b1_pivots):
+            f = u[col]
+            if f:
+                u = [(a - f * b) % p for a, b in zip(u, row)]
+        keys.append(tuple(u))
+    out = G._cache[key] = (tuple(found), tuple(keys))
     return out
 
 
-def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """Every maximal subgroup of G, each exactly once.
+def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
+    """Every maximal subgroup of G, each exactly once, in conjugacy classes.
 
     Take the cached chief series, which runs through the soluble radical
     R (``chief_series``). A maximal M that does not contain R complements
     the abelian chief factor N_{j-1}/N_j below R where N_j is the first
     term inside M, and every complement of such a factor is maximal: these
-    are the complements of the factors below R. A maximal M that contains
-    R is the preimage of a maximal subgroup of G/R, found in the subgroup
-    lattice of G/R; its witnesses lift those of the maximal subgroup of
-    G/R, followed by R's. A soluble G has R = G and walks no lattice; for
-    R = 1 these are the lattice's own maximal subgroups of G (Cannon and
-    Holt, J. Symbolic Comput. 37, 2004).
+    are the complements of the factors below R, in the classes of
+    ``complement_classes``. A maximal M that contains R is the preimage of
+    a maximal subgroup of G/R, found in the subgroup lattice of G/R; its
+    class is the preimage of its class in G/R, walked by conjugation with
+    the generators of G/R, and its witnesses lift those of the maximal
+    subgroup of G/R, followed by R's. A soluble G has R = G and walks no
+    lattice; for R = 1 these are the lattice's own maximal subgroups of G
+    (Cannon and Holt, J. Symbolic Comput. 37, 2004).
     """
     series = _default_series(G)
     subs = series.subgroups[_radical_index(series):]
-    maximal = [K for X, Y in zip(subs, subs[1:]) for K in complements(G, X, Y)]
+    classes = [cls for X, Y in zip(subs, subs[1:]) for cls in complement_classes(G, X, Y)]
     top = _radical_quotient(G)
     if top is None:
-        return maximal
+        return classes
     Q, epi, R = top
     # A proper overgroup of H lies in a maximal subgroup of larger order, so
     # scanning by decreasing order (Q sorts last) H is maximal iff no
@@ -733,19 +787,34 @@ def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
     for s in reversed(all_subgroups(Q)[:-1]):
         if not any(s.bits & ~m.bits == 0 for m in upper):
             upper.append(s)
+    by_bits = {M.bits: M for M in upper}
+    orbits: list[list[Subgroup]] = []
+    for M in upper:
+        if M.bits not in by_bits:
+            continue  # in an earlier orbit
+        orbit = [M.bits]
+        seen = {M.bits}
+        for b in orbit:  # grows while it is walked
+            for g in Q._bfs_gen_indices:
+                c = Q.conj_bits(b, g)
+                if c not in seen:
+                    seen.add(c)
+                    orbit.append(c)
+        orbits.append([by_bits.pop(b, None) or Subgroup(Q, b) for b in orbit])
     if Q is G:
-        return maximal + upper
+        return classes + orbits
     fibre = [0] * Q.order
     lift = [-1] * Q.order  # the least element of G over each element of Q
     for i, q in enumerate(epi):
         fibre[q] |= 1 << i
         if lift[q] < 0:
             lift[q] = i
-    for M in upper:
+
+    def preimage(M: Subgroup) -> Subgroup:
         bits = sum([fibre[q] for q in bits_iter(M.bits)])  # disjoint fibres
-        wits = tuple(lift[w] for w in M.witnesses) + R.witnesses
-        maximal.append(Subgroup(G, bits, wits))
-    return maximal
+        return Subgroup(G, bits, tuple(lift[w] for w in M.witnesses) + R.witnesses)
+
+    return classes + [[preimage(M) for M in orbit] for orbit in orbits]
 
 
 # -- crown data -----------------------------------------------------------

@@ -18,7 +18,11 @@ F_p^NRAW with the matrix group generated by the listed invertible
 matrices (no matrices gives the plain translation group, i.e. the
 regular representation of an elementary abelian group), acting on the
 p^(NRAW*DELTA) vectors. Matrices are JSON row lists like
-``[[0,1],[1,1]]``. Permutations use 1-based cycle notation.
+``[[0,1],[1,1]]``. Permutations use 1-based cycle notation; ``perm``
+refuses a DEGREE above ``PERM_DEGREE_LIMIT`` (20 000, the largest degree
+another constructor reaches at the default order cap) with
+``OrderCapError`` before it builds any permutation, since the order cap
+never sees the degree.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from dataclasses import dataclass
 from .crowns import mat_rank
 from .errors import NotPrimeError, OrderCapError, ParseError, SingularMatrixError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation
+
+PERM_DEGREE_LIMIT = DEFAULT_ORDER_CAP
 
 
 def check_prime(p: int) -> None:
@@ -361,6 +367,10 @@ def _parse_spec(
             )
         if head == "perm":
             degree, pos = _take_int(tokens, pos, "degree")
+            if degree > PERM_DEGREE_LIMIT:
+                raise OrderCapError(
+                    f"permutation degree {degree} exceeds the limit {PERM_DEGREE_LIMIT}"
+                )
             gens: list[Permutation] = []
             while pos < len(tokens) and tokens[pos].startswith("("):
                 gens.append(Permutation.from_cycle_string(tokens[pos], degree))

@@ -3,7 +3,11 @@
 Normal subgroups and sections are bitsets over one group's element
 table; ``quotient`` builds G/N as a group of its own, for two callers:
 G modulo its soluble radical, whose subgroup lattice ``crowns`` walks,
-and the Frattini reduction.
+and the Frattini reduction. A subgroup's generating witnesses are found
+on first read, and normality is checked on them: every generator of G
+must conjugate every witness into the subgroup. Solubility is read off
+the chief series that ``crowns`` caches on G (every factor abelian), so
+no derived series is computed.
 
 Everything downstream assumes a full, deterministically indexed element
 table, so groups here are capped at desk scale (default 20 000 elements).
@@ -388,9 +392,13 @@ class PermGroup:
 
 
 class Subgroup:
-    """A subgroup stored as an element bitset over the parent's table."""
+    """A subgroup stored as an element bitset over the parent's table.
 
-    __slots__ = ("group", "bits", "witnesses")
+    ``witnesses`` generate it: as given, else ``witnesses_for_bits`` on
+    first read, so a subgroup that is built and discarded closes nothing.
+    """
+
+    __slots__ = ("group", "bits", "_witnesses")
 
     def __init__(
         self,
@@ -400,9 +408,13 @@ class Subgroup:
     ):
         self.group = group
         self.bits = int(bits)
-        if witnesses is None:
-            witnesses = group.witnesses_for_bits(self.bits)
-        self.witnesses = tuple(witnesses)
+        self._witnesses = None if witnesses is None else tuple(witnesses)
+
+    @property
+    def witnesses(self) -> tuple[int, ...]:
+        if self._witnesses is None:
+            self._witnesses = self.group.witnesses_for_bits(self.bits)
+        return self._witnesses
 
     @classmethod
     def generated(cls, group: PermGroup, seeds: Iterable[int]) -> "Subgroup":
@@ -428,8 +440,12 @@ class Subgroup:
         return bits_iter(self.bits)
 
     def is_normal(self) -> bool:
-        g = self.group
-        return all(g.conj_bits(self.bits, x) == self.bits for x in g._bfs_gen_indices)
+        # H is normal iff every generator of G conjugates every witness of
+        # H into H
+        G, bits = self.group, self.bits
+        return all(
+            (bits >> G.conj(w, g)) & 1 for w in self.witnesses for g in G._bfs_gen_indices
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -498,34 +514,16 @@ def conjugacy_classes(G: PermGroup) -> ConjClassTable:
     return table
 
 
-def derived_series_bits(G: PermGroup) -> list[int]:
-    """Descending derived series as bitmasks, ending at its stable term."""
-    series = [G.full_bits]
-    witnesses = list(G._bfs_gen_indices)
-    while True:
-        comms = {
-            G.commutator(a, b) for a in witnesses for b in witnesses
-        } - {0}
-        if not comms:
-            series.append(1)
-            break
-        nxt = G.normal_closure_bits(comms)
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-        if nxt == 1:
-            break
-        witnesses = list(G.witnesses_for_bits(nxt))
-    return series
-
-
 def is_soluble(G: PermGroup) -> bool:
-    """True iff the derived series reaches the trivial subgroup."""
-    cached = G._cache.get("is_soluble")
-    if cached is None:
-        cached = derived_series_bits(G)[-1] == 1
-        G._cache["is_soluble"] = cached
-    return cached
+    """True iff every factor of G's chief series is abelian.
+
+    Reads the series that ``crowns`` caches on G and builds anyway for
+    every maximal subgroup and crown question, so no derived series is
+    computed.
+    """
+    from .crowns import _default_series
+
+    return all(_default_series(G).factor_abelian)
 
 
 def is_klein_four(G: PermGroup) -> bool:

@@ -27,11 +27,12 @@ and extending it by the coset of ``h_k`` reaches K at depth at most k.
 In particular d(G) is the length of G's witnesses.
 
 The coset partition is built once per H, in O(|G|). This is exact and
-fast enough at desk scale; the default cap refuses groups above order
-2000, in ``all_subgroups`` and, on |G|, in ``maximal_classes`` and
-``min_generators``. Orders 1501 to 2000 lie above the multiplication-table
-limit, so their products come from ``PermGroup.mult``'s generator-word
-fallback.
+fast enough at desk scale; ``all_subgroups`` refuses groups above order
+2000 (``DEFAULT_SUBGROUP_CAP``). Its only callers pass G/R, so the cap
+is on |G/R|: ``maximal_classes`` and ``min_generators`` refuse a group
+only when its G/R is above the cap. Orders above 1500 lie above the
+multiplication-table limit, so their products come from
+``PermGroup.mult``'s generator-word fallback.
 """
 
 from __future__ import annotations
@@ -46,19 +47,16 @@ from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes
 DEFAULT_SUBGROUP_CAP = 2000
 
 
-def _refuse_above(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> None:
+def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
+    """Every subgroup of G exactly once, sorted by (order, bitset).
+
+    Includes the trivial and the full subgroup. Refuses groups above
+    ``cap`` with ``OrderCapError``. Results are cached on G.
+    """
     if G.order > cap:
         raise OrderCapError(
             f"subgroup enumeration capped at order {cap}, group has {G.order}"
         )
-
-
-def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
-    """Every subgroup of G exactly once, sorted by (order, bitset).
-
-    Includes the trivial and the full subgroup. Results are cached on G.
-    """
-    _refuse_above(G, cap)
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return cached
@@ -126,51 +124,35 @@ class MaximalClassData:
 def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     """Conjugacy classes of maximal subgroups, sorted by (order, bitset).
 
-    The maximal subgroups come from ``crowns.maximal_subgroups``: the
-    complements of the chief factors below the soluble radical R, and the
-    preimages of the maximal subgroups of G/R. Refuses groups above
-    ``DEFAULT_SUBGROUP_CAP`` with ``OrderCapError``. Results are cached
-    on G.
+    The classes come from ``crowns.maximal_subgroups``: the complements of
+    each chief factor below the soluble radical R, grouped by their
+    solution vector modulo the coboundaries B^1, and the preimages of the
+    maximal subgroups of G/R, grouped by conjugation in G/R. The
+    representative is a class's least bitset, and the union and core are
+    read off its members, so no element of G is conjugated here. Raises
+    ``OrderCapError`` when G/R is above ``DEFAULT_SUBGROUP_CAP``. Results
+    are cached on G.
     """
     cached = G._cache.get("maximal_classes")
     if cached is not None:
         return cached
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
-    _refuse_above(G)
     from .crowns import maximal_subgroups
 
-    maximal = maximal_subgroups(G)
-    gens = G._bfs_gen_indices
-    assigned: set[int] = set()
     classes: list[MaximalClassData] = []
-    by_bits = {s.bits: s for s in maximal}
-    for s in maximal:
-        if s.bits in assigned:
-            continue
-        orbit = {s.bits}
-        frontier = [s.bits]
-        while frontier:
-            b = frontier.pop()
-            for g in gens:
-                c = G.conj_bits(b, g)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        assigned |= orbit
+    for members in maximal_subgroups(G):
         union = 0
         core = G.full_bits
-        for b in orbit:
-            union |= b
-            core &= b
-        rep_bits = min(orbit)
-        rep = by_bits.get(rep_bits) or Subgroup(G, rep_bits)
+        for s in members:
+            union |= s.bits
+            core &= s.bits
         if union == G.full_bits:
             raise InvariantError("conjugate-union of a maximal covers G")
         classes.append(
             MaximalClassData(
-                representative=rep,
-                class_size=len(orbit),
+                representative=min(members, key=lambda s: s.bits),
+                class_size=len(members),
                 union_bits=union,
                 core_bits=core,
             )
@@ -190,6 +172,19 @@ def frattini(G: PermGroup) -> Subgroup:
     return Subgroup(G, bits)
 
 
+def _cosets(G: PermGroup, bits: int, *, keep: bool = False) -> tuple[list[int], list[int], list[int]]:
+    # G.right_cosets(bits), partitioned once per G for the subgroups kept
+    # here (the chief-series terms: ``crowns.chief_series`` keeps them),
+    # afresh for any other
+    key = ("right_cosets", bits)
+    out = G._cache.get(key)
+    if out is None:
+        out = G.right_cosets(bits)
+        if keep:
+            G._cache[key] = out
+    return out
+
+
 def minimal_normal_subgroups(
     G: PermGroup, N: Optional[Subgroup] = None
 ) -> list[Subgroup]:
@@ -200,8 +195,9 @@ def minimal_normal_subgroups(
     and ``N C_x`` the union of the N-cosets meeting C_x. So the answer is
     the minimal members of that family over one x per conjugacy class,
     and classes whose elements generate conjugate cyclic subgroups share
-    one closure; the closures are cached on G. Sorted by (order, bitset);
-    raises ``TrivialGroupError`` when N = G.
+    one closure; the closures are cached on G, and so are the right cosets
+    of N when N is a chief-series term. Sorted by (order, bitset); raises
+    ``TrivialGroupError`` when N = G.
     """
     nbits = 1 if N is None else N.bits
     if nbits == G.full_bits:
@@ -226,7 +222,7 @@ def minimal_normal_subgroups(
                 for k, y in enumerate(powers, 1)
                 if gcd(k, len(powers)) == 1
             )
-    _, cid, cbits = G.right_cosets(nbits)
+    _, cid, cbits = _cosets(G, nbits)
     above = {
         sum([cbits[c] for c in {cid[x] for x in bits_iter(b)}])  # disjoint cosets
         for b in closures
@@ -249,12 +245,11 @@ def min_generators(G: PermGroup) -> int:
     nonabelian ones are quotients of G/R, and the abelian ones follow
     Gaschuetz's count (W. Gaschuetz, Illinois J. Math. 3, 1959). d(G/R) is
     the depth of G/R in its lattice walk (see the module docstring), 0 for
-    a soluble G. Refuses groups above ``DEFAULT_SUBGROUP_CAP`` with
-    ``OrderCapError``.
+    a soluble G. Raises ``OrderCapError`` when G/R is above
+    ``DEFAULT_SUBGROUP_CAP``.
     """
     if G.order == 1:
         return 0
-    _refuse_above(G)
     from .crowns import crown_data, radical_quotient_min_generators
 
     cd = crown_data(G)

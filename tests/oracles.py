@@ -7,7 +7,9 @@ invariable generation from explicit conjugate substitution, derivation
 counts from an exhaustive search over generator images, minimal
 generating tuples from a backtracking search over k-tuples, d(G) from
 the depth of G in the breadth-first lattice walk, maximal
-subgroups from comparing every pair of proper subgroups, and the
+subgroups from comparing every pair of proper subgroups and their
+classes from walking conjugation orbits, normality from conjugating
+every element, solubility from the derived series, and the
 inclusion-exclusion value from a transparent double loop over subsets,
 Monte Carlo waiting times from a per-trial loop on Python-int masks
 that makes the same generator calls as the vectorised simulation, normal
@@ -129,7 +131,19 @@ def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
     from chebotarev.subgroups import all_subgroups
 
     proper = [s.bits for s in all_subgroups(G) if s.order < G.order]
-    maximal = {h for h in proper if not any(h != k and h & ~k == 0 for k in proper)}
+    return classes_by_conjugation(
+        G, {h for h in proper if not any(h != k and h & ~k == 0 for k in proper)}
+    )
+
+
+def classes_by_conjugation(G: PermGroup, maximal: set[int]) -> list[tuple[int, int, int, int]]:
+    """``(rep_bits, class_size, union_bits, core_bits)`` per conjugacy class.
+
+    Classes of the given subgroup bitsets are their orbits under
+    conjugation of every member by G's generators, with the least bitset
+    as representative, sorted by (order, bits).
+    """
+    maximal = set(maximal)
     classes = []
     while maximal:
         orbit = {min(maximal)}
@@ -148,6 +162,33 @@ def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
             core &= b
         classes.append((min(orbit), len(orbit), union, core))
     return sorted(classes, key=lambda c: (c[0].bit_count(), c[0]))
+
+
+def normal_by_conjugation(H: Subgroup) -> bool:
+    """H is normal: every generator of G conjugates all of H onto H."""
+    G = H.group
+    return all(G.conj_bits(H.bits, g) == H.bits for g in G._bfs_gen_indices)
+
+
+def derived_series_bits(G: PermGroup) -> list[int]:
+    """Descending derived series as bitmasks, ending at its stable term."""
+    series = [G.full_bits]
+    witnesses = list(G._bfs_gen_indices)
+    while True:
+        comms = {
+            G.commutator(a, b) for a in witnesses for b in witnesses
+        } - {0}
+        if not comms:
+            series.append(1)
+            break
+        nxt = G.normal_closure_bits(comms)
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+        if nxt == 1:
+            break
+        witnesses = list(G.witnesses_for_bits(nxt))
+    return series
 
 
 def min_generators_by_lattice(G: PermGroup) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ import jsonschema
 import pytest
 
 from oracles import SOLUBLE_SPECS
-from chebotarev import subgroups
+from chebotarev import cli, subgroups
 from chebotarev.cli import main
 
 SCHEMA = json.loads(
@@ -198,6 +199,37 @@ def test_exact_elementary_2_5_json_and_cap(capsys):
     code = main(["exact", "elementary", "2", "5", "--cap-sieves", "24"])
     err = capsys.readouterr().err
     assert code == 2 and "cap of 24" in err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # main only parses: the parser and its subparsers are built on the first
+    # call and reused by every later one
+    cli._parser.cache_clear()
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["exact", "cyclic", "2"]) == 0
+    first = len(built)
+    for argv in (["bounds", "cyclic", "3"], ["--json", "crowns", "cyclic", "2"], ["exact", "cyclic", "2"]):
+        assert main(argv) == 0
+    assert len(built) == first and built.count("chebotarev") == 1
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_flags_do_not_leak_into_the_next_call(before, capsys):
+    # one call's --cap-sieves 24 refuses elementary 2 5 (31 sieves); the
+    # next call, without the flag, gets the default cap back
+    flag = ["--cap-sieves", "24"]
+    argv = ["exact", "elementary", "2", "5"]
+    assert main(flag + argv if before else argv + flag) == 2
+    assert "cap of 24" in capsys.readouterr().err
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["chebotarev"]["sieve_count"] == 31
 
 
 def _replace_lattice(monkeypatch, stand_in):

@@ -23,6 +23,7 @@ from chebotarev.exact import (
     v_property_sum,
 )
 from chebotarev.crowns import crown_data
+from chebotarev.mc import mc_estimate
 from chebotarev.subgroups import MaximalClassData, maximal_classes
 from chebotarev.crowns import omega_membership
 
@@ -81,6 +82,19 @@ def test_build_sieves_rejects_bad_unions(union, group_of):
 def test_chebotarev_exact_values(spec, expected, group_of):
     cv = chebotarev_of_group(group_of(spec))
     assert cv.exact == expected
+
+
+def test_soluble_group_above_the_subgroup_cap(group_of):
+    # S4 x S4 x C5 (order 2880) is soluble, so R = G walks no lattice and
+    # DEFAULT_SUBGROUP_CAP (on |G/R|) does not refuse it
+    G = group_of("direct_product symmetric 4 symmetric 4 cyclic 5")
+    cv = chebotarev_of_group(G)
+    assert G.order == 2880 and cv.sieve_count == 8
+    assert cv.exact == Fraction(
+        570234075368108317134500328266622542903297738342551695255413532842804,
+        97881531212903473340573133709341818859370861848422251986563924073375,
+    )
+    assert mc_estimate(build_sieves(G), 100_000, 7).within_sigmas(float(cv.exact), 4.0)
 
 
 def test_chebotarev_matches_naive_subset_loop(group_of):

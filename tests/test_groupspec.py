@@ -6,6 +6,7 @@ from chebotarev import perm
 from chebotarev.cli import main
 from chebotarev.errors import NotPrimeError, OrderCapError, ParseError, SingularMatrixError
 from chebotarev.groupspec import (
+    PERM_DEGREE_LIMIT,
     affine_group,
     alternating_group,
     cyclic_group,
@@ -171,6 +172,25 @@ def test_order_cap_refuses_before_building(spec, permgroup_calls, capsys):
         assert permgroup_calls == []
     assert main(["exact", *spec.split()]) == 2
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_perm_degree_limit_refuses_before_building(permgroup_calls, monkeypatch, capsys):
+    # an order-2 group on two million points: its degree is refused before
+    # any permutation of that length is built
+    parsed = []
+    original = perm.Permutation.from_cycle_string.__func__
+    monkeypatch.setattr(
+        perm.Permutation,
+        "from_cycle_string",
+        classmethod(lambda cls, *args: parsed.append(args) or original(cls, *args)),
+    )
+    with pytest.raises(OrderCapError):
+        parse_group(f"perm {PERM_DEGREE_LIMIT + 1} (1 2)")
+    assert parsed == [] and permgroup_calls == []
+    assert main(["exact", "perm", "2000000", "(1 2)"]) == 2
+    assert "degree 2000000 exceeds the limit" in capsys.readouterr().err
+    assert parsed == [] and permgroup_calls == []
+    assert parse_group(f"perm {PERM_DEGREE_LIMIT} (1 2)").group.order == 2
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import normal_closure_by_conjugates
+from oracles import (
+    CATALOG_SPECS,
+    derived_series_bits,
+    normal_by_conjugation,
+    normal_closure_by_conjugates,
+)
 from chebotarev.errors import BadSectionError, DegreeMismatchError, NotNormalError, OrderCapError
 from chebotarev.perm import (
     Permutation,
@@ -18,6 +23,7 @@ from chebotarev.perm import (
     section_centralizer,
 )
 from chebotarev.groupspec import alternating_group, cyclic_group, parse_group, symmetric_group
+from chebotarev.subgroups import all_subgroups
 
 perm_strategy = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -139,6 +145,32 @@ def test_is_soluble():
     assert is_soluble(symmetric_group(4))
     assert not is_soluble(alternating_group(5))
     assert not is_soluble(symmetric_group(5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    CATALOG_SPECS
+    + ("direct_product alternating 5 symmetric 4", "direct_product symmetric 5 symmetric 3"),
+)
+def test_is_soluble_matches_derived_series(spec, group_of):
+    # solubility read off the chief series against the derived series
+    G = group_of(spec)
+    assert is_soluble(G) == (derived_series_bits(G)[-1] == 1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["symmetric 4", "dihedral 12", "alternating 5", "direct_product alternating 5 cyclic 3"],
+)
+def test_is_normal_matches_conjugation(spec, group_of):
+    # witnesses x generators against conjugating every element, with the
+    # lattice's witnesses and with witnesses found on first read
+    G = group_of(spec)
+    subs = all_subgroups(G)
+    expected = [normal_by_conjugation(H) for H in subs]
+    assert [H.is_normal() for H in subs] == expected
+    assert [Subgroup(G, H.bits).is_normal() for H in subs] == expected
+    assert False in expected
 
 
 @pytest.mark.parametrize(

@@ -68,3 +68,17 @@ def test_crowns_never_reads_the_maximal_classes():
         if isinstance(n, ast.Call)
     }
     assert "maximal_classes" not in called
+
+
+def test_one_solubility_route():
+    # solubility is read off the cached chief series, with no derived series
+    # beside it, and normality checks witnesses x generators, not the
+    # conjugate of every element
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "derived_series_bits" not in defined
+    assert _calls("derived_series_bits") == []
+    assert ("perm.py", "is_soluble") in _calls("_default_series")
+    assert [c for c in _calls("conj_bits") if c[1] == "is_normal"] == []

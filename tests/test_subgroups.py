@@ -6,8 +6,10 @@ import pytest
 from oracles import (
     CATALOG_SPECS,
     EXACT_SPECS,
+    SOLUBLE_SPECS,
     brute_min_generating_tuple,
     brute_subgroup_bits,
+    classes_by_conjugation,
     cyclic_extension_subgroups,
     maximal_classes_by_pairs,
     min_generators_by_lattice,
@@ -16,6 +18,7 @@ from oracles import (
 from chebotarev import perm
 from chebotarev.errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
 from chebotarev.groupspec import parse_group
+from chebotarev.crowns import maximal_subgroups
 from chebotarev.perm import Subgroup, conjugacy_classes
 from chebotarev.subgroups import (
     DEFAULT_SUBGROUP_CAP,
@@ -199,6 +202,18 @@ def test_maximal_classes_match_pairwise_scan(spec, group_of):
         assert G.closure_bits(c.representative.witnesses) == c.representative.bits
 
 
+@pytest.mark.parametrize("spec", SOLUBLE_SPECS)
+def test_complement_classes_match_conjugation_orbits(spec, group_of):
+    # a soluble G's maximal subgroups are complements, classed by their
+    # solution vectors modulo B^1: against walking conjugation orbits
+    G = group_of(spec)
+    classes = maximal_subgroups(G)
+    members = [s.bits for cls in classes for s in cls]
+    assert len(set(members)) == len(members)
+    got = [(c.representative.bits, c.class_size, c.union_bits, c.core_bits) for c in maximal_classes(G)]
+    assert got == classes_by_conjugation(G, set(members))
+
+
 def test_core_is_intersection_of_class(group_of):
     G = group_of("symmetric 4")
     for c in maximal_classes(G):
@@ -341,15 +356,16 @@ def test_min_generators_match_lattice_depth(spec, group_of):
 
 
 def test_min_generators_order_cap(group_of):
-    G = group_of("cyclic 2001")
-    assert G.order == DEFAULT_SUBGROUP_CAP + 1
+    # the cap is on |G/R|: A7 has R = 1, so its lattice (order 2520) is refused
+    G = group_of("alternating 7")
+    assert G.order > DEFAULT_SUBGROUP_CAP
     with pytest.raises(OrderCapError):
         min_generators(G)
 
 
 def test_maximal_classes_order_cap(group_of):
-    # the complement route refuses the same orders as the lattice
-    G = group_of("cyclic 2001")
+    # the complement route below R has no cap; G/R = A7 walks the lattice
+    G = group_of("alternating 7")
     with pytest.raises(OrderCapError):
         maximal_classes(G)
 
