@@ -51,7 +51,13 @@ from .perm import (
     bits_iter,
     quotient,
 )
-from .subgroups import MaximalClassData, _cosets, all_subgroups, minimal_normal_subgroups
+from .subgroups import (
+    MaximalClassData,
+    _cosets,
+    _least_prime,
+    all_subgroups,
+    minimal_normal_subgroups,
+)
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -199,11 +205,6 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
         factor_orders=orders,
         factor_abelian=tuple(reversed(abelian_flags)),
     )
-
-
-def _least_prime(n: int) -> int:
-    # the smallest prime divisor of n >= 2
-    return next(d for d in range(2, n + 1) if n % d == 0)
 
 
 def _is_prime_power(n: int) -> bool:
@@ -523,23 +524,6 @@ def endo_field(M: ChiefFactorModule) -> tuple[int, int]:
 
 
 # -- derivations and first cohomology ------------------------------------
-
-
-def _element_matrices(
-    H: PermGroup, gen_matrices: Sequence[Mat], p: int
-) -> list[Mat]:
-    """Action matrix per element of H, matrices given per H.generators."""
-    by_images: dict[tuple[int, ...], Mat] = {}
-    for g, M in zip(H.generators, gen_matrices):
-        by_images[g.images] = M
-    n = len(gen_matrices[0]) if gen_matrices else 0
-    mats: list[Mat] = [mat_identity(n)] * H.order
-    for j in range(1, H.order):
-        pj, gj = H._parent[j], H._via[j]
-        gen_mat = by_images[H._bfs_gens[gj].images]
-        # right action: the matrix of x*g is M_g @ M_x
-        mats[j] = mat_mul(gen_mat, mats[pj], p)
-    return mats
 
 
 def _cocycle_rows(

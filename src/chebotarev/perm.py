@@ -15,11 +15,24 @@ Element indices are assigned by a breadth-first closure from the sorted
 generator list; index 0 is always the identity. All types are immutable
 after construction (internal memo tables are filled lazily but never
 change observable state).
+
+Products, inverses and table columns are built with C-level sequence
+operations (``operator.itemgetter``), not Python loops over points:
+the itemgetter of x's images, applied to g's images, gives the images
+of ``x * g``, and x's inverse comes from its BFS parent's, so no
+permutation is inverted point by point. The multiplication table is
+stored by columns: column j maps i to the index of
+``elements[i] * elements[j]``, and it is its BFS parent's column mapped
+through one generator's right multiplication. A column is right
+multiplication by ``elements[j]``, so a right coset Ht is column t read
+at H's members, and a closure reads one column per seed
+(``PermGroup.column``).
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -33,7 +46,8 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 20_000
 
-# Full n x n multiplication tables are only materialised below this order;
+# Full n x n multiplication tables are only materialised up to this order,
+# as n columns (column j lists the products elements[i] * elements[j]);
 # larger groups fall back to O(word length) generator-chain multiplication.
 _MULT_TABLE_LIMIT = 1500
 
@@ -168,6 +182,22 @@ def bits_iter(bits: int) -> Iterator[int]:
         bits ^= lsb
 
 
+class _WordColumn:
+    """A multiplication-table column for a group above the table limit.
+
+    Entry i is ``group.mult(i, j)``, found from the generator word of j.
+    """
+
+    __slots__ = ("group", "j")
+
+    def __init__(self, group: "PermGroup", j: int):
+        self.group = group
+        self.j = j
+
+    def __getitem__(self, i: int) -> int:
+        return self.group.mult(i, self.j)
+
+
 class PermGroup:
     """A finite permutation group with a full element table.
 
@@ -210,11 +240,11 @@ class PermGroup:
         gen_right: list[list[int]] = []
         pos = 0
         while pos < len(elements):
-            x = elements[pos].images
+            # x * g has images g[x[v]]: one itemgetter of x applies to all g
+            x_of = itemgetter(*elements[pos].images)
             row = []
             for k, g in enumerate(self._bfs_gens):
-                gim = g.images
-                y = tuple(gim[v] for v in x)
+                y = x_of(g.images)
                 idx = index.get(y)
                 if idx is None:
                     if len(elements) >= order_cap:
@@ -243,29 +273,27 @@ class PermGroup:
         self.generator_indices: tuple[int, ...] = tuple(
             index[g.images] for g in self.generators
         )
+        # (x * g)^-1 = g^-1 * x^-1, whose images are those of x^-1 picked
+        # at the images of g^-1, so no permutation is inverted point by point
+        inv_of = [itemgetter(*g.inverse().images) for g in self._bfs_gens]
         inv = [0] * self.order
-        for i, p in enumerate(elements):
-            inv[i] = index[p.inverse().images]
+        for j in range(1, self.order):
+            inv[j] = index[inv_of[via[j]](elements[inv[parent[j]]].images)]
         self._inv = inv
-        self._mult_table: Optional[list[list[int]]] = None
+        self._mult_table: Optional[list[tuple[int, ...]]] = None
         self._cache: dict = {}
 
     # -- multiplication -------------------------------------------------
 
-    def _ensure_table(self) -> Optional[list[list[int]]]:
+    def _ensure_table(self) -> Optional[list[tuple[int, ...]]]:
         if self._mult_table is None and self.order <= _MULT_TABLE_LIMIT:
-            n = self.order
-            parent, via, gen_right = self._parent, self._via, self._gen_right
-            col0 = list(range(n))
-            table = [col0[:] for _ in range(n)]
-            for i in range(n):
-                table[i][0] = i
-            # elements[j] = elements[parent[j]] * gen[via[j]], so rows fill
-            # left to right in BFS order with O(1) work per entry.
-            for j in range(1, n):
-                pj, gj = parent[j], via[j]
-                for i in range(n):
-                    table[i][j] = gen_right[table[i][pj]][gj]
+            parent, via = self._parent, self._via
+            right = tuple(zip(*self._gen_right))  # right[k][x]: x * gen[k]
+            # elements[j] = elements[parent[j]] * gen[via[j]], so column j
+            # is right[via[j]] picked at column parent[j]
+            table = [tuple(range(self.order))]
+            for j in range(1, self.order):
+                table.append(itemgetter(*table[parent[j]])(right[via[j]]))
             self._mult_table = table
         return self._mult_table
 
@@ -275,7 +303,7 @@ class PermGroup:
         if t is None:
             t = self._ensure_table()
         if t is not None:
-            return t[i][j]
+            return t[j][i]
         word = []
         k = j
         while k != 0:
@@ -285,6 +313,13 @@ class PermGroup:
         for g in reversed(word):
             acc = self._gen_right[acc][g]
         return acc
+
+    def column(self, j: int) -> Sequence[int]:
+        """Right multiplication by ``elements[j]``: entry i is ``mult(i, j)``."""
+        t = self._mult_table
+        if t is None:
+            t = self._ensure_table()
+        return _WordColumn(self, j) if t is None else t[j]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -309,7 +344,6 @@ class PermGroup:
 
     def closure_bits(self, seeds: Iterable[int]) -> int:
         """Bitmask of the subgroup generated by the given element indices."""
-        self._ensure_table()
         seed_list = sorted({int(s) for s in seeds} - {0})
         bits = 1
         stack = []
@@ -317,11 +351,11 @@ class PermGroup:
             if not (bits >> s) & 1:
                 bits |= 1 << s
                 stack.append(s)
-        mult = self.mult
+        cols = [self.column(s) for s in seed_list]
         while stack:
             x = stack.pop()
-            for s in seed_list:
-                y = mult(x, s)
+            for col in cols:
+                y = col[x]
                 if not (bits >> y) & 1:
                     bits |= 1 << y
                     stack.append(y)
@@ -361,8 +395,9 @@ class PermGroup:
         Returns ``(reps, cid, cbits)``: each coset's least element, the coset
         index of every element, and each coset as a bitmask.
         """
-        mult = self.mult
-        members = list(bits_iter(bits))
+        members = tuple(bits_iter(bits))
+        # coset Ht is column t read at H's members
+        pick = itemgetter(*members) if len(members) > 1 else lambda col: (col[0],)
         cid = [-1] * self.order
         reps: list[int] = []
         cbits: list[int] = []
@@ -371,7 +406,7 @@ class PermGroup:
                 continue
             c = len(reps)
             reps.append(t)
-            coset = [mult(h, t) for h in members]
+            coset = pick(self.column(t))
             for x in coset:
                 cid[x] = c
             cbits.append(sum([1 << x for x in coset]))

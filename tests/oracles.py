@@ -1,21 +1,23 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the code paths they check: subgroup lists come
-from closing raw element subsets or from one element closure per
-(subgroup, element) pair, complements from a full lattice scan,
-invariable generation from explicit conjugate substitution, derivation
-counts from an exhaustive search over generator images, minimal
-generating tuples from a backtracking search over k-tuples, d(G) from
-the depth of G in the breadth-first lattice walk, maximal
-subgroups from comparing every pair of proper subgroups and their
-classes from walking conjugation orbits, normality from conjugating
-every element, solubility from the derived series, and the
-inclusion-exclusion value from a transparent double loop over subsets,
-Monte Carlo waiting times from a per-trial loop on Python-int masks
-that makes the same generator calls as the vectorised simulation, normal
-closures from closing every conjugate of the seeds, minimal normal
-subgroups above N from the lattice's normal subgroups, and socle modules
-from an explicitly built quotient group.
+These deliberately avoid the code paths they check: element order comes
+from a breadth-first walk composing permutations point by point, action
+matrices of every element from matrix products along the BFS tree,
+subgroup lists come from closing raw element subsets or from one element
+closure per (subgroup, element) pair, complements from a full lattice
+scan, invariable generation from explicit conjugate substitution,
+derivation counts from an exhaustive search over generator images,
+minimal generating tuples from a backtracking search over k-tuples, d(G)
+from the depth of G in the breadth-first lattice walk, maximal subgroups
+from comparing every pair of proper subgroups and their classes from
+walking conjugation orbits, normality from conjugating every element,
+solubility from the derived series, and the inclusion-exclusion value
+from a transparent double loop over subsets, Monte Carlo waiting times
+from a per-trial loop on Python-int masks that makes the same generator
+calls as the vectorised simulation, normal closures from closing every
+conjugate of the seeds, minimal normal subgroups above N from the
+lattice's normal subgroups, and socle modules from an explicitly built
+quotient group.
 """
 
 from __future__ import annotations
@@ -48,6 +50,26 @@ EXACT_SPECS = (
     "direct_product elementary 3 3 elementary 2 2",
     "direct_product elementary 3 3 cyclic 2",
 )
+
+
+def bfs_element_images(G: PermGroup) -> list[tuple[int, ...]]:
+    """G's element images in breadth-first order, composed point by point.
+
+    The walk starts at the identity and multiplies each element found, in
+    order, on the right by each distinct non-identity generator, sorted by
+    images; ``x * g`` sends v to g(x(v)).
+    """
+    ident = tuple(range(G.degree))
+    gens = sorted({g.images for g in G.generators} - {ident})
+    found = [ident]
+    seen = {ident}
+    for x in found:
+        for g in gens:
+            y = tuple(g[x[v]] for v in range(G.degree))
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
 
 
 def brute_subgroup_bits(G: PermGroup) -> set[int]:
@@ -315,6 +337,22 @@ def naive_prob_from_unions(order: int, unions: list[int], k: int) -> Fraction:
     return 1 - total
 
 
+def element_matrices(H: PermGroup, gen_matrices, p: int) -> list:
+    """Action matrix per element of H, matrices given per H.generators.
+
+    Walks H's BFS tree: the matrix of x*g is M_g @ M_x (right action).
+    """
+    from chebotarev.crowns import mat_identity, mat_mul
+
+    by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
+    n = len(gen_matrices[0]) if gen_matrices else 0
+    mats = [mat_identity(n)] * H.order
+    for j in range(1, H.order):
+        gen_mat = by_images[H._bfs_gens[H._via[j]].images]
+        mats[j] = mat_mul(gen_mat, mats[H._parent[j]], p)
+    return mats
+
+
 def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int]:
     """(|Z^1|, |B^1|) by exhaustive generator-image search.
 
@@ -325,15 +363,13 @@ def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int
     pair. Inner derivations are counted as the distinct images
     (v^g - v)_g of all vectors v. Matrices align with ``H.generators``.
     """
-    from chebotarev.crowns import _element_matrices
-
     n = len(gen_matrices[0])
     vectors = list(itertools.product(range(p), repeat=n))
 
     def act(M, v):
         return tuple(sum(M[i][j] * v[j] for j in range(n)) % p for i in range(n))
 
-    elem_mats = _element_matrices(H, gen_matrices, p)
+    elem_mats = element_matrices(H, gen_matrices, p)
     wit = brute_min_generating_tuple(H)
     assert len(vectors) ** len(wit) <= 1 << 24, "exponential oracle; keep the search small"
     H2 = PermGroup(H.degree, [H.elements[w] for w in wit])
@@ -394,11 +430,11 @@ def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
 
 def section_kernel(mod) -> Subgroup:
     """The elements of the ambient group acting trivially on the module."""
-    from chebotarev.crowns import _element_matrices, mat_identity
+    from chebotarev.crowns import mat_identity
 
     G = mod.group
     ident = mat_identity(mod.n_raw)
-    mats = _element_matrices(G, mod.gen_matrices, mod.p)
+    mats = element_matrices(G, mod.gen_matrices, mod.p)
     return Subgroup(G, sum(1 << i for i, M in enumerate(mats) if M == ident))
 
 

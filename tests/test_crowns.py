@@ -10,6 +10,7 @@ from oracles import (
     SOLUBLE_SPECS,
     complement_by_lattice_scan,
     complements_by_lattice_scan,
+    element_matrices,
     section_kernel,
     socle_factor_modules_by_quotient,
 )
@@ -27,7 +28,6 @@ from chebotarev.crowns import (
     mat_rank,
     nullspace,
     omega_membership,
-    _element_matrices,
 )
 from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
 from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient, section_centralizer
@@ -208,7 +208,7 @@ def test_factor_module_action_matches_section_centralizer(spec, group_of):
         ident = mat_identity(mod.n_raw)
         fixing = sum(
             1
-            for M in _element_matrices(G, mod.gen_matrices, mod.p)
+            for M in element_matrices(G, mod.gen_matrices, mod.p)
             if mat_rank(
                 [
                     [(M[i][j] - ident[i][j]) % mod.p for j in range(mod.n_raw)]
@@ -611,7 +611,7 @@ def test_p_fix_bounds(group_of):
         for V in crown_data(G).A:
             assert Fraction(1, V.h_order) <= V.p_fix <= 1
             HQ, _ = quotient(G, section_kernel(V))
-            mats = _element_matrices(HQ, V.gen_matrices, V.p)
+            mats = element_matrices(HQ, V.gen_matrices, V.p)
             vectors = [
                 tuple(int(d) for d in _digits(x, V.p, V.n_raw))
                 for x in range(1, V.p**V.n_raw)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     CATALOG_SPECS,
+    bfs_element_images,
     derived_series_bits,
     normal_by_conjugation,
     normal_closure_by_conjugates,
 )
+from chebotarev import perm
 from chebotarev.errors import BadSectionError, DegreeMismatchError, NotNormalError, OrderCapError
 from chebotarev.perm import (
     Permutation,
@@ -107,6 +109,28 @@ def test_closure_exhaustive(spec_order):
         itertools.product(range(G.order), repeat=3), 2000
     ):
         assert G.mult(G.mult(i, j), k) == G.mult(i, G.mult(j, k))
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["table", "words"])
+@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 9"])
+def test_mult_is_the_product_of_permutations(spec, tabled, monkeypatch):
+    # every entry, not just group axioms: the opposite group (a transposed
+    # table) has the same ranges, inverses and associativity
+    if not tabled:
+        monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", parse_group(spec).group.order - 1)
+    G = parse_group(spec).group
+    assert (G._ensure_table() is not None) == tabled
+    E = G.elements
+    for i in range(G.order):
+        assert G.inv(i) == G.index[E[i].inverse().images]
+        for j in range(G.order):
+            assert G.mult(i, j) == G.index[(E[i] * E[j]).images]
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_element_order_matches_plain_bfs(spec, group_of):
+    G = group_of(spec)
+    assert [p.images for p in G.elements] == bfs_element_images(G)
 
 
 def test_element_indexing_deterministic():

@@ -58,6 +58,8 @@ def test_all_subgroups_matches_brute_force(spec, group_of):
         "affine 7 1 [[3]]",
         "direct_product cyclic 2 alternating 4",
         "affine 3 1 [[2]] power 2",
+        "alternating 5",
+        "symmetric 5",
     ],
 )
 def test_all_subgroups_matches_cyclic_extension(spec, group_of):
@@ -74,7 +76,7 @@ def _maximal_class_key(G):
     ]
 
 
-@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 12"])
+@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 12", "alternating 5"])
 def test_lattice_without_multiplication_table(spec, monkeypatch):
     tabled = parse_group(spec).group
     expected = [(s.bits, s.witnesses) for s in all_subgroups(tabled)]
