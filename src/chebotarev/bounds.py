@@ -119,7 +119,8 @@ def min_generator_bound(A: Sequence[ChiefFactorModule], d: int) -> Fraction:
     """d(G) * sum over non-central classes of (1 + q^n |H| / (q^n - 1)) + sigma."""
     total = Fraction(0)
     for V in A:
-        qn = V.q**V.n
+        q, n, _ = _classified(V)
+        qn = q**n
         total += 1 + Fraction(qn * V.h_order, qn - 1)
     return d * total + SIGMA
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import eq, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InvariantError, NotChiefFactorError, NotIrreducibleError
@@ -63,20 +64,6 @@ Mat = tuple[tuple[int, ...], ...]
 
 
 # -- small dense linear algebra over F_p --------------------------------
-
-
-def mat_identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(m))
-        for i in range(n)
-    )
 
 
 def _rref(
@@ -321,7 +308,10 @@ class ChiefFactorModule:
     ``gen_matrices`` holds one matrix per ambient-group generator, in the
     generator order of ``group`` (column-vector convention, right action:
     the matrix of g sends v to the class of g^-1 v g), over the section
-    coordinates that ``complements`` shares. Fields after ``p_fix`` are
+    coordinates that ``complements`` shares. ``acting_group`` is
+    H = G/C_G(V), built once as the permutations the generator matrices
+    make of V's p^n vectors, its generators aligned with ``gen_matrices``;
+    ``h_order`` and ``central`` are read off it. Fields after ``p_fix`` are
     filled by crown classification, which keeps complemented factors only.
     """
 
@@ -329,8 +319,7 @@ class ChiefFactorModule:
     p: int
     n_raw: int
     gen_matrices: tuple[Mat, ...]
-    h_order: int
-    central: bool
+    acting_group: PermGroup
     p_fix: Fraction
     q: Optional[int] = None
     n: Optional[int] = None
@@ -338,6 +327,14 @@ class ChiefFactorModule:
     theta: Optional[int] = None
     m: Optional[int] = None
     label: str = ""
+
+    @property
+    def h_order(self) -> int:
+        return self.acting_group.order
+
+    @property
+    def central(self) -> bool:
+        return self.h_order == 1
 
     @property
     def module_order(self) -> int:
@@ -415,54 +412,54 @@ def _action_matrix(
 
 
 def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool = True) -> ChiefFactorModule:
-    """Matrices, centralizer size and fixed-vector probability for X/Y.
+    """Matrices, acting group and fixed-vector probability for X/Y.
 
     The basis is chosen greedily from coset representatives in discovery
-    order. The acting group H = G/C_G(X/Y) is the closure of the generator
-    matrices under multiplication, so no other element of G is conjugated.
-    ``p_fix`` is the share of the elements of H that have a nonzero fixed
-    vector (kernel of M - I).
+    order. g acts on X/Y through its matrix, with kernel C_G(X/Y), so the
+    acting group H = G/C_G(X/Y) is the group the generator matrices make
+    of the p^n vectors of X/Y (``_acting_group``), and no other element
+    of G is conjugated. |H| is its order, and ``p_fix`` is the share of
+    its elements that fix a vector other than 0.
     """
     _validate_section(G, X, Y)
     pfac, basis, vec, _ = _section_coordinates(G, X, Y)
-    n_raw = len(basis)
     if check_chief:
         _check_chief(G, X, Y)
 
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
-
-    # g acts on X/Y through its matrix, with kernel C_G(X/Y): the products
-    # of the generator matrices are the |G : C| elements of the acting group H
-    ident = mat_identity(n_raw)
-    image = {ident}
-    frontier = [ident]
-    for M in frontier:  # grows while it is walked
-        for A in gen_mats:
-            B = mat_mul(A, M, pfac)
-            if B not in image:
-                image.add(B)
-                frontier.append(B)
-    h_order = len(image)
-    central = h_order == 1
-    fix_count = 0
-    for M in image:
-        delta_rows = [
-            [(M[i][j] - ident[i][j]) % pfac for j in range(n_raw)]
-            for i in range(n_raw)
-        ]
-        if mat_rank(delta_rows, pfac) < n_raw:
-            fix_count += 1
-    p_fix = Fraction(fix_count, h_order)
-
+    H = _acting_group(pfac, len(basis), gen_mats)
+    points = range(H.degree)
+    # 0 is fixed by every element, so a fixed nonzero vector is a second
+    # fixed point
+    fixing = sum(1 for h in H.elements if sum(map(eq, h.images, points)) > 1)
     return ChiefFactorModule(
         group=G,
         p=pfac,
-        n_raw=n_raw,
+        n_raw=len(basis),
         gen_matrices=gen_mats,
-        h_order=h_order,
-        central=central,
-        p_fix=p_fix,
+        acting_group=H,
+        p_fix=Fraction(fixing, H.order),
     )
+
+
+def _acting_group(p: int, n: int, gen_mats: Sequence[Mat]) -> PermGroup:
+    # the permutations the matrices make of the p^n vectors (vector v is
+    # the point sum v_i p^i), so the generators align with gen_mats; by
+    # linearity the image of v + c e_j is that of v plus c times column j
+    weights = [p**i for i in range(n)]
+    perms = []
+    for M in gen_mats:
+        images: list[tuple[int, ...]] = [(0,) * n]
+        for j in range(n):
+            col = [row[j] for row in M]
+            step = images[:]  # the images of the points below p^j
+            for _ in range(1, p):
+                step = [tuple([(a + b) % p for a, b in zip(v, col)]) for v in step]
+                images.extend(step)
+        perms.append(
+            Permutation._raw(tuple([sum(map(mul, v, weights)) for v in images]))
+        )
+    return PermGroup(p**n, perms)
 
 
 def _intertwiner_space(
@@ -512,8 +509,14 @@ def endo_field(M: ChiefFactorModule) -> tuple[int, int]:
     that check is that every nonzero element is invertible. A failure
     signals the factor was not chief.
     """
-    p, nr = M.p, M.n_raw
-    basis = _intertwiner_space(M.gen_matrices, M.gen_matrices, nr, p)
+    return _commutant_field(M.gen_matrices, M.p)
+
+
+def _commutant_field(gen_matrices: Sequence[Mat], p: int) -> tuple[int, int]:
+    # ``endo_field`` on the module the matrices give: the one solve of the
+    # commutant system, shared with ``derivations``
+    nr = len(gen_matrices[0])
+    basis = _intertwiner_space(gen_matrices, gen_matrices, nr, p)
     e = len(basis)
     if e == 0 or nr % e != 0:
         raise NotIrreducibleError("commutant dimension does not divide the module dimension")
@@ -592,7 +595,10 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     (x, g_k) must satisfy the same relation, n equations each. Every
     solution is a derivation, so |Z^1| = p^nullity. The inner derivations
     are the images v -> (v^g - v)_g of V, so |B^1| = p^(n - dim C_V(H)).
-    ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q.
+    ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q, which
+    comes from the same commutant solve as ``endo_field``. The matrices
+    align with ``H.generators``, as those of a module align with its
+    ``acting_group``.
     """
     if H.order == 1:
         raise ValueError("derivations require a nontrivial acting group")
@@ -607,16 +613,7 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     ]
     b1_dim = n - len(nullspace(fixed_rows, n, p))
 
-    probe = ChiefFactorModule(
-        group=H,
-        p=p,
-        n_raw=n,
-        gen_matrices=tuple(gen_matrices),
-        h_order=H.order,
-        central=False,
-        p_fix=Fraction(0),
-    )
-    _, nv = endo_field(probe)
+    _, nv = _commutant_field(gen_matrices, p)
     m, rest = divmod(z1_dim - b1_dim, n // nv)
     if rest:
         raise NotIrreducibleError("H^1 size is not a power of the commutant field size")
@@ -830,8 +827,8 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     lattice of G/R. Every class gets m = dim H^1(G/C_G(V), V) over the
     commutant field: 0 for a soluble G (first cohomology vanishes for a
     soluble group acting faithfully and irreducibly) and for a central
-    class, else ``derivations`` on the acting group. With the default
-    series the result is cached on G.
+    class, else ``derivations`` on the ``acting_group`` its module was
+    built with. With the default series the result is cached on G.
     """
     default = series is None
     if default:
@@ -869,7 +866,7 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         q, nv = endo_field(rep)
         m = 0
         if not (soluble or rep.central):
-            m = derivations(_acting_group(rep), rep.gen_matrices, rep.p).m
+            m = derivations(rep.acting_group, rep.gen_matrices, rep.p).m
         rep = replace(
             rep,
             q=q,
@@ -889,27 +886,6 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     if default:
         G._cache["crown_data"] = cd
     return cd
-
-
-def _acting_group(V: ChiefFactorModule) -> PermGroup:
-    # H = G/C_G(V) as the permutations the generator matrices make of the
-    # p^n vectors of V (vector v is the point sum v_i p^i); its generators
-    # align with V.gen_matrices
-    p, n = V.p, V.n_raw
-    vectors = [[(x // p**i) % p for i in range(n)] for x in range(p**n)]
-
-    def point(M: Mat, v: list[int]) -> int:
-        return sum(
-            (sum(a * b for a, b in zip(row, v)) % p) * p**i for i, row in enumerate(M)
-        )
-
-    H = PermGroup(
-        p**n,
-        [Permutation._raw(tuple(point(M, v) for v in vectors)) for M in V.gen_matrices],
-    )
-    if H.order != V.h_order:
-        raise InvariantError("the generator matrices do not generate the acting group")
-    return H
 
 
 # -- omega membership ------------------------------------------------------

@@ -33,13 +33,14 @@ from dataclasses import dataclass
 from .crowns import mat_rank
 from .errors import NotPrimeError, OrderCapError, ParseError, SingularMatrixError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation
+from .subgroups import _least_prime
 
 PERM_DEGREE_LIMIT = DEFAULT_ORDER_CAP
 
 
 def check_prime(p: int) -> None:
     """Raise ``NotPrimeError`` unless p is prime."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or _least_prime(p) != p:
         raise NotPrimeError(f"{p} is not prime")
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadSectionError,
@@ -577,21 +577,35 @@ def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
         raise BadSectionError("subgroup belongs to a different group")
     if not N.is_normal():
         raise NotNormalError("quotient requires a normal subgroup")
-    n = G.order
     reps, cid, _ = G.right_cosets(N.bits)
     num = len(reps)
-    if num * N.order != n:
+    if num * N.order != G.order:
         raise InvariantError("the right cosets of N do not partition G")
-
-    def coset_perm(x: int) -> tuple[int, ...]:
-        return tuple(cid[G.mult(r, x)] for r in reps)
-
-    gen_perms = [Permutation._raw(coset_perm(gi)) for gi in G.generator_indices]
+    coset_action = _coset_action(G, reps, cid)
+    gen_perms = [Permutation._raw(coset_action(gi)) for gi in G.generator_indices]
     Q = PermGroup(num, gen_perms)
     if Q.order != num:
         raise InvariantError("coset action must be regular for a normal subgroup")
-    epi = tuple(Q.index[coset_perm(i)] for i in range(n))
+    # N acts trivially on its own cosets, so an element acts as its
+    # coset's representative does
+    image = [Q.index[coset_action(r)] for r in reps]
+    epi = tuple([image[c] for c in cid])
     return Q, epi
+
+
+def _coset_action(
+    G: PermGroup, reps: Sequence[int], cid: Sequence[int]
+) -> Callable[[int], tuple[int, ...]]:
+    """The right action of G on the cosets that ``G.right_cosets`` returned.
+
+    The returned function maps g to the tuple sending coset x to the coset
+    of ``reps[x] * g``: column g read at the representatives, then their
+    coset ids, so two itemgetters and no Python loop.
+    """
+    if len(reps) == 1:
+        return lambda g: (0,)
+    at_reps = itemgetter(*reps)
+    return lambda g: itemgetter(*at_reps(G.column(g)))(cid)
 
 
 def _abelian_over(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:

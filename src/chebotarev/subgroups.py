@@ -51,19 +51,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
-from operator import itemgetter
+from math import gcd, isqrt
 from typing import Optional
 
 from .errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
-from .perm import PermGroup, Subgroup, bits_iter, conjugacy_classes
+from .perm import PermGroup, Subgroup, _coset_action, bits_iter, conjugacy_classes
 
 DEFAULT_SUBGROUP_CAP = 2000
 
 
 def _least_prime(n: int) -> int:
-    # the smallest prime divisor of n >= 2
-    return next(d for d in range(2, n + 1) if n % d == 0)
+    # the smallest prime divisor of n >= 2: a composite n has one at most
+    # isqrt(n), so n is its own when trial division finds none below
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
 def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
@@ -99,12 +99,7 @@ def all_subgroups(G: PermGroup, *, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subg
         # a proper subgroup above H has at most m/p cosets of H, counting
         # H itself, for p the least prime dividing m = |G:H| (Lagrange)
         most = m // _least_prime(m)
-        at_reps = itemgetter(*reps)
-
-        def coset_action(g: int) -> tuple[int, ...]:
-            # coset x -> coset of reps[x] * g
-            return itemgetter(*at_reps(G.column(g)))(cid)
-
+        coset_action = _coset_action(G, reps, cid)
         wacts = [coset_action(w) for w in wits]
         tried = [False] * m
         tried[0] = True

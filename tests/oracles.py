@@ -16,8 +16,9 @@ from a transparent double loop over subsets, Monte Carlo waiting times
 from a per-trial loop on Python-int masks that makes the same generator
 calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
-lattice's normal subgroups, and socle modules from an explicitly built
-quotient group.
+lattice's normal subgroups, socle modules from an explicitly built
+quotient group, and quotient groups from one product per coset and
+element.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from chebotarev.catalog import RATIO_CATALOG, SOLUBLE_CATALOG
-from chebotarev.perm import PermGroup, Subgroup
+from chebotarev.perm import PermGroup, Permutation, Subgroup
 
 # The benchmark's catalog: soluble catalog, ratio-test constructions, S5, A5.
 CATALOG_SPECS = tuple(
@@ -337,13 +338,25 @@ def naive_prob_from_unions(order: int, unions: list[int], k: int) -> Fraction:
     return 1 - total
 
 
+def mat_identity(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(A, B, p: int):
+    n = len(A)
+    m = len(B[0])
+    k = len(B)
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(m))
+        for i in range(n)
+    )
+
+
 def element_matrices(H: PermGroup, gen_matrices, p: int) -> list:
     """Action matrix per element of H, matrices given per H.generators.
 
     Walks H's BFS tree: the matrix of x*g is M_g @ M_x (right action).
     """
-    from chebotarev.crowns import mat_identity, mat_mul
-
     by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
     n = len(gen_matrices[0]) if gen_matrices else 0
     mats = [mat_identity(n)] * H.order
@@ -428,10 +441,31 @@ def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
     return waits
 
 
+def quotient_by_mult(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
+    """(Q, epi) for G/N with one ``G.mult`` per (coset, element) pair.
+
+    Cosets Nt are listed by least element t, and each element's coset
+    permutation is built point by point from products with every
+    representative, so neither table columns nor the coset partition of
+    ``PermGroup.right_cosets`` is read.
+    """
+    cid = [-1] * G.order
+    reps: list[int] = []
+    for t in range(G.order):
+        if cid[t] < 0:
+            for x in N.members():
+                cid[G.mult(x, t)] = len(reps)
+            reps.append(t)
+
+    def coset_perm(x: int) -> tuple[int, ...]:
+        return tuple(cid[G.mult(r, x)] for r in reps)
+
+    Q = PermGroup(len(reps), [Permutation(coset_perm(g)) for g in G.generator_indices])
+    return Q, tuple(Q.index[coset_perm(i)] for i in range(G.order))
+
+
 def section_kernel(mod) -> Subgroup:
     """The elements of the ambient group acting trivially on the module."""
-    from chebotarev.crowns import mat_identity
-
     G = mod.group
     ident = mat_identity(mod.n_raw)
     mats = element_matrices(G, mod.gen_matrices, mod.p)

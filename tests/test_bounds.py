@@ -63,6 +63,7 @@ def test_unclassified_module_raises(group_of):
     assert V.q is None
     for check in (
         lambda: crown_bound([V], []),
+        lambda: min_generator_bound([V], 1),
         lambda: waiting_estimate(V),
         lambda: waiting_ratio_check(V, s3.order),
     ):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     complement_by_lattice_scan,
     complements_by_lattice_scan,
     element_matrices,
+    mat_identity,
     section_kernel,
     socle_factor_modules_by_quotient,
 )
@@ -24,7 +26,6 @@ from chebotarev.crowns import (
     factor_module,
     g_isomorphic,
     is_complemented,
-    mat_identity,
     mat_rank,
     nullspace,
     omega_membership,
@@ -627,6 +628,33 @@ def test_p_fix_bounds(group_of):
                     == v
                 )
                 assert V.p_fix >= Fraction(stab, HQ.order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    SOLUBLE_CATALOG + (AGL32, SL24_ON_F2_4, "direct_product symmetric 5 symmetric 3"),
+)
+def test_p_fix_and_h_order_exact(spec, group_of):
+    # p_fix is the share of the explicitly built G/C_G(V) whose action
+    # matrix fixes a nonzero vector, and |H| is the index of the section
+    # centralizer, for every non-central class
+    G = group_of(spec)
+    subs = chief_series(G).subgroups
+    for V in crown_data(G).A:
+        i = int(V.label[len("factor[") : -1])
+        C = section_centralizer(G, subs[i], subs[i + 1])
+        assert V.h_order == G.order // C.order
+        HQ, _ = quotient(G, section_kernel(V))
+        vectors = [v for v in itertools.product(range(V.p), repeat=V.n_raw) if any(v)]
+        fixing = sum(
+            1
+            for M in element_matrices(HQ, V.gen_matrices, V.p)
+            if any(
+                all(sum(a * b for a, b in zip(row, v)) % V.p == x for row, x in zip(M, v))
+                for v in vectors
+            )
+        )
+        assert V.p_fix == Fraction(fixing, HQ.order)
 
 
 def _digits(x, p, n):

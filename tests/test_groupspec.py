@@ -9,6 +9,7 @@ from chebotarev.groupspec import (
     PERM_DEGREE_LIMIT,
     affine_group,
     alternating_group,
+    check_prime,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -18,6 +19,7 @@ from chebotarev.groupspec import (
     symmetric_group,
 )
 from chebotarev.perm import is_soluble
+from chebotarev.subgroups import _least_prime
 
 
 def test_constructor_orders():
@@ -43,6 +45,21 @@ def test_direct_product_orders():
     g = direct_product([cyclic_group(2), symmetric_group(3)])
     assert g.order == 12
     assert is_soluble(g)
+
+
+def test_least_prime_and_check_prime():
+    # one trial division up to isqrt(n) for both: the least prime divisor,
+    # and primality as "p >= 2 and its own least prime divisor"
+    for n in range(2, 2000):
+        assert _least_prime(n) == next(d for d in range(2, n + 1) if n % d == 0)
+    primes = {n for n in range(2, 300) if _least_prime(n) == n}
+    assert len(primes) == 62
+    for n in range(-3, 300):
+        if n in primes:
+            check_prime(n)
+        else:
+            with pytest.raises(NotPrimeError):
+                check_prime(n)
 
 
 def test_elementary_requires_prime():

@@ -11,6 +11,7 @@ from oracles import (
     derived_series_bits,
     normal_by_conjugation,
     normal_closure_by_conjugates,
+    quotient_by_mult,
 )
 from chebotarev import perm
 from chebotarev.errors import BadSectionError, DegreeMismatchError, NotNormalError, OrderCapError
@@ -236,6 +237,24 @@ def test_quotient_epimorphism_property(spec, group_of):
         for a in range(G.order):
             for b in range(G.order):
                 assert epi[G.mult(a, b)] == Q.mult(epi[a], epi[b])
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["table", "words"])
+@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 9", "quaternion8", "cyclic 1"])
+def test_quotient_matches_products(spec, tabled, monkeypatch):
+    # the coset action read off table columns (or generator words above
+    # the table limit) gives the same Q, element order and epi as one
+    # product per (coset, element) pair, for every normal N including G
+    if not tabled:
+        monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", parse_group(spec).group.order - 1)
+    G = parse_group(spec).group
+    assert (G._ensure_table() is not None) == tabled
+    for N in _normal_subgroups(G):
+        Q, epi = quotient(G, N)
+        Q_ref, epi_ref = quotient_by_mult(G, N)
+        assert [g.images for g in Q.generators] == [g.images for g in Q_ref.generators]
+        assert [e.images for e in Q.elements] == [e.images for e in Q_ref.elements]
+        assert epi == epi_ref
 
 
 def _normal_subgroups(G):

@@ -70,15 +70,43 @@ def test_crowns_never_reads_the_maximal_classes():
     assert "maximal_classes" not in called
 
 
-def test_one_solubility_route():
-    # solubility is read off the cached chief series, with no derived series
-    # beside it, and normality checks witnesses x generators, not the
-    # conjugate of every element
+def _defined():
+    # the names of every function defined in src/
     defined = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    assert "derived_series_bits" not in defined
+    return defined
+
+
+def test_one_solubility_route():
+    # solubility is read off the cached chief series, with no derived series
+    # beside it, and normality checks witnesses x generators, not the
+    # conjugate of every element
+    assert "derived_series_bits" not in _defined()
     assert _calls("derived_series_bits") == []
     assert ("perm.py", "is_soluble") in _calls("_default_series")
     assert [c for c in _calls("conj_bits") if c[1] == "is_normal"] == []
+
+
+def test_one_acting_group():
+    # H = G/C_G(V) is built once per module, as a permutation group on V's
+    # vectors: no matrix closure beside it, and no module built elsewhere
+    # (such as a probe module for the commutant field)
+    assert {c for c in _calls("PermGroup") if c[0] == "crowns.py"} == {
+        ("crowns.py", "_acting_group")
+    }
+    assert set(_calls("ChiefFactorModule")) == {("crowns.py", "factor_module")}
+    assert not {"mat_mul", "mat_identity"} & _defined()
+
+
+def test_one_primality_check():
+    # one trial division: check_prime reads the least prime divisor and
+    # loops over nothing itself
+    tree = ast.parse((SRC / "groupspec.py").read_text())
+    fn = next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "check_prime"
+    )
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [n for n in ast.walk(fn) if isinstance(n, loops)]
+    assert ("groupspec.py", "check_prime") in _calls("_least_prime")
