@@ -82,8 +82,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _classified(V: ChiefFactorModule) -> tuple[int, int, int]:
-    """(q, n, delta) of a module, which crown_data must have classified."""
-    if V.q is None or V.n is None or V.delta is None:
+    """(q, n, delta) of a module, which crown_data must have classified (m too)."""
+    if V.q is None or V.n is None or V.delta is None or V.m is None:
         raise InvariantError(f"module {V.label!r} is not classified by crown_data")
     return V.q, V.n, V.delta
 
@@ -91,8 +91,6 @@ def _classified(V: ChiefFactorModule) -> tuple[int, int, int]:
 def _crown_term(V: ChiefFactorModule) -> tuple[Fraction, Fraction, Fraction]:
     """(size branch, image branch, min) of the non-central class bound term."""
     q, n, delta = _classified(V)
-    if V.theta is None:
-        raise InvariantError(f"module {V.label!r} has no theta from crown_data")
     qn = q**n
     dt = delta * V.theta
     c_v = Fraction(q, q - 1)
@@ -129,8 +127,8 @@ def min_generator_bound(A: Sequence[ChiefFactorModule], d: int) -> Fraction:
 class WaitingEstimate:
     """Both branches of the per-crown waiting-time estimate and their min.
 
-    ``branch_fix`` uses the fixed-vector probability (needs m; None when m
-    is unknown); ``branch_identity`` waits for identity draws in the image
+    ``branch_fix`` uses the fixed-vector probability (None for a central
+    class); ``branch_identity`` waits for identity draws in the image
     group, or is the expected-generation sum when the image is trivial.
     """
 
@@ -147,15 +145,12 @@ def waiting_estimate(V: ChiefFactorModule) -> WaitingEstimate:
         qd = q**delta
         s = sum((Fraction(qd, qd - q**i) for i in range(delta)), Fraction(0))
         return WaitingEstimate(branch_fix=None, branch_identity=s, value=s)
-    theta = V.theta if V.theta is not None else (0 if delta == 1 else 1)
-    dt = delta * theta
-    qn = q**n
-    by_image = (_ceil_div(dt, n) + Fraction(qn, qn - 1)) * V.h_order
-    by_fix: Optional[Fraction] = None
-    if V.m is not None and V.p_fix > 0:
-        by_fix = (dt + V.m + Fraction(q, q - 1)) / V.p_fix
-    value = by_image if by_fix is None else min(by_fix, by_image)
-    return WaitingEstimate(branch_fix=by_fix, branch_identity=by_image, value=value)
+    # p_fix >= 1/|H|: the identity fixes every vector
+    by_fix = (delta * V.theta + V.m + Fraction(q, q - 1)) / V.p_fix
+    by_image = _crown_term(V)[1]
+    return WaitingEstimate(
+        branch_fix=by_fix, branch_identity=by_image, value=min(by_fix, by_image)
+    )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ All reported quantities (q, n, delta, theta, p_fix, m) are basis
 invariant even though the matrices themselves are not.
 
 The chief series takes abelian factors first, so it runs through the
-soluble radical R. Below R, the chief series and the socle of each
-G/core(M) are found in G by ``minimal_normal_subgroups(G, N)``, which
-returns preimages, and every module acts through G's own generators.
+soluble radical R. Below R, the chief series is found in G by
+``minimal_normal_subgroups(G, N)``, which returns preimages, and every
+module acts through G's own generators.
 Above R, the one quotient G/R is built (``perm.quotient``, cached on G;
 G itself when R = 1, none when G is soluble), and only its subgroup
 lattice is walked: for the maximal subgroups of G that contain R, for
@@ -32,7 +32,10 @@ of the maximal subgroups of G/R, are all the maximal subgroups of G
 ``subgroups.maximal_classes`` takes from here: a factor's complements
 are classed by their solutions modulo the coboundaries B^1, so only the
 preimages from G/R are classed by conjugation. The chief series, the
-right cosets of its terms and ``crown_data`` are cached on G too.
+right cosets of its terms, each section's module and ``crown_data`` are
+cached on G too. No socle of a quotient G/core(M) is computed: whether
+M lies in Omega_V is read off the chief factor that M complements
+(``omega_membership``).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .perm import (
     PermGroup,
     Permutation,
     Subgroup,
-    _abelian_over,
     _validate_section,
     bits_iter,
     quotient,
@@ -174,9 +176,6 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
     abelian_flags: list[bool] = []
     while chain_up[-1].order < G.order:
         N = chain_up[-1]
-        # each term's cosets are partitioned once per G: read here and by
-        # ``complements`` for both factors the term bounds
-        _cosets(G, N.bits, keep=True)
         mins = minimal_normal_subgroups(G, N)
         abelian = [X for X in mins if _is_prime_power(X.order // N.order)]
         candidates = abelian or mins
@@ -312,7 +311,8 @@ class ChiefFactorModule:
     H = G/C_G(V), built once as the permutations the generator matrices
     make of V's p^n vectors, its generators aligned with ``gen_matrices``;
     ``h_order`` and ``central`` are read off it. Fields after ``p_fix`` are
-    filled by crown classification, which keeps complemented factors only.
+    filled by crown classification, which keeps complemented factors only,
+    and ``theta`` is read off ``delta``.
     """
 
     group: PermGroup
@@ -324,13 +324,16 @@ class ChiefFactorModule:
     q: Optional[int] = None
     n: Optional[int] = None
     delta: Optional[int] = None
-    theta: Optional[int] = None
     m: Optional[int] = None
     label: str = ""
 
     @property
     def h_order(self) -> int:
         return self.acting_group.order
+
+    @property
+    def theta(self) -> Optional[int]:
+        return None if self.delta is None else (0 if self.delta == 1 else 1)
 
     @property
     def central(self) -> bool:
@@ -348,7 +351,7 @@ def _section_coordinates(
 
     Returns ``(p, basis, vec, rep)``: the prime p, the smallest divisor of
     |X/Y|; the elements of X whose Y-cosets form the basis, chosen greedily
-    from coset representatives in discovery order; the coordinate vector
+    from the cosets' least elements in ascending order; the coordinate vector
     of every element of X; and, per vector, the representative of its
     Y-coset. Raises ``NotChiefFactorError`` if X/Y is trivial or not
     elementary abelian. Cached on G per (X, Y).
@@ -361,16 +364,12 @@ def _section_coordinates(
     if vorder == 1:
         raise NotChiefFactorError("the section X/Y is trivial")
     p = _least_prime(vorder)
-    # cosets of Y inside X, id 0 = Y itself (identity has element index 0)
-    vid: dict[int, int] = {}
-    coset_rep: list[int] = []
-    for x in bits_iter(X.bits):
-        if x in vid:
-            continue
-        c = len(coset_rep)
-        coset_rep.append(x)
-        for y in bits_iter(Y.bits):
-            vid[G.mult(y, x)] = c
+    # the cosets of Y inside X, by least element, so id 0 is Y itself (the
+    # identity has element index 0)
+    reps, cid, _ = _cosets(G, Y.bits)
+    coset_rep = [r for r in reps if (X.bits >> r) & 1]
+    local = {cid[r]: c for c, r in enumerate(coset_rep)}
+    vid = {x: local[cid[x]] for x in bits_iter(X.bits)}
     if len(coset_rep) != vorder or vid[0] != 0:
         raise InvariantError("the cosets of Y do not partition X")
 
@@ -419,12 +418,17 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     acting group H = G/C_G(X/Y) is the group the generator matrices make
     of the p^n vectors of X/Y (``_acting_group``), and no other element
     of G is conjugated. |H| is its order, and ``p_fix`` is the share of
-    its elements that fix a vector other than 0.
+    its elements that fix a vector other than 0. The checks run on every
+    call; the module is cached on G per (X, Y).
     """
     _validate_section(G, X, Y)
     pfac, basis, vec, _ = _section_coordinates(G, X, Y)
     if check_chief:
         _check_chief(G, X, Y)
+    key = ("factor_module", X.bits, Y.bits)
+    cached = G._cache.get(key)
+    if cached is not None:
+        return cached
 
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
     H = _acting_group(pfac, len(basis), gen_mats)
@@ -432,7 +436,7 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
     # 0 is fixed by every element, so a fixed nonzero vector is a second
     # fixed point
     fixing = sum(1 for h in H.elements if sum(map(eq, h.images, points)) > 1)
-    return ChiefFactorModule(
+    out = G._cache[key] = ChiefFactorModule(
         group=G,
         p=pfac,
         n_raw=len(basis),
@@ -440,6 +444,7 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool =
         acting_group=H,
         p_fix=Fraction(fixing, H.order),
     )
+    return out
 
 
 def _acting_group(p: int, n: int, gen_mats: Sequence[Mat]) -> PermGroup:
@@ -872,7 +877,6 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
             q=q,
             n=nv,
             delta=delta,
-            theta=0 if delta == 1 else 1,
             m=m,
         )
         (central if rep.central else non_central).append(rep)
@@ -891,57 +895,32 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
 # -- omega membership ------------------------------------------------------
 
 
-def socle_factor_modules(
-    G: PermGroup, mc: MaximalClassData
-) -> list[Optional[ChiefFactorModule]]:
-    """Modules of G on the abelian minimal normal subgroups of G/core(M).
-
-    Each minimal normal subgroup of G/core(M) is taken as its preimage N
-    in G, and its module is the section N/core(M) (None where that section
-    is nonabelian). Generator matrices are indexed by G's own generator
-    list, so the results compare directly with chief factor modules of G.
-    """
-    core = Subgroup(G, mc.core_bits)
-    return [
-        factor_module(G, N, core, check_chief=False) if _abelian_over(G, N, core) else None
-        for N in minimal_normal_subgroups(G, core)
-    ]
-
-
 def omega_membership(
-    G: PermGroup,
-    maximals: Sequence[MaximalClassData],
-    V: ChiefFactorModule,
-    *,
-    socle_cache: Optional[dict[int, list[Optional[ChiefFactorModule]]]] = None,
+    G: PermGroup, maximals: Sequence[MaximalClassData], V: ChiefFactorModule
 ) -> int:
-    """Bitmask over maximal classes whose quotient socle is V or V x V.
+    """Bitmask over the maximal classes M in Omega_V: G/core(M) has socle V.
 
-    The socle of G/core(M) is the product of its minimal normal
-    subgroups; membership requires either a single minimal normal
-    subgroup isomorphic to V or exactly two, both isomorphic to V.
+    Let N_j be the first term of the default chief series inside M, so
+    inside core(M). Then M is in Omega_V iff the factor N_{j-1}/N_j is
+    abelian and G-isomorphic to V. Proof: N_{j-1} n core(M) is normal in
+    G, contains N_j and is not N_{j-1}, so it is N_j, and
+    N_{j-1}core(M)/core(M) is a minimal normal subgroup of G/core(M),
+    G-isomorphic to N_{j-1}/N_j. If that factor is nonabelian, so is a
+    minimal normal subgroup of G/core(M), and M is in no Omega_V. If it is
+    abelian, it is the only minimal normal subgroup, since G/core(M) is
+    primitive and a primitive group with an abelian minimal normal
+    subgroup has no other (Baer). M then complements the factor, as
+    M n N_{j-1} is normalized by M and by the abelian N_{j-1}/N_j, so is
+    N_j: its module is the one ``crown_data`` built, read from the cache
+    of ``factor_module``.
     """
+    series = _default_series(G)
+    subs = series.subgroups
     mask = 0
     for ci, mc in enumerate(maximals):
-        if socle_cache is not None and ci in socle_cache:
-            mods = socle_cache[ci]
-        else:
-            mods = socle_factor_modules(G, mc)
-            if socle_cache is not None:
-                socle_cache[ci] = mods
-        if any(m is None for m in mods):
-            continue
-        if len(mods) == 1:
-            ok = g_isomorphic(mods[0], V)
-        elif len(mods) == 2:
-            ok = (
-                mods[0].module_order == V.module_order
-                and mods[1].module_order == V.module_order
-                and g_isomorphic(mods[0], V)
-                and g_isomorphic(mods[1], V)
-            )
-        else:
-            ok = False
-        if ok:
+        j = next(j for j, N in enumerate(subs) if N.bits & ~mc.core_bits == 0)
+        if series.factor_abelian[j - 1] and g_isomorphic(
+            factor_module(G, subs[j - 1], subs[j], check_chief=False), V
+        ):
             mask |= 1 << ci
     return mask

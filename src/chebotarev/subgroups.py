@@ -222,16 +222,12 @@ def frattini(G: PermGroup) -> Subgroup:
     return Subgroup(G, bits)
 
 
-def _cosets(G: PermGroup, bits: int, *, keep: bool = False) -> tuple[list[int], list[int], list[int]]:
-    # G.right_cosets(bits), partitioned once per G for the subgroups kept
-    # here (the chief-series terms: ``crowns.chief_series`` keeps them),
-    # afresh for any other
+def _cosets(G: PermGroup, bits: int) -> tuple[list[int], list[int], list[int]]:
+    # G.right_cosets(bits), partitioned once per G
     key = ("right_cosets", bits)
     out = G._cache.get(key)
     if out is None:
-        out = G.right_cosets(bits)
-        if keep:
-            G._cache[key] = out
+        out = G._cache[key] = G.right_cosets(bits)
     return out
 
 
@@ -245,9 +241,8 @@ def minimal_normal_subgroups(
     and ``N C_x`` the union of the N-cosets meeting C_x. So the answer is
     the minimal members of that family over one x per conjugacy class,
     and classes whose elements generate conjugate cyclic subgroups share
-    one closure; the closures are cached on G, and so are the right cosets
-    of N when N is a chief-series term. Sorted by (order, bitset); raises
-    ``TrivialGroupError`` when N = G.
+    one closure; the closures and the right cosets of N are cached on G.
+    Sorted by (order, bitset); raises ``TrivialGroupError`` when N = G.
     """
     nbits = 1 if N is None else N.bits
     if nbits == G.full_bits:

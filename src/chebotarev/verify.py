@@ -254,10 +254,9 @@ def item_v_property_decomposition() -> ItemResult:
                 continue
             sieves = build_sieves(w.group)
             mx = maximal_classes(w.group)
-            cache: dict = {}
             total = Fraction(0)
             for V in w.crowns.A:
-                mask = omega_membership(w.group, mx, V, socle_cache=cache)
+                mask = omega_membership(w.group, mx, V)
                 total += v_property_sum(sieves, mask)
             if w.crowns.B:
                 total += max(V.delta for V in w.crowns.B)

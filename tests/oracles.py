@@ -492,3 +492,22 @@ def socle_factor_modules_by_quotient(G: PermGroup, mc):
             factor_module(Q, N, Subgroup.trivial(Q), check_chief=False) if abelian else None
         )
     return mods
+
+
+def omega_by_quotient_socles(G: PermGroup, maximals, V) -> int:
+    """The Omega_V mask by the socle rule, on explicitly built G/core(M).
+
+    M is a member iff the minimal normal subgroups of G/core(M) are all
+    abelian and either there is one, G-isomorphic to V, or there are two,
+    both G-isomorphic to V (``socle_factor_modules_by_quotient``).
+    """
+    from chebotarev.crowns import g_isomorphic
+
+    mask = 0
+    for ci, mc in enumerate(maximals):
+        mods = socle_factor_modules_by_quotient(G, mc)
+        if any(m is None for m in mods) or len(mods) > 2:
+            continue
+        if all(g_isomorphic(m, V) for m in mods):
+            mask |= 1 << ci
+    return mask

@@ -13,8 +13,8 @@ from oracles import (
     complements_by_lattice_scan,
     element_matrices,
     mat_identity,
+    omega_by_quotient_socles,
     section_kernel,
-    socle_factor_modules_by_quotient,
 )
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
@@ -578,32 +578,41 @@ def test_omega_membership_examples(group_of):
 
 
 def test_omega_vxv_case(group_of):
-    # (C_3 x C_3) : C_2 with diagonal inversion: the maximal complements
-    # have trivial core and quotient socle V x V
+    # (C_3 x C_3) : C_2 with diagonal inversion has delta = 2, but no
+    # maximal class has trivial core, so no quotient socle is V x V: the
+    # four classes of order 6 have core of order 3 and quotient S_3 with
+    # socle V, and the class of order 9 has core of order 9 and quotient C_2
     G = group_of("affine 3 1 [[2]] power 2")
     cd = crown_data(G)
     V = cd.A[0]
     assert V.delta == 2
     mx = maximal_classes(G)
-    mask = omega_membership(G, mx, V)
-    s3_classes = [
-        i for i, mc in enumerate(mx) if mc.core_bits == 1
+    assert sorted((mc.representative.order, mc.core_bits.bit_count()) for mc in mx) == [
+        (6, 3), (6, 3), (6, 3), (6, 3), (9, 9)
     ]
-    for i in s3_classes:
-        assert (mask >> i) & 1
+    members = [mc.representative.order == 6 for mc in mx]
+    assert omega_membership(G, mx, V) == sum(1 << i for i, m in enumerate(members) if m)
 
 
-@pytest.mark.parametrize("spec", SOLUBLE_CATALOG)
+@pytest.mark.parametrize(
+    "spec",
+    CATALOG_SPECS
+    + (
+        "direct_product symmetric 5 symmetric 3",
+        "direct_product alternating 5 symmetric 4",
+        "direct_product alternating 5 elementary 2 3",
+        "alternating 6",
+    ),
+)
 def test_omega_membership_matches_quotient_socles(spec, group_of):
-    # the socle modules built inside G give the masks of the socle modules
-    # of explicitly built quotients G/core(M)
+    # the chief factor each maximal class complements gives the masks of
+    # the socle modules of explicitly built quotients G/core(M), for every
+    # crown class, central or not
     G = group_of(spec)
     mx = maximal_classes(G)
-    by_quotient = {ci: socle_factor_modules_by_quotient(G, mc) for ci, mc in enumerate(mx)}
-    for V in crown_data(G).A:
-        assert omega_membership(G, mx, V) == omega_membership(
-            G, mx, V, socle_cache=dict(by_quotient)
-        )
+    cd = crown_data(G)
+    for V in cd.A + cd.B:
+        assert omega_membership(G, mx, V) == omega_by_quotient_socles(G, mx, V)
 
 
 def test_p_fix_bounds(group_of):

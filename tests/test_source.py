@@ -110,3 +110,15 @@ def test_one_primality_check():
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [n for n in ast.walk(fn) if isinstance(n, loops)]
     assert ("groupspec.py", "check_prime") in _calls("_least_prime")
+
+
+def test_omega_from_the_complemented_chief_factor():
+    # Omega_V membership is read off the chief factor each maximal class
+    # complements, so no socle of G/core(M) is computed; every coset
+    # partition is cached, with no knob to skip the cache
+    assert "socle_factor_modules" not in _defined()
+    assert [c for c in _calls("minimal_normal_subgroups") if c[1] == "omega_membership"] == []
+    tree = ast.parse((SRC / "subgroups.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_cosets")
+    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    assert "keep" not in {a.arg for a in params}
