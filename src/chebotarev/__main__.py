@@ -1,0 +1,6 @@
+"""``python -m chebotarev``: the same command line as ``chebotarev``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

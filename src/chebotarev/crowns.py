@@ -278,18 +278,6 @@ def _image_bits(epi: Sequence[int], bits: int) -> int:
     return out
 
 
-def is_complemented(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y).
-
-    The answer is whether the complement system of X/Y has a solution
-    (``complements``). Raises ``NotChiefFactorError`` if a normal subgroup
-    of G lies strictly between Y and X.
-    """
-    _validate_section(G, X, Y)
-    _check_chief(G, X, Y)
-    return bool(complements(G, X, Y))
-
-
 def _check_chief(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
     if X.bits == Y.bits:
         raise NotChiefFactorError("the section X/Y is trivial")
@@ -338,10 +326,6 @@ class ChiefFactorModule:
     @property
     def central(self) -> bool:
         return self.h_order == 1
-
-    @property
-    def module_order(self) -> int:
-        return self.p**self.n_raw
 
 
 def _section_coordinates(

@@ -6,7 +6,11 @@ containing every element drawn so far) and ANDs in the signature of each
 new uniform element; the trial's waiting time is the draw count at which
 the mask empties. All trials advance together, one draw per step, and a
 trial drops out at the step its mask empties. Masks of any width are held
-as one ``uint64`` word per 64 sieves.
+as one word per 64 sieves, each word in the narrowest unsigned dtype that
+holds its sieves (``uint8`` up to 8, then ``uint16``, ``uint32``,
+``uint64``), so a step touches as few bytes as the family allows. Each
+step ANDs the drawn elements' words into the masks in place and compacts
+the alive trials with an order-preserving ``compress``.
 
 The PRNG is numpy's PCG64, seeded explicitly. Step 1 draws
 ``integers(0, order, size=trials)``; every later step draws
@@ -31,7 +35,6 @@ from .exact import SieveSystem
 STREAM_VERSION = 2
 
 _WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
 
 
 @dataclass(frozen=True)
@@ -68,29 +71,32 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
             " the sieve system is broken"
         )
     class_of = np.array(S.class_of, dtype=np.intp)
-    tables = [
-        np.array(
-            [(sig >> shift) & _WORD_MASK for sig in S.class_signatures], dtype=np.uint64
-        )[class_of]
-        for shift in range(0, S.sieve_count, _WORD)
-    ]
+    tables = []
+    for shift in range(0, S.sieve_count, _WORD):
+        full = (1 << min(_WORD, S.sieve_count - shift)) - 1
+        word = [(sig >> shift) & full for sig in S.class_signatures]
+        tables.append(np.array(word, dtype=np.min_scalar_type(full))[class_of])
     rng = np.random.Generator(np.random.PCG64(seed))
 
     # Trials are exchangeable, so only the alive count per step matters:
     # a trial that takes step s adds 1 to its wait and 2s - 1 to its square.
     total = total_sq = 0
     step = 0
-    masks = [np.full(trials, _WORD_MASK, dtype=np.uint64) for _ in tables]
-    while masks[0].size:
+    alive = trials
+    masks = [np.full(trials, np.iinfo(t.dtype).max, t.dtype) for t in tables]
+    while alive:
         step += 1
-        alive = masks[0].size
         total += alive
         total_sq += (2 * step - 1) * alive
         idx = rng.integers(0, S.order, size=alive)
-        masks = [m & t[idx] for m, t in zip(masks, tables)]
+        for m, t in zip(masks, tables):
+            m &= t.take(idx)
         keep = reduce(np.bitwise_or, masks).astype(bool)
-        if not keep.all():
-            masks = [m[keep] for m in masks]
+        # a Python int, so that total, mean and variance stay Python numbers
+        survivors = int(np.count_nonzero(keep))
+        if survivors < alive:
+            masks = [m.compress(keep) for m in masks]
+            alive = survivors
 
     n = trials
     mean = total / n

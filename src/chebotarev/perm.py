@@ -332,14 +332,6 @@ class PermGroup:
         """Index of ``i^-1 j^-1 i j``."""
         return self.mult(self.mult(self._inv[i], self._inv[j]), self.mult(i, j))
 
-    def element_order(self, i: int) -> int:
-        k = 1
-        x = i
-        while x != 0:
-            x = self.mult(x, i)
-            k += 1
-        return k
-
     # -- subgroup machinery ---------------------------------------------
 
     def closure_bits(self, seeds: Iterable[int]) -> int:
@@ -625,19 +617,3 @@ def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
         raise BadSectionError("X and Y must be normal in G")
     if not _abelian_over(G, X, Y):
         raise NotAbelianFactorError("section X/Y is not abelian")
-
-
-def section_centralizer(G: PermGroup, X: Subgroup, Y: Subgroup) -> Subgroup:
-    """The subgroup {g : [g, x] in Y for all x in X} for an abelian section X/Y.
-
-    Requires Y <= X with both normal in G (``_validate_section``). Checking
-    commutators against the witnesses of X suffices because Y is normal.
-    """
-    _validate_section(G, X, Y)
-    xw = X.witnesses
-    bits = 0
-    ybits = Y.bits
-    for g in range(G.order):
-        if all((ybits >> G.commutator(g, x)) & 1 for x in xw):
-            bits |= 1 << g
-    return Subgroup(G, bits)

@@ -17,8 +17,9 @@ from a per-trial loop on Python-int masks that makes the same generator
 calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups, socle modules from an explicitly built
-quotient group, and quotient groups from one product per coset and
-element.
+quotient group, quotient groups from one product per coset and
+element, section centralizers from the commutator with every element,
+and element orders from repeated products.
 """
 
 from __future__ import annotations
@@ -142,6 +143,52 @@ def complements_by_lattice_scan(G: PermGroup, X, Y) -> set[int]:
 def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
     """Some subgroup U has U n X = Y and |U||X| = |G||Y|, i.e. UX = G."""
     return bool(complements_by_lattice_scan(G, X, Y))
+
+
+def is_complemented(G: PermGroup, X, Y) -> bool:
+    """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y).
+
+    Read off the complement system of X/Y (``complements``). Raises
+    ``NotChiefFactorError`` if a normal subgroup of G lies strictly between
+    Y and X.
+    """
+    from chebotarev.crowns import _check_chief, complements
+    from chebotarev.perm import _validate_section
+
+    _validate_section(G, X, Y)
+    _check_chief(G, X, Y)
+    return bool(complements(G, X, Y))
+
+
+def section_centralizer(G: PermGroup, X, Y) -> Subgroup:
+    """The subgroup {g : [g, x] in Y for all x in X} for an abelian section X/Y.
+
+    Requires Y <= X with both normal in G (``_validate_section``). Checking
+    commutators against the witnesses of X suffices because Y is normal.
+    """
+    from chebotarev.perm import _validate_section
+
+    _validate_section(G, X, Y)
+    bits = 0
+    for g in range(G.order):
+        if all((Y.bits >> G.commutator(g, x)) & 1 for x in X.witnesses):
+            bits |= 1 << g
+    return Subgroup(G, bits)
+
+
+def element_order(G: PermGroup, i: int) -> int:
+    """Order of element ``i``, by multiplying by it until the identity."""
+    k = 1
+    x = i
+    while x != 0:
+        x = G.mult(x, i)
+        k += 1
+    return k
+
+
+def module_order(V) -> int:
+    """|V| = p^n of a chief factor module."""
+    return V.p**V.n_raw
 
 
 def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,9 +13,8 @@ from oracles import SOLUBLE_SPECS
 from chebotarev import cli, subgroups
 from chebotarev.cli import main
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src" / "chebotarev" / "report_schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "src" / "chebotarev" / "report_schema.json").read_text())
 
 
 def run_json(capsys, *argv):
@@ -38,6 +39,21 @@ def test_exact_rational_roundtrip(capsys):
     value = Fraction(report["chebotarev"]["exact"])
     assert value == Fraction(report["chebotarev"]["exact"])  # parses back
     assert 0 < value < 10
+
+
+def test_python_dash_m(capsys):
+    # ``python -m chebotarev`` runs the same main as the console script
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["exact", "cyclic", "4", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chebotarev", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, report = run_json(capsys, *argv)
+    sub = json.loads(proc.stdout)
+    assert sub.pop("timings") and report.pop("timings")
+    assert sub == report
 
 
 def test_trivial_group(capsys):

@@ -12,8 +12,11 @@ from oracles import (
     complement_by_lattice_scan,
     complements_by_lattice_scan,
     element_matrices,
+    is_complemented,
     mat_identity,
+    module_order,
     omega_by_quotient_socles,
+    section_centralizer,
     section_kernel,
 )
 from chebotarev.catalog import SOLUBLE_CATALOG
@@ -25,13 +28,12 @@ from chebotarev.crowns import (
     endo_field,
     factor_module,
     g_isomorphic,
-    is_complemented,
     mat_rank,
     nullspace,
     omega_membership,
 )
 from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
-from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient, section_centralizer
+from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient
 from chebotarev.subgroups import all_subgroups, maximal_classes
 
 
@@ -405,7 +407,7 @@ def test_insoluble_crown_with_nonzero_cohomology(spec, order, q, n, group_of):
     V = cd.A[0]
     assert (V.q, V.n, V.delta, V.m) == (q, n, 1, 1)
     HQ, _ = quotient(G, section_kernel(V))
-    assert HQ.order == V.h_order == order // V.module_order
+    assert HQ.order == V.h_order == order // module_order(V)
     der_count, inner_count = brute_derivation_count(HQ, V.gen_matrices, V.p)
     assert der_count == inner_count * q**V.m
     # V = R is the bottom factor, and its complements match the derivations

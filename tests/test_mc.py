@@ -140,6 +140,11 @@ def test_coupon_collector_any_width(n):
         pytest.param(lambda group_of: build_sieves(group_of("alternating 4")), id="A4"),
         pytest.param(lambda group_of: build_sieves(group_of("elementary 2 5")), id="E32"),
         pytest.param(lambda group_of: _coupon_system(66), id="coupon66"),
+        # each mask-word dtype boundary: 8|9, 16|17, 32|33 sieves, and a full word
+        *(
+            pytest.param(lambda group_of, n=k + 1: _coupon_system(n), id=f"coupon{k + 1}")
+            for k in (8, 9, 16, 17, 32, 33, 64)
+        ),
     ],
 )
 def test_stream_matches_per_trial_oracle(system, group_of):
@@ -154,3 +159,27 @@ def test_stream_matches_per_trial_oracle(system, group_of):
     assert rep.mean == total / trials
     assert rep.variance == (total_sq - total * total / trials) / (trials - 1)
     assert rep.max_waiting_time == max(waits)
+
+
+# (spec, seed, mean, variance, max_waiting_time) of mc_estimate(S, 100_000,
+# seed) for each benchmark Monte Carlo group, captured from stream version 2
+_GOLDEN = [
+    ("elementary 2 2", 2101, 3.33315, 2.4525456029560293, 19),
+    ("symmetric 3", 5, 3.78754, 4.857049318893188, 33),
+    ("cyclic 6", 17, 2.30473, 2.039630023400234, 20),
+    ("dihedral 4", 33, 3.33705, 2.4627319248192476, 21),
+    ("alternating 4", 71, 4.39821, 10.284321639116392, 45),
+    ("elementary 2 5", 1009, 6.57758, 2.7291686352863485, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,seed,mean,variance,max_wait", _GOLDEN, ids=[g[0] for g in _GOLDEN]
+)
+def test_golden_reports(spec, seed, mean, variance, max_wait, group_of):
+    rep = mc_estimate(build_sieves(group_of(spec)), 100_000, seed)
+    assert (rep.mean, rep.variance, rep.max_waiting_time) == (mean, variance, max_wait)
+    # Python scalars, not numpy ones: the report is JSON- and repr-stable
+    assert type(rep.mean) is float
+    assert type(rep.variance) is float
+    assert type(rep.max_waiting_time) is int

@@ -122,3 +122,13 @@ def test_omega_from_the_complemented_chief_factor():
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_cosets")
     params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
     assert "keep" not in {a.arg for a in params}
+
+
+def test_oracle_only_code_stays_in_tests():
+    # these have no caller in src/; they live in tests/oracles.py
+    assert not {
+        "section_centralizer",
+        "is_complemented",
+        "element_order",
+        "module_order",
+    } & _defined()
