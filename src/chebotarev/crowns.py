@@ -12,8 +12,10 @@ soluble radical R. Below R, the chief series is found in G by
 module acts through G's own generators.
 Above R, the one quotient G/R is built (``perm.quotient``, cached on G;
 G itself when R = 1, none when G is soluble), and only its subgroup
-lattice is walked: for the maximal subgroups of G that contain R, for
-d(G/R) and for the complements of the nonabelian chief factors.
+lattice is walked, one conjugacy class of subgroups at a time and with
+no cap but the element-table one: for the maximal subgroups of G that
+contain R, for d(G/R) and for the complements of the nonabelian chief
+factors.
 
 Every module question is linear over F_p and is answered by one
 reduced row echelon form (``_rref``): G-isomorphism is a nonempty

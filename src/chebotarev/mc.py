@@ -61,7 +61,8 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
 
     Raises ``TrialCapError`` before any draw if some union is all of G
     (the AND of every class signature is nonzero), since then no trial
-    can end.
+    can end. With no sieves every trial ends at once: no draw is made
+    and the wait is 0, as in the exact chain.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -82,7 +83,7 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
     # a trial that takes step s adds 1 to its wait and 2s - 1 to its square.
     total = total_sq = 0
     step = 0
-    alive = trials
+    alive = trials if tables else 0
     masks = [np.full(trials, np.iinfo(t.dtype).max, t.dtype) for t in tables]
     while alive:
         step += 1

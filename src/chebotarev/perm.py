@@ -25,8 +25,8 @@ stored by columns: column j maps i to the index of
 ``elements[i] * elements[j]``, and it is its BFS parent's column mapped
 through one generator's right multiplication. A column is right
 multiplication by ``elements[j]``, so a right coset Ht is column t read
-at H's members, and a closure reads one column per seed
-(``PermGroup.column``).
+at H's members, and a closure reads one column per seed. Above the table
+limit, ``PermGroup.column_at`` carries many points along j's word at once.
 """
 
 from __future__ import annotations
@@ -182,22 +182,6 @@ def bits_iter(bits: int) -> Iterator[int]:
         bits ^= lsb
 
 
-class _WordColumn:
-    """A multiplication-table column for a group above the table limit.
-
-    Entry i is ``group.mult(i, j)``, found from the generator word of j.
-    """
-
-    __slots__ = ("group", "j")
-
-    def __init__(self, group: "PermGroup", j: int):
-        self.group = group
-        self.j = j
-
-    def __getitem__(self, i: int) -> int:
-        return self.group.mult(i, self.j)
-
-
 class PermGroup:
     """A finite permutation group with a full element table.
 
@@ -267,6 +251,7 @@ class PermGroup:
         self._parent = parent
         self._via = via
         self._gen_right = gen_right
+        self._right = tuple(zip(*gen_right))  # _right[k][x]: x * gen[k]
         self._bfs_gen_indices: tuple[int, ...] = (
             tuple(gen_right[0]) if self._bfs_gens else ()
         )
@@ -287,8 +272,7 @@ class PermGroup:
 
     def _ensure_table(self) -> Optional[list[tuple[int, ...]]]:
         if self._mult_table is None and self.order <= _MULT_TABLE_LIMIT:
-            parent, via = self._parent, self._via
-            right = tuple(zip(*self._gen_right))  # right[k][x]: x * gen[k]
+            parent, via, right = self._parent, self._via, self._right
             # elements[j] = elements[parent[j]] * gen[via[j]], so column j
             # is right[via[j]] picked at column parent[j]
             table = [tuple(range(self.order))]
@@ -314,12 +298,21 @@ class PermGroup:
             acc = self._gen_right[acc][g]
         return acc
 
-    def column(self, j: int) -> Sequence[int]:
-        """Right multiplication by ``elements[j]``: entry i is ``mult(i, j)``."""
-        t = self._mult_table
-        if t is None:
-            t = self._ensure_table()
-        return _WordColumn(self, j) if t is None else t[j]
+    def column_at(self, j: int, points: Sequence[int]) -> tuple[int, ...]:
+        """``mult(x, j)`` for each x in ``points``, in order."""
+        t = self._ensure_table()
+        if len(points) == 1:
+            return (self.mult(points[0], j),)
+        if t is not None:
+            return itemgetter(*points)(t[j])
+        # above the table limit, right-multiply every point along j's word
+        word = []
+        while j != 0:
+            word.append(self._via[j])
+            j = self._parent[j]
+        for k in reversed(word):
+            points = itemgetter(*points)(self._right[k])
+        return tuple(points)
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -337,13 +330,21 @@ class PermGroup:
     def closure_bits(self, seeds: Iterable[int]) -> int:
         """Bitmask of the subgroup generated by the given element indices."""
         seed_list = sorted({int(s) for s in seeds} - {0})
+        t = self._ensure_table()
         bits = 1
-        stack = []
-        for s in seed_list:
-            if not (bits >> s) & 1:
-                bits |= 1 << s
-                stack.append(s)
-        cols = [self.column(s) for s in seed_list]
+        stack = [0]
+        if t is None:
+            # above the table limit, a round at a time: each seed's word
+            # carries all the elements found last at once
+            while stack:
+                new, stack = stack, []
+                for s in seed_list:
+                    for y in self.column_at(s, new):
+                        if not (bits >> y) & 1:
+                            bits |= 1 << y
+                            stack.append(y)
+            return bits
+        cols = [t[s] for s in seed_list]
         while stack:
             x = stack.pop()
             for col in cols:
@@ -388,8 +389,6 @@ class PermGroup:
         index of every element, and each coset as a bitmask.
         """
         members = tuple(bits_iter(bits))
-        # coset Ht is column t read at H's members
-        pick = itemgetter(*members) if len(members) > 1 else lambda col: (col[0],)
         cid = [-1] * self.order
         reps: list[int] = []
         cbits: list[int] = []
@@ -398,17 +397,22 @@ class PermGroup:
                 continue
             c = len(reps)
             reps.append(t)
-            coset = pick(self.column(t))
+            coset = self.column_at(t, members)  # the right coset Ht
             for x in coset:
                 cid[x] = c
             cbits.append(sum([1 << x for x in coset]))
         return reps, cid, cbits
 
+    def conj_map(self, g: int) -> tuple[int, ...]:
+        """Conjugation by ``elements[g]``: entry i is ``conj(i, g)``, cached on G."""
+        key = ("conj_map", g)
+        if key not in self._cache:
+            self._cache[key] = tuple([self.conj(i, g) for i in range(self.order)])
+        return self._cache[key]
+
     def conj_bits(self, bits: int, g: int) -> int:
-        out = 0
-        for i in bits_iter(bits):
-            out |= 1 << self.conj(i, g)
-        return out
+        c = self.conj_map(g)
+        return sum([1 << c[i] for i in bits_iter(bits)])  # conjugates are distinct
 
     @property
     def full_bits(self) -> int:
@@ -596,8 +600,7 @@ def _coset_action(
     """
     if len(reps) == 1:
         return lambda g: (0,)
-    at_reps = itemgetter(*reps)
-    return lambda g: itemgetter(*at_reps(G.column(g)))(cid)
+    return lambda g: itemgetter(*G.column_at(g, reps))(cid)
 
 
 def _abelian_over(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:

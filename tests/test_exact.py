@@ -85,8 +85,7 @@ def test_chebotarev_exact_values(spec, expected, group_of):
 
 
 def test_soluble_group_above_the_subgroup_cap(group_of):
-    # S4 x S4 x C5 (order 2880) is soluble, so R = G walks no lattice and
-    # DEFAULT_SUBGROUP_CAP (on |G/R|) does not refuse it
+    # S4 x S4 x C5 (order 2880) is soluble, so R = G walks no lattice
     G = group_of("direct_product symmetric 4 symmetric 4 cyclic 5")
     cv = chebotarev_of_group(G)
     assert G.order == 2880 and cv.sieve_count == 8

@@ -134,6 +134,16 @@ def test_coupon_collector_any_width(n):
     assert rep.within_sigmas(exact, 4.0)
 
 
+def test_no_sieves_waits_zero():
+    # order 1 leaves no sieve: every trial ends before any draw, which is
+    # the exact chain's value for r = 0
+    S = _coupon_system(1)
+    assert S.sieve_count == 0 and chebotarev_exact(S).exact == 0
+    rep = mc_estimate(S, 10, 3)
+    assert (rep.trials, rep.mean, rep.variance, rep.ci95) == (10, 0.0, 0.0, (0.0, 0.0))
+    assert rep.max_waiting_time == 0
+
+
 @pytest.mark.parametrize(
     "system",
     [

@@ -127,6 +127,24 @@ def test_mult_is_the_product_of_permutations(spec, tabled, monkeypatch):
         assert G.inv(i) == G.index[E[i].inverse().images]
         for j in range(G.order):
             assert G.mult(i, j) == G.index[(E[i] * E[j]).images]
+    # and the cached conjugation maps, read off the table or the words
+    for g in range(G.order):
+        expected = [G.index[(E[g].inverse() * x * E[g]).images] for x in E]
+        assert list(G.conj_map(g)) == expected
+    # and column reads and closures, which carry many points along a word
+    # at once above the table limit
+    for j in range(G.order):
+        assert list(G.column_at(j, range(G.order))) == [G.mult(i, j) for i in range(G.order)]
+    for seeds in itertools.combinations(range(G.order), 2):
+        bits, todo = 1, [E[0]]
+        while todo:
+            x = todo.pop()
+            for s in seeds:
+                y = G.index[(x * E[s]).images]
+                if not (bits >> y) & 1:
+                    bits |= 1 << y
+                    todo.append(E[y])
+        assert G.closure_bits(seeds) == bits
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,12 +17,12 @@ from oracles import (
     minimal_normal_by_lattice,
 )
 from chebotarev import perm
-from chebotarev.errors import InvariantError, NotNormalError, OrderCapError, TrivialGroupError
+from chebotarev.errors import InvariantError, NotNormalError, TrivialGroupError
 from chebotarev.groupspec import parse_group
 from chebotarev.crowns import maximal_subgroups
+from chebotarev.exact import chebotarev_of_group
 from chebotarev.perm import Subgroup, conjugacy_classes
 from chebotarev.subgroups import (
-    DEFAULT_SUBGROUP_CAP,
     all_subgroups,
     frattini,
     maximal_classes,
@@ -63,10 +64,43 @@ def test_all_subgroups_matches_brute_force(spec, group_of):
     ],
 )
 def test_all_subgroups_matches_cyclic_extension(spec, group_of):
-    # same subgroups, witnesses and order as one closure per element
+    # same subgroups in the same order as one closure per element, each
+    # with a generating tuple as short as the oracle's
     G = group_of(spec)
-    got = [(s.bits, s.witnesses) for s in all_subgroups(G)]
-    assert got == cyclic_extension_subgroups(G)
+    subs = all_subgroups(G)
+    expected = cyclic_extension_subgroups(G)
+    assert [s.bits for s in subs] == [bits for bits, _ in expected]
+    for s, (_, wits) in zip(subs, expected):
+        assert G.closure_bits(s.witnesses) == s.bits
+        assert len(s.witnesses) == len(wits)
+
+
+def _class_count(G, subs):
+    # the conjugation orbits of the lattice, walked with G's generators
+    left = {s.bits for s in subs}
+    count = 0
+    while left:
+        count += 1
+        orbit = [left.pop()]
+        for b in orbit:
+            for g in G._bfs_gen_indices:
+                c = G.conj_bits(b, g)
+                if c in left:
+                    left.remove(c)
+                    orbit.append(c)
+    return count
+
+
+def test_walk_extends_one_subgroup_per_class(monkeypatch):
+    # S5 has 156 subgroups in 19 classes: the walk partitions right cosets
+    # once per class but the trivial and the full one, not per subgroup
+    G = parse_group("symmetric 5").group
+    partitioned = []
+    right_cosets = G.right_cosets
+    monkeypatch.setattr(G, "right_cosets", lambda bits: partitioned.append(bits) or right_cosets(bits))
+    subs = all_subgroups(G)
+    assert (len(subs), _class_count(G, subs)) == (156, 19)
+    assert len(partitioned) == len(set(partitioned)) == 17
 
 
 def _maximal_class_key(G):
@@ -98,11 +132,6 @@ def test_all_subgroups_closed_and_unique(group_of):
         members = list(s.members())
         assert s.bits & 1
         assert all((s.bits >> G.mult(a, b)) & 1 for a in members for b in members)
-
-
-def test_all_subgroups_cap(group_of):
-    with pytest.raises(OrderCapError):
-        all_subgroups(group_of("cyclic 30"), cap=10)
 
 
 def test_maximal_classes_examples(group_of):
@@ -357,19 +386,27 @@ def test_min_generators_match_lattice_depth(spec, group_of):
     assert min_generators(G) == min_generators_by_lattice(G)
 
 
-def test_min_generators_order_cap(group_of):
-    # the cap is on |G/R|: A7 has R = 1, so its lattice (order 2520) is refused
+def test_min_generators_alternating_7(group_of):
+    # R = 1 and A7 (order 2520) is above the multiplication-table limit:
+    # its whole lattice is walked through the generator words
     G = group_of("alternating 7")
-    assert G.order > DEFAULT_SUBGROUP_CAP
-    with pytest.raises(OrderCapError):
-        min_generators(G)
+    subs = all_subgroups(G)
+    assert (len(subs), _class_count(G, subs)) == (3786, 40)
+    assert min_generators(G) == 2
 
 
-def test_maximal_classes_order_cap(group_of):
-    # the complement route below R has no cap; G/R = A7 walks the lattice
+def test_maximal_classes_alternating_7(group_of):
+    # A6, two classes of L2(7), S5 and (A4 x 3):2, of index 7, 15, 15, 21
+    # and 35 (ATLAS of Finite Groups)
     G = group_of("alternating 7")
-    with pytest.raises(OrderCapError):
-        maximal_classes(G)
+    assert [(c.representative.order, c.class_size) for c in maximal_classes(G)] == [
+        (72, 35),
+        (120, 21),
+        (168, 15),
+        (168, 15),
+        (360, 7),
+    ]
+    assert chebotarev_of_group(G).exact == Fraction(513712678143157, 107426299282225)
 
 
 @pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 9", "cyclic 100", "elementary 2 3", "quaternion8"])
