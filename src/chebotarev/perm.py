@@ -25,8 +25,9 @@ stored by columns: column j maps i to the index of
 ``elements[i] * elements[j]``, and it is its BFS parent's column mapped
 through one generator's right multiplication. A column is right
 multiplication by ``elements[j]``, so a right coset Ht is column t read
-at H's members, and a closure reads one column per seed. Above the table
-limit, ``PermGroup.column_at`` carries many points along j's word at once.
+at H's members, and a closure reads each seed's column at the elements
+found in its last round. Above the table limit, ``PermGroup.column_at``
+carries many points along j's word at once.
 """
 
 from __future__ import annotations
@@ -288,15 +289,17 @@ class PermGroup:
             t = self._ensure_table()
         if t is not None:
             return t[j][i]
+        for k in self._word(j):
+            i = self._gen_right[i][k]
+        return i
+
+    def _word(self, j: int) -> list[int]:
+        """The BFS generators whose product, left to right, is ``elements[j]``."""
         word = []
-        k = j
-        while k != 0:
-            word.append(self._via[k])
-            k = self._parent[k]
-        acc = i
-        for g in reversed(word):
-            acc = self._gen_right[acc][g]
-        return acc
+        while j != 0:
+            word.append(self._via[j])
+            j = self._parent[j]
+        return word[::-1]
 
     def column_at(self, j: int, points: Sequence[int]) -> tuple[int, ...]:
         """``mult(x, j)`` for each x in ``points``, in order."""
@@ -306,11 +309,7 @@ class PermGroup:
         if t is not None:
             return itemgetter(*points)(t[j])
         # above the table limit, right-multiply every point along j's word
-        word = []
-        while j != 0:
-            word.append(self._via[j])
-            j = self._parent[j]
-        for k in reversed(word):
+        for k in self._word(j):
             points = itemgetter(*points)(self._right[k])
         return tuple(points)
 
@@ -330,28 +329,17 @@ class PermGroup:
     def closure_bits(self, seeds: Iterable[int]) -> int:
         """Bitmask of the subgroup generated by the given element indices."""
         seed_list = sorted({int(s) for s in seeds} - {0})
-        t = self._ensure_table()
         bits = 1
-        stack = [0]
-        if t is None:
-            # above the table limit, a round at a time: each seed's word
-            # carries all the elements found last at once
-            while stack:
-                new, stack = stack, []
-                for s in seed_list:
-                    for y in self.column_at(s, new):
-                        if not (bits >> y) & 1:
-                            bits |= 1 << y
-                            stack.append(y)
-            return bits
-        cols = [t[s] for s in seed_list]
-        while stack:
-            x = stack.pop()
-            for col in cols:
-                y = col[x]
-                if not (bits >> y) & 1:
-                    bits |= 1 << y
-                    stack.append(y)
+        found = [0]
+        # a round at a time: each seed right-multiplies all the elements
+        # found in the last round at once
+        while found:
+            last, found = found, []
+            for s in seed_list:
+                for y in self.column_at(s, last):
+                    if not (bits >> y) & 1:
+                        bits |= 1 << y
+                        found.append(y)
         return bits
 
     def normal_closure_bits(self, seeds: Iterable[int]) -> int:

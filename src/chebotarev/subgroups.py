@@ -36,9 +36,10 @@ conjugate by some c to a first-found H of depth at most k - 1
 
 Each class partitions G into right cosets once, in O(|G|), and reads
 the coset actions off multiplication-table columns, or above order 1500
-off generator words (``PermGroup.column_at``). The 1455 subgroups of
-``symmetric 6`` (56 classes) take about 0.1 s on a 2-core Xeon and the
-3786 of ``alternating 7`` (40 classes) about 0.6 s; the element-table
+off generator words (``PermGroup.column_at``). On a 2-core Xeon the
+walk alone takes a median 0.08 s over the 1455 subgroups of
+``symmetric 6`` (56 classes) and 0.65 s over the 3786 of
+``alternating 7`` (40 classes) (``BENCH_17.json``); the element-table
 cap is the only size guard.
 """
 

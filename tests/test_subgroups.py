@@ -75,22 +75,6 @@ def test_all_subgroups_matches_cyclic_extension(spec, group_of):
         assert len(s.witnesses) == len(wits)
 
 
-def _class_count(G, subs):
-    # the conjugation orbits of the lattice, walked with G's generators
-    left = {s.bits for s in subs}
-    count = 0
-    while left:
-        count += 1
-        orbit = [left.pop()]
-        for b in orbit:
-            for g in G._bfs_gen_indices:
-                c = G.conj_bits(b, g)
-                if c in left:
-                    left.remove(c)
-                    orbit.append(c)
-    return count
-
-
 def test_walk_extends_one_subgroup_per_class(monkeypatch):
     # S5 has 156 subgroups in 19 classes: the walk partitions right cosets
     # once per class but the trivial and the full one, not per subgroup
@@ -99,7 +83,7 @@ def test_walk_extends_one_subgroup_per_class(monkeypatch):
     right_cosets = G.right_cosets
     monkeypatch.setattr(G, "right_cosets", lambda bits: partitioned.append(bits) or right_cosets(bits))
     subs = all_subgroups(G)
-    assert (len(subs), _class_count(G, subs)) == (156, 19)
+    assert (len(subs), len(classes_by_conjugation(G, {s.bits for s in subs}))) == (156, 19)
     assert len(partitioned) == len(set(partitioned)) == 17
 
 
@@ -249,19 +233,8 @@ def test_core_is_intersection_of_class(group_of):
     G = group_of("symmetric 4")
     for c in maximal_classes(G):
         # core contains exactly the elements fixed into every conjugate
-        inter = G.full_bits
-        seen = {c.representative.bits}
-        frontier = [c.representative.bits]
-        while frontier:
-            b = frontier.pop()
-            inter &= b
-            for g in G._bfs_gen_indices:
-                cb = G.conj_bits(b, g)
-                if cb not in seen:
-                    seen.add(cb)
-                    frontier.append(cb)
-        assert inter == c.core_bits
-        assert len(seen) == c.class_size
+        [(_, size, _, core)] = classes_by_conjugation(G, {c.representative.bits})
+        assert (core, size) == (c.core_bits, c.class_size)
 
 
 def test_frattini_examples(group_of):
@@ -391,7 +364,7 @@ def test_min_generators_alternating_7(group_of):
     # its whole lattice is walked through the generator words
     G = group_of("alternating 7")
     subs = all_subgroups(G)
-    assert (len(subs), _class_count(G, subs)) == (3786, 40)
+    assert (len(subs), len(classes_by_conjugation(G, {s.bits for s in subs}))) == (3786, 40)
     assert min_generators(G) == 2
 
 
