@@ -32,12 +32,12 @@ complements. The complements of the factors below R, with the preimages
 of the maximal subgroups of G/R, are all the maximal subgroups of G
 (``maximal_subgroups``), in the conjugacy classes that
 ``subgroups.maximal_classes`` takes from here: a factor's complements
-are classed by their solutions modulo the coboundaries B^1, so only the
-preimages from G/R are classed by conjugation. The chief series, the
-right cosets of its terms, each section's module and ``crown_data`` are
-cached on G too. No socle of a quotient G/core(M) is computed: whether
-M lies in Omega_V is read off the chief factor that M complements
-(``omega_membership``).
+are classed by their solutions modulo the coboundaries B^1, and the
+preimages from G/R keep the classes its lattice walk built. The chief
+series, the right cosets of its terms, each section's module and
+``crown_data`` are cached on G too. No socle of a quotient G/core(M)
+is computed: whether M lies in Omega_V is read off the chief factor
+that M complements (``omega_membership``).
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .subgroups import (
     _least_prime,
     all_subgroups,
     minimal_normal_subgroups,
+    subgroup_classes,
 )
 
 Mat = tuple[tuple[int, ...], ...]
@@ -267,10 +268,11 @@ def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
     xbits = _image_bits(epi, X.bits)
     ybits = _image_bits(epi, Y.bits)
     target = Q.order * ybits.bit_count()
-    for U in all_subgroups(Q):
-        if U.bits & xbits == ybits and U.order * xbits.bit_count() == target:
-            return True
-    return False
+    # X and Y are normal, so complementing X/Y is conjugation invariant
+    return any(
+        U.bits & xbits == ybits and U.order * xbits.bit_count() == target
+        for U, *_ in subgroup_classes(Q)
+    )
 
 
 def _image_bits(epi: Sequence[int], bits: int) -> int:
@@ -391,7 +393,8 @@ def _action_matrix(
     G: PermGroup, basis: Sequence[int], vec: dict[int, tuple[int, ...]], g: int
 ) -> Mat:
     # column j is the image of basis element j under x -> g^-1 x g
-    cols = [vec[G.conj(b, g)] for b in basis]
+    c = G.conj_map(g)
+    cols = [vec[c[b]] for b in basis]
     n = len(basis)
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
@@ -738,12 +741,11 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     term inside M, and every complement of such a factor is maximal: these
     are the complements of the factors below R, in the classes of
     ``complement_classes``. A maximal M that contains R is the preimage of
-    a maximal subgroup of G/R, found in the subgroup lattice of G/R; its
-    class is the preimage of its class in G/R, walked by conjugation with
-    the generators of G/R, and its witnesses lift those of the maximal
-    subgroup of G/R, followed by R's. A soluble G has R = G and walks no
-    lattice; for R = 1 these are the lattice's own maximal subgroups of G
-    (Cannon and Holt, J. Symbolic Comput. 37, 2004).
+    a maximal subgroup of G/R: of a class that the lattice walk of G/R
+    built (``subgroup_classes``) and no larger maximal subgroup contains,
+    and its witnesses lift the walk's, followed by R's. A soluble G has
+    R = G and walks no lattice; for R = 1 these are the lattice's own
+    maximal classes of G (Cannon and Holt, J. Symbolic Comput. 37, 2004).
     """
     series = _default_series(G)
     subs = series.subgroups[_radical_index(series):]
@@ -752,29 +754,12 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     if top is None:
         return classes
     Q, epi, R = top
-    # A proper overgroup of H lies in a maximal subgroup of larger order, so
-    # scanning by decreasing order (Q sorts last) H is maximal iff no
-    # maximal subgroup kept so far contains it.
-    upper: list[Subgroup] = []
-    for s in reversed(all_subgroups(Q)[:-1]):
-        if not any(s.bits & ~m.bits == 0 for m in upper):
-            upper.append(s)
-    by_bits = {M.bits: M for M in upper}
-    orbits: list[list[Subgroup]] = []
-    for M in upper:
-        if M.bits not in by_bits:
-            continue  # in an earlier orbit
-        orbit = [M.bits]
-        seen = {M.bits}
-        for b in orbit:  # grows while it is walked
-            for g in Q._bfs_gen_indices:
-                c = Q.conj_bits(b, g)
-                if c not in seen:
-                    seen.add(c)
-                    orbit.append(c)
-        orbits.append([by_bits.pop(b, None) or Subgroup(Q, b) for b in orbit])
-    if Q is G:
-        return classes + orbits
+    # a proper overgroup of H lies in a maximal subgroup of larger order;
+    # Q, the one class of its order, sorts first and is skipped
+    upper: list[list[Subgroup]] = []
+    for cls in sorted(subgroup_classes(Q), key=lambda c: -c[0].order)[1:]:
+        if not any(cls[0].bits & ~M.bits == 0 for kept in upper for M in kept):
+            upper.append(cls)
     fibre = [0] * Q.order
     lift = [-1] * Q.order  # the least element of G over each element of Q
     for i, q in enumerate(epi):
@@ -786,7 +771,7 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
         bits = sum([fibre[q] for q in bits_iter(M.bits)])  # disjoint fibres
         return Subgroup(G, bits, tuple(lift[w] for w in M.witnesses) + R.witnesses)
 
-    return classes + [[preimage(M) for M in orbit] for orbit in orbits]
+    return classes + [[preimage(M) for M in cls] for cls in upper]
 
 
 # -- crown data -----------------------------------------------------------

@@ -210,8 +210,11 @@ def affine_group(
     check_prime(p)
     npoints = p**dim
     for M in matrices:
-        if len(M) != n_raw or any(len(row) != n_raw for row in M):
-            raise ValueError("matrix shape does not match n_raw")
+        # a JSON matrix token may hold floats, null, booleans or nesting
+        if not (isinstance(M, list) and len(M) == n_raw and all(
+            isinstance(r, list) and len(r) == n_raw and all(type(x) is int for x in r) for r in M
+        )):
+            raise ValueError(f"matrix {M} is not a {n_raw} x {n_raw} integer matrix")
         if mat_rank([list(r) for r in M], p) != n_raw:
             raise SingularMatrixError(f"matrix {M} is singular mod {p}")
 

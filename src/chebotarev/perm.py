@@ -27,7 +27,9 @@ through one generator's right multiplication. A column is right
 multiplication by ``elements[j]``, so a right coset Ht is column t read
 at H's members, and a closure reads each seed's column at the elements
 found in its last round. Above the table limit, ``PermGroup.column_at``
-carries many points along j's word at once.
+carries many points along j's word at once. Conjugation by g is one
+cached map of two column-g reads (``PermGroup.conj_map``), which classes,
+normal closures and normality checks read for G's generators.
 """
 
 from __future__ import annotations
@@ -317,8 +319,8 @@ class PermGroup:
         return self._inv[i]
 
     def conj(self, i: int, g: int) -> int:
-        """Index of ``g^-1 * elements[i] * g``."""
-        return self.mult(self.mult(self._inv[g], i), g)
+        """Index of ``g^-1 * elements[i] * g``, read off ``conj_map(g)``."""
+        return self.conj_map(g)[i]
 
     def commutator(self, i: int, j: int) -> int:
         """Index of ``i^-1 j^-1 i j``."""
@@ -347,12 +349,12 @@ class PermGroup:
         # <S> is normal iff s^g lies in <S> for every seed s and generator g
         # of G, so only seeds are conjugated; a conjugate that falls outside
         # joins the seed list (and is itself checked later in this loop).
-        gens = self._bfs_gen_indices
+        maps = [self.conj_map(g) for g in self._bfs_gen_indices]
         seed_list = sorted({int(s) for s in seeds} - {0})
         bits = self.closure_bits(seed_list)
         for s in seed_list:
-            for g in gens:
-                y = self.conj(s, g)
+            for c in maps:
+                y = c[s]
                 if not (bits >> y) & 1:
                     seed_list.append(y)
                     bits = self.closure_bits(seed_list)
@@ -392,11 +394,15 @@ class PermGroup:
         return reps, cid, cbits
 
     def conj_map(self, g: int) -> tuple[int, ...]:
-        """Conjugation by ``elements[g]``: entry i is ``conj(i, g)``, cached on G."""
-        key = ("conj_map", g)
-        if key not in self._cache:
-            self._cache[key] = tuple([self.conj(i, g) for i in range(self.order)])
-        return self._cache[key]
+        """Entry i is ``g^-1 i g``, cached on G: column g read at the inverses
+        gives ``i^-1 g``, and read at their inverses ``g^-1 i g``."""
+        c = self._cache.get(("conj_map", g))
+        if c is None:
+            inv = self._inv
+            # order 1 gives (0,): an itemgetter of one index returns a scalar
+            left = itemgetter(*self.column_at(g, inv))(inv) if self.order > 1 else (0,)
+            c = self._cache["conj_map", g] = self.column_at(g, left)
+        return c
 
     def conj_bits(self, bits: int, g: int) -> int:
         c = self.conj_map(g)
@@ -459,12 +465,10 @@ class Subgroup:
         return bits_iter(self.bits)
 
     def is_normal(self) -> bool:
-        # H is normal iff every generator of G conjugates every witness of
-        # H into H
+        # H is normal iff every generator of G conjugates every witness into H
         G, bits = self.group, self.bits
-        return all(
-            (bits >> G.conj(w, g)) & 1 for w in self.witnesses for g in G._bfs_gen_indices
-        )
+        maps = [G.conj_map(g) for g in G._bfs_gen_indices]
+        return all((bits >> c[w]) & 1 for w in self.witnesses for c in maps)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -510,7 +514,7 @@ def conjugacy_classes(G: PermGroup) -> ConjClassTable:
     class_of = [-1] * n
     reps: list[int] = []
     sizes: list[int] = []
-    gens = G._bfs_gen_indices
+    maps = [G.conj_map(g) for g in G._bfs_gen_indices]
     for i in range(n):
         if class_of[i] >= 0:
             continue
@@ -518,12 +522,9 @@ def conjugacy_classes(G: PermGroup) -> ConjClassTable:
         reps.append(i)
         orbit = [i]
         class_of[i] = cid
-        pos = 0
-        while pos < len(orbit):
-            x = orbit[pos]
-            pos += 1
-            for g in gens:
-                y = G.conj(x, g)
+        for x in orbit:  # grows while it is walked
+            for c in maps:
+                y = c[x]
                 if class_of[y] < 0:
                     class_of[y] = cid
                     orbit.append(y)

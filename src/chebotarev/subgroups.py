@@ -14,8 +14,9 @@ Theory, 2005): from ``<x>`` for one x per conjugacy class, only the
 first-found member H of each class of subgroups is extended by one more
 element g. A new class is filled in as the orbit of its first member
 under conjugation by G's generators (``PermGroup.conj_map``), each
-member carrying its witnesses conjugated along the orbit. Three facts
-keep each extension cheap:
+member carrying its witnesses conjugated along the orbit, and is kept as
+built (``subgroup_classes``): ``crowns.maximal_subgroups`` takes the
+maximal classes of G/R from there. Three facts keep each extension cheap:
 
 - ``<H, g>`` depends only on the double coset ``HgH`` (the orbit of
   ``Hg`` under right multiplication by H's witnesses), so one ``g`` per
@@ -64,13 +65,15 @@ def all_subgroups(G: PermGroup) -> list[Subgroup]:
     """Every subgroup of G exactly once, sorted by (order, bitset).
 
     Includes the trivial and the full subgroup. Each subgroup's witnesses
-    are a shortest generating tuple. Results are cached on G.
+    are a shortest generating tuple. Results are cached on G, and so are
+    the same subgroups in the classes the walk built (``subgroup_classes``).
     """
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return cached
     seen: dict[int, tuple[int, ...]] = {1: ()}
     queue: list[int] = []
+    classes = [[1]]
 
     def found(bits: int, wits: tuple[int, ...]) -> None:
         # a new class: queue its first member, and fill in the rest as its
@@ -86,6 +89,7 @@ def all_subgroups(G: PermGroup) -> list[Subgroup]:
                 if c not in seen:
                     seen[c] = tuple([G.conj_map(g)[w] for w in seen[b]])
                     orbit.append(c)
+        classes.append(orbit)
 
     for x in conjugacy_classes(G).reps[1:]:
         found(G.closure_bits((x,)), (x,))
@@ -146,10 +150,17 @@ def all_subgroups(G: PermGroup) -> list[Subgroup]:
             else:
                 kbits = hbits + sum([cbits[x] for x in orbit])  # disjoint cosets
             found(kbits, wits + (g,))
-    subs = [Subgroup(G, bits, wits) for bits, wits in seen.items()]
-    subs.sort(key=lambda s: (s.order, s.bits))
-    G._cache["all_subgroups"] = subs
-    return subs
+    subs = {bits: Subgroup(G, bits, wits) for bits, wits in seen.items()}
+    G._cache["subgroup_classes"] = [[subs[b] for b in orbit] for orbit in classes]
+    out = G._cache["all_subgroups"] = sorted(subs.values(), key=lambda s: (s.order, s.bits))
+    return out
+
+
+def subgroup_classes(G: PermGroup) -> list[list[Subgroup]]:
+    """``all_subgroups(G)`` in conjugacy classes, first-found member first."""
+    if "subgroup_classes" not in G._cache:
+        all_subgroups(G)
+    return G._cache["subgroup_classes"]
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,9 @@ def brute_subgroup_bits(G: PermGroup) -> set[int]:
 
 def normal_closure_by_conjugates(G: PermGroup, seeds) -> int:
     """The subgroup generated by every G-conjugate of every seed."""
-    return G.closure_bits({G.conj(s, g) for s in seeds for g in range(G.order)})
+    # conjugates as products, not through the conjugation maps under test
+    conjugates = {G.mult(G.mult(G.inv(g), s), g) for s in seeds for g in range(G.order)}
+    return G.closure_bits(conjugates)
 
 
 def minimal_normal_by_lattice(G: PermGroup, N: Subgroup) -> list[int]:

@@ -183,6 +183,14 @@ def test_constructor_argument_errors_exit_2(capsys):
         ["dihedral", "2"],
         ["elementary", "4", "2"],  # NotPrimeError
         ["affine", "3", "1", "[[0]]"],  # SingularMatrixError
+        # matrices that are not n_raw rows of n_raw plain integers
+        ["affine", "3", "1", "[[2.5]]"],
+        ["affine", "3", "1", "[[null]]"],
+        ["affine", "3", "1", "[[1e0]]"],
+        ["affine", "3", "1", "[[[1]]]"],
+        ["affine", "3", "1", "[1]"],
+        ["affine", "3", "1", "[[true]]"],
+        ["affine", "3", "2", "[[1,0]]"],
     ):
         code = main(["exact", *spec])
         err = capsys.readouterr().err

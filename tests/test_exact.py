@@ -96,6 +96,25 @@ def test_soluble_group_above_the_subgroup_cap(group_of):
     assert mc_estimate(build_sieves(G), 100_000, 7).within_sigmas(float(cv.exact), 4.0)
 
 
+def test_soluble_group_with_many_sieves(group_of):
+    # S4 x S4 x 2^3 (order 4608) is soluble and above the table limit, and
+    # its 35 reduced sieves take 5984 chain states
+    G = group_of("direct_product symmetric 4 symmetric 4 elementary 2 3")
+    cv = chebotarev_of_group(G)
+    assert G.order == 4608 and cv.sieve_count == 35 and cv.state_count == 5984
+    assert cv.exact == Fraction(
+        int(
+            "45453183606248073919701384123728370089967465356626921504239736075829"
+            "750367335101833354550077392421880616840554932721999493"
+        ),
+        int(
+            "62058993379087363920259305218725599138261361887195889636857323970143"
+            "74239599165469105020198012983831707422073897537298500"
+        ),
+    )
+    assert mc_estimate(build_sieves(G), 100_000, 7).within_sigmas(float(cv.exact), 4.0)
+
+
 def test_chebotarev_matches_naive_subset_loop(group_of):
     for spec in ["symmetric 3", "elementary 2 2", "cyclic 30", "symmetric 4", "dihedral 6"]:
         G = group_of(spec)

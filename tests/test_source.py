@@ -52,10 +52,22 @@ def test_one_maximal_subgroup_route():
     # only G/R walks the subgroup lattice
     assert [c for c in _calls("is_soluble") if c[0] == "subgroups.py"] == []
     assert sorted(set(_calls("all_subgroups"))) == [
+        ("crowns.py", "radical_quotient_min_generators"),
+        ("subgroups.py", "subgroup_classes"),
+    ]
+    assert sorted(set(_calls("subgroup_classes"))) == [
         ("crowns.py", "_has_complement"),
         ("crowns.py", "maximal_subgroups"),
-        ("crowns.py", "radical_quotient_min_generators"),
     ]
+
+
+def test_one_conjugation_path():
+    # conjugation is read off the cached two-column conjugation maps, and
+    # the maximal classes of G/R are the lattice walk's own classes, not
+    # conjugation orbits walked again
+    assert [c for c in _calls("mult") if c[1] in ("conj", "conj_map")] == []
+    assert ("perm.py", "conj_map") in _calls("column_at")
+    assert [c for c in _calls("conj_bits") if c[1] == "maximal_subgroups"] == []
 
 
 def test_crowns_never_reads_the_maximal_classes():

@@ -140,13 +140,18 @@ def test_maximal_classes_examples(group_of):
 
 
 def test_maximal_union_covering_group_is_typed_error():
-    # A hand-built lattice whose only proper nontrivial member is the
-    # non-subgroup holding one element of each conjugacy class: its
-    # conjugates cover G. A5 has a trivial soluble radical, so its maximal
-    # classes come from the (planted) lattice of G itself.
+    # Hand-built lattice classes whose only proper nontrivial class is the
+    # conjugates of the non-subgroup holding one element of each conjugacy
+    # class: they cover G. A5 has a trivial soluble radical, so its maximal
+    # classes come from the (planted) classes of G itself.
     G = parse_group("alternating 5").group
-    fake = Subgroup(G, sum(1 << r for r in conjugacy_classes(G).reps), ())
-    G._cache["all_subgroups"] = [Subgroup.trivial(G), fake, Subgroup.full(G)]
+    fake = sum(1 << r for r in conjugacy_classes(G).reps)
+    orbit = sorted({G.conj_bits(fake, g) for g in range(G.order)})
+    G._cache["subgroup_classes"] = [
+        [Subgroup.trivial(G)],
+        [Subgroup(G, b, ()) for b in orbit],
+        [Subgroup.full(G)],
+    ]
     with pytest.raises(InvariantError):
         maximal_classes(G)
 
