@@ -533,7 +533,7 @@ def _cocycle_rows(
 ) -> list[list[int]]:
     """Rows of the cocycle condition zeta(y) = M_k zeta(x) + u_k on a graph.
 
-    Node x has one edge ``x -> right[x][k]`` per generator k. The BFS tree
+    Node x has one edge ``x -> right[k][x]`` per generator k. The BFS tree
     ``(parent, via)``, rooted at node 0 with ``parent[j] < j``, writes each
     zeta(x) as a linear map of the unknowns u_k in F_p^n: zeta(0) = 0 and
     a tree edge sets zeta(y) = M_k zeta(x) + u_k. Every other edge gives
@@ -557,11 +557,12 @@ def _cocycle_rows(
         return out
 
     lin = [[[0] * ncols for _ in range(n)]]
-    for j in range(1, len(right)):
+    for j in range(1, len(parent)):
         lin.append(image(lin[parent[j]], via[j]))
     rows: list[list[int]] = []
-    for x, targets in enumerate(right):
-        for k, y in enumerate(targets):
+    for x in range(len(parent)):
+        for k, targets in enumerate(right):
+            y = targets[x]
             if parent[y] == x and via[y] == k:
                 continue  # a tree edge holds by construction
             want = image(lin[x], k)
@@ -600,7 +601,7 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
     gen_mats = [by_images[g.images] for g in H._bfs_gens]
     ncols = n * len(gen_mats)
-    rows = _cocycle_rows(H._gen_right, H._parent, H._via, gen_mats, p)
+    rows = _cocycle_rows(H._right, H._parent, H._via, gen_mats, p)
     z1_dim = ncols - len(_rref(rows, ncols, p)[1])
     fixed_rows = [
         [M[i][j] - (i == j) for j in range(n)] for M in gen_mats for i in range(n)
@@ -671,9 +672,8 @@ def _complement_system(
     _, xcid, _ = _cosets(G, X.bits)
     node = {xcid[0]: 0}
     tree = [0]
-    parent, via, right = [-1], [-1], []
+    parent, via, right = [-1], [-1], [[] for _ in gens]
     for x, t in enumerate(tree):  # grows while it is walked: BFS over the cosets
-        row = []
         for k, g in enumerate(gens):
             e = mult(t, g)
             y = node.get(xcid[e])
@@ -682,8 +682,7 @@ def _complement_system(
                 tree.append(e)
                 parent.append(x)
                 via.append(k)
-            row.append(y)
-        right.append(row)
+            right[k].append(y)
 
     def offset(x: int, k: int, y: int) -> tuple[int, ...]:
         return vec[mult(G.inv(tree[y]), mult(tree[x], gens[k]))]

@@ -106,7 +106,7 @@ def elementary_abelian_group(
         raise ValueError("rank must be >= 1")
     _refuse_order(p >= 2 and _power_exceeds(p, d, order_cap), order_cap)
     check_prime(p)
-    return direct_product([cyclic_group(p) for _ in range(d)], order_cap=order_cap)
+    return direct_product([cyclic_group(p)] * d, order_cap=order_cap)
 
 
 def dihedral_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:

@@ -16,20 +16,25 @@ generator list; index 0 is always the identity. All types are immutable
 after construction (internal memo tables are filled lazily but never
 change observable state).
 
-Products, inverses and table columns are built with C-level sequence
+Products, inverses and columns are built with C-level sequence
 operations (``operator.itemgetter``), not Python loops over points:
 the itemgetter of x's images, applied to g's images, gives the images
 of ``x * g``, and x's inverse comes from its BFS parent's, so no
-permutation is inverted point by point. The multiplication table is
-stored by columns: column j maps i to the index of
-``elements[i] * elements[j]``, and it is its BFS parent's column mapped
-through one generator's right multiplication. A column is right
-multiplication by ``elements[j]``, so a right coset Ht is column t read
-at H's members, and a closure reads each seed's column at the elements
-found in its last round. Above the table limit, ``PermGroup.column_at``
-carries many points along j's word at once. Conjugation by g is one
-cached map of two column-g reads (``PermGroup.conj_map``), which classes,
-normal closures and normality checks read for G's generators.
+permutation is inverted point by point. One Cayley graph of the BFS
+generators is the source of every product. Column j maps i to the
+index of ``elements[i] * elements[j]``, and it is its BFS parent's
+column read through one generator's edges, so ``PermGroup.column_at``
+carries the nearest kept column among j's ancestors down the tree. Up
+to the table limit it keeps each column it builds, so only the columns
+that are read are ever built; above it only the identity column is
+kept, and just the points read are carried, one itemgetter per letter.
+``mult`` reads a kept column at one index, else asks ``column_at``. A
+column is right multiplication by ``elements[j]``, so a right coset Ht
+is column t read at H's members (the cosets of the trivial subgroup
+read none), and a closure reads each seed's column at the elements
+found in its last round. Conjugation by g is one cached map of two
+column-g reads (``PermGroup.conj_map``), which classes, normal closures
+and normality checks read for G's generators.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 20_000
 
-# Full n x n multiplication tables are only materialised up to this order,
-# as n columns (column j lists the products elements[i] * elements[j]);
-# larger groups fall back to O(word length) generator-chain multiplication.
+# Up to this order every product column that is read is kept (column j
+# lists the products elements[i] * elements[j]); above it each read is
+# carried along the right factor's generator word.
 _MULT_TABLE_LIMIT = 1500
 
 
@@ -224,12 +229,11 @@ class PermGroup:
         index: dict[tuple[int, ...], int] = {ident.images: 0}
         parent = [-1]
         via = [-1]
-        gen_right: list[list[int]] = []
+        right: list[list[int]] = [[] for _ in self._bfs_gens]
         pos = 0
         while pos < len(elements):
             # x * g has images g[x[v]]: one itemgetter of x applies to all g
             x_of = itemgetter(*elements[pos].images)
-            row = []
             for k, g in enumerate(self._bfs_gens):
                 y = x_of(g.images)
                 idx = index.get(y)
@@ -243,8 +247,7 @@ class PermGroup:
                     elements.append(Permutation._raw(y))
                     parent.append(pos)
                     via.append(k)
-                row.append(idx)
-            gen_right.append(row)
+                right[k].append(idx)
             pos += 1
 
         self.elements: tuple[Permutation, ...] = tuple(elements)
@@ -253,11 +256,8 @@ class PermGroup:
         self.identity_index: int = 0
         self._parent = parent
         self._via = via
-        self._gen_right = gen_right
-        self._right = tuple(zip(*gen_right))  # _right[k][x]: x * gen[k]
-        self._bfs_gen_indices: tuple[int, ...] = (
-            tuple(gen_right[0]) if self._bfs_gens else ()
-        )
+        self._right = right  # _right[k][x]: x * gen[k], the Cayley graph
+        self._bfs_gen_indices: tuple[int, ...] = tuple(r[0] for r in right)
         self.generator_indices: tuple[int, ...] = tuple(
             index[g.images] for g in self.generators
         )
@@ -268,51 +268,46 @@ class PermGroup:
         for j in range(1, self.order):
             inv[j] = index[inv_of[via[j]](elements[inv[parent[j]]].images)]
         self._inv = inv
-        self._mult_table: Optional[list[tuple[int, ...]]] = None
+        # the product columns that ``column_at`` keeps, None where not kept
+        self._columns: list[Optional[tuple[int, ...]]] = [None] * self.order
+        self._columns[0] = tuple(range(self.order))
+        self._keeps_columns = self.order <= _MULT_TABLE_LIMIT
         self._cache: dict = {}
 
     # -- multiplication -------------------------------------------------
 
-    def _ensure_table(self) -> Optional[list[tuple[int, ...]]]:
-        if self._mult_table is None and self.order <= _MULT_TABLE_LIMIT:
-            parent, via, right = self._parent, self._via, self._right
-            # elements[j] = elements[parent[j]] * gen[via[j]], so column j
-            # is right[via[j]] picked at column parent[j]
-            table = [tuple(range(self.order))]
-            for j in range(1, self.order):
-                table.append(itemgetter(*table[parent[j]])(right[via[j]]))
-            self._mult_table = table
-        return self._mult_table
-
     def mult(self, i: int, j: int) -> int:
         """Index of ``elements[i] * elements[j]``."""
-        t = self._mult_table
-        if t is None:
-            t = self._ensure_table()
-        if t is not None:
-            return t[j][i]
-        for k in self._word(j):
-            i = self._gen_right[i][k]
-        return i
-
-    def _word(self, j: int) -> list[int]:
-        """The BFS generators whose product, left to right, is ``elements[j]``."""
-        word = []
-        while j != 0:
-            word.append(self._via[j])
-            j = self._parent[j]
-        return word[::-1]
+        col = self._columns[j]
+        return col[i] if col is not None else self.column_at(j, (i,))[0]
 
     def column_at(self, j: int, points: Sequence[int]) -> tuple[int, ...]:
-        """``mult(x, j)`` for each x in ``points``, in order."""
-        t = self._ensure_table()
+        """``mult(x, j)`` for each x in ``points``, in order.
+
+        elements[j] = elements[parent[j]] * gen[via[j]], so column j is
+        column parent[j] read through ``_right[via[j]]``: the nearest kept
+        column among j's BFS ancestors is carried down the tree. Up to the
+        table limit every column built on the way is kept; above it only
+        the identity column is, and just ``points`` are carried.
+        """
+        cols, parent, via, right = self._columns, self._parent, self._via, self._right
+        path = []
+        while cols[j] is None:
+            path.append(j)
+            j = parent[j]
+        if self._keeps_columns:
+            col = cols[j]
+            for j in reversed(path):
+                col = cols[j] = itemgetter(*col)(right[via[j]])
+            return itemgetter(*points)(col) if len(points) > 1 else (col[points[0]],)
+        # j is the identity here, so the points start as they are
         if len(points) == 1:
-            return (self.mult(points[0], j),)
-        if t is not None:
-            return itemgetter(*points)(t[j])
-        # above the table limit, right-multiply every point along j's word
-        for k in self._word(j):
-            points = itemgetter(*points)(self._right[k])
+            x = points[0]
+            for j in reversed(path):
+                x = right[via[j]][x]
+            return (x,)
+        for j in reversed(path):
+            points = itemgetter(*points)(right[via[j]])
         return tuple(points)
 
     def inv(self, i: int) -> int:
@@ -378,6 +373,9 @@ class PermGroup:
         Returns ``(reps, cid, cbits)``: each coset's least element, the coset
         index of every element, and each coset as a bitmask.
         """
+        if bits == 1:  # every element is its own coset, so no column is read
+            ids = list(range(self.order))
+            return ids, list(ids), [1 << x for x in ids]
         members = tuple(bits_iter(bits))
         cid = [-1] * self.order
         reps: list[int] = []

@@ -282,7 +282,6 @@ def brute_min_generating_tuple(G: PermGroup) -> tuple[int, ...]:
 
     if G.order == 1:
         return ()
-    G._ensure_table()
     full = G.full_bits
     reps = [r for r in conjugacy_classes(G).reps if r != 0]
 
@@ -449,8 +448,8 @@ def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int
             moved = act(wit_mats[k], zeta[H2._parent[j]])
             zeta[j] = tuple((a + b) % p for a, b in zip(moved, vals[k]))
         for x in range(H2.order):
-            for kk, y in enumerate(H2._gen_right[x]):
-                k = slot[kk]
+            for kk, col in enumerate(H2._right):
+                y, k = col[x], slot[kk]
                 moved = act(wit_mats[k], zeta[x])
                 if zeta[y] != tuple((a + b) % p for a, b in zip(moved, vals[k])):
                     return False

@@ -121,7 +121,6 @@ def test_mult_is_the_product_of_permutations(spec, tabled, monkeypatch):
     if not tabled:
         monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", parse_group(spec).group.order - 1)
     G = parse_group(spec).group
-    assert (G._ensure_table() is not None) == tabled
     E = G.elements
     for i in range(G.order):
         assert G.inv(i) == G.index[E[i].inverse().images]
@@ -145,6 +144,60 @@ def test_mult_is_the_product_of_permutations(spec, tabled, monkeypatch):
                     bits |= 1 << y
                     todo.append(E[y])
         assert G.closure_bits(seeds) == bits
+    # every column was read: below the limit all are kept, above it none
+    # but the identity
+    assert _kept(G) == (list(range(G.order)) if tabled else [0])
+
+
+def _kept(G):
+    # the columns of G's product store that column_at has kept
+    return [j for j, col in enumerate(G._columns) if col is not None]
+
+
+@pytest.mark.parametrize("spec", ["cyclic 1", "cyclic 12", "symmetric 4", "dihedral 9"])
+def test_trivial_subgroup_cosets_read_no_column(spec):
+    # every element is its own coset of the trivial subgroup, so the first
+    # level of a chief series keeps no column
+    G = parse_group(spec).group
+    reps, cid, cbits = G.right_cosets(1)
+    assert reps == cid == list(range(G.order))
+    assert cbits == [1 << x for x in range(G.order)]
+    assert _kept(G) == [0]
+
+
+@pytest.mark.parametrize("spec", ["cyclic 12", "symmetric 4", "dihedral 9"])
+def test_product_keeps_its_ancestor_columns(spec):
+    # below the limit a product builds and keeps exactly the columns on
+    # its right factor's BFS path to the identity
+    G = parse_group(spec).group
+    E = G.elements
+    i, j = 1, G.order - 1  # the last element is one of the deepest
+    assert G.mult(i, j) == G.index[(E[i] * E[j]).images]
+    path = {j}
+    while j:
+        j = G._parent[j]
+        path.add(j)
+    assert len(path) > 2 and _kept(G) == sorted(path)
+
+
+@pytest.mark.parametrize("spec", ["cyclic 12", "symmetric 4", "dihedral 9", "quaternion8"])
+def test_column_reads_above_the_limit(spec, monkeypatch):
+    # above the limit only the identity column is ever kept, and points
+    # carried along a word read the same as the tabled group's columns
+    tabled = parse_group(spec).group
+    n = tabled.order
+    table = [tabled.column_at(j, range(n)) for j in range(n)]
+    monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", n - 1)
+    G = parse_group(spec).group
+    rng = random.Random(spec)
+    for trial in range(200):
+        j = 0 if trial % 10 == 0 else rng.randrange(n)
+        points = rng.choices(range(n), k=1 if trial % 3 == 0 else rng.randint(2, 2 * n))
+        assert G.column_at(j, points) == tuple(table[j][x] for x in points)
+        assert G.mult(points[0], j) == table[j][points[0]]
+    all_subgroups(G)
+    conjugacy_classes(G)
+    assert _kept(G) == [0]
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS)
@@ -267,13 +320,13 @@ def test_quotient_matches_products(spec, tabled, monkeypatch):
     if not tabled:
         monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", parse_group(spec).group.order - 1)
     G = parse_group(spec).group
-    assert (G._ensure_table() is not None) == tabled
     for N in _normal_subgroups(G):
         Q, epi = quotient(G, N)
         Q_ref, epi_ref = quotient_by_mult(G, N)
         assert [g.images for g in Q.generators] == [g.images for g in Q_ref.generators]
         assert [e.images for e in Q.elements] == [e.images for e in Q_ref.elements]
         assert epi == epi_ref
+    assert (_kept(G) != [0]) == (tabled and G.order > 1)
 
 
 def _normal_subgroups(G):

@@ -70,6 +70,22 @@ def test_one_conjugation_path():
     assert [c for c in _calls("conj_bits") if c[1] == "maximal_subgroups"] == []
 
 
+def test_one_product_reader():
+    # products are read off one column store over one Cayley graph: no
+    # all-at-once table, no per-letter word walk and no second graph, and
+    # mult reads a kept column or asks column_at, never the graph itself
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names.add(getattr(node, "attr", getattr(node, "id", getattr(node, "name", None))))
+    assert not {"_ensure_table", "_word", "_mult_table", "_gen_right"} & names
+    tree = ast.parse((SRC / "perm.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "mult")
+    read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert not {"_right", "_parent", "_via"} & read
+    assert [c for c in _calls("column_at") if c[1] == "mult"] == [("perm.py", "mult")]
+
+
 def test_crowns_never_reads_the_maximal_classes():
     # complementedness comes from the complement systems; maximal_classes
     # of a soluble G is itself built from them

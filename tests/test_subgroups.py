@@ -101,10 +101,10 @@ def test_lattice_without_multiplication_table(spec, monkeypatch):
     expected_classes = _maximal_class_key(tabled)
     monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", tabled.order - 1)
     G = parse_group(spec).group
-    assert G._ensure_table() is None
     assert [(s.bits, s.witnesses) for s in all_subgroups(G)] == expected
     assert _maximal_class_key(G) == expected_classes
-    assert G._mult_table is None
+    # above the limit the product store keeps the identity column alone
+    assert [j for j, col in enumerate(G._columns) if col is not None] == [0]
 
 
 def test_all_subgroups_closed_and_unique(group_of):
