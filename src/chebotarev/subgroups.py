@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InvariantError, NotNormalError, TrivialGroupError
@@ -246,8 +247,11 @@ def minimal_normal_subgroups(
     and ``N C_x`` the union of the N-cosets meeting C_x. So the answer is
     the minimal members of that family over one x per conjugacy class,
     and classes whose elements generate conjugate cyclic subgroups share
-    one closure; the closures and the right cosets of N are cached on G.
-    Sorted by (order, bitset); raises ``TrivialGroupError`` when N = G.
+    one closure; the closures, each with one itemgetter of its elements
+    (so its coset ids are one read), and the right cosets of N are cached
+    on G. The family is taken in (order, bitset) order, and a member is
+    minimal iff no minimal member already kept lies inside it. Sorted by
+    (order, bitset); raises ``TrivialGroupError`` when N = G.
     """
     nbits = 1 if N is None else N.bits
     if nbits == G.full_bits:
@@ -257,12 +261,14 @@ def minimal_normal_subgroups(
     closures = G._cache.get("class_normal_closures")
     if closures is None:
         table = conjugacy_classes(G)
-        closures = G._cache["class_normal_closures"] = set()
-        known = {0}  # classes whose normal closure is in the set
+        closures = G._cache["class_normal_closures"] = {}
+        known = {0}  # classes whose normal closure is in the dict
         for x in table.reps[1:]:
             if table.class_of[x] in known:
                 continue
-            closures.add(G.normal_closure_bits((x,)))
+            b = G.normal_closure_bits((x,))
+            if b not in closures:
+                closures[b] = itemgetter(*bits_iter(b))  # two or more elements
             # x^k generates <x> for k prime to |x|: the same normal closure
             powers = [x]
             while powers[-1]:
@@ -274,14 +280,15 @@ def minimal_normal_subgroups(
             )
     _, cid, cbits = _cosets(G, nbits)
     above = {
-        sum([cbits[c] for c in {cid[x] for x in bits_iter(b)}])  # disjoint cosets
-        for b in closures
+        sum([cbits[c] for c in set(members(cid))])  # disjoint cosets
+        for b, members in closures.items()
         if b & ~nbits
     }
-    minimal = [
-        b for b in above if not any(c != b and c & ~b == 0 for c in above)
-    ]
-    return [Subgroup(G, b) for b in sorted(minimal, key=lambda b: (b.bit_count(), b))]
+    minimal: list[int] = []
+    for b in sorted(above, key=lambda b: (b.bit_count(), b)):
+        if not any(m & ~b == 0 for m in minimal):
+            minimal.append(b)
+    return [Subgroup(G, b) for b in minimal]
 
 
 def min_generators(G: PermGroup) -> int:

@@ -323,3 +323,23 @@ def test_chain_matches_naive_subset_sums(system, k, data):
     mask = data.draw(st.integers(0, (1 << len(unions)) - 1))
     selected = [u for j, u in enumerate(unions) if (mask >> j) & 1]
     assert v_property_sum(S, mask) == naive_cheb_from_unions(n, selected)
+
+
+def test_covering_union_is_an_invariant_error():
+    # one union covers every class, so the full alive mask is kept by every
+    # draw and the wait is infinite: a typed refusal, not a division by zero
+    # (such a union violates the build_sieves invariants, so this system is
+    # constructed by hand, as in test_mc)
+    broken = SieveSystem(
+        order=2,
+        class_sizes=(1, 1),
+        class_of=(0, 1),
+        raw_unions=(0b11,),
+        raw_signatures=(1, 1),
+        reduced_unions=(0b11,),
+        class_signatures=(1, 1),
+    )
+    with pytest.raises(InvariantError):
+        chebotarev_exact(broken)
+    with pytest.raises(InvariantError):
+        v_property_sum(broken, 1)

@@ -165,6 +165,32 @@ def test_trivial_subgroup_cosets_read_no_column(spec):
     assert _kept(G) == [0]
 
 
+@pytest.mark.parametrize("tabled", [True, False], ids=["table", "words"])
+@pytest.mark.parametrize("spec", ["symmetric 4", "dihedral 9"])
+def test_right_cosets_match_products_and_read_no_column(spec, tabled, monkeypatch):
+    # each new coset is its BFS parent's coset read through one Cayley
+    # edge, so the partition equals the one from permutation products and
+    # no product column is built, below the table limit or above it
+    if not tabled:
+        monkeypatch.setattr(perm, "_MULT_TABLE_LIMIT", parse_group(spec).group.order - 1)
+    G = parse_group(spec).group
+    E = G.elements
+    for H in all_subgroups(G):
+        members = list(H.members())
+        cid = [-1] * G.order
+        reps, cbits = [], []
+        for t in range(G.order):
+            if cid[t] < 0:
+                coset = [G.index[(E[h] * E[t]).images] for h in members]
+                for x in coset:
+                    cid[x] = len(reps)
+                reps.append(t)
+                cbits.append(sum(1 << x for x in coset))
+        kept = _kept(G)
+        assert G.right_cosets(H.bits) == (reps, cid, cbits)
+        assert _kept(G) == kept
+
+
 @pytest.mark.parametrize("spec", ["cyclic 12", "symmetric 4", "dihedral 9"])
 def test_product_keeps_its_ancestor_columns(spec):
     # below the limit a product builds and keeps exactly the columns on

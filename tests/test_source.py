@@ -46,6 +46,16 @@ def test_one_bound_report_pipeline():
     assert _calls("build_bound_report") == [("verify.py", "analyze")]
 
 
+def test_one_chain_engine():
+    # C(G), P_I(G, k) and the restricted waiting sums all walk the one
+    # alive-mask chain; another caller would be a second engine
+    assert sorted(_calls("_alive_chain")) == [
+        ("exact.py", "chebotarev_exact"),
+        ("exact.py", "invariable_gen_prob"),
+        ("exact.py", "v_property_sum"),
+    ]
+
+
 def test_one_maximal_subgroup_route():
     # maximal subgroups, d(G) and nonabelian complementedness all go
     # through the soluble radical: no solubility fork in subgroups, and
