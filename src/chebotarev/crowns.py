@@ -60,6 +60,7 @@ from .perm import (
 from .subgroups import (
     MaximalClassData,
     _cosets,
+    _is_prime_power,
     _least_prime,
     all_subgroups,
     minimal_normal_subgroups,
@@ -195,13 +196,6 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
         factor_orders=orders,
         factor_abelian=tuple(reversed(abelian_flags)),
     )
-
-
-def _is_prime_power(n: int) -> bool:
-    p = _least_prime(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _default_series(G: PermGroup) -> ChiefSeries:
@@ -539,9 +533,13 @@ def _cocycle_rows(
     zeta(x) as a linear map of the unknowns u_k in F_p^n: zeta(0) = 0 and
     a tree edge sets zeta(y) = M_k zeta(x) + u_k. Every other edge gives
     the n rows zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)``, when
-    given, is their right-hand side, appended as one more column. The
-    reduced echelon form depends only on the row space, so each distinct
-    nonzero row is returned once, reduced mod p.
+    given, is their right-hand side, appended as one more column. A loop
+    y = x needs M_k = I (else ``InvariantError``), and then its rows are
+    -u_k at every node: they are written at the first loop of k only, so
+    ``offset`` must take one value on the loops of k (in the coset graph
+    of ``complements``, a generator in X loops at every coset, with offset
+    vec(g_k)). The reduced echelon form depends only on the row space, so
+    each distinct nonzero row is returned once, reduced mod p.
     """
     n = len(gen_mats[0])
     ncols = n * len(gen_mats)
@@ -562,12 +560,22 @@ def _cocycle_rows(
     lin = [[[0] * ncols for _ in range(n)]]
     for j in range(1, len(parent)):
         lin.append(image(lin[parent[j]], via[j]))
+    identity = [[(i, 1)] for i in range(n)]
+    looped: set[int] = set()
     rows: dict[tuple[int, ...], None] = {}
     for x, Lx in enumerate(lin):
         for k, targets in enumerate(right):
             y = targets[x]
             if parent[y] == x and via[y] == k:
                 continue  # a tree edge holds by construction
+            if y == x:
+                # a loop: with M_k = I its rows are -u_k at every node, so
+                # they are written at the first loop of k only
+                if k in looped:
+                    continue
+                if nonzero[k] != identity:
+                    raise InvariantError("a looping generator acts as a matrix other than I")
+                looped.add(k)
             rhs = () if offset is None else offset(x, k, y)
             for i, terms in enumerate(nonzero[k]):
                 # row i of zeta(y) - (M_k zeta(x) + u_k)
@@ -635,7 +643,11 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     ``derivations``. The union of the cosets t^_c Y is a subgroup iff it
     is closed under the g^_k, that is iff every non-tree edge
     (c, g_k) -> c' satisfies zeta(c') = M_k zeta(c) + u_k + r, where
-    r = vec(t_c'^-1 t_c g_k) is the offset of t_c g_k from t_c'. So the
+    r = vec(t_c'^-1 t_c g_k) is the offset of t_c g_k from t_c'. A g_k
+    inside X fixes every coset of X (X is normal) and acts on the abelian
+    X/Y as M_k = I, so each of its |G:X| loops gives the same n rows,
+    -u_k = vec(g_k): they are written once (``_cocycle_rows``), which
+    leaves the row space, and so the reduced system, as it was. So the
     complements are the solutions of that inhomogeneous cocycle system:
     none if it is inconsistent, else one per point of an affine space over
     Z^1 (Celler, Neubueser and Wright, Acta Appl. Math. 21, 1990).

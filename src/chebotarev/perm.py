@@ -341,12 +341,16 @@ class PermGroup:
 
     def normal_closure_bits(self, seeds: Iterable[int]) -> int:
         """Bitmask of the smallest normal subgroup containing the seeds."""
-        # <S> is normal iff s^g lies in <S> for every seed s and generator g
-        # of G, so only seeds are conjugated; a conjugate that falls outside
-        # joins the seed list (and is itself checked later in this loop).
-        maps = [self.conj_map(g) for g in self._bfs_gen_indices]
         seed_list = sorted({int(s) for s in seeds} - {0})
-        bits = self.closure_bits(seed_list)
+        return self._normal_closure_from(self.closure_bits(seed_list), seed_list)
+
+    def _normal_closure_from(self, bits: int, seed_list: list[int]) -> int:
+        # ``normal_closure_bits`` from ``bits`` = <seed_list>, already closed;
+        # seed_list grows. <S> is normal iff s^g lies in <S> for every seed s
+        # and generator g of G, so only seeds are conjugated; a conjugate that
+        # falls outside joins the seed list (and is itself checked later in
+        # this loop).
+        maps = [self.conj_map(g) for g in self._bfs_gen_indices]
         for s in seed_list:
             for c in maps:
                 y = c[s]

@@ -8,6 +8,17 @@ count. Only G/R walks the subgroup lattice: that is G itself when R = 1,
 and a soluble G (R = G) walks none. The lattice of all of G otherwise
 serves the test oracles.
 
+The chief series climbs by ``minimal_normal_subgroups(G, N)``: each
+minimal normal subgroup of G/N is N C_x for any x in it outside N, C_x
+the normal closure of x, and only classes of prime-power order are
+closed. For x in a minimal normal M/N and a prime q dividing the order
+of xN, the q-part y of x is a power of x outside N, so N C_y = M as
+well: every minimal member of the family over all classes is in the
+pruned family, at every level of the series. The complements of each
+abelian chief factor X/Y then solve one cocycle system
+(``crowns.complements``), in which a generator inside X loops at every
+coset of X and writes its rows once.
+
 Enumeration is exhaustive (every subgroup exactly once) and runs up to
 conjugacy (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005): from ``<x>`` for one x per conjugacy class, only the
@@ -47,6 +58,7 @@ cap is the only size guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from math import gcd, isqrt
 from operator import itemgetter
@@ -56,10 +68,20 @@ from .errors import InvariantError, NotNormalError, TrivialGroupError
 from .perm import PermGroup, Subgroup, _coset_action, bits_iter, conjugacy_classes
 
 
+@cache
 def _least_prime(n: int) -> int:
     # the smallest prime divisor of n >= 2: a composite n has one at most
-    # isqrt(n), so n is its own when trial division finds none below
+    # isqrt(n), so n is its own when trial division finds none below; kept
+    # per n, as the same orders recur across the chief series
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
+def _is_prime_power(n: int) -> bool:
+    # n >= 2 is a power of its least prime
+    p = _least_prime(n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def all_subgroups(G: PermGroup) -> list[Subgroup]:
@@ -244,14 +266,19 @@ def minimal_normal_subgroups(
 
     N must be normal in G (default: trivial). Each one is ``N C_x`` for
     any of its elements x outside N, where C_x is the normal closure of x
-    and ``N C_x`` the union of the N-cosets meeting C_x. So the answer is
-    the minimal members of that family over one x per conjugacy class,
-    and classes whose elements generate conjugate cyclic subgroups share
-    one closure; the closures, each with one itemgetter of its elements
-    (so its coset ids are one read), and the right cosets of N are cached
-    on G. The family is taken in (order, bitset) order, and a member is
-    minimal iff no minimal member already kept lies inside it. Sorted by
-    (order, bitset); raises ``TrivialGroupError`` when N = G.
+    and ``N C_x`` the union of the N-cosets meeting C_x. It is enough to
+    take x of prime-power order: for a prime q dividing the order of xN,
+    the q-part y of x is a power of x outside N, so y serves as well. So
+    the answer is the minimal members of that family over one x of
+    prime-power order per conjugacy class, the same minimal members as
+    over every class, at every N. Classes whose elements generate
+    conjugate cyclic subgroups share one closure, which starts from the
+    powers of x that the walk marking those classes lists anyway; the
+    closures, each with one itemgetter of its elements (so its coset ids
+    are one read), and the right cosets of N are cached on G. The family
+    is taken in (order, bitset) order, and a member is minimal iff no
+    minimal member already kept lies inside it. Sorted by (order, bitset);
+    raises ``TrivialGroupError`` when N = G.
     """
     nbits = 1 if N is None else N.bits
     if nbits == G.full_bits:
@@ -262,13 +289,10 @@ def minimal_normal_subgroups(
     if closures is None:
         table = conjugacy_classes(G)
         closures = G._cache["class_normal_closures"] = {}
-        known = {0}  # classes whose normal closure is in the dict
+        known = {0}  # classes already walked
         for x in table.reps[1:]:
             if table.class_of[x] in known:
                 continue
-            b = G.normal_closure_bits((x,))
-            if b not in closures:
-                closures[b] = itemgetter(*bits_iter(b))  # two or more elements
             # x^k generates <x> for k prime to |x|: the same normal closure
             powers = [x]
             while powers[-1]:
@@ -278,6 +302,12 @@ def minimal_normal_subgroups(
                 for k, y in enumerate(powers, 1)
                 if gcd(k, len(powers)) == 1
             )
+            if not _is_prime_power(len(powers)):
+                continue
+            cyclic = sum([1 << y for y in powers])  # <x>, its powers distinct
+            b = G._normal_closure_from(cyclic, [x])
+            if b not in closures:
+                closures[b] = itemgetter(*bits_iter(b))  # two or more elements
     _, cid, cbits = _cosets(G, nbits)
     above = {
         sum([cbits[c] for c in set(members(cid))])  # disjoint cosets

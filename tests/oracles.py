@@ -16,10 +16,11 @@ from a transparent double loop over subsets, Monte Carlo waiting times
 from a per-trial loop on Python-int masks that makes the same generator
 calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
-lattice's normal subgroups, socle modules from an explicitly built
-quotient group, quotient groups from one product per coset and
-element, section centralizers from the commutator with every element,
-and element orders from repeated products.
+lattice's normal subgroups or from the normal closure of every class
+representative, socle modules from an explicitly built quotient group,
+quotient groups from one product per coset and element, section
+centralizers from the commutator with every element, and element orders
+from repeated products.
 """
 
 from __future__ import annotations
@@ -102,6 +103,33 @@ def minimal_normal_by_lattice(G: PermGroup, N: Subgroup) -> list[int]:
         if s.bits != N.bits and N.bits & ~s.bits == 0 and s.is_normal()
     ]
     minimal = [b for b in above if not any(c != b and c & ~b == 0 for c in above)]
+    return sorted(minimal, key=lambda b: (b.bit_count(), b))
+
+
+def minimal_normal_by_all_closures(G: PermGroup, N: Subgroup) -> list[int]:
+    """Minimal members of {N C_x : x a class representative outside N}.
+
+    No class is pruned: N C_x, the normal closure of N and x, is closed for
+    every conjugacy class representative x outside N, adding conjugates by
+    G's generators, as products, until none falls outside. Sorted by
+    (order, bits).
+    """
+    from chebotarev.perm import conjugacy_classes
+
+    family = set()
+    for x in conjugacy_classes(G).reps[1:]:
+        if (N.bits >> x) & 1:
+            continue
+        seeds = list(N.witnesses) + [x]
+        bits = G.closure_bits(seeds)
+        for s in seeds:  # grows while it is walked
+            for g in G.generator_indices:
+                c = G.mult(G.mult(G.inv(g), s), g)
+                if not (bits >> c) & 1:
+                    seeds.append(c)
+                    bits = G.closure_bits(seeds)
+        family.add(bits)
+    minimal = [b for b in family if not any(c != b and c & ~b == 0 for c in family)]
     return sorted(minimal, key=lambda b: (b.bit_count(), b))
 
 

@@ -21,6 +21,7 @@ from oracles import (
 )
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
+    _cocycle_rows,
     chief_series,
     complements,
     crown_data,
@@ -32,7 +33,12 @@ from chebotarev.crowns import (
     nullspace,
     omega_membership,
 )
-from chebotarev.errors import NotAbelianFactorError, NotChiefFactorError, NotIrreducibleError
+from chebotarev.errors import (
+    InvariantError,
+    NotAbelianFactorError,
+    NotChiefFactorError,
+    NotIrreducibleError,
+)
 from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient
 from chebotarev.subgroups import all_subgroups, maximal_classes
 
@@ -151,7 +157,18 @@ def test_crown_deltas_count_the_complemented_abelian_factors(spec, group_of):
     assert sum(V.delta for V in cd.A + cd.B) == complemented
 
 
-@pytest.mark.parametrize("spec", SOLUBLE_SPECS + ("elementary 2 5",))
+# a BFS generator lies in a proper chief-series term X, so it loops at every
+# coset of X in the complement system of X/Y
+LOOPING_SPECS = (
+    "elementary 2 3",
+    "direct_product cyclic 2 cyclic 4",
+    "direct_product cyclic 3 symmetric 3",
+)
+
+
+@pytest.mark.parametrize(
+    "spec", tuple(dict.fromkeys(SOLUBLE_SPECS + ("elementary 2 5",) + LOOPING_SPECS))
+)
 def test_complements_match_lattice_scan(spec, group_of):
     # the solver's complements of every chief factor, over two series, are
     # exactly the subgroups U with U n X = Y and UX = G, each found once
@@ -165,6 +182,42 @@ def test_complements_match_lattice_scan(spec, group_of):
             assert got == complements_by_lattice_scan(G, X, Y)
             assert bool(found) == complement_by_lattice_scan(G, X, Y)
             assert all(G.closure_bits(K.witnesses) == K.bits for K in found)
+
+
+@pytest.mark.parametrize("spec", LOOPING_SPECS)
+def test_looping_specs_loop(spec, group_of):
+    # the specs above keep the loops of the complement systems covered
+    G = group_of(spec)
+    for variant in (0, 1):
+        subs = chief_series(G, variant=variant).subgroups
+        assert any((X.bits >> g) & 1 for X in subs[1:-1] for g in G._bfs_gen_indices)
+
+
+def _two_node_graph():
+    # node 1 = node 0 * g_1 (the tree edge), g_0 loops at both nodes, and
+    # g_1 takes node 1 back to node 0
+    return [[0, 1], [1, 0]], [-1, 0], [-1, 1]
+
+
+def test_cocycle_rows_write_a_loop_once():
+    right, parent, via = _two_node_graph()
+    asked = []
+
+    def offset(x, k, y):
+        asked.append((x, k, y))
+        return (1,)
+
+    rows = _cocycle_rows(right, parent, via, [((1,),), ((1,),)], 3, offset)
+    # the loops of g_0 give the one row -u_0 = 1, and the edge (1, g_1)
+    # the row zeta(0) - (zeta(1) + u_1) = -2 u_1 = 1
+    assert asked == [(0, 0, 0), (1, 1, 0)]
+    assert rows == [(2, 0, 1), (0, 1, 1)]
+
+
+def test_cocycle_rows_reject_a_looping_non_identity():
+    right, parent, via = _two_node_graph()
+    with pytest.raises(InvariantError):
+        _cocycle_rows(right, parent, via, [((2,),), ((1,),)], 3)
 
 
 def test_factor_module_central(group_of):

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -170,3 +171,21 @@ def test_oracle_only_code_stays_in_tests():
         "element_order",
         "module_order",
     } & _defined()
+
+
+def test_one_prime_power_test():
+    # one prime-power test beside the one least-prime search, read by the
+    # chief series and by the pruning of minimal_normal_subgroups
+    owners = [p.name for p in sorted(SRC.glob("*.py")) if "def _is_prime_power(" in p.read_text()]
+    assert owners == ["subgroups.py"]
+    assert {("crowns.py", "chief_series"), ("subgroups.py", "minimal_normal_subgroups")} <= set(
+        _calls("_is_prime_power")
+    )
+
+
+def test_normal_closure_keeps_its_signature():
+    # a closure that starts from <x> goes through a private helper, so the
+    # public method takes the seeds alone
+    params = inspect.signature(chebotarev.perm.PermGroup.normal_closure_bits).parameters
+    assert list(params) == ["self", "seeds"]
+    assert ("subgroups.py", "minimal_normal_subgroups") in _calls("_normal_closure_from")

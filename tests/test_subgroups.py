@@ -14,12 +14,13 @@ from oracles import (
     cyclic_extension_subgroups,
     maximal_classes_by_pairs,
     min_generators_by_lattice,
+    minimal_normal_by_all_closures,
     minimal_normal_by_lattice,
 )
 from chebotarev import perm
 from chebotarev.errors import InvariantError, NotNormalError, TrivialGroupError
 from chebotarev.groupspec import parse_group
-from chebotarev.crowns import maximal_subgroups
+from chebotarev.crowns import chief_series, maximal_subgroups
 from chebotarev.exact import chebotarev_of_group
 from chebotarev.perm import Subgroup, conjugacy_classes
 from chebotarev.subgroups import (
@@ -303,6 +304,27 @@ def test_minimal_normals_match_lattice_scan(spec, group_of):
         assert got == minimal_normal_by_lattice(G, N)
     with pytest.raises(TrivialGroupError):
         minimal_normal_subgroups(G, normals[-1])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "direct_product alternating 5 alternating 5",
+        "direct_product symmetric 5 symmetric 3",
+        "direct_product alternating 5 cyclic 6",
+        "cyclic 60",
+        "dihedral 30",
+    ],
+)
+def test_minimal_normals_match_every_class_closure(spec, group_of):
+    # only classes of prime-power order are closed; their minimal members
+    # are those of the normal closures of every class, at every term N of
+    # the chief series (elements of order 6, 10 and 15 in A5 x A5 have
+    # closures that the pruning drops)
+    G = group_of(spec)
+    for N in chief_series(G).subgroups[1:]:
+        got = [m.bits for m in minimal_normal_subgroups(G, N)]
+        assert got == minimal_normal_by_all_closures(G, N)
 
 
 def test_minimal_normals_reject_non_normal_subgroup(group_of):
