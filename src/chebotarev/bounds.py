@@ -1,11 +1,10 @@
 """Evaluators and checkers for the effective waiting-time upper bounds.
 
 Bound values are assembled in exact rational arithmetic (the sigma
-constant is a fixed decimal literal, hence an exact rational) and all
-verdict comparisons happen either in pure rationals or, where a square
-root is unavoidable, in high-precision decimals rounded one-sidedly:
-bounds round up, exact values round down, so rounding can never produce
-a false VIOLATED verdict.
+constant is a fixed decimal literal, hence an exact rational), and every
+verdict is an exact comparison of rationals: a comparison with square
+roots is squared until none is left. Only the displayed (5/3) sqrt(|G|)
+is a decimal, rounded up.
 """
 
 from __future__ import annotations
@@ -37,13 +36,6 @@ class Verdict(str, enum.Enum):
     SATISFIED = "SATISFIED"
     VIOLATED = "VIOLATED"
     NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
-def _dec_up(x: Fraction) -> decimal.Decimal:
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PREC
-        ctx.rounding = decimal.ROUND_CEILING
-        return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
 
 
 def _sqrt(x: Fraction, rounding: str) -> decimal.Decimal:
@@ -155,8 +147,6 @@ def waiting_estimate(V: ChiefFactorModule) -> WaitingEstimate:
 
 @dataclass(frozen=True)
 class RatioCheckResult:
-    ratio: decimal.Decimal
-    bound: decimal.Decimal
     passes: bool
     exceptional_case: Optional[int]
     lam: int
@@ -170,7 +160,10 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
     Here |U| = |V|^delta and lambda = |G| / (|H| |U|) (an integer). When
     the strict inequality fails, the parameters must land in one of four
     known exceptional shapes (all with |H| < |V|), keyed by
-    (delta, q^n, lambda); anything else raises.
+    (delta, q^n, lambda); anything else raises. The verdict is exact: with
+    A = 3 alpha, g = |G| and u = |U|, the inequality holds iff
+    A sqrt(u) + 5 sqrt(g) < 5 sqrt(ug), and squaring both positive sides
+    twice, iff R = 25ug - A^2 u - 25g > 0 and 100 A^2 ug < R^2.
     """
     q, n, delta = _classified(V)
     if V.h_order <= 1:
@@ -182,20 +175,10 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
         raise ValueError("group order is not a multiple of |H| * |V|^delta")
     lam = group_order // denom
     alpha = waiting_estimate(V).value
-
-    root_g_down = _sqrt(Fraction(group_order), decimal.ROUND_FLOOR)
-    root_u_down = _sqrt(Fraction(u_order), decimal.ROUND_FLOOR)
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PREC
-        ctx.rounding = decimal.ROUND_CEILING
-        lhs_up = _dec_up(alpha) / root_g_down
-        inv_root_u_up = decimal.Decimal(1) / root_u_down
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PREC
-        ctx.rounding = decimal.ROUND_FLOOR
-        # (5/3)(1 - 1/sqrt(u)) with every step pushing the value down
-        rhs_down = decimal.Decimal(5) * (1 - inv_root_u_up) / 3
-    passes = lhs_up < rhs_down
+    A2 = (3 * alpha) ** 2
+    ug = u_order * group_order
+    R = 25 * ug - A2 * u_order - 25 * group_order
+    passes = R > 0 and 100 * A2 * ug < R * R
     case: Optional[int] = None
     if not passes:
         if V.h_order < qn:
@@ -213,8 +196,6 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
                 f"delta={V.delta}, q^n={qn}, lambda={lam}, |H|={V.h_order}"
             )
     return RatioCheckResult(
-        ratio=lhs_up,
-        bound=rhs_down,
         passes=passes,
         exceptional_case=case,
         lam=lam,

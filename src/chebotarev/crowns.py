@@ -8,8 +8,11 @@ invariant even though the matrices themselves are not.
 
 The chief series takes abelian factors first, so it runs through the
 soluble radical R. Below R, the chief series is found in G by
-``minimal_normal_subgroups(G, N)``, which returns preimages, and every
+``subgroups._minimal_normal(G, N)``, which returns preimages, and every
 module acts through G's own generators.
+A section X/Y is checked once, where a caller hands it in
+(``factor_module``, ``complements``); the chief factors the pipeline
+found itself go unchecked to ``_factor_module`` and ``_complement_system``.
 Above R, the one quotient G/R is built (``perm.quotient``, cached on G;
 G itself when R = 1, none when G is soluble), and only its subgroup
 lattice is walked, one conjugacy class of subgroups at a time and with
@@ -47,13 +50,18 @@ from fractions import Fraction
 from operator import eq, mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import InvariantError, NotChiefFactorError, NotIrreducibleError
+from .errors import (
+    BadSectionError,
+    InvariantError,
+    NotAbelianFactorError,
+    NotChiefFactorError,
+    NotIrreducibleError,
+)
 from .perm import (
     PermGroup,
     Permutation,
     Subgroup,
     _coset_action,
-    _validate_section,
     bits_iter,
     quotient,
 )
@@ -62,8 +70,8 @@ from .subgroups import (
     _cosets,
     _is_prime_power,
     _least_prime,
+    _minimal_normal,
     all_subgroups,
-    minimal_normal_subgroups,
     subgroup_classes,
 )
 
@@ -167,8 +175,8 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
     """A chief series built bottom-up inside G, through the soluble radical.
 
     Starting from N = 1, each step takes a minimal normal subgroup of G/N
-    as its preimage X in G (``minimal_normal_subgroups(G, N)``, sorted by
-    order and bitset) and continues from N = X. An abelian one is taken
+    as its preimage X in G (``_minimal_normal(G, N)``, sorted by order and
+    bitset) and continues from N = X. An abelian one is taken
     whenever G/N has one: a minimal normal subgroup is a direct power of a
     simple group, so it is abelian iff |X:N| is a prime power. The abelian
     factors at the bottom of the series then end at the soluble radical R
@@ -181,7 +189,7 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
     abelian_flags: list[bool] = []
     while chain_up[-1].order < G.order:
         N = chain_up[-1]
-        mins = minimal_normal_subgroups(G, N)
+        mins = _minimal_normal(G, N.bits)
         abelian = [X for X in mins if _is_prime_power(X.order // N.order)]
         candidates = abelian or mins
         chain_up.append(candidates[variant % len(candidates)])
@@ -277,10 +285,19 @@ def _image_bits(epi: Sequence[int], bits: int) -> int:
     return out
 
 
-def _check_chief(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
+def _check_chief_factor(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
+    # a section handed in must be an abelian chief factor of G: [X, X] <= Y, X minimal over Y
+    if X.group is not G or Y.group is not G:
+        raise BadSectionError("subgroups belong to a different group")
+    if Y.bits & ~X.bits:
+        raise BadSectionError("Y is not contained in X")
+    if not X.is_normal() or not Y.is_normal():
+        raise BadSectionError("X and Y must be normal in G")
+    if not all((Y.bits >> G.commutator(a, b)) & 1 for a in X.witnesses for b in X.witnesses):
+        raise NotAbelianFactorError("section X/Y is not abelian")
     if X.bits == Y.bits:
         raise NotChiefFactorError("the section X/Y is trivial")
-    if X not in minimal_normal_subgroups(G, Y):
+    if X.bits not in [M.bits for M in _minimal_normal(G, Y.bits)]:
         raise NotChiefFactorError("a normal subgroup sits strictly between Y and X")
 
 
@@ -336,7 +353,7 @@ def _section_coordinates(
     |X/Y|; the elements of X whose Y-cosets form the basis, chosen greedily
     from the cosets' least elements in ascending order; the coordinate vector
     of every element of X; and, per vector, the representative of its
-    Y-coset. Raises ``NotChiefFactorError`` if X/Y is trivial or not
+    Y-coset. Raises ``NotChiefFactorError`` if the nontrivial X/Y is not
     elementary abelian. Cached on G per (X, Y).
     """
     key = ("section_coordinates", X.bits, Y.bits)
@@ -344,8 +361,6 @@ def _section_coordinates(
     if cached is not None:
         return cached
     vorder = X.order // Y.order
-    if vorder == 1:
-        raise NotChiefFactorError("the section X/Y is trivial")
     p = _least_prime(vorder)
     # the cosets of Y inside X, by least element, so id 0 is Y itself (the
     # identity has element index 0)
@@ -394,26 +409,31 @@ def _action_matrix(
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup, *, check_chief: bool = True) -> ChiefFactorModule:
+def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
     """Matrices, acting group and fixed-vector probability for X/Y.
+
+    Raises ``BadSectionError`` (``NotAbelianFactorError`` if nonabelian) or
+    ``NotChiefFactorError`` unless X/Y is an abelian chief factor of G.
+    """
+    _check_chief_factor(G, X, Y)
+    return _factor_module(G, X, Y)
+
+
+def _factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
+    """``factor_module`` of a chief factor X/Y of G, unchecked.
 
     The basis is chosen greedily from coset representatives in discovery
     order. g acts on X/Y through its matrix, with kernel C_G(X/Y), so the
     acting group H = G/C_G(X/Y) is the group the generator matrices make
     of the p^n vectors of X/Y (``_acting_group``), and no other element
     of G is conjugated. |H| is its order, and ``p_fix`` is the share of
-    its elements that fix a vector other than 0. The checks run on every
-    call; the module is cached on G per (X, Y).
+    its elements that fix a vector other than 0. Cached on G per (X, Y).
     """
-    _validate_section(G, X, Y)
-    pfac, basis, vec, _ = _section_coordinates(G, X, Y)
-    if check_chief:
-        _check_chief(G, X, Y)
     key = ("factor_module", X.bits, Y.bits)
     cached = G._cache.get(key)
     if cached is not None:
         return cached
-
+    pfac, basis, vec, _ = _section_coordinates(G, X, Y)
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
     H = _acting_group(pfac, len(basis), gen_mats)
     points = range(H.degree)
@@ -606,10 +626,13 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q, which
     comes from the same commutant solve as ``endo_field``. The matrices
     align with ``H.generators``, as those of a module align with its
-    ``acting_group``.
+    ``acting_group``: one n x n matrix per generator, else ``ValueError``.
     """
     if H.order == 1:
         raise ValueError("derivations require a nontrivial acting group")
+    sizes = {len(r) for M in gen_matrices for r in (M, *M)}  # each matrix and its rows
+    if len(gen_matrices) != len(H.generators) or len(sizes) != 1:
+        raise ValueError("derivations need one n x n matrix per generator of H")
     n = len(gen_matrices[0])
     by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
     gen_mats = [by_images[g.images] for g in H._bfs_gens]
@@ -651,12 +674,13 @@ def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
     complements are the solutions of that inhomogeneous cocycle system:
     none if it is inconsistent, else one per point of an affine space over
     Z^1 (Celler, Neubueser and Wright, Acta Appl. Math. 21, 1990).
-    Witnesses are the g^_k followed by Y's. Cached on G per (X, Y).
+    Witnesses are found on first read. Raises as ``factor_module`` does.
     """
+    _check_chief_factor(G, X, Y)
     return _complement_system(G, X, Y)[0]
 
 
-def complement_classes(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[list[Subgroup]]:
+def _complement_classes(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[list[Subgroup]]:
     """The complements of the abelian chief factor X/Y in conjugacy classes.
 
     G = UX, so the conjugates of a complement U are its conjugates by X,
@@ -743,7 +767,7 @@ def _complement_system(
         kbits = sum([ycbits[ycid[t]] for t in that])  # one Y-coset per coset of X
         if kbits.bit_count() * X.order != target or kbits & X.bits != Y.bits:
             raise InvariantError("a solution of the complement system is not a complement")
-        found.append(Subgroup(G, kbits, tuple(ghat) + Y.witnesses))
+        found.append(Subgroup(G, kbits))
         for row, col in zip(coboundaries, b1_pivots):
             f = u[col]
             if f:
@@ -761,7 +785,7 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     the abelian chief factor N_{j-1}/N_j below R where N_j is the first
     term inside M, and every complement of such a factor is maximal: these
     are the complements of the factors below R, in the classes of
-    ``complement_classes``. A maximal M that contains R is the preimage of
+    ``_complement_classes``. A maximal M that contains R is the preimage of
     a maximal subgroup of G/R: of a class that the lattice walk of G/R
     built (``subgroup_classes``) and no larger maximal subgroup contains,
     and its witnesses lift the walk's, followed by R's. A soluble G has
@@ -770,7 +794,7 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     """
     series = _default_series(G)
     subs = series.subgroups[_radical_index(series):]
-    classes = [cls for X, Y in zip(subs, subs[1:]) for cls in complement_classes(G, X, Y)]
+    classes = [cls for X, Y in zip(subs, subs[1:]) for cls in _complement_classes(G, X, Y)]
     top = _radical_quotient(G)
     if top is None:
         return classes
@@ -819,13 +843,14 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     """Group the complemented abelian chief factors into isomorphism classes.
 
     An abelian factor counts iff its complement system has a solution
-    (``complements``); only those get a module. A nonabelian factor lies
+    (``_complement_system``); only those get a module. A nonabelian factor lies
     above the soluble radical R, and its complementedness is a scan of the
     lattice of G/R. Every class gets m = dim H^1(G/C_G(V), V) over the
     commutant field: 0 for a soluble G (first cohomology vanishes for a
     soluble group acting faithfully and irreducibly) and for a central
     class, else ``derivations`` on the ``acting_group`` its module was
-    built with. With the default series the result is cached on G.
+    built with. The default series is G's own, and the result is cached on
+    G; a series of another group raises ``BadSectionError``.
     """
     default = series is None
     if default:
@@ -833,6 +858,8 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         if cached is not None:
             return cached
         series = _default_series(G)
+    elif series.group is not G:
+        raise BadSectionError("the chief series belongs to another group")
     soluble = all(series.factor_abelian)
     modules: list[ChiefFactorModule] = []
     nonabelian: list[tuple[int, bool]] = []
@@ -842,8 +869,8 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         if not series.factor_abelian[i]:
             nonabelian.append((series.factor_orders[i], _has_complement(G, X, Y)))
             continue
-        if complements(G, X, Y):
-            mod = factor_module(G, X, Y, check_chief=False)
+        if _complement_system(G, X, Y)[0]:
+            mod = _factor_module(G, X, Y)
             modules.append(replace(mod, label=f"factor[{i:02d}]"))
 
     classes: list[list[ChiefFactorModule]] = []
@@ -904,15 +931,17 @@ def omega_membership(
     subgroup has no other (Baer). M then complements the factor, as
     M n N_{j-1} is normalized by M and by the abelian N_{j-1}/N_j, so is
     N_j: its module is the one ``crown_data`` built, read from the cache
-    of ``factor_module``.
+    of ``_factor_module``. A V of another group raises ``BadSectionError``.
     """
+    if V.group is not G:
+        raise BadSectionError("V is a module of another group")
     series = _default_series(G)
     subs = series.subgroups
     mask = 0
     for ci, mc in enumerate(maximals):
         j = next(j for j, N in enumerate(subs) if N.bits & ~mc.core_bits == 0)
         if series.factor_abelian[j - 1] and g_isomorphic(
-            factor_module(G, subs[j - 1], subs[j], check_chief=False), V
+            _factor_module(G, subs[j - 1], subs[j]), V
         ):
             mask |= 1 << ci
     return mask

@@ -225,8 +225,10 @@ def v_property_sum(S: SieveSystem, omega_mask: int) -> Fraction:
     This is the expected wait of the chain on the raw signatures masked
     to the subfamily; no reduction is needed, since dropping a contained
     union never changes whether the alive mask is empty. Returns 0 for an
-    empty selection.
+    empty selection; a bit past the raw classes raises ``ValueError``.
     """
+    if omega_mask >> len(S.raw_unions):
+        raise ValueError("the mask selects a class beyond the raw maximal classes")
     if omega_mask == 0:
         return Fraction(0)
     chain = _alive_chain(S.class_sizes, S.raw_signatures, omega_mask)

@@ -47,7 +47,6 @@ from .errors import (
     BadSectionError,
     DegreeMismatchError,
     InvariantError,
-    NotAbelianFactorError,
     NotNormalError,
     OrderCapError,
 )
@@ -597,22 +596,3 @@ def _coset_action(
     if len(reps) == 1:
         return lambda g: (0,)
     return lambda g: itemgetter(*G.column_at(g, reps))(cid)
-
-
-def _abelian_over(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
-    # X/Y is abelian iff the commutators of X's generators lie in Y
-    return all(
-        (Y.bits >> G.commutator(a, b)) & 1 for a in X.witnesses for b in X.witnesses
-    )
-
-
-def _validate_section(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
-    # X/Y must be an abelian section of G: Y <= X, both normal in G
-    if X.group is not G or Y.group is not G:
-        raise BadSectionError("subgroups belong to a different group")
-    if Y.bits & ~X.bits:
-        raise BadSectionError("Y is not contained in X")
-    if not X.is_normal() or not Y.is_normal():
-        raise BadSectionError("X and Y must be normal in G")
-    if not _abelian_over(G, X, Y):
-        raise NotAbelianFactorError("section X/Y is not abelian")

@@ -8,16 +8,14 @@ count. Only G/R walks the subgroup lattice: that is G itself when R = 1,
 and a soluble G (R = G) walks none. The lattice of all of G otherwise
 serves the test oracles.
 
-The chief series climbs by ``minimal_normal_subgroups(G, N)``: each
-minimal normal subgroup of G/N is N C_x for any x in it outside N, C_x
-the normal closure of x, and only classes of prime-power order are
-closed. For x in a minimal normal M/N and a prime q dividing the order
-of xN, the q-part y of x is a power of x outside N, so N C_y = M as
-well: every minimal member of the family over all classes is in the
-pruned family, at every level of the series. The complements of each
-abelian chief factor X/Y then solve one cocycle system
-(``crowns.complements``), in which a generator inside X loops at every
-coset of X and writes its rows once.
+The chief series climbs by ``_minimal_normal(G, N)`` on the terms it
+built itself, unchecked (``minimal_normal_subgroups`` checks the N a
+caller hands in): each minimal normal subgroup of G/N is N C_x for any
+x in it outside N, C_x the normal closure of x, and only classes of
+prime-power order are closed (``_minimal_normal`` says why). The
+complements of each abelian chief factor X/Y then solve one cocycle
+system (``crowns.complements``), in which a generator inside X loops at
+every coset of X and writes its rows once.
 
 Enumeration is exhaustive (every subgroup exactly once) and runs up to
 conjugacy (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -64,7 +62,7 @@ from math import gcd, isqrt
 from operator import itemgetter
 from typing import Optional
 
-from .errors import InvariantError, NotNormalError, TrivialGroupError
+from .errors import BadSectionError, InvariantError, NotNormalError, TrivialGroupError
 from .perm import PermGroup, Subgroup, _coset_action, bits_iter, conjugacy_classes
 
 
@@ -262,29 +260,38 @@ def _cosets(G: PermGroup, bits: int) -> tuple[list[int], list[int], list[int]]:
 def minimal_normal_subgroups(
     G: PermGroup, N: Optional[Subgroup] = None
 ) -> list[Subgroup]:
-    """The minimal normal subgroups of G/N, as their preimages in G.
+    """The minimal normal subgroups of G/N as preimages in G, by (order, bitset).
 
-    N must be normal in G (default: trivial). Each one is ``N C_x`` for
-    any of its elements x outside N, where C_x is the normal closure of x
-    and ``N C_x`` the union of the N-cosets meeting C_x. It is enough to
-    take x of prime-power order: for a prime q dividing the order of xN,
-    the q-part y of x is a power of x outside N, so y serves as well. So
-    the answer is the minimal members of that family over one x of
-    prime-power order per conjugacy class, the same minimal members as
-    over every class, at every N. Classes whose elements generate
-    conjugate cyclic subgroups share one closure, which starts from the
-    powers of x that the walk marking those classes lists anyway; the
-    closures, each with one itemgetter of its elements (so its coset ids
-    are one read), and the right cosets of N are cached on G. The family
-    is taken in (order, bitset) order, and a member is minimal iff no
-    minimal member already kept lies inside it. Sorted by (order, bitset);
-    raises ``TrivialGroupError`` when N = G.
+    N must be a subgroup of G, else ``BadSectionError``, normal (default:
+    trivial), else ``NotNormalError``, and proper, else ``TrivialGroupError``.
     """
+    if N is not None and N.group is not G:
+        raise BadSectionError("N belongs to a different group")
     nbits = 1 if N is None else N.bits
     if nbits == G.full_bits:
         raise TrivialGroupError("G/N is trivial, so it has no minimal normal subgroups")
     if N is not None and not N.is_normal():
         raise NotNormalError("N must be normal in G")
+    return _minimal_normal(G, nbits)
+
+
+def _minimal_normal(G: PermGroup, nbits: int) -> list[Subgroup]:
+    """``minimal_normal_subgroups`` over the proper normal subgroup ``nbits``.
+
+    Each one is ``N C_x`` for any of its elements x outside N, where C_x
+    is the normal closure of x and ``N C_x`` the union of the N-cosets
+    meeting C_x. It is enough to take x of prime-power order: for a prime
+    q dividing the order of xN, the q-part y of x is a power of x outside
+    N, so y serves as well. So the answer is the minimal members of that
+    family over one x of prime-power order per conjugacy class, the same
+    minimal members as over every class, at every N. Classes whose
+    elements generate conjugate cyclic subgroups share one closure, which
+    starts from the powers of x that the walk marking those classes lists
+    anyway; the closures, each with one itemgetter of its elements (so its
+    coset ids are one read), and the right cosets of N are cached on G.
+    The family is taken in (order, bitset) order, and a member is minimal
+    iff no minimal member already kept lies inside it.
+    """
     closures = G._cache.get("class_normal_closures")
     if closures is None:
         table = conjugacy_classes(G)

@@ -19,12 +19,14 @@ conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups or from the normal closure of every class
 representative, socle modules from an explicitly built quotient group,
 quotient groups from one product per coset and element, section
-centralizers from the commutator with every element, and element orders
-from repeated products.
+centralizers from the commutator with every element, element orders
+from repeated products, and the waiting-time ratio verdict from 60-digit
+decimal square roots.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 from fractions import Fraction
 
@@ -178,27 +180,30 @@ def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
 def is_complemented(G: PermGroup, X, Y) -> bool:
     """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y).
 
-    Read off the complement system of X/Y (``complements``). Raises
+    Read off the complement system of X/Y (``complements``), which raises
     ``NotChiefFactorError`` if a normal subgroup of G lies strictly between
     Y and X.
     """
-    from chebotarev.crowns import _check_chief, complements
-    from chebotarev.perm import _validate_section
+    from chebotarev.crowns import complements
 
-    _validate_section(G, X, Y)
-    _check_chief(G, X, Y)
     return bool(complements(G, X, Y))
 
 
 def section_centralizer(G: PermGroup, X, Y) -> Subgroup:
     """The subgroup {g : [g, x] in Y for all x in X} for an abelian section X/Y.
 
-    Requires Y <= X with both normal in G (``_validate_section``). Checking
-    commutators against the witnesses of X suffices because Y is normal.
+    Requires Y <= X with both normal in G and X/Y abelian, else
+    ``BadSectionError``. Checking commutators against the witnesses of X
+    suffices because Y is normal.
     """
-    from chebotarev.perm import _validate_section
+    from chebotarev.errors import BadSectionError
 
-    _validate_section(G, X, Y)
+    if X.group is not G or Y.group is not G or Y.bits & ~X.bits:
+        raise BadSectionError("X/Y is not a section of G")
+    if not (normal_by_conjugation(X) and normal_by_conjugation(Y)):
+        raise BadSectionError("X and Y must be normal in G")
+    if not all((Y.bits >> G.commutator(a, b)) & 1 for a in X.members() for b in X.members()):
+        raise BadSectionError("section X/Y is not abelian")
     bits = 0
     for g in range(G.order):
         if all((Y.bits >> G.commutator(g, x)) & 1 for x in X.witnesses):
@@ -564,9 +569,7 @@ def socle_factor_modules_by_quotient(G: PermGroup, mc):
         abelian = all(
             Q.commutator(a, b) == 0 for a in N.witnesses for b in N.witnesses
         )
-        mods.append(
-            factor_module(Q, N, Subgroup.trivial(Q), check_chief=False) if abelian else None
-        )
+        mods.append(factor_module(Q, N, Subgroup.trivial(Q)) if abelian else None)
     return mods
 
 
@@ -587,3 +590,19 @@ def omega_by_quotient_socles(G: PermGroup, maximals, V) -> int:
         if all(g_isomorphic(m, V) for m in mods):
             mask |= 1 << ci
     return mask
+
+
+def ratio_holds_by_decimal(alpha: Fraction, group_order: int, u_order: int) -> bool:
+    """alpha / sqrt(|G|) < (5/3)(1 - 1/sqrt(|U|)), in 60-digit decimals.
+
+    Raises ``ValueError`` when the two sides are too close for 60 digits
+    to decide.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        lhs = D(alpha.numerator) / D(alpha.denominator) / D(group_order).sqrt()
+        rhs = 5 * (1 - 1 / D(u_order).sqrt()) / 3
+        if abs(lhs - rhs) < D(10) ** -50:
+            raise ValueError("the ratio is too close to its bound to decide")
+        return lhs < rhs

@@ -1,10 +1,12 @@
 import decimal
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import SOLUBLE_SPECS, ratio_holds_by_decimal
 from chebotarev.bounds import (
     SIGMA,
     Verdict,
@@ -19,7 +21,7 @@ from chebotarev.bounds import (
     crown_bound,
 )
 from chebotarev.crowns import chief_series, crown_data, factor_module
-from chebotarev.errors import BadProbabilityError, InvariantError
+from chebotarev.errors import BadProbabilityError, InvariantError, UnclassifiedRatioError
 from chebotarev.exact import chebotarev_of_group
 from chebotarev.subgroups import min_generators
 
@@ -123,6 +125,30 @@ def test_ratio_check_delta3_passes(group_of):
     assert V.delta == 3
     res = waiting_ratio_check(V, G.order)
     assert res.passes
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_SPECS)
+def test_ratio_verdict_matches_decimal_oracle(spec, group_of):
+    # the exact squared comparison gives the verdict of a 60-digit
+    # evaluation of alpha / sqrt(|G|) < (5/3)(1 - 1/sqrt(|U|))
+    G = group_of(spec)
+    for V in crown_data(G).A:
+        u_order = (V.q**V.n) ** V.delta
+        expect = ratio_holds_by_decimal(waiting_estimate(V).value, G.order, u_order)
+        assert waiting_ratio_check(V, G.order).passes == expect
+
+
+def test_ratio_check_fails_far_above_the_bound(group_of):
+    # S3's module given an acting group of order 120 and p_fix = 1/120, so
+    # alpha = 180 and |G| = 360: R = 25ug - A^2 u - 25g is negative while
+    # R^2 > 100 A^2 ug, so the sign of R decides, and |H| >= |V| fits no
+    # exceptional shape
+    V = crown_data(group_of("symmetric 3")).A[0]
+    big = replace(V, acting_group=group_of("symmetric 5"), p_fix=Fraction(1, 120))
+    assert waiting_estimate(big).value == 180
+    assert not ratio_holds_by_decimal(Fraction(180), 360, 3)
+    with pytest.raises(UnclassifiedRatioError):
+        waiting_ratio_check(big, 360)
 
 
 def test_ratio_check_rejects_central(group_of):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,11 +35,13 @@ from chebotarev.crowns import (
     omega_membership,
 )
 from chebotarev.errors import (
+    BadSectionError,
     InvariantError,
     NotAbelianFactorError,
     NotChiefFactorError,
     NotIrreducibleError,
 )
+from chebotarev.groupspec import parse_group
 from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient
 from chebotarev.subgroups import all_subgroups, maximal_classes
 
@@ -281,14 +284,39 @@ def test_factor_module_rejects_bad_sections(group_of):
     c4 = group_of("cyclic 4")
     with pytest.raises(NotChiefFactorError):
         factor_module(c4, Subgroup.full(c4), Subgroup.trivial(c4))
-    # |C6| is no prime power: the coordinates refuse it even unchecked
     c6 = group_of("cyclic 6")
     with pytest.raises(NotChiefFactorError):
-        factor_module(c6, Subgroup.full(c6), Subgroup.trivial(c6), check_chief=False)
+        factor_module(c6, Subgroup.full(c6), Subgroup.trivial(c6))
     s4 = group_of("symmetric 4")
     a4 = next(s for s in _normal_subgroups(s4) if s.order == 12)
     with pytest.raises(NotAbelianFactorError):
         factor_module(s4, a4, Subgroup.trivial(s4))
+
+
+def test_complements_reject_bad_sections(group_of):
+    # complements checks its section as factor_module does: a subgroup
+    # that is not normal, one of a separately parsed group, and a section
+    # with a normal subgroup strictly inside
+    s3 = group_of("symmetric 3")
+    c2 = next(s for s in all_subgroups(s3) if s.order == 2)
+    with pytest.raises(BadSectionError):
+        complements(s3, c2, Subgroup.trivial(s3))
+    G = parse_group("cyclic 4").group
+    H = parse_group("cyclic 4").group
+    c2_of_h = next(s for s in all_subgroups(H) if s.order == 2)
+    with pytest.raises(BadSectionError):
+        complements(G, c2_of_h, Subgroup.trivial(G))
+    with pytest.raises(NotChiefFactorError):
+        complements(G, Subgroup.full(G), Subgroup.trivial(G))
+
+
+def test_modules_of_another_group_are_rejected(group_of):
+    # a crown class or a series of one group handed to another
+    s3, s4 = group_of("symmetric 3"), group_of("symmetric 4")
+    with pytest.raises(BadSectionError):
+        omega_membership(s4, maximal_classes(s4), crown_data(s3).A[0])
+    with pytest.raises(BadSectionError):
+        crown_data(s4, series=chief_series(s3))
 
 
 def test_g_isomorphic_examples(group_of):
@@ -300,26 +328,27 @@ def test_g_isomorphic_examples(group_of):
     c6 = group_of("cyclic 6")
     series = chief_series(c6)
     mods = [
-        factor_module(c6, series.subgroups[i], series.subgroups[i + 1], check_chief=False)
-        for i in range(2)
+        factor_module(c6, series.subgroups[i], series.subgroups[i + 1]) for i in range(2)
     ]
     by_p = {m.p: m for m in mods}
     assert not g_isomorphic(by_p[2], by_p[3])  # prime mismatch is just False
 
     klein = group_of("elementary 2 2")
     ks = chief_series(klein)
-    m1 = factor_module(klein, ks.subgroups[0], ks.subgroups[1], check_chief=False)
-    m2 = factor_module(klein, ks.subgroups[1], ks.subgroups[2], check_chief=False)
+    m1 = factor_module(klein, ks.subgroups[0], ks.subgroups[1])
+    m2 = factor_module(klein, ks.subgroups[1], ks.subgroups[2])
     assert g_isomorphic(m1, m2)  # central factors of equal order
 
 
 def test_g_isomorphic_rejects_reducible_module(group_of):
-    # Klein acting trivially on itself: every 2x2 matrix intertwines, and
+    # Klein acting trivially on F_2^2: every 2x2 matrix intertwines, and
     # the first basis intertwiner is singular, which Schur's lemma forbids
     # for irreducible modules
     klein = group_of("elementary 2 2")
-    trivial = factor_module(
-        klein, Subgroup.full(klein), Subgroup.trivial(klein), check_chief=False
+    ks = chief_series(klein)
+    chief = factor_module(klein, ks.subgroups[0], ks.subgroups[1])
+    trivial = replace(
+        chief, n_raw=2, gen_matrices=tuple(mat_identity(2) for _ in chief.gen_matrices)
     )
     with pytest.raises(NotIrreducibleError):
         g_isomorphic(trivial, trivial)
@@ -329,7 +358,7 @@ def test_g_isomorphic_equivalence_relation(group_of):
     G = group_of("direct_product cyclic 6 cyclic 6")
     series = chief_series(G)
     mods = [
-        factor_module(G, series.subgroups[i], series.subgroups[i + 1], check_chief=False)
+        factor_module(G, series.subgroups[i], series.subgroups[i + 1])
         for i in range(len(series))
     ]
     for a in mods:
@@ -521,6 +550,14 @@ def test_chief_series_runs_through_the_soluble_radical(spec, variant, group_of):
     assert [comp for _, comp in cd.nonabelian_factors] == [
         complement_by_lattice_scan(G, X, Y) for X, Y in nonab
     ]
+
+
+def test_derivations_reject_misaligned_matrices(group_of):
+    # one n x n matrix per generator of H, or a typed error
+    with pytest.raises(ValueError):
+        derivations(group_of("cyclic 2"), [], 3)
+    with pytest.raises(ValueError):
+        derivations(group_of("symmetric 3"), [((1, 0), (0, 1)), ((1,),)], 2)
 
 
 def test_derivations_inversion_action(group_of):

@@ -187,6 +187,8 @@ def test_v_property_sum_examples(group_of):
     s3 = group_of("symmetric 3")
     S = build_sieves(s3)
     assert v_property_sum(S, 0) == 0
+    with pytest.raises(ValueError):
+        v_property_sum(S, 1 << 10)  # S3 has two raw classes
 
     mx = maximal_classes(s3)
     cd = crown_data(s3)

@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to completion on a small input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,12 @@ def test_mc_accuracy_runs():
 def test_catalog_sweep_runs():
     out = _run("catalog_sweep.py")
     assert out.rstrip().splitlines()[-1].startswith("largest ratio: ")
+
+
+def test_report_digest_runs():
+    specs = ("symmetric 3", "alternating 5")
+    lines = [json.loads(line) for line in _run("report_digest.py", *specs).splitlines()]
+    assert [(d["command"], d["spec"]) for d in lines] == [
+        (c, s) for s in specs for c in ("bounds", "exact", "crowns")
+    ]
+    assert all(d["exit"] == 0 and "timings" not in d["report"] for d in lines)

@@ -135,7 +135,7 @@ def test_one_acting_group():
     assert {c for c in _calls("PermGroup") if c[0] == "crowns.py"} == {
         ("crowns.py", "_acting_group")
     }
-    assert set(_calls("ChiefFactorModule")) == {("crowns.py", "factor_module")}
+    assert set(_calls("ChiefFactorModule")) == {("crowns.py", "_factor_module")}
     assert not {"mat_mul", "mat_identity"} & _defined()
 
 
@@ -175,10 +175,10 @@ def test_oracle_only_code_stays_in_tests():
 
 def test_one_prime_power_test():
     # one prime-power test beside the one least-prime search, read by the
-    # chief series and by the pruning of minimal_normal_subgroups
+    # chief series and by the pruning of _minimal_normal
     owners = [p.name for p in sorted(SRC.glob("*.py")) if "def _is_prime_power(" in p.read_text()]
     assert owners == ["subgroups.py"]
-    assert {("crowns.py", "chief_series"), ("subgroups.py", "minimal_normal_subgroups")} <= set(
+    assert {("crowns.py", "chief_series"), ("subgroups.py", "_minimal_normal")} <= set(
         _calls("_is_prime_power")
     )
 
@@ -188,4 +188,22 @@ def test_normal_closure_keeps_its_signature():
     # public method takes the seeds alone
     params = inspect.signature(chebotarev.perm.PermGroup.normal_closure_bits).parameters
     assert list(params) == ["self", "seeds"]
-    assert ("subgroups.py", "minimal_normal_subgroups") in _calls("_normal_closure_from")
+    assert ("subgroups.py", "_minimal_normal") in _calls("_normal_closure_from")
+
+
+def test_checks_only_at_entry_points():
+    # a section is checked once, where a caller hands it in: the chief
+    # series pipeline calls the private builders on the terms it built
+    # itself, and no knob turns the check off
+    for name in ("factor_module", "complements", "minimal_normal_subgroups"):
+        assert _calls(name) == []
+    assert sorted(_calls("_check_chief_factor")) == [
+        ("crowns.py", "complements"),
+        ("crowns.py", "factor_module"),
+    ]
+    assert sorted(set(_calls("is_normal"))) == [
+        ("crowns.py", "_check_chief_factor"),
+        ("perm.py", "quotient"),
+        ("subgroups.py", "minimal_normal_subgroups"),
+    ]
+    assert "check_chief" not in inspect.signature(chebotarev.crowns.factor_module).parameters

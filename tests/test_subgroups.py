@@ -18,7 +18,7 @@ from oracles import (
     minimal_normal_by_lattice,
 )
 from chebotarev import perm
-from chebotarev.errors import InvariantError, NotNormalError, TrivialGroupError
+from chebotarev.errors import BadSectionError, InvariantError, NotNormalError, TrivialGroupError
 from chebotarev.groupspec import parse_group
 from chebotarev.crowns import chief_series, maximal_subgroups
 from chebotarev.exact import chebotarev_of_group
@@ -332,6 +332,11 @@ def test_minimal_normals_reject_non_normal_subgroup(group_of):
     c2 = next(s for s in all_subgroups(s3) if s.order == 2)
     with pytest.raises(NotNormalError):
         minimal_normal_subgroups(s3, c2)
+    # a normal subgroup of a separately parsed group: its bits are read
+    # against S4's own cosets unless it is refused
+    s4, c24 = group_of("symmetric 4"), parse_group("cyclic 24").group
+    with pytest.raises(BadSectionError):
+        minimal_normal_subgroups(s4, next(s for s in all_subgroups(c24) if s.order == 4))
 
 
 @pytest.mark.parametrize(
