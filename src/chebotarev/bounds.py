@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .crowns import ChiefFactorModule
 from .errors import BadProbabilityError, InvariantError, UnclassifiedRatioError
+from .exact import elementary_abelian_cheb
 
 #: Expected surplus of random draws (beyond d(G)) needed to generate a
 #: group plainly, as a fixed 10-digit decimal literal treated as exact.
@@ -131,11 +132,10 @@ class WaitingEstimate:
 
 def waiting_estimate(V: ChiefFactorModule) -> WaitingEstimate:
     """Waiting-time estimate for one crown class (the central case uses the
-    elementary-abelian expected-generation sum)."""
+    elementary-abelian expected-generation sum, with q = p)."""
     q, n, delta = _classified(V)
     if V.h_order == 1:
-        qd = q**delta
-        s = sum((Fraction(qd, qd - q**i) for i in range(delta)), Fraction(0))
+        s = elementary_abelian_cheb(q, delta)
         return WaitingEstimate(branch_fix=None, branch_identity=s, value=s)
     # p_fix >= 1/|H|: the identity fixes every vector
     by_fix = (delta * V.theta + V.m + Fraction(q, q - 1)) / V.p_fix

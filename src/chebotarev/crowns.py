@@ -13,7 +13,7 @@ module acts through G's own generators.
 A section X/Y is checked once, where a caller hands it in
 (``factor_module``, ``complements``); the chief factors the pipeline
 found itself go unchecked to ``_factor_module`` and ``_complement_system``.
-Above R, the one quotient G/R is built (``perm.quotient``, cached on G;
+Above R, the one quotient G/R is built (``perm._quotient``, unchecked;
 G itself when R = 1, none when G is soluble), and only its subgroup
 lattice is walked, one conjugacy class of subgroups at a time and with
 no cap but the element-table one: for the maximal subgroups of G that
@@ -30,17 +30,17 @@ an abelian chief factor X/Y solve the inhomogeneous form of the same
 condition, written along the coset graph of X (``_cocycle_rows`` builds
 both systems). Each abelian section is solved once per G: its F_p
 coordinates (shared by its module and its complements) and its
-complements are cached on G, and complementedness is read off the
+complements are kept per group, and complementedness is read off the
 complements. The complements of the factors below R, with the preimages
 of the maximal subgroups of G/R, are all the maximal subgroups of G
 (``maximal_subgroups``), in the conjugacy classes that
 ``subgroups.maximal_classes`` takes from here: a factor's complements
 are classed by their solutions modulo the coboundaries B^1, and the
 preimages from G/R keep the classes its lattice walk built. The chief
-series, the right cosets of its terms, each section's module and
-``crown_data`` are cached on G too. No socle of a quotient G/core(M)
-is computed: whether M lies in Omega_V is read off the chief factor
-that M complements (``omega_membership``).
+series, G/R, the right cosets of its terms, each section's module and
+``crown_data`` are kept per group too (``perm.per_group``). No socle of
+a quotient G/core(M) is computed: whether M lies in Omega_V is read off
+the chief factor that M complements (``omega_membership``).
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ from .perm import (
     Permutation,
     Subgroup,
     _coset_action,
+    _quotient,
     bits_iter,
-    quotient,
+    per_group,
 )
 from .subgroups import (
     MaximalClassData,
@@ -206,13 +207,10 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
     )
 
 
+@per_group
 def _default_series(G: PermGroup) -> ChiefSeries:
-    # chief_series(G), built once per G and shared by
-    # maximal_subgroups, crown_data and perm.is_soluble
-    series = G._cache.get("chief_series")
-    if series is None:
-        series = G._cache["chief_series"] = chief_series(G)
-    return series
+    # shared by maximal_subgroups, crown_data and perm.is_soluble
+    return chief_series(G)
 
 
 def _radical_index(series: ChiefSeries) -> int:
@@ -224,26 +222,22 @@ def _radical_index(series: ChiefSeries) -> int:
     return i
 
 
+@per_group
 def _radical_quotient(G: PermGroup) -> Optional[tuple[PermGroup, Sequence[int], Subgroup]]:
     """``(Q, epi, R)``: G/R for the soluble radical R, with the projection.
 
     ``epi[i]`` is the index in Q of the image of G's element i. Q is G
     itself (no quotient is built) when R = 1, and the result is None when
-    R = G, that is when G is soluble. Cached on G.
+    R = G, that is when G is soluble. R is a term of G's own series, so
+    the quotient is built unchecked.
     """
-    if "radical_quotient" in G._cache:
-        return G._cache["radical_quotient"]
     series = _default_series(G)
     R = series.subgroups[_radical_index(series)]
-    out: Optional[tuple[PermGroup, Sequence[int], Subgroup]]
     if R.order == G.order:
-        out = None
-    elif R.order == 1:
-        out = (G, range(G.order), R)
-    else:
-        out = (*quotient(G, R), R)
-    G._cache["radical_quotient"] = out
-    return out
+        return None
+    if R.order == 1:
+        return G, range(G.order), R
+    return (*_quotient(G, R.bits), R)
 
 
 def radical_quotient_min_generators(G: PermGroup) -> int:
@@ -344,6 +338,7 @@ class ChiefFactorModule:
         return self.h_order == 1
 
 
+@per_group
 def _section_coordinates(
     G: PermGroup, X: Subgroup, Y: Subgroup
 ) -> tuple[int, tuple[int, ...], dict[int, tuple[int, ...]], dict[tuple[int, ...], int]]:
@@ -354,12 +349,8 @@ def _section_coordinates(
     from the cosets' least elements in ascending order; the coordinate vector
     of every element of X; and, per vector, the representative of its
     Y-coset. Raises ``NotChiefFactorError`` if the nontrivial X/Y is not
-    elementary abelian. Cached on G per (X, Y).
+    elementary abelian. Kept per group and (X, Y).
     """
-    key = ("section_coordinates", X.bits, Y.bits)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
     vorder = X.order // Y.order
     p = _least_prime(vorder)
     # the cosets of Y inside X, by least element, so id 0 is Y itself (the
@@ -395,8 +386,7 @@ def _section_coordinates(
         raise InvariantError("the coordinates do not cover X/Y")
     vec = {x: coords[c] for x, c in vid.items()}
     rep = {coords[c]: coset_rep[c] for c in range(vorder)}
-    out = G._cache[key] = (p, tuple(coset_rep[b] for b in basis), vec, rep)
-    return out
+    return p, tuple(coset_rep[b] for b in basis), vec, rep
 
 
 def _action_matrix(
@@ -419,6 +409,7 @@ def factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
     return _factor_module(G, X, Y)
 
 
+@per_group
 def _factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
     """``factor_module`` of a chief factor X/Y of G, unchecked.
 
@@ -427,12 +418,8 @@ def _factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
     acting group H = G/C_G(X/Y) is the group the generator matrices make
     of the p^n vectors of X/Y (``_acting_group``), and no other element
     of G is conjugated. |H| is its order, and ``p_fix`` is the share of
-    its elements that fix a vector other than 0. Cached on G per (X, Y).
+    its elements that fix a vector other than 0. Kept per group and (X, Y).
     """
-    key = ("factor_module", X.bits, Y.bits)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
     pfac, basis, vec, _ = _section_coordinates(G, X, Y)
     gen_mats = tuple(_action_matrix(G, basis, vec, gi) for gi in G.generator_indices)
     H = _acting_group(pfac, len(basis), gen_mats)
@@ -440,7 +427,7 @@ def _factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
     # 0 is fixed by every element, so a fixed nonzero vector is a second
     # fixed point
     fixing = sum(1 for h in H.elements if sum(map(eq, h.images, points)) > 1)
-    out = G._cache[key] = ChiefFactorModule(
+    return ChiefFactorModule(
         group=G,
         p=pfac,
         n_raw=len(basis),
@@ -448,7 +435,6 @@ def _factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
         acting_group=H,
         p_fix=Fraction(fixing, H.order),
     )
-    return out
 
 
 def _acting_group(p: int, n: int, gen_mats: Sequence[Mat]) -> PermGroup:
@@ -697,15 +683,12 @@ def _complement_classes(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[list[Sub
     return list(classes.values())
 
 
+@per_group
 def _complement_system(
     G: PermGroup, X: Subgroup, Y: Subgroup
 ) -> tuple[tuple[Subgroup, ...], tuple[tuple[int, ...], ...]]:
     # (the complements of X/Y, each one's solution vector reduced modulo
-    # B^1), cached on G per (X, Y); see ``complements``
-    key = ("complements", X.bits, Y.bits)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
+    # B^1), kept per group and (X, Y); see ``complements``
     p, basis, vec, rep = _section_coordinates(G, X, Y)
     n = len(basis)
     gens = G._bfs_gen_indices
@@ -738,8 +721,7 @@ def _complement_system(
     rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
     reduced, pivots = _rref(rows, ncols + 1, p)
     if ncols in pivots:
-        out = G._cache[key] = ((), ())
-        return out
+        return (), ()
     particular = [0] * ncols
     for row, col in zip(reduced, pivots):
         particular[col] = row[ncols]
@@ -773,14 +755,13 @@ def _complement_system(
             if f:
                 u = [(a - f * b) % p for a, b in zip(u, row)]
         keys.append(tuple(u))
-    out = G._cache[key] = (tuple(found), tuple(keys))
-    return out
+    return tuple(found), tuple(keys)
 
 
 def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     """Every maximal subgroup of G, each exactly once, in conjugacy classes.
 
-    Take the cached chief series, which runs through the soluble radical
+    Take G's own chief series, which runs through the soluble radical
     R (``chief_series``). A maximal M that does not contain R complements
     the abelian chief factor N_{j-1}/N_j below R where N_j is the first
     term inside M, and every complement of such a factor is maximal: these
@@ -788,9 +769,9 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     ``_complement_classes``. A maximal M that contains R is the preimage of
     a maximal subgroup of G/R: of a class that the lattice walk of G/R
     built (``subgroup_classes``) and no larger maximal subgroup contains,
-    and its witnesses lift the walk's, followed by R's. A soluble G has
-    R = G and walks no lattice; for R = 1 these are the lattice's own
-    maximal classes of G (Cannon and Holt, J. Symbolic Comput. 37, 2004).
+    its witnesses found on first read. A soluble G has R = G and walks no
+    lattice; for R = 1 these are the lattice's own maximal classes of G
+    (Cannon and Holt, J. Symbolic Comput. 37, 2004).
     """
     series = _default_series(G)
     subs = series.subgroups[_radical_index(series):]
@@ -798,7 +779,7 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     top = _radical_quotient(G)
     if top is None:
         return classes
-    Q, epi, R = top
+    Q, epi, _ = top
     # a proper overgroup of H lies in a maximal subgroup of larger order;
     # Q, the one class of its order, sorts first and is skipped
     upper: list[list[Subgroup]] = []
@@ -806,15 +787,11 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
         if not any(cls[0].bits & ~M.bits == 0 for kept in upper for M in kept):
             upper.append(cls)
     fibre = [0] * Q.order
-    lift = [-1] * Q.order  # the least element of G over each element of Q
     for i, q in enumerate(epi):
         fibre[q] |= 1 << i
-        if lift[q] < 0:
-            lift[q] = i
 
     def preimage(M: Subgroup) -> Subgroup:
-        bits = sum([fibre[q] for q in bits_iter(M.bits)])  # disjoint fibres
-        return Subgroup(G, bits, tuple(lift[w] for w in M.witnesses) + R.witnesses)
+        return Subgroup(G, sum([fibre[q] for q in bits_iter(M.bits)]))  # disjoint fibres
 
     return classes + [[preimage(M) for M in cls] for cls in upper]
 
@@ -839,6 +816,7 @@ class CrownData:
         return self.central
 
 
+@per_group
 def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownData:
     """Group the complemented abelian chief factors into isomorphism classes.
 
@@ -849,14 +827,10 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
     commutant field: 0 for a soluble G (first cohomology vanishes for a
     soluble group acting faithfully and irreducibly) and for a central
     class, else ``derivations`` on the ``acting_group`` its module was
-    built with. The default series is G's own, and the result is cached on
-    G; a series of another group raises ``BadSectionError``.
+    built with. The default series is G's own, and the result is kept per
+    group and series; a series of another group raises ``BadSectionError``.
     """
-    default = series is None
-    if default:
-        cached = G._cache.get("crown_data")
-        if cached is not None:
-            return cached
+    if series is None:
         series = _default_series(G)
     elif series.group is not G:
         raise BadSectionError("the chief series belongs to another group")
@@ -901,14 +875,11 @@ def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownDa
         (central if rep.central else non_central).append(rep)
 
     keyfun = lambda mod: (mod.p, mod.n_raw, mod.label)
-    cd = CrownData(
+    return CrownData(
         non_central=tuple(sorted(non_central, key=keyfun)),
         central=tuple(sorted(central, key=keyfun)),
         nonabelian_factors=tuple(nonabelian),
     )
-    if default:
-        G._cache["crown_data"] = cd
-    return cd
 
 
 # -- omega membership ------------------------------------------------------
@@ -930,11 +901,12 @@ def omega_membership(
     primitive and a primitive group with an abelian minimal normal
     subgroup has no other (Baer). M then complements the factor, as
     M n N_{j-1} is normalized by M and by the abelian N_{j-1}/N_j, so is
-    N_j: its module is the one ``crown_data`` built, read from the cache
-    of ``_factor_module``. A V of another group raises ``BadSectionError``.
+    N_j: its module is the one ``crown_data`` built, kept per group by
+    ``_factor_module``. A V or a maximal class of another group raises
+    ``BadSectionError``.
     """
-    if V.group is not G:
-        raise BadSectionError("V is a module of another group")
+    if V.group is not G or any(mc.representative.group is not G for mc in maximals):
+        raise BadSectionError("V or a maximal class belongs to another group")
     series = _default_series(G)
     subs = series.subgroups
     mask = 0

@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InvariantError, TooManySievesError, TrivialGroupError
 from .groupspec import check_prime
-from .perm import PermGroup, conjugacy_classes
-from .subgroups import MaximalClassData, frattini, maximal_classes
+from .perm import PermGroup, conjugacy_classes, per_group
+from .subgroups import frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
 # 156 is the family of elementary 5 4, the widest in the closed-form sweep
@@ -86,20 +86,19 @@ class ChebValue:
     state_count: int
 
 
-def build_sieves(G: PermGroup, maximals: Optional[Sequence[MaximalClassData]] = None) -> SieveSystem:
+@per_group
+def build_sieves(G: PermGroup) -> SieveSystem:
     """Conjugate-union sieve system of G (one raw union per maximal class).
 
     Each union is read once, as a binary string at the class
     representatives, and a family's signatures are the columns of its
     unions' strings read back as binary numbers: the raw family's and the
-    reduced family's in the same way.
+    reduced family's in the same way. Kept per group.
     """
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no sieves")
-    if maximals is None:
-        maximals = maximal_classes(G)
     table = conjugacy_classes(G)
-    raw = tuple(mc.union_bits for mc in maximals)
+    raw = tuple(mc.union_bits for mc in maximal_classes(G))
     # bit x of a union is character order - 1 - x of its binary string
     at = itemgetter(*[G.order - 1 - rep for rep in table.reps])
     row = {u: at(f"{u:0{G.order}b}") for u in raw}

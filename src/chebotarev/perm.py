@@ -6,8 +6,8 @@ G modulo its soluble radical, whose subgroup lattice ``crowns`` walks,
 and the Frattini reduction. A subgroup's generating witnesses are found
 on first read, and normality is checked on them: every generator of G
 must conjugate every witness into the subgroup. Solubility is read off
-the chief series that ``crowns`` caches on G (every factor abelian), so
-no derived series is computed.
+G's chief series (every factor abelian), so no derived series is
+computed. Each result computed once per group is kept by ``per_group``.
 
 Everything downstream assumes a full, deterministically indexed element
 table, so groups here are capped at desk scale (default 20 000 elements).
@@ -32,13 +32,14 @@ kept, and just the points read are carried, one itemgetter per letter.
 column is right multiplication by ``elements[j]``, so a closure reads
 each seed's column at the elements found in its last round. Right
 cosets read no column: a new coset Ht is the coset of t's BFS parent
-read through one generator's edges. Conjugation by g is one cached map
+read through one generator's edges. Conjugation by g is one kept map
 of two column-g reads (``PermGroup.conj_map``), which classes, normal
 closures and normality checks read for G's generators.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -189,6 +190,25 @@ def bits_iter(bits: int) -> Iterator[int]:
         bits ^= lsb
 
 
+def per_group(fn: Callable) -> Callable:
+    """``fn(G, *args, **kwargs)``, kept in ``G._cache`` under the key
+    ``(fn, *args, *kwargs.items())``: a hit is one dict lookup, and a call
+    that raises keeps nothing."""
+
+    @functools.wraps(fn)
+    def memo(G: PermGroup, *args, **kwargs):
+        # most calls pass no keyword, and then a hit builds no items view
+        key = (fn, *args, *kwargs.items()) if kwargs else (fn, *args)
+        try:
+            return G._cache[key]
+        except KeyError:
+            pass
+        out = G._cache[key] = fn(G, *args, **kwargs)
+        return out
+
+    return memo
+
+
 class PermGroup:
     """A finite permutation group with a full element table.
 
@@ -271,7 +291,8 @@ class PermGroup:
         self._columns: list[Optional[tuple[int, ...]]] = [None] * self.order
         self._columns[0] = tuple(range(self.order))
         self._keeps_columns = self.order <= _MULT_TABLE_LIMIT
-        self._cache: dict = {}
+        self._conj_maps: dict[int, tuple[int, ...]] = {}
+        self._cache: dict = {}  # see ``per_group``
 
     # -- multiplication -------------------------------------------------
 
@@ -400,14 +421,15 @@ class PermGroup:
         return reps, cid, cbits
 
     def conj_map(self, g: int) -> tuple[int, ...]:
-        """Entry i is ``g^-1 i g``, cached on G: column g read at the inverses
+        """Entry i is ``g^-1 i g``, kept per g: column g read at the inverses
         gives ``i^-1 g``, and read at their inverses ``g^-1 i g``."""
-        c = self._cache.get(("conj_map", g))
+        # a hot read, so its own dict rather than a ``per_group`` key
+        c = self._conj_maps.get(g)
         if c is None:
             inv = self._inv
             # order 1 gives (0,): an itemgetter of one index returns a scalar
             left = itemgetter(*self.column_at(g, inv))(inv) if self.order > 1 else (0,)
-            c = self._cache["conj_map", g] = self.column_at(g, left)
+            c = self._conj_maps[g] = self.column_at(g, left)
         return c
 
     def conj_bits(self, bits: int, g: int) -> int:
@@ -511,11 +533,9 @@ def build_group(
     return PermGroup(degree, generators, order_cap=order_cap)
 
 
+@per_group
 def conjugacy_classes(G: PermGroup) -> ConjClassTable:
     """Conjugacy classes via orbits of the conjugation action by generators."""
-    cached = G._cache.get("conjugacy_classes")
-    if cached is not None:
-        return cached
     n = G.order
     class_of = [-1] * n
     reps: list[int] = []
@@ -535,15 +555,13 @@ def conjugacy_classes(G: PermGroup) -> ConjClassTable:
                     class_of[y] = cid
                     orbit.append(y)
         sizes.append(len(orbit))
-    table = ConjClassTable(class_of, reps, sizes)
-    G._cache["conjugacy_classes"] = table
-    return table
+    return ConjClassTable(class_of, reps, sizes)
 
 
 def is_soluble(G: PermGroup) -> bool:
     """True iff every factor of G's chief series is abelian.
 
-    Reads the series that ``crowns`` caches on G and builds anyway for
+    Reads the series that ``crowns`` keeps per group and builds anyway for
     every maximal subgroup and crown question, so no derived series is
     computed.
     """
@@ -568,9 +586,15 @@ def quotient(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:
         raise BadSectionError("subgroup belongs to a different group")
     if not N.is_normal():
         raise NotNormalError("quotient requires a normal subgroup")
-    reps, cid, _ = G.right_cosets(N.bits)
+    return _quotient(G, N.bits)
+
+
+def _quotient(G: PermGroup, nbits: int) -> tuple[PermGroup, tuple[int, ...]]:
+    # ``quotient`` by the normal subgroup ``nbits``, unchecked: for a term
+    # of G's own chief series
+    reps, cid, _ = G.right_cosets(nbits)
     num = len(reps)
-    if num * N.order != G.order:
+    if num * nbits.bit_count() != G.order:
         raise InvariantError("the right cosets of N do not partition G")
     coset_action = _coset_action(G, reps, cid)
     gen_perms = [Permutation._raw(coset_action(gi)) for gi in G.generator_indices]

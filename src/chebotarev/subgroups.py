@@ -63,7 +63,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import BadSectionError, InvariantError, NotNormalError, TrivialGroupError
-from .perm import PermGroup, Subgroup, _coset_action, bits_iter, conjugacy_classes
+from .perm import PermGroup, Subgroup, _coset_action, bits_iter, conjugacy_classes, per_group
 
 
 @cache
@@ -86,12 +86,21 @@ def all_subgroups(G: PermGroup) -> list[Subgroup]:
     """Every subgroup of G exactly once, sorted by (order, bitset).
 
     Includes the trivial and the full subgroup. Each subgroup's witnesses
-    are a shortest generating tuple. Results are cached on G, and so are
-    the same subgroups in the classes the walk built (``subgroup_classes``).
+    are a shortest generating tuple. The walk is kept per group, with the
+    same subgroups in the classes it built (``subgroup_classes``).
     """
-    cached = G._cache.get("all_subgroups")
-    if cached is not None:
-        return cached
+    return _lattice(G)[0]
+
+
+def subgroup_classes(G: PermGroup) -> list[list[Subgroup]]:
+    """``all_subgroups(G)`` in conjugacy classes, first-found member first."""
+    all_subgroups(G)  # the walk runs, and is timed, under all_subgroups
+    return _lattice(G)[1]
+
+
+@per_group
+def _lattice(G: PermGroup) -> tuple[list[Subgroup], list[list[Subgroup]]]:
+    # (all_subgroups, subgroup_classes): the walk of the module docstring
     seen: dict[int, tuple[int, ...]] = {1: ()}
     queue: list[int] = []
     classes = [[1]]
@@ -172,16 +181,10 @@ def all_subgroups(G: PermGroup) -> list[Subgroup]:
                 kbits = hbits + sum([cbits[x] for x in orbit])  # disjoint cosets
             found(kbits, wits + (g,))
     subs = {bits: Subgroup(G, bits, wits) for bits, wits in seen.items()}
-    G._cache["subgroup_classes"] = [[subs[b] for b in orbit] for orbit in classes]
-    out = G._cache["all_subgroups"] = sorted(subs.values(), key=lambda s: (s.order, s.bits))
-    return out
-
-
-def subgroup_classes(G: PermGroup) -> list[list[Subgroup]]:
-    """``all_subgroups(G)`` in conjugacy classes, first-found member first."""
-    if "subgroup_classes" not in G._cache:
-        all_subgroups(G)
-    return G._cache["subgroup_classes"]
+    return (
+        sorted(subs.values(), key=lambda s: (s.order, s.bits)),
+        [[subs[b] for b in orbit] for orbit in classes],
+    )
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,7 @@ class MaximalClassData:
     core_bits: int
 
 
+@per_group
 def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     """Conjugacy classes of maximal subgroups, sorted by (order, bitset).
 
@@ -206,12 +210,8 @@ def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     solution vector modulo the coboundaries B^1, and the preimages of the
     maximal subgroups of G/R, grouped by conjugation in G/R. The
     representative is a class's least bitset, and the union and core are
-    read off its members, so no element of G is conjugated here. Results
-    are cached on G.
+    read off its members, so no element of G is conjugated here.
     """
-    cached = G._cache.get("maximal_classes")
-    if cached is not None:
-        return cached
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     from .crowns import maximal_subgroups
@@ -234,7 +234,6 @@ def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
             )
         )
     classes.sort(key=lambda c: (c.representative.order, c.representative.bits))
-    G._cache["maximal_classes"] = classes
     return classes
 
 
@@ -248,13 +247,7 @@ def frattini(G: PermGroup) -> Subgroup:
     return Subgroup(G, bits)
 
 
-def _cosets(G: PermGroup, bits: int) -> tuple[list[int], list[int], list[int]]:
-    # G.right_cosets(bits), partitioned once per G
-    key = ("right_cosets", bits)
-    out = G._cache.get(key)
-    if out is None:
-        out = G._cache[key] = G.right_cosets(bits)
-    return out
+_cosets = per_group(PermGroup.right_cosets)  # each partition once per G
 
 
 def minimal_normal_subgroups(
@@ -287,38 +280,14 @@ def _minimal_normal(G: PermGroup, nbits: int) -> list[Subgroup]:
     minimal members as over every class, at every N. Classes whose
     elements generate conjugate cyclic subgroups share one closure, which
     starts from the powers of x that the walk marking those classes lists
-    anyway; the closures, each with one itemgetter of its elements (so its
-    coset ids are one read), and the right cosets of N are cached on G.
-    The family is taken in (order, bitset) order, and a member is minimal
-    iff no minimal member already kept lies inside it.
+    anyway; the closures (``_class_closures``) and the right cosets of N
+    are kept per group. The family is taken in (order, bitset) order, and
+    a member is minimal iff no minimal member already kept lies inside it.
     """
-    closures = G._cache.get("class_normal_closures")
-    if closures is None:
-        table = conjugacy_classes(G)
-        closures = G._cache["class_normal_closures"] = {}
-        known = {0}  # classes already walked
-        for x in table.reps[1:]:
-            if table.class_of[x] in known:
-                continue
-            # x^k generates <x> for k prime to |x|: the same normal closure
-            powers = [x]
-            while powers[-1]:
-                powers.append(G.mult(powers[-1], x))
-            known.update(
-                table.class_of[y]
-                for k, y in enumerate(powers, 1)
-                if gcd(k, len(powers)) == 1
-            )
-            if not _is_prime_power(len(powers)):
-                continue
-            cyclic = sum([1 << y for y in powers])  # <x>, its powers distinct
-            b = G._normal_closure_from(cyclic, [x])
-            if b not in closures:
-                closures[b] = itemgetter(*bits_iter(b))  # two or more elements
     _, cid, cbits = _cosets(G, nbits)
     above = {
         sum([cbits[c] for c in set(members(cid))])  # disjoint cosets
-        for b, members in closures.items()
+        for b, members in _class_closures(G).items()
         if b & ~nbits
     }
     minimal: list[int] = []
@@ -326,6 +295,33 @@ def _minimal_normal(G: PermGroup, nbits: int) -> list[Subgroup]:
         if not any(m & ~b == 0 for m in minimal):
             minimal.append(b)
     return [Subgroup(G, b) for b in minimal]
+
+
+@per_group
+def _class_closures(G: PermGroup) -> dict[int, itemgetter]:
+    # the family ``_minimal_normal`` reads: the normal closure of <x> for one
+    # x of prime-power order per class, each with one itemgetter of its
+    # elements, so its coset ids are one read
+    table = conjugacy_classes(G)
+    closures = {}
+    known = {0}  # classes already walked
+    for x in table.reps[1:]:
+        if table.class_of[x] in known:
+            continue
+        # x^k generates <x> for k prime to |x|: the same normal closure
+        powers = [x]
+        while powers[-1]:
+            powers.append(G.mult(powers[-1], x))
+        known.update(
+            table.class_of[y] for k, y in enumerate(powers, 1) if gcd(k, len(powers)) == 1
+        )
+        if not _is_prime_power(len(powers)):
+            continue
+        cyclic = sum([1 << y for y in powers])  # <x>, its powers distinct
+        b = G._normal_closure_from(cyclic, [x])
+        if b not in closures:
+            closures[b] = itemgetter(*bits_iter(b))  # two or more elements
+    return closures
 
 
 def min_generators(G: PermGroup) -> int:

@@ -311,12 +311,27 @@ def test_complements_reject_bad_sections(group_of):
 
 
 def test_modules_of_another_group_are_rejected(group_of):
-    # a crown class or a series of one group handed to another
+    # a crown class, the maximal classes or a series of one group handed to
+    # another; the memo keeps no failed call, so a second call raises too
     s3, s4 = group_of("symmetric 3"), group_of("symmetric 4")
     with pytest.raises(BadSectionError):
         omega_membership(s4, maximal_classes(s4), crown_data(s3).A[0])
     with pytest.raises(BadSectionError):
-        crown_data(s4, series=chief_series(s3))
+        omega_membership(s3, maximal_classes(s4), crown_data(s3).A[0])
+    foreign = chief_series(s3)
+    for _ in range(2):
+        with pytest.raises(BadSectionError):
+            crown_data(s4, series=foreign)
+
+
+def test_crown_data_is_kept_per_series(group_of):
+    # a repeated call returns the kept object, for G's own series and for
+    # a variant one alike, and the two are kept apart
+    G = group_of("direct_product symmetric 3 cyclic 6")
+    variant = chief_series(G, variant=1)
+    assert crown_data(G) is crown_data(G)
+    assert crown_data(G, series=variant) is crown_data(G, series=variant)
+    assert crown_data(G, series=variant) is not crown_data(G)
 
 
 def test_g_isomorphic_examples(group_of):

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import brute_invariable_prob, naive_cheb_from_unions, naive_prob_from_unions
+from chebotarev import exact
+from chebotarev.groupspec import parse_group
 from chebotarev.errors import (
     InvariantError,
     NotPrimeError,
@@ -58,15 +60,22 @@ def test_sieve_invariants(group_of):
             assert not any(b != a and a & ~b == 0 for b in S.reduced_unions)
 
 
+def test_build_sieves_is_kept_per_group(group_of):
+    G = group_of("symmetric 4")
+    assert build_sieves(G) is build_sieves(G)
+
+
 @pytest.mark.parametrize("union", ["full", "no-identity"])
-def test_build_sieves_rejects_bad_unions(union, group_of):
-    # hand-built classes whose union covers G, or misses the identity
-    G = group_of("symmetric 3")
+def test_build_sieves_rejects_bad_unions(union, monkeypatch):
+    # hand-built classes whose union covers G, or misses the identity; the
+    # group is parsed afresh, as a shared one would hit the memo
+    G = parse_group("symmetric 3").group
     real = maximal_classes(G)[0]
     bits = G.full_bits if union == "full" else real.union_bits & ~1
     bad = MaximalClassData(real.representative, real.class_size, bits, real.core_bits)
+    monkeypatch.setattr(exact, "maximal_classes", lambda H: [bad])
     with pytest.raises(InvariantError):
-        build_sieves(G, [bad])
+        build_sieves(G)
 
 
 @pytest.mark.parametrize(

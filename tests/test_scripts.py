@@ -1,10 +1,13 @@
 """Smoke tests: each script in scripts/ runs to completion on a small input."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from chebotarev import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,23 @@ def test_report_digest_runs():
         (c, s) for s in specs for c in ("bounds", "exact", "crowns")
     ]
     assert all(d["exit"] == 0 and "timings" not in d["report"] for d in lines)
+
+
+def test_report_digest_adds_verify_items_without_arguments(monkeypatch, capsys):
+    # with no spec, the verify-paper items follow the reports, seconds dropped
+    path = ROOT / "scripts" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "default_specs", lambda: ["cyclic 2"])
+    cheap = (verify.item_small_exact, verify.item_frattini_invariance)
+    monkeypatch.setattr(verify, "ALL_ITEMS", cheap)
+    monkeypatch.setattr(sys, "argv", ["report_digest.py"])
+    assert script.main() == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    commands = ["bounds", "exact", "crowns", "verify-paper", "verify-paper"]
+    assert [d["command"] for d in lines] == commands
+    items = [d["item"] for d in lines[3:]]
+    assert [i["key"] for i in items] == ["exact-small", "frattini-invariance"]
+    assert all(d["exit"] == 0 for d in lines[3:])
+    assert all(i["passed"] and "seconds" not in i for i in items)

@@ -154,13 +154,10 @@ def test_one_primality_check():
 def test_omega_from_the_complemented_chief_factor():
     # Omega_V membership is read off the chief factor each maximal class
     # complements, so no socle of G/core(M) is computed; every coset
-    # partition is cached, with no knob to skip the cache
+    # partition is kept, with no knob to skip the memo
     assert "socle_factor_modules" not in _defined()
     assert [c for c in _calls("minimal_normal_subgroups") if c[1] == "omega_membership"] == []
-    tree = ast.parse((SRC / "subgroups.py").read_text())
-    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_cosets")
-    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-    assert "keep" not in {a.arg for a in params}
+    assert "keep" not in inspect.signature(chebotarev.subgroups._cosets).parameters
 
 
 def test_oracle_only_code_stays_in_tests():
@@ -175,10 +172,10 @@ def test_oracle_only_code_stays_in_tests():
 
 def test_one_prime_power_test():
     # one prime-power test beside the one least-prime search, read by the
-    # chief series and by the pruning of _minimal_normal
+    # chief series and by the class closures that _minimal_normal reads
     owners = [p.name for p in sorted(SRC.glob("*.py")) if "def _is_prime_power(" in p.read_text()]
     assert owners == ["subgroups.py"]
-    assert {("crowns.py", "chief_series"), ("subgroups.py", "_minimal_normal")} <= set(
+    assert {("crowns.py", "chief_series"), ("subgroups.py", "_class_closures")} <= set(
         _calls("_is_prime_power")
     )
 
@@ -188,7 +185,27 @@ def test_normal_closure_keeps_its_signature():
     # public method takes the seeds alone
     params = inspect.signature(chebotarev.perm.PermGroup.normal_closure_bits).parameters
     assert list(params) == ["self", "seeds"]
-    assert ("subgroups.py", "_minimal_normal") in _calls("_normal_closure_from")
+    assert ("subgroups.py", "_class_closures") in _calls("_normal_closure_from")
+
+
+def test_one_memo():
+    # every per-group result is kept by perm.per_group: no other function
+    # reads or writes G._cache, and the sieves take no hand-made classes
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+                outer = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                owners.add((path.name, max(outer, key=lambda d: d.end_lineno - d.lineno).name))
+    assert owners == {("perm.py", "per_group"), ("perm.py", "__init__")}
+    assert list(inspect.signature(chebotarev.exact.build_sieves).parameters) == ["G"]
+    # conj_map is read in hot loops, so it keeps its own per-g dict
+    tree = ast.parse((SRC / "perm.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "conj_map")
+    read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert fn.decorator_list == [] and "_conj_maps" in read
 
 
 def test_checks_only_at_entry_points():

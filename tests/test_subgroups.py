@@ -17,7 +17,7 @@ from oracles import (
     minimal_normal_by_all_closures,
     minimal_normal_by_lattice,
 )
-from chebotarev import perm
+from chebotarev import crowns, perm
 from chebotarev.errors import BadSectionError, InvariantError, NotNormalError, TrivialGroupError
 from chebotarev.groupspec import parse_group
 from chebotarev.crowns import chief_series, maximal_subgroups
@@ -140,19 +140,17 @@ def test_maximal_classes_examples(group_of):
         maximal_classes(group_of("cyclic 1"))
 
 
-def test_maximal_union_covering_group_is_typed_error():
+def test_maximal_union_covering_group_is_typed_error(monkeypatch):
     # Hand-built lattice classes whose only proper nontrivial class is the
     # conjugates of the non-subgroup holding one element of each conjugacy
     # class: they cover G. A5 has a trivial soluble radical, so its maximal
-    # classes come from the (planted) classes of G itself.
+    # classes come from the (planted) classes of G itself. The group is
+    # parsed afresh, as a shared one would hit the memo.
     G = parse_group("alternating 5").group
     fake = sum(1 << r for r in conjugacy_classes(G).reps)
     orbit = sorted({G.conj_bits(fake, g) for g in range(G.order)})
-    G._cache["subgroup_classes"] = [
-        [Subgroup.trivial(G)],
-        [Subgroup(G, b, ()) for b in orbit],
-        [Subgroup.full(G)],
-    ]
+    planted = [[Subgroup.trivial(G)], [Subgroup(G, b, ()) for b in orbit], [Subgroup.full(G)]]
+    monkeypatch.setattr(crowns, "subgroup_classes", lambda Q: planted)
     with pytest.raises(InvariantError):
         maximal_classes(G)
 
