@@ -10,7 +10,9 @@ Usage: python scripts/report_digest.py [SPEC ...]
 
 Each SPEC is one quoted group spec. With none, the specs are the lists of
 ``chebotarev.catalog`` followed by ``INSOLUBLE_SPECS``, and one line per
-``verify-paper --json`` item follows, its ``seconds`` dropped.
+``verify-paper --json`` item follows, its ``seconds`` dropped. That
+default output is kept as ``tests/data/report_digest.jsonl``, which the
+tests compare against.
 """
 
 import contextlib

@@ -23,14 +23,8 @@ from .exact import elementary_abelian_cheb
 #: Expected surplus of random draws (beyond d(G)) needed to generate a
 #: group plainly, as a fixed 10-digit decimal literal treated as exact.
 SIGMA = Fraction(2_118_456_563, 10**9)
-SIGMA_LITERAL = "2.118456563"
 
 _PREC = 38
-
-
-def sigma() -> decimal.Decimal:
-    """The waiting-time surplus constant as a decimal."""
-    return decimal.Decimal(SIGMA_LITERAL)
 
 
 class Verdict(str, enum.Enum):

@@ -6,10 +6,12 @@ of coset representatives (discovery order, so runs are reproducible).
 All reported quantities (q, n, delta, theta, p_fix, m) are basis
 invariant even though the matrices themselves are not.
 
-The chief series takes abelian factors first, so it runs through the
-soluble radical R. Below R, the chief series is found in G by
-``subgroups._minimal_normal(G, N)``, which returns preimages, and every
-module acts through G's own generators.
+Each group has one chief series (``chief_series``), and its crown data
+is read off that series alone: no count of complemented factors depends
+on the choice of series. The series takes abelian factors first, so it
+runs through the soluble radical R. Below R, the chief series is found in
+G by ``subgroups._minimal_normal(G, N)``, which returns preimages, and
+every module acts through G's own generators.
 A section X/Y is checked once, where a caller hands it in
 (``factor_module``, ``complements``); the chief factors the pipeline
 found itself go unchecked to ``_factor_module`` and ``_complement_system``.
@@ -163,7 +165,6 @@ def _vec_to_mat(v: tuple[int, ...], n: int) -> Mat:
 class ChiefSeries:
     """Descending chain G = N_0 > N_1 > ... > N_r = 1 of normal subgroups."""
 
-    group: PermGroup
     subgroups: tuple[Subgroup, ...]
     factor_orders: tuple[int, ...]
     factor_abelian: tuple[bool, ...]
@@ -172,19 +173,20 @@ class ChiefSeries:
         return len(self.factor_orders)
 
 
-def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
-    """A chief series built bottom-up inside G, through the soluble radical.
+@per_group
+def chief_series(G: PermGroup) -> ChiefSeries:
+    """G's chief series, built bottom-up inside G through the soluble radical.
 
     Starting from N = 1, each step takes a minimal normal subgroup of G/N
     as its preimage X in G (``_minimal_normal(G, N)``, sorted by order and
-    bitset) and continues from N = X. An abelian one is taken
+    bitset) and continues from N = X. The first abelian one is taken
     whenever G/N has one: a minimal normal subgroup is a direct power of a
     simple group, so it is abelian iff |X:N| is a prime power. The abelian
     factors at the bottom of the series then end at the soluble radical R
     (G/N has no abelian minimal normal subgroup iff N = R), so every
-    nonabelian factor lies above R. ``variant`` rotates the choice among
-    the candidates at each level; any variant yields a valid series
-    through R (delta counts downstream do not depend on the choice).
+    nonabelian factor lies above R. No count downstream depends on the
+    choice (Jordan-Hoelder, and Gaschuetz for the complemented factors).
+    Kept per group.
     """
     chain_up = [Subgroup.trivial(G)]
     abelian_flags: list[bool] = []
@@ -192,25 +194,17 @@ def chief_series(G: PermGroup, *, variant: int = 0) -> ChiefSeries:
         N = chain_up[-1]
         mins = _minimal_normal(G, N.bits)
         abelian = [X for X in mins if _is_prime_power(X.order // N.order)]
-        candidates = abelian or mins
-        chain_up.append(candidates[variant % len(candidates)])
+        chain_up.append((abelian or mins)[0])
         abelian_flags.append(bool(abelian))
     subs = tuple(reversed(chain_up))
     orders = tuple(
         subs[i].order // subs[i + 1].order for i in range(len(subs) - 1)
     )
     return ChiefSeries(
-        group=G,
         subgroups=subs,
         factor_orders=orders,
         factor_abelian=tuple(reversed(abelian_flags)),
     )
-
-
-@per_group
-def _default_series(G: PermGroup) -> ChiefSeries:
-    # shared by maximal_subgroups, crown_data and perm.is_soluble
-    return chief_series(G)
 
 
 def _radical_index(series: ChiefSeries) -> int:
@@ -231,7 +225,7 @@ def _radical_quotient(G: PermGroup) -> Optional[tuple[PermGroup, Sequence[int], 
     R = G, that is when G is soluble. R is a term of G's own series, so
     the quotient is built unchecked.
     """
-    series = _default_series(G)
+    series = chief_series(G)
     R = series.subgroups[_radical_index(series)]
     if R.order == G.order:
         return None
@@ -773,7 +767,7 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     lattice; for R = 1 these are the lattice's own maximal classes of G
     (Cannon and Holt, J. Symbolic Comput. 37, 2004).
     """
-    series = _default_series(G)
+    series = chief_series(G)
     subs = series.subgroups[_radical_index(series):]
     classes = [cls for X, Y in zip(subs, subs[1:]) for cls in _complement_classes(G, X, Y)]
     top = _radical_quotient(G)
@@ -803,81 +797,61 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
 class CrownData:
     """Complemented abelian chief factor classes split by centrality."""
 
-    non_central: tuple[ChiefFactorModule, ...]  # classes with h_order > 1
-    central: tuple[ChiefFactorModule, ...]      # classes with h_order = 1
+    A: tuple[ChiefFactorModule, ...]  # non-central classes, h_order > 1
+    B: tuple[ChiefFactorModule, ...]  # central classes, h_order = 1
     nonabelian_factors: tuple[tuple[int, bool], ...]  # (order, complemented)
-
-    @property
-    def A(self) -> tuple[ChiefFactorModule, ...]:
-        return self.non_central
-
-    @property
-    def B(self) -> tuple[ChiefFactorModule, ...]:
-        return self.central
 
 
 @per_group
-def crown_data(G: PermGroup, *, series: Optional[ChiefSeries] = None) -> CrownData:
+def crown_data(G: PermGroup) -> CrownData:
     """Group the complemented abelian chief factors into isomorphism classes.
 
-    An abelian factor counts iff its complement system has a solution
-    (``_complement_system``); only those get a module. A nonabelian factor lies
-    above the soluble radical R, and its complementedness is a scan of the
-    lattice of G/R. Every class gets m = dim H^1(G/C_G(V), V) over the
-    commutant field: 0 for a soluble G (first cohomology vanishes for a
-    soluble group acting faithfully and irreducibly) and for a central
-    class, else ``derivations`` on the ``acting_group`` its module was
-    built with. The default series is G's own, and the result is kept per
-    group and series; a series of another group raises ``BadSectionError``.
+    Reads G's chief series. An abelian factor counts iff its complement
+    system has a solution (``_complement_system``); only those get a
+    module. A nonabelian factor lies above the soluble radical R, and its
+    complementedness is a scan of the lattice of G/R. Every class gets
+    m = dim H^1(G/C_G(V), V) over the commutant field: 0 for a soluble G
+    (first cohomology vanishes for a soluble group acting faithfully and
+    irreducibly) and for a central class, else ``derivations`` on the
+    ``acting_group`` its module was built with. Each class is labelled by
+    the series index of its first factor. Kept per group.
     """
-    if series is None:
-        series = _default_series(G)
-    elif series.group is not G:
-        raise BadSectionError("the chief series belongs to another group")
+    series = chief_series(G)
     soluble = all(series.factor_abelian)
-    modules: list[ChiefFactorModule] = []
+    modules: list[tuple[int, ChiefFactorModule]] = []
     nonabelian: list[tuple[int, bool]] = []
     subs = series.subgroups
     for i in range(len(subs) - 1):
         X, Y = subs[i], subs[i + 1]
         if not series.factor_abelian[i]:
             nonabelian.append((series.factor_orders[i], _has_complement(G, X, Y)))
-            continue
-        if _complement_system(G, X, Y)[0]:
-            mod = _factor_module(G, X, Y)
-            modules.append(replace(mod, label=f"factor[{i:02d}]"))
+        elif _complement_system(G, X, Y)[0]:
+            modules.append((i, _factor_module(G, X, Y)))
 
-    classes: list[list[ChiefFactorModule]] = []
-    for mod in modules:
+    classes: list[list[tuple[int, ChiefFactorModule]]] = []
+    for i, mod in modules:
         for cls in classes:
-            if g_isomorphic(cls[0], mod):
-                cls.append(mod)
+            if g_isomorphic(cls[0][1], mod):
+                cls.append((i, mod))
                 break
         else:
-            classes.append([mod])
+            classes.append([(i, mod)])
 
-    non_central: list[ChiefFactorModule] = []
-    central: list[ChiefFactorModule] = []
+    A: list[ChiefFactorModule] = []
+    B: list[ChiefFactorModule] = []
     for cls in classes:
-        rep = cls[0]
-        delta = len(cls)
+        i, rep = cls[0]
         q, nv = endo_field(rep)
         m = 0
         if not (soluble or rep.central):
             m = derivations(rep.acting_group, rep.gen_matrices, rep.p).m
-        rep = replace(
-            rep,
-            q=q,
-            n=nv,
-            delta=delta,
-            m=m,
-        )
-        (central if rep.central else non_central).append(rep)
+        V = replace(rep, q=q, n=nv, delta=len(cls), m=m, label=f"factor[{i:02d}]")
+        (B if V.central else A).append(V)
 
     keyfun = lambda mod: (mod.p, mod.n_raw, mod.label)
     return CrownData(
-        non_central=tuple(sorted(non_central, key=keyfun)),
-        central=tuple(sorted(central, key=keyfun)),
+        A=tuple(sorted(A, key=keyfun)),
+        B=tuple(sorted(B, key=keyfun)),
         nonabelian_factors=tuple(nonabelian),
     )
 
@@ -890,7 +864,7 @@ def omega_membership(
 ) -> int:
     """Bitmask over the maximal classes M in Omega_V: G/core(M) has socle V.
 
-    Let N_j be the first term of the default chief series inside M, so
+    Let N_j be the first term of G's chief series inside M, so
     inside core(M). Then M is in Omega_V iff the factor N_{j-1}/N_j is
     abelian and G-isomorphic to V. Proof: N_{j-1} n core(M) is normal in
     G, contains N_j and is not N_{j-1}, so it is N_j, and
@@ -907,7 +881,7 @@ def omega_membership(
     """
     if V.group is not G or any(mc.representative.group is not G for mc in maximals):
         raise BadSectionError("V or a maximal class belongs to another group")
-    series = _default_series(G)
+    series = chief_series(G)
     subs = series.subgroups
     mask = 0
     for ci, mc in enumerate(maximals):

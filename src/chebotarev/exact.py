@@ -81,7 +81,6 @@ class ChebValue:
     """
 
     exact: Fraction
-    decimal: str
     sieve_count: int
     state_count: int
 
@@ -191,12 +190,7 @@ def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> 
         )
     chain = _alive_chain(S.class_sizes, S.class_signatures, (1 << r) - 1)
     exact = _expected_wait(S.order, chain)
-    return ChebValue(
-        exact=exact,
-        decimal=decimal_string(exact),
-        sieve_count=r,
-        state_count=len(chain),
-    )
+    return ChebValue(exact=exact, sieve_count=r, state_count=len(chain))
 
 
 def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
@@ -258,5 +252,5 @@ def chebotarev_of_group(
     """Convenience: build sieves and evaluate C(G); 0 for the trivial group."""
     if G.order == 1:
         # no sieves: the only alive mask is the empty one
-        return ChebValue(exact=Fraction(0), decimal="0", sieve_count=0, state_count=1)
+        return ChebValue(exact=Fraction(0), sieve_count=0, state_count=1)
     return chebotarev_exact(build_sieves(G), max_sieves=max_sieves)

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-import numpy as np
-
 from .errors import TrialCapError
 from .exact import SieveSystem
 
@@ -71,6 +69,8 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
             "some union contains every element class, so no trial can end;"
             " the sieve system is broken"
         )
+    import numpy as np  # here, so that only Monte Carlo pays numpy's import
+
     class_of = np.array(S.class_of, dtype=np.intp)
     tables = []
     for shift in range(0, S.sieve_count, _WORD):

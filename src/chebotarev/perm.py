@@ -191,19 +191,17 @@ def bits_iter(bits: int) -> Iterator[int]:
 
 
 def per_group(fn: Callable) -> Callable:
-    """``fn(G, *args, **kwargs)``, kept in ``G._cache`` under the key
-    ``(fn, *args, *kwargs.items())``: a hit is one dict lookup, and a call
-    that raises keeps nothing."""
+    """``fn(G, *args)``, kept in ``G._cache`` under the key ``(fn, *args)``:
+    a hit is one dict lookup, and a call that raises keeps nothing."""
 
     @functools.wraps(fn)
-    def memo(G: PermGroup, *args, **kwargs):
-        # most calls pass no keyword, and then a hit builds no items view
-        key = (fn, *args, *kwargs.items()) if kwargs else (fn, *args)
+    def memo(G: PermGroup, *args):
+        key = (fn, *args)
         try:
             return G._cache[key]
         except KeyError:
             pass
-        out = G._cache[key] = fn(G, *args, **kwargs)
+        out = G._cache[key] = fn(G, *args)
         return out
 
     return memo
@@ -272,7 +270,6 @@ class PermGroup:
         self.elements: tuple[Permutation, ...] = tuple(elements)
         self.index: dict[tuple[int, ...], int] = index
         self.order: int = len(elements)
-        self.identity_index: int = 0
         self._parent = parent
         self._via = via
         self._right = right  # _right[k][x]: x * gen[k], the Cayley graph
@@ -506,7 +503,8 @@ class Subgroup:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.bits))
+        # equal bits of two groups collide here and differ in ``__eq__``
+        return hash(self.bits)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group!r})"
@@ -565,9 +563,9 @@ def is_soluble(G: PermGroup) -> bool:
     every maximal subgroup and crown question, so no derived series is
     computed.
     """
-    from .crowns import _default_series
+    from .crowns import chief_series
 
-    return all(_default_series(G).factor_abelian)
+    return all(chief_series(G).factor_abelian)
 
 
 def is_klein_four(G: PermGroup) -> bool:

@@ -344,6 +344,6 @@ def min_generators(G: PermGroup) -> int:
     cd = crown_data(G)
     return max(
         [radical_quotient_min_generators(G), 1]
-        + [V.delta for V in cd.central]
-        + [1 + -(-(V.delta + V.m) // V.n) for V in cd.non_central]
+        + [V.delta for V in cd.B]
+        + [1 + -(-(V.delta + V.m) // V.n) for V in cd.A]
     )

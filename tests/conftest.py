@@ -1,5 +1,6 @@
 import pytest
 
+from chebotarev import verify
 from chebotarev.groupspec import parse_group
 
 
@@ -14,3 +15,15 @@ def group_of():
         return cache[spec]
 
     return build
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    """Every ``verify-paper`` item, run once per session: ``{key: result}``
+    in ``verify.ALL_ITEMS`` order, one pass/fail line printed per item."""
+    out = {}
+    for fn in verify.ALL_ITEMS:
+        res = fn()
+        print(res.line())
+        out[res.key] = res
+    return out

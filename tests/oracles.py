@@ -17,7 +17,8 @@ from a per-trial loop on Python-int masks that makes the same generator
 calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups or from the normal closure of every class
-representative, socle modules from an explicitly built quotient group,
+representative, other chief series from those lattice minimal normal
+subgroups, crown classes from the public module calls, socle modules from an explicitly built quotient group,
 quotient groups from one product per coset and element, section
 centralizers from the commutator with every element, element orders
 from repeated products, and the waiting-time ratio verdict from 60-digit
@@ -106,6 +107,68 @@ def minimal_normal_by_lattice(G: PermGroup, N: Subgroup) -> list[int]:
     ]
     minimal = [b for b in above if not any(c != b and c & ~b == 0 for c in above)]
     return sorted(minimal, key=lambda b: (b.bit_count(), b))
+
+
+def chief_series_variant(G: PermGroup, variant: int):
+    """A chief series of G through its soluble radical, the choice rotated.
+
+    Built bottom-up from N = 1 like ``chief_series``, from the lattice's
+    minimal normal subgroups above N (``minimal_normal_by_lattice``). The
+    abelian ones, X/N with every commutator of X's witnesses in N, come
+    first: when G/N has one, only those are candidates. Each level takes
+    the candidate at ``variant`` modulo their number, so variant 0 is the
+    series that ``chief_series`` builds.
+    """
+    from chebotarev.crowns import ChiefSeries
+
+    chain_up = [Subgroup.trivial(G)]
+    flags = []
+    while chain_up[-1].order < G.order:
+        N = chain_up[-1]
+        mins = [Subgroup(G, bits) for bits in minimal_normal_by_lattice(G, N)]
+        abelian = [
+            X
+            for X in mins
+            if all((N.bits >> G.commutator(a, b)) & 1 for a in X.witnesses for b in X.witnesses)
+        ]
+        candidates = abelian or mins
+        chain_up.append(candidates[variant % len(candidates)])
+        flags.append(bool(abelian))
+    subs = tuple(reversed(chain_up))
+    return ChiefSeries(
+        subgroups=subs,
+        factor_orders=tuple(X.order // Y.order for X, Y in zip(subs, subs[1:])),
+        factor_abelian=tuple(reversed(flags)),
+    )
+
+
+def crown_summary(G: PermGroup, series) -> list[tuple]:
+    """``(p, n_raw, q, n, delta, central, h_order)`` per crown class, sorted.
+
+    Read off ``series`` through the public calls alone: a factor counts
+    when it is abelian and ``complements`` finds a complement, its module
+    is ``factor_module``'s, and modules join one class when
+    ``g_isomorphic`` says so.
+    """
+    from chebotarev.crowns import complements, endo_field, factor_module, g_isomorphic
+
+    classes: list[list] = []
+    subs = series.subgroups
+    for X, Y, abelian in zip(subs, subs[1:], series.factor_abelian):
+        if not (abelian and complements(G, X, Y)):
+            continue
+        mod = factor_module(G, X, Y)
+        for cls in classes:
+            if g_isomorphic(cls[0], mod):
+                cls.append(mod)
+                break
+        else:
+            classes.append([mod])
+    return sorted(
+        (V.p, V.n_raw, *endo_field(V), len(cls), V.central, V.h_order)
+        for cls in classes
+        for V in cls[:1]
+    )
 
 
 def minimal_normal_by_all_closures(G: PermGroup, N: Subgroup) -> list[int]:

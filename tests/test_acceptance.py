@@ -1,23 +1,12 @@
 """Acceptance gate: every verification item must pass within its budget.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion. The same items back ``chebotarev verify-paper``.
+line per criterion. The same items back ``chebotarev verify-paper``; they
+run once per session (``conftest.verify_results``), and the report digest
+test reads them too.
 """
 
 import pytest
-
-from chebotarev import verify
-
-
-@pytest.fixture(scope="module")
-def results():
-    out = {}
-    for fn in verify.ALL_ITEMS:
-        res = fn()
-        print(res.line())
-        out[res.key] = res
-    return out
-
 
 # (key, wall-clock budget in seconds). Items sharing one catalog sweep
 # share the sweep's budget; the cache charges it to whichever runs first.
@@ -35,13 +24,13 @@ CRITERIA = [
 ]
 
 
-def test_all_criteria_present(results):
-    assert set(results) == {key for key, _ in CRITERIA}
+def test_all_criteria_present(verify_results):
+    assert set(verify_results) == {key for key, _ in CRITERIA}
 
 
 @pytest.mark.parametrize("key,budget", CRITERIA)
-def test_criterion(key, budget, results):
-    res = results[key]
+def test_criterion(key, budget, verify_results):
+    res = verify_results[key]
     detail = "\n".join(res.details)
     assert res.passed, f"{res.key} failed:\n{detail}"
     assert res.seconds < budget, f"{res.key} took {res.seconds:.1f}s (budget {budget}s)"

@@ -1,4 +1,3 @@
-import decimal
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from chebotarev.bounds import (
     five_thirds_bound,
     five_thirds_check,
     waiting_ratio_check,
-    sigma,
     crown_bound,
 )
 from chebotarev.crowns import chief_series, crown_data, factor_module
@@ -27,10 +25,8 @@ from chebotarev.subgroups import min_generators
 
 
 def test_sigma_constant():
-    s = sigma()
-    assert s == decimal.Decimal("2.118456563")
-    assert decimal.Decimal(2) < s < decimal.Decimal("2.2")
     assert SIGMA == Fraction(2118456563, 10**9)
+    assert 2 < SIGMA < Fraction(22, 10)
 
 
 def test_crown_bound_examples(group_of):

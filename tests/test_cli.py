@@ -56,6 +56,18 @@ def test_python_dash_m(capsys):
     assert sub == report
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # only Monte Carlo needs numpy, so every other command skips its import
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, chebotarev.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_trivial_group(capsys):
     code, report = run_json(capsys, "exact", "cyclic", "1")
     assert code == 0 and Fraction(report["chebotarev"]["exact"]) == 0

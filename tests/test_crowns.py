@@ -10,8 +10,10 @@ from oracles import (
     CATALOG_SPECS,
     brute_derivation_count,
     SOLUBLE_SPECS,
+    chief_series_variant,
     complement_by_lattice_scan,
     complements_by_lattice_scan,
+    crown_summary,
     element_matrices,
     is_complemented,
     mat_identity,
@@ -23,6 +25,7 @@ from oracles import (
 from chebotarev.catalog import SOLUBLE_CATALOG
 from chebotarev.crowns import (
     _cocycle_rows,
+    _has_complement,
     chief_series,
     complements,
     crown_data,
@@ -96,7 +99,7 @@ def test_chief_series_examples(group_of):
 )
 def test_chief_series_factors_are_chief(spec, variant, group_of):
     G = group_of(spec)
-    series = chief_series(G, variant=variant)
+    series = chief_series_variant(G, variant)
     subs = series.subgroups
     assert subs[0].order == G.order and subs[-1].order == 1
     normals = _normal_subgroups(G)
@@ -115,6 +118,14 @@ def test_chief_series_factors_are_chief(spec, variant, group_of):
         )
         assert series.factor_abelian[i] == abelian
     assert prod == G.order
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_chief_series_is_the_oracle_variant_zero(spec, group_of):
+    # G's one chief series is the oracle's first choice at every level, so
+    # the oracle's variant 1 gives the tests a second series through R
+    G = group_of(spec)
+    assert chief_series(G) == chief_series_variant(G, 0)
 
 
 def test_is_complemented_examples(group_of):
@@ -177,7 +188,7 @@ def test_complements_match_lattice_scan(spec, group_of):
     # exactly the subgroups U with U n X = Y and UX = G, each found once
     G = group_of(spec)
     for variant in (0, 1):
-        subs = chief_series(G, variant=variant).subgroups
+        subs = chief_series_variant(G, variant).subgroups
         for X, Y in zip(subs, subs[1:]):
             found = complements(G, X, Y)
             got = {K.bits for K in found}
@@ -192,7 +203,7 @@ def test_looping_specs_loop(spec, group_of):
     # the specs above keep the loops of the complement systems covered
     G = group_of(spec)
     for variant in (0, 1):
-        subs = chief_series(G, variant=variant).subgroups
+        subs = chief_series_variant(G, variant).subgroups
         assert any((X.bits >> g) & 1 for X in subs[1:-1] for g in G._bfs_gen_indices)
 
 
@@ -311,27 +322,18 @@ def test_complements_reject_bad_sections(group_of):
 
 
 def test_modules_of_another_group_are_rejected(group_of):
-    # a crown class, the maximal classes or a series of one group handed to
-    # another; the memo keeps no failed call, so a second call raises too
+    # a crown class or the maximal classes of one group handed to another
     s3, s4 = group_of("symmetric 3"), group_of("symmetric 4")
     with pytest.raises(BadSectionError):
         omega_membership(s4, maximal_classes(s4), crown_data(s3).A[0])
     with pytest.raises(BadSectionError):
         omega_membership(s3, maximal_classes(s4), crown_data(s3).A[0])
-    foreign = chief_series(s3)
-    for _ in range(2):
-        with pytest.raises(BadSectionError):
-            crown_data(s4, series=foreign)
 
 
-def test_crown_data_is_kept_per_series(group_of):
-    # a repeated call returns the kept object, for G's own series and for
-    # a variant one alike, and the two are kept apart
+def test_crown_data_is_kept_per_group(group_of):
+    # a repeated call returns the kept object
     G = group_of("direct_product symmetric 3 cyclic 6")
-    variant = chief_series(G, variant=1)
     assert crown_data(G) is crown_data(G)
-    assert crown_data(G, series=variant) is crown_data(G, series=variant)
-    assert crown_data(G, series=variant) is not crown_data(G)
 
 
 def test_g_isomorphic_examples(group_of):
@@ -424,6 +426,7 @@ def test_crown_data_examples(group_of):
 
 
 def test_crown_delta_series_invariance(group_of):
+    # the crown classes read off either series are those of crown_data(G)
     for spec in [
         "elementary 2 2",
         "cyclic 12",
@@ -433,16 +436,10 @@ def test_crown_delta_series_invariance(group_of):
         "direct_product cyclic 6 cyclic 6",
     ]:
         G = group_of(spec)
-        base = crown_data(G, series=chief_series(G, variant=0))
-        alt = crown_data(G, series=chief_series(G, variant=1))
-
-        def summary(cd):
-            return sorted(
-                (V.p, V.n_raw, V.q, V.n, V.delta, V.central, V.h_order)
-                for V in list(cd.A) + list(cd.B)
-            )
-
-        assert summary(base) == summary(alt)
+        cd = crown_data(G)
+        got = sorted((V.p, V.n_raw, V.q, V.n, V.delta, V.central, V.h_order) for V in cd.A + cd.B)
+        for variant in (0, 1):
+            assert crown_summary(G, chief_series_variant(G, variant)) == got
 
 
 def test_crown_data_m_zero_for_soluble(group_of):
@@ -545,9 +542,10 @@ def test_every_crown_class_has_m(spec, group_of):
 def test_chief_series_runs_through_the_soluble_radical(spec, variant, group_of):
     # abelian factors first: the bottom run of abelian factors ends at the
     # largest soluble normal subgroup, and every nonabelian factor lies
-    # above it and is checked against the lattice scan
+    # above it and is checked against the lattice scan; variant 0 is G's
+    # own series, whose flags crown_data reports
     G = group_of(spec)
-    series = chief_series(G, variant=variant)
+    series = chief_series_variant(G, variant)
     subs = series.subgroups
     flags = series.factor_abelian
     top = max((i for i, a in enumerate(flags) if not a), default=-1) + 1
@@ -560,11 +558,12 @@ def test_chief_series_runs_through_the_soluble_radical(spec, variant, group_of):
     ]
     assert R.bits == max(soluble_normals, key=lambda N: N.order).bits
     assert all(N.bits & ~R.bits == 0 for N in soluble_normals)
-    cd = crown_data(G, series=series)
     nonab = [(X, Y) for X, Y, a in zip(subs, subs[1:], flags) if not a]
-    assert [comp for _, comp in cd.nonabelian_factors] == [
-        complement_by_lattice_scan(G, X, Y) for X, Y in nonab
-    ]
+    if variant == 0:
+        got = [comp for _, comp in crown_data(G).nonabelian_factors]
+    else:
+        got = [_has_complement(G, X, Y) for X, Y in nonab]
+    assert got == [complement_by_lattice_scan(G, X, Y) for X, Y in nonab]
 
 
 def test_derivations_reject_misaligned_matrices(group_of):

@@ -10,6 +10,7 @@ from pathlib import Path
 from chebotarev import verify
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGEST = ROOT / "tests" / "data" / "report_digest.jsonl"
 
 
 def _run(script: str, *args: str) -> str:
@@ -41,12 +42,18 @@ def test_report_digest_runs():
     assert all(d["exit"] == 0 and "timings" not in d["report"] for d in lines)
 
 
-def test_report_digest_adds_verify_items_without_arguments(monkeypatch, capsys):
-    # with no spec, the verify-paper items follow the reports, seconds dropped
+def _report_digest():
+    # scripts/report_digest.py, loaded as a module
     path = ROOT / "scripts" / "report_digest.py"
     spec = importlib.util.spec_from_file_location("report_digest", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_report_digest_adds_verify_items_without_arguments(monkeypatch, capsys):
+    # with no spec, the verify-paper items follow the reports, seconds dropped
+    script = _report_digest()
     monkeypatch.setattr(script, "default_specs", lambda: ["cyclic 2"])
     cheap = (verify.item_small_exact, verify.item_frattini_invariance)
     monkeypatch.setattr(verify, "ALL_ITEMS", cheap)
@@ -59,3 +66,24 @@ def test_report_digest_adds_verify_items_without_arguments(monkeypatch, capsys):
     assert [i["key"] for i in items] == ["exact-small", "frattini-invariance"]
     assert all(d["exit"] == 0 for d in lines[3:])
     assert all(i["passed"] and "seconds" not in i for i in items)
+
+
+def test_every_report_unchanged(verify_results):
+    # the default output of report_digest.py is committed as DIGEST; its
+    # verify-paper lines are built from the session's verify items, which
+    # the acceptance tests read too, so the catalog is not run twice
+    script = _report_digest()
+    got = [script.digest(c, s) for s in script.default_specs() for c in script.COMMANDS]
+    code = 0 if all(r.passed for r in verify_results.values()) else 1
+    for r in verify_results.values():
+        item = {"details": r.details, "key": r.key, "passed": r.passed, "title": r.title}
+        got.append(json.dumps({"command": "verify-paper", "exit": code, "item": item}, sort_keys=True))
+    want = DIGEST.read_text().splitlines()
+
+    def name(line):
+        d = json.loads(line)
+        return f"{d['command']} {d['item']['key'] if 'item' in d else d['spec']}"
+
+    assert [name(line) for line in got] == [name(line) for line in want]
+    changed = [name(line) for line, old in zip(got, want) if line != old]
+    assert changed == [], f"{len(changed)} reports changed: {changed}"

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -124,7 +125,7 @@ def test_one_solubility_route():
     # conjugate of every element
     assert "derived_series_bits" not in _defined()
     assert _calls("derived_series_bits") == []
-    assert ("perm.py", "is_soluble") in _calls("_default_series")
+    assert ("perm.py", "is_soluble") in _calls("chief_series")
     assert [c for c in _calls("conj_bits") if c[1] == "is_normal"] == []
 
 
@@ -200,7 +201,17 @@ def test_one_memo():
                 outer = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 owners.add((path.name, max(outer, key=lambda d: d.end_lineno - d.lineno).name))
     assert owners == {("perm.py", "per_group"), ("perm.py", "__init__")}
-    assert list(inspect.signature(chebotarev.exact.build_sieves).parameters) == ["G"]
+    crowns = chebotarev.crowns
+    for fn in (chebotarev.exact.build_sieves, crowns.chief_series, crowns.crown_data):
+        assert list(inspect.signature(fn).parameters) == ["G"]
+    # one chief series per group: the memo keys positional arguments only,
+    # the series names no group, and crown data has one name per field
+    memo = inspect.signature(crowns.chief_series, follow_wrapped=False)
+    assert inspect.Parameter.VAR_KEYWORD not in {p.kind for p in memo.parameters.values()}
+    assert "group" not in {f.name for f in dataclasses.fields(crowns.ChiefSeries)}
+    fields = [f.name for f in dataclasses.fields(crowns.CrownData)]
+    assert fields == ["A", "B", "nonabelian_factors"]
+    assert not [n for n, v in vars(crowns.CrownData).items() if isinstance(v, property)]
     # conj_map is read in hot loops, so it keeps its own per-g dict
     tree = ast.parse((SRC / "perm.py").read_text())
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "conj_map")
