@@ -75,8 +75,13 @@ def _classified(V: ChiefFactorModule) -> tuple[int, int, int]:
     return V.q, V.n, V.delta
 
 
-def _crown_term(V: ChiefFactorModule) -> tuple[Fraction, Fraction, Fraction]:
-    """(size branch, image branch, min) of the non-central class bound term."""
+def crown_term(V: ChiefFactorModule) -> tuple[Fraction, Fraction, Fraction]:
+    """(size branch, image branch, min) of the non-central class bound term.
+
+    The one place these branches are computed: ``crown_bound`` sums the
+    mins, ``waiting_estimate`` reads the image branch, and the CLI prints
+    all three per class.
+    """
     q, n, delta = _classified(V)
     qn = q**n
     dt = delta * V.theta
@@ -94,7 +99,7 @@ def crown_bound(
     """
     total = Fraction(0)
     for V in A:
-        total += _crown_term(V)[2]
+        total += crown_term(V)[2]
     if B:
         total += max(V.delta for V in B)
     return total + SIGMA
@@ -133,7 +138,7 @@ def waiting_estimate(V: ChiefFactorModule) -> WaitingEstimate:
         return WaitingEstimate(branch_fix=None, branch_identity=s, value=s)
     # p_fix >= 1/|H|: the identity fixes every vector
     by_fix = (delta * V.theta + V.m + Fraction(q, q - 1)) / V.p_fix
-    by_image = _crown_term(V)[1]
+    by_image = crown_term(V)[1]
     return WaitingEstimate(
         branch_fix=by_fix, branch_identity=by_image, value=min(by_fix, by_image)
     )
@@ -144,7 +149,6 @@ class RatioCheckResult:
     passes: bool
     exceptional_case: Optional[int]
     lam: int
-    alpha: Fraction
     u_order: int
 
 
@@ -193,7 +197,6 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
         passes=passes,
         exceptional_case=case,
         lam=lam,
-        alpha=alpha,
         u_order=u_order,
     )
 
@@ -221,27 +224,16 @@ def binomial_tail_check(
 
 
 @dataclass(frozen=True)
-class FactorBoundDetail:
-    label: str
-    by_size: str
-    by_image: str
-    chosen: str
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """All bound evaluations and verdicts for one group."""
+    """Bound values and verdicts for one group.
 
-    group_id: str
-    order: int
-    soluble: bool
-    exact: Optional[Fraction]
+    The inputs (order, C(G), d(G)) stay with the caller; renderings such
+    as the decimal (5/3) sqrt(|G|) and the per-class terms are the CLI's.
+    """
+
     crown_bound_value: Fraction
     min_generator_bound_value: Fraction
     degenerate_family: bool  # empty non-central family: compared against d(G) + sigma
-    d: int
-    five_thirds: decimal.Decimal
-    per_factor: tuple[FactorBoundDetail, ...]
     verdicts: dict
 
     def any_violated(self) -> bool:
@@ -250,7 +242,6 @@ class BoundReport:
 
 def build_bound_report(
     *,
-    group_id: str,
     order: int,
     soluble: bool,
     is_klein: bool,
@@ -261,28 +252,18 @@ def build_bound_report(
 ) -> BoundReport:
     """Evaluate every bound for one group and compare against exact C(G).
 
-    Insoluble groups get NOT_APPLICABLE verdicts (the bounds assume
-    solubility). When the non-central family is empty the stated
-    min-generator bound degenerates to sigma alone, which no nontrivial
-    group can satisfy; the meaningful check in that regime is
-    d(G) + sigma, which follows from the crown bound's central term, and
-    the report flags that substitution.
+    Each argument feeds a bound or a verdict. Insoluble groups get
+    NOT_APPLICABLE verdicts (the bounds assume solubility). When the
+    non-central family is empty the stated min-generator bound
+    degenerates to sigma alone, which no nontrivial group can satisfy;
+    the meaningful check in that regime is d(G) + sigma, which follows
+    from the crown bound's central term, and the report flags that
+    substitution.
     """
     crown_b = crown_bound(A, B)
     min_gen_b = min_generator_bound(A, d)
     degenerate_family = len(A) == 0
     min_gen_effective = (d + SIGMA) if degenerate_family else min_gen_b
-    per_factor = []
-    for V in A:
-        by_size, by_image, chosen = _crown_term(V)
-        per_factor.append(
-            FactorBoundDetail(
-                label=V.label,
-                by_size=str(by_size),
-                by_image=str(by_image),
-                chosen=str(chosen),
-            )
-        )
     if not soluble or exact is None:
         verdicts = {
             "crown": Verdict.NOT_APPLICABLE,
@@ -298,15 +279,8 @@ def build_bound_report(
             "five_thirds": five_thirds_check(exact, order, is_klein),
         }
     return BoundReport(
-        group_id=group_id,
-        order=order,
-        soluble=soluble,
-        exact=exact,
         crown_bound_value=crown_b,
         min_generator_bound_value=min_gen_b,
         degenerate_family=degenerate_family,
-        d=d,
-        five_thirds=five_thirds_bound(order),
-        per_factor=tuple(per_factor),
         verdicts=verdicts,
     )

@@ -21,9 +21,9 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, Optional
 
+from .bounds import crown_term, five_thirds_bound
 from .crowns import crown_data
 from .errors import ChebotarevError
 from .exact import (
@@ -35,14 +35,10 @@ from .exact import (
 )
 from .groupspec import parse_group
 from .mc import mc_estimate
-from .perm import is_soluble
+from .perm import DEFAULT_ORDER_CAP, is_soluble
 from .verify import analyze, run_all
 
 DISPLAY_DIGITS = 12
-
-
-def _frac_str(x: Optional[Fraction]) -> Optional[str]:
-    return None if x is None else str(x)
 
 
 def _group_block(label: str, G) -> dict:
@@ -68,6 +64,16 @@ def _crowns_block(cd) -> list[dict]:
             }
         )
     return out
+
+
+def _factor_block(V) -> dict:
+    by_size, by_image, chosen = crown_term(V)
+    return {
+        "label": V.label,
+        "by_size": str(by_size),
+        "by_image": str(by_image),
+        "chosen": str(chosen),
+    }
 
 
 def _print_report(report: dict, as_json: bool) -> None:
@@ -155,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
             "--cap-order",
             type=_int_at_least(1),
             help="element-table cap",
-            **(kw if suppress else {"default": 20_000}),
+            **(kw if suppress else {"default": DEFAULT_ORDER_CAP}),
         )
         p.add_argument(
             "--cap-sieves",
@@ -250,26 +256,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                 [order, comp] for order, comp in cd.nonabelian_factors
             ]
         elif args.command == "bounds":
-            w = analyze(G, parsed.label, max_sieves=args.cap_sieves)
+            w = analyze(G, max_sieves=args.cap_sieves)
             rb = w.report
             report["chebotarev"] = None if w.exact is None else _cheb_block(w.exact)
             report["crowns"] = _crowns_block(w.crowns)
             report["bounds"] = {
-                "exact": _frac_str(rb.exact),
+                "exact": None if w.exact is None else str(w.exact.exact),
                 "crown_bound": decimal_string(rb.crown_bound_value, DISPLAY_DIGITS),
                 "min_generator_bound": decimal_string(rb.min_generator_bound_value, DISPLAY_DIGITS),
                 "degenerate_family": rb.degenerate_family,
-                "five_thirds_bound": str(rb.five_thirds)[:DISPLAY_DIGITS + 2],
-                "d": rb.d,
-                "per_factor": [
-                    {
-                        "label": f.label,
-                        "by_size": f.by_size,
-                        "by_image": f.by_image,
-                        "chosen": f.chosen,
-                    }
-                    for f in rb.per_factor
-                ],
+                "five_thirds_bound": str(five_thirds_bound(G.order))[:DISPLAY_DIGITS + 2],
+                "d": w.d,
+                "per_factor": [_factor_block(V) for V in w.crowns.A],
                 "verdicts": {k: v.value for k, v in rb.verdicts.items()},
             }
             if rb.any_violated():

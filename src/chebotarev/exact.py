@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import InvariantError, TooManySievesError, TrivialGroupError
 from .groupspec import check_prime
-from .perm import PermGroup, conjugacy_classes, per_group
+from .perm import PermGroup, conjugacy_classes, per_group, quotient
 from .subgroups import frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
@@ -38,7 +38,7 @@ from .subgroups import frattini, maximal_classes
 DEFAULT_SIEVE_CAP = 156
 
 
-def decimal_string(x: Fraction, digits: int = 20) -> str:
+def decimal_string(x: Fraction, digits: int) -> str:
     """Round x to the given number of significant digits, as a string."""
     if x == 0:
         return "0"
@@ -53,10 +53,13 @@ class SieveSystem:
     """Conjugate-union sieves of a nontrivial group, plus class data.
 
     ``raw_unions`` holds one union bitset per maximal class (aligned with
-    the maximal class list); the ``reduced_*`` fields describe the full
-    family after deduplication and containment reduction. Signatures map
-    each element-conjugacy-class to the mask of reduced unions containing
-    it; they are class-constant because unions are conjugation invariant.
+    the maximal class list): ``v_property_sum`` checks a class mask
+    against its length, and the benchmark's trace reads that length as the
+    raw sieve count. ``raw_signatures`` map each element-conjugacy-class to the mask
+    of raw unions containing it; ``class_signatures`` to the mask of the
+    ``sieve_count`` unions left after deduplication and containment
+    reduction. Signatures are class-constant because unions are
+    conjugation invariant.
     """
 
     order: int
@@ -64,12 +67,8 @@ class SieveSystem:
     class_of: tuple[int, ...]
     raw_unions: tuple[int, ...]
     raw_signatures: tuple[int, ...]
-    reduced_unions: tuple[int, ...]
+    sieve_count: int
     class_signatures: tuple[int, ...]
-
-    @property
-    def sieve_count(self) -> int:
-        return len(self.reduced_unions)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def build_sieves(G: PermGroup) -> SieveSystem:
         class_of=table.class_of,
         raw_unions=raw,
         raw_signatures=signatures(raw),
-        reduced_unions=reduced,
+        sieve_count=len(reduced),
         class_signatures=sigs,
     )
 
@@ -239,8 +238,6 @@ def elementary_abelian_cheb(p: int, delta: int) -> Fraction:
 
 def frattini_reduce(G: PermGroup) -> PermGroup:
     """The quotient of G by its Frattini subgroup (idempotent; preserves C)."""
-    from .perm import quotient
-
     phi = frattini(G)
     Q, _ = quotient(G, phi)
     return Q

@@ -521,16 +521,6 @@ class ConjClassTable:
         self.sizes = tuple(sizes)
 
 
-def build_group(
-    degree: int,
-    generators: Sequence[Permutation],
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> PermGroup:
-    """Construct a PermGroup with a full element table (BFS closure)."""
-    return PermGroup(degree, generators, order_cap=order_cap)
-
-
 @per_group
 def conjugacy_classes(G: PermGroup) -> ConjClassTable:
     """Conjugacy classes via orbits of the conjugation action by generators."""

@@ -12,8 +12,9 @@ from the depth of G in the breadth-first lattice walk, maximal subgroups
 from comparing every pair of proper subgroups and their classes from
 walking conjugation orbits, normality from conjugating every element,
 solubility from the derived series, and the inclusion-exclusion value
-from a transparent double loop over subsets, Monte Carlo waiting times
-from a per-trial loop on Python-int masks that makes the same generator
+from a transparent double loop over subsets, the reduced sieve family
+from a pairwise containment scan of the maximal-class unions, Monte
+Carlo waiting times from a per-trial loop on Python-int masks that makes the same generator
 calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups or from the normal closure of every class
@@ -446,6 +447,16 @@ def brute_invariable_prob(G: PermGroup, k: int) -> Fraction:
         if brute_invariable_generation(G, tup):
             good += weight
     return Fraction(good, G.order**k)
+
+
+def reduced_unions(G: PermGroup) -> list[int]:
+    """The reduced sieve family: maximal-class unions, deduplicated, with
+    every union inside another dropped, in increasing bit order (the
+    order of the bits of ``build_sieves``' class signatures)."""
+    from chebotarev.subgroups import maximal_classes
+
+    unions = sorted({mc.union_bits for mc in maximal_classes(G)})
+    return [u for u in unions if not any(v != u and u | v == v for v in unions)]
 
 
 def naive_cheb_from_unions(order: int, unions: list[int]) -> Fraction:

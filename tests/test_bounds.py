@@ -17,6 +17,7 @@ from chebotarev.bounds import (
     five_thirds_check,
     waiting_ratio_check,
     crown_bound,
+    crown_term,
 )
 from chebotarev.crowns import chief_series, crown_data, factor_module
 from chebotarev.errors import BadProbabilityError, InvariantError, UnclassifiedRatioError
@@ -200,7 +201,6 @@ def test_bound_report_soluble(group_of):
     G = group_of("symmetric 3")
     cd = crown_data(G)
     rb = build_bound_report(
-        group_id="symmetric 3",
         order=G.order,
         soluble=True,
         is_klein=False,
@@ -214,14 +214,16 @@ def test_bound_report_soluble(group_of):
     assert rb.verdicts["five_thirds"] == Verdict.SATISFIED
     assert not rb.degenerate_family
     assert not rb.any_violated()
-    assert len(rb.per_factor) == 1
+    # one non-central class (C3, |H| = 2), whose image branch is the smaller
+    (V,) = cd.A
+    assert crown_term(V) == (Fraction(9, 2), Fraction(3), Fraction(3))
+    assert rb.crown_bound_value == 3 + 1 + SIGMA
 
 
 def test_bound_report_degenerate_family(group_of):
     G = group_of("elementary 2 2")
     cd = crown_data(G)
     rb = build_bound_report(
-        group_id="elementary 2 2",
         order=4,
         soluble=True,
         is_klein=True,
@@ -238,7 +240,6 @@ def test_bound_report_degenerate_family(group_of):
 def test_bound_report_insoluble(group_of):
     G = group_of("alternating 5")
     rb = build_bound_report(
-        group_id="alternating 5",
         order=60,
         soluble=False,
         is_klein=False,

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_invariable_prob, naive_cheb_from_unions, naive_prob_from_unions
+from oracles import (
+    brute_invariable_prob,
+    naive_cheb_from_unions,
+    naive_prob_from_unions,
+    reduced_unions,
+)
 from chebotarev import exact
 from chebotarev.groupspec import parse_group
 from chebotarev.errors import (
@@ -32,16 +37,16 @@ from chebotarev.crowns import omega_membership
 
 def test_build_sieves_examples(group_of):
     s3 = group_of("symmetric 3")
-    S = build_sieves(s3)
-    assert sorted(u.bit_count() for u in S.reduced_unions) == [3, 4]
+    assert sorted(u.bit_count() for u in reduced_unions(s3)) == [3, 4]
+    assert build_sieves(s3).sieve_count == 2
 
     klein = group_of("elementary 2 2")
-    Sk = build_sieves(klein)
-    assert [u.bit_count() for u in Sk.reduced_unions] == [2, 2, 2]
+    assert [u.bit_count() for u in reduced_unions(klein)] == [2, 2, 2]
+    assert build_sieves(klein).sieve_count == 3
 
     c4 = group_of("cyclic 4")
-    Sc = build_sieves(c4)
-    assert [u.bit_count() for u in Sc.reduced_unions] == [2]
+    assert [u.bit_count() for u in reduced_unions(c4)] == [2]
+    assert build_sieves(c4).sieve_count == 1
 
     with pytest.raises(TrivialGroupError):
         build_sieves(group_of("cyclic 1"))
@@ -51,13 +56,20 @@ def test_sieve_invariants(group_of):
     for spec in ["symmetric 4", "cyclic 30", "dihedral 6", "quaternion8"]:
         G = group_of(spec)
         S = build_sieves(G)
-        full_mask = (1 << len(S.reduced_unions)) - 1
+        unions = reduced_unions(G)
+        assert len(unions) == S.sieve_count
+        full_mask = (1 << len(unions)) - 1
         assert S.class_signatures[S.class_of[0]] == full_mask
-        for u in S.reduced_unions:
+        for u in unions:
             assert u != G.full_bits
             assert u & 1  # every union contains the identity
-        for a in S.reduced_unions:
-            assert not any(b != a and a & ~b == 0 for b in S.reduced_unions)
+        for a in unions:
+            assert not any(b != a and a & ~b == 0 for b in unions)
+        # bit i of an element's class signature says whether the element
+        # lies in the i-th union of the oracle's family
+        for x in range(G.order):
+            sig = S.class_signatures[S.class_of[x]]
+            assert [sig >> i & 1 for i in range(len(unions))] == [u >> x & 1 for u in unions]
 
 
 def test_build_sieves_is_kept_per_group(group_of):
@@ -129,7 +141,9 @@ def test_chebotarev_matches_naive_subset_loop(group_of):
         G = group_of(spec)
         S = build_sieves(G)
         got = chebotarev_exact(S).exact
-        assert got == naive_cheb_from_unions(G.order, list(S.reduced_unions))
+        unions = reduced_unions(G)
+        assert len(unions) == S.sieve_count
+        assert got == naive_cheb_from_unions(G.order, unions)
         # reduction soundness: the raw (unreduced) family gives the same value
         assert got == naive_cheb_from_unions(G.order, list(S.raw_unions))
 
@@ -171,10 +185,10 @@ def test_invariable_prob_monotone(spec, group_of):
 def test_prob_naive_oracle(group_of):
     G = group_of("symmetric 4")
     S = build_sieves(G)
+    unions = reduced_unions(G)
+    assert len(unions) == S.sieve_count
     for k in range(5):
-        assert invariable_gen_prob(S, k) == naive_prob_from_unions(
-            G.order, list(S.reduced_unions), k
-        )
+        assert invariable_gen_prob(S, k) == naive_prob_from_unions(G.order, unions, k)
 
 
 def test_series_consistency_with_tail_bound(group_of):
@@ -186,8 +200,10 @@ def test_series_consistency_with_tail_bound(group_of):
         C = chebotarev_exact(S).exact
         K = 200
         partial = sum((1 - invariable_gen_prob(S, k) for k in range(K + 1)), Fraction(0))
-        q_max = max(Fraction(u.bit_count(), G.order) for u in S.reduced_unions)
-        r = len(S.reduced_unions)
+        unions = reduced_unions(G)
+        assert len(unions) == S.sieve_count
+        q_max = max(Fraction(u.bit_count(), G.order) for u in unions)
+        r = len(unions)
         tail_bound = r * q_max ** (K + 1) / (1 - q_max)
         assert abs(C - partial) <= tail_bound
 
@@ -271,7 +287,7 @@ def test_frattini_reduce_examples(group_of):
 def test_too_many_sieves(group_of):
     G = group_of("elementary 2 5")  # 31 hyperplanes
     S = build_sieves(G)
-    assert len(S.reduced_unions) == 31
+    assert S.sieve_count == len(reduced_unions(G)) == 31
     cv = chebotarev_exact(S)
     assert cv.exact == elementary_abelian_cheb(2, 5)
     assert cv.state_count == 374
@@ -283,8 +299,8 @@ def test_too_many_sieves(group_of):
 
 
 def test_decimal_rendering():
-    assert decimal_string(Fraction(10, 3)).startswith("3.33333333333333333")
-    assert decimal_string(Fraction(0)) == "0"
+    assert decimal_string(Fraction(10, 3), 20).startswith("3.33333333333333333")
+    assert decimal_string(Fraction(0), 20) == "0"
     assert decimal_string(Fraction(19, 5), 6) == "3.8"  # exact, no padding
     assert decimal_string(Fraction(104, 21), 6) == "4.95238"
 
@@ -319,7 +335,7 @@ def synthetic_sieves(draw):
         class_of=tuple(range(n)),
         raw_unions=tuple(unions),
         raw_signatures=sigs,
-        reduced_unions=tuple(unions),
+        sieve_count=len(unions),
         class_signatures=sigs,
     )
     return S, unions
@@ -347,7 +363,7 @@ def test_covering_union_is_an_invariant_error():
         class_of=(0, 1),
         raw_unions=(0b11,),
         raw_signatures=(1, 1),
-        reduced_unions=(0b11,),
+        sieve_count=1,
         class_signatures=(1, 1),
     )
     with pytest.raises(InvariantError):

@@ -93,7 +93,7 @@ def test_trial_cap_guards_broken_sieves():
         class_of=(0, 1),
         raw_unions=(0b11,),
         raw_signatures=(1, 1),
-        reduced_unions=(0b11,),
+        sieve_count=1,
         class_signatures=(1, 1),
     )
     previous = signal.signal(signal.SIGALRM, _time_out)
@@ -119,7 +119,7 @@ def _coupon_system(n: int) -> SieveSystem:
         class_of=tuple(range(n)),
         raw_unions=unions,
         raw_signatures=sigs,
-        reduced_unions=unions,
+        sieve_count=len(unions),
         class_signatures=sigs,
     )
 

@@ -18,10 +18,10 @@ from oracles import (
 from chebotarev import perm
 from chebotarev.errors import BadSectionError, DegreeMismatchError, NotNormalError, OrderCapError
 from chebotarev.perm import (
+    PermGroup,
     Permutation,
     Subgroup,
     bits_iter,
-    build_group,
     conjugacy_classes,
     is_soluble,
     quotient,
@@ -74,10 +74,10 @@ def test_cycle_parsing_variants():
 
 
 def test_build_group_examples():
-    assert build_group(1, []).order == 1
-    s3 = build_group(3, [Permutation((1, 2, 0)), Permutation((1, 0, 2))])
+    assert PermGroup(1, []).order == 1
+    s3 = PermGroup(3, [Permutation((1, 2, 0)), Permutation((1, 0, 2))])
     assert s3.order == 6
-    klein = build_group(
+    klein = PermGroup(
         4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))]
     )
     assert klein.order == 4
@@ -86,9 +86,9 @@ def test_build_group_examples():
 
 def test_order_cap_and_degree_mismatch():
     with pytest.raises(OrderCapError):
-        build_group(5, [Permutation((1, 2, 3, 4, 0))], order_cap=3)
+        PermGroup(5, [Permutation((1, 2, 3, 4, 0))], order_cap=3)
     with pytest.raises(DegreeMismatchError):
-        build_group(3, [Permutation((1, 0))])
+        PermGroup(3, [Permutation((1, 0))])
 
 
 @pytest.mark.parametrize(
@@ -242,9 +242,9 @@ def test_conjugacy_classes_examples():
     s3 = symmetric_group(3)
     t = conjugacy_classes(s3)
     assert sorted(t.sizes) == [1, 2, 3]
-    klein = build_group(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    klein = PermGroup(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
     assert conjugacy_classes(klein).sizes == (1, 1, 1, 1)
-    assert len(conjugacy_classes(build_group(1, [])).reps) == 1
+    assert len(conjugacy_classes(PermGroup(1, [])).reps) == 1
 
 
 @pytest.mark.parametrize("spec", ["symmetric 3", "symmetric 4", "cyclic 12", "quaternion8"])

@@ -235,3 +235,37 @@ def test_checks_only_at_entry_points():
         ("subgroups.py", "minimal_normal_subgroups"),
     ]
     assert "check_chief" not in inspect.signature(chebotarev.crowns.factor_module).parameters
+
+
+def test_records_keep_only_what_is_read():
+    # every field of the analysis records has a reader: the inputs stay
+    # with the caller, and the CLI renders the 5/3 bound and the
+    # per-class terms itself
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    bounds, verify = chebotarev.bounds, chebotarev.verify
+    assert fields(bounds.BoundReport) == [
+        "crown_bound_value",
+        "min_generator_bound_value",
+        "degenerate_family",
+        "verdicts",
+    ]
+    assert fields(verify.GroupWork) == ["group", "exact", "crowns", "d", "report"]
+    sieve_fields = fields(chebotarev.exact.SieveSystem)
+    assert "sieve_count" in sieve_fields and "reduced_unions" not in sieve_fields
+    assert "alpha" not in fields(bounds.RatioCheckResult)
+    for fn in (bounds.build_bound_report, verify.analyze):
+        assert not {"group_id", "label"} & set(inspect.signature(fn).parameters)
+    assert not {"FactorBoundDetail", "_crown_term", "_frac_str", "build_group"} & (
+        _defined() | {n for n in dir(bounds) if not n.startswith("__")}
+    )
+    # the harness keeps its analyses through functools.cache, with no
+    # hand-written dict beside it
+    tree = ast.parse((SRC / "verify.py").read_text())
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            assert not isinstance(value, (ast.Dict, ast.DictComp))
+            assert getattr(getattr(value, "func", None), "id", None) != "dict"
+    assert hasattr(verify.work_for, "cache_info")
