@@ -115,33 +115,17 @@ def min_generator_bound(A: Sequence[ChiefFactorModule], d: int) -> Fraction:
     return d * total + SIGMA
 
 
-@dataclass(frozen=True)
-class WaitingEstimate:
-    """Both branches of the per-crown waiting-time estimate and their min.
-
-    ``branch_fix`` uses the fixed-vector probability (None for a central
-    class); ``branch_identity`` waits for identity draws in the image
-    group, or is the expected-generation sum when the image is trivial.
-    """
-
-    branch_fix: Optional[Fraction]
-    branch_identity: Fraction
-    value: Fraction
-
-
-def waiting_estimate(V: ChiefFactorModule) -> WaitingEstimate:
-    """Waiting-time estimate for one crown class (the central case uses the
-    elementary-abelian expected-generation sum, with q = p)."""
+def waiting_estimate(V: ChiefFactorModule) -> Fraction:
+    """Waiting-time estimate for one crown class: the smaller of the
+    fixed-vector branch and the image branch of ``crown_term`` (the
+    central case uses the elementary-abelian expected-generation sum,
+    with q = p)."""
     q, n, delta = _classified(V)
     if V.h_order == 1:
-        s = elementary_abelian_cheb(q, delta)
-        return WaitingEstimate(branch_fix=None, branch_identity=s, value=s)
+        return elementary_abelian_cheb(q, delta)
     # p_fix >= 1/|H|: the identity fixes every vector
     by_fix = (delta * V.theta + V.m + Fraction(q, q - 1)) / V.p_fix
-    by_image = crown_term(V)[1]
-    return WaitingEstimate(
-        branch_fix=by_fix, branch_identity=by_image, value=min(by_fix, by_image)
-    )
+    return min(by_fix, crown_term(V)[1])
 
 
 @dataclass(frozen=True)
@@ -149,7 +133,6 @@ class RatioCheckResult:
     passes: bool
     exceptional_case: Optional[int]
     lam: int
-    u_order: int
 
 
 def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckResult:
@@ -172,7 +155,7 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
     if group_order % denom:
         raise ValueError("group order is not a multiple of |H| * |V|^delta")
     lam = group_order // denom
-    alpha = waiting_estimate(V).value
+    alpha = waiting_estimate(V)
     A2 = (3 * alpha) ** 2
     ug = u_order * group_order
     R = 25 * ug - A2 * u_order - 25 * group_order
@@ -193,12 +176,7 @@ def waiting_ratio_check(V: ChiefFactorModule, group_order: int) -> RatioCheckRes
                 f"ratio check failed outside the known exceptional shapes: "
                 f"delta={V.delta}, q^n={qn}, lambda={lam}, |H|={V.h_order}"
             )
-    return RatioCheckResult(
-        passes=passes,
-        exceptional_case=case,
-        lam=lam,
-        u_order=u_order,
-    )
+    return RatioCheckResult(passes=passes, exceptional_case=case, lam=lam)
 
 
 def binomial_tail_check(

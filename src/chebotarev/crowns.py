@@ -40,9 +40,11 @@ of the maximal subgroups of G/R, are all the maximal subgroups of G
 are classed by their solutions modulo the coboundaries B^1, and the
 preimages from G/R keep the classes its lattice walk built. The chief
 series, G/R, the right cosets of its terms, each section's module and
-``crown_data`` are kept per group too (``perm.per_group``). No socle of
-a quotient G/core(M) is computed: whether M lies in Omega_V is read off
-the chief factor that M complements (``omega_membership``).
+``crown_data`` are kept per group too (``perm.per_group``). Nothing
+here reads ``maximal_classes``, which is built from this module's
+``maximal_subgroups``, so Omega_V membership (read off the chief factor
+that a maximal class complements) is ``exact.omega_membership``, beside
+the restricted waiting sum that reads its mask.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .perm import (
     per_group,
 )
 from .subgroups import (
-    MaximalClassData,
     _cosets,
     _is_prime_power,
     _least_prime,
@@ -139,19 +140,6 @@ def _kernel_basis(
 
 def mat_is_invertible(A: Mat, p: int) -> bool:
     return mat_rank(A, p) == len(A)
-
-
-def _span_elements(basis: list[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
-    vecs = [tuple([0] * len(basis[0]))] if basis else []
-    for b in basis:
-        ext = []
-        for v in vecs:
-            cur = v
-            for _ in range(p - 1):
-                cur = tuple((x + y) % p for x, y in zip(cur, b))
-                ext.append(cur)
-        vecs.extend(ext)
-    return vecs
 
 
 def _vec_to_mat(v: tuple[int, ...], n: int) -> Mat:
@@ -493,10 +481,14 @@ def g_isomorphic(M1: ChiefFactorModule, M2: ChiefFactorModule) -> bool:
 def endo_field(M: ChiefFactorModule) -> tuple[int, int]:
     """(q, n) with q the commutant field size and n = n_raw / log_p(q).
 
-    Solves the commutant system and checks that its span is a field. The
-    commutant is an algebra (a product of self-intertwiners is one), so
-    that check is that every nonzero element is invertible. A failure
-    signals the factor was not chief.
+    Solves the commutant system E and checks that E is a field, with no
+    search over its q elements: e = dim E = 1 means E is the scalars;
+    otherwise E must be commutative, and then the Frobenius map a -> a^p
+    is F_p-linear on E. It is injective iff E has no nilpotents, so E is
+    a product of fields, and its fixed space is F_p once per field. So E
+    is a field iff its basis commutes pairwise and the Frobenius images of
+    the basis have rank e with a fixed space of dimension 1. A module that
+    fails (a reducible one) raises ``NotIrreducibleError``.
     """
     return _commutant_field(M.gen_matrices, M.p)
 
@@ -507,11 +499,27 @@ def _commutant_field(gen_matrices: Sequence[Mat], p: int) -> tuple[int, int]:
     nr = len(gen_matrices[0])
     basis = _intertwiner_space(gen_matrices, gen_matrices, nr, p)
     e = len(basis)
-    if e == 0 or nr % e != 0:
-        raise NotIrreducibleError("commutant dimension does not divide the module dimension")
-    for v in _span_elements(basis, p):
-        if any(v) and not mat_is_invertible(_vec_to_mat(v, nr), p):
-            raise NotIrreducibleError("commutant contains a singular nonzero element")
+    if e > 1:
+        mats = [_vec_to_mat(v, nr) for v in basis]
+
+        def prod(A: Mat, B: Mat) -> Mat:
+            return tuple(tuple(sum(map(mul, row, col)) % p for col in zip(*B)) for row in A)
+
+        def frobenius(A: Mat) -> tuple[int, ...]:
+            # A^p by squaring along the bits of p, flattened row-major
+            P = A
+            for bit in f"{p:b}"[1:]:
+                P = prod(prod(P, P), A) if bit == "1" else prod(P, P)
+            return tuple(x for row in P for x in row)
+
+        images = [frobenius(A) for A in mats]
+        moved = [[a - b for a, b in zip(f, v)] for f, v in zip(images, basis)]
+        if (
+            any(prod(A, B) != prod(B, A) for i, A in enumerate(mats) for B in mats[:i])
+            or mat_rank(images, p) != e
+            or e - mat_rank(moved, p) != 1
+        ):
+            raise NotIrreducibleError("the commutant is not a field")
     return p**e, nr // e
 
 
@@ -854,40 +862,3 @@ def crown_data(G: PermGroup) -> CrownData:
         B=tuple(sorted(B, key=keyfun)),
         nonabelian_factors=tuple(nonabelian),
     )
-
-
-# -- omega membership ------------------------------------------------------
-
-
-def omega_membership(
-    G: PermGroup, maximals: Sequence[MaximalClassData], V: ChiefFactorModule
-) -> int:
-    """Bitmask over the maximal classes M in Omega_V: G/core(M) has socle V.
-
-    Let N_j be the first term of G's chief series inside M, so
-    inside core(M). Then M is in Omega_V iff the factor N_{j-1}/N_j is
-    abelian and G-isomorphic to V. Proof: N_{j-1} n core(M) is normal in
-    G, contains N_j and is not N_{j-1}, so it is N_j, and
-    N_{j-1}core(M)/core(M) is a minimal normal subgroup of G/core(M),
-    G-isomorphic to N_{j-1}/N_j. If that factor is nonabelian, so is a
-    minimal normal subgroup of G/core(M), and M is in no Omega_V. If it is
-    abelian, it is the only minimal normal subgroup, since G/core(M) is
-    primitive and a primitive group with an abelian minimal normal
-    subgroup has no other (Baer). M then complements the factor, as
-    M n N_{j-1} is normalized by M and by the abelian N_{j-1}/N_j, so is
-    N_j: its module is the one ``crown_data`` built, kept per group by
-    ``_factor_module``. A V or a maximal class of another group raises
-    ``BadSectionError``.
-    """
-    if V.group is not G or any(mc.representative.group is not G for mc in maximals):
-        raise BadSectionError("V or a maximal class belongs to another group")
-    series = chief_series(G)
-    subs = series.subgroups
-    mask = 0
-    for ci, mc in enumerate(maximals):
-        j = next(j for j, N in enumerate(subs) if N.bits & ~mc.core_bits == 0)
-        if series.factor_abelian[j - 1] and g_isomorphic(
-            _factor_module(G, subs[j - 1], subs[j]), V
-        ):
-            mask |= 1 << ci
-    return mask

@@ -14,6 +14,12 @@ merged moves of the mask that first reached it, not off every class, and
 the expectation is carried as reduced integer pairs, with one
 ``Fraction`` at the end. Everything is exact big-rational arithmetic;
 decimal strings are rendering only.
+
+``maximal_classes(G)`` is the one copy of the maximal-class family. The
+sieve system keeps only what the chain reads, and the restricted waiting
+sums read G's own classes: ``omega_membership(G, V)`` sets bit i for
+class i in Omega_V, and ``v_property_sum(G, mask)`` runs the chain on
+the selected classes' unions alone.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import InvariantError, TooManySievesError, TrivialGroupError
+from .crowns import ChiefFactorModule, _factor_module, chief_series, g_isomorphic
+from .errors import BadSectionError, InvariantError, TooManySievesError, TrivialGroupError
 from .groupspec import check_prime
 from .perm import PermGroup, conjugacy_classes, per_group, quotient
 from .subgroups import frattini, maximal_classes
@@ -50,23 +57,21 @@ def decimal_string(x: Fraction, digits: int) -> str:
 
 @dataclass(frozen=True)
 class SieveSystem:
-    """Conjugate-union sieves of a nontrivial group, plus class data.
+    """What the alive-mask chain reads of a nontrivial group's sieves.
 
-    ``raw_unions`` holds one union bitset per maximal class (aligned with
-    the maximal class list): ``v_property_sum`` checks a class mask
-    against its length, and the benchmark's trace reads that length as the
-    raw sieve count. ``raw_signatures`` map each element-conjugacy-class to the mask
-    of raw unions containing it; ``class_signatures`` to the mask of the
-    ``sieve_count`` unions left after deduplication and containment
-    reduction. Signatures are class-constant because unions are
-    conjugation invariant.
+    ``class_signatures`` map each element-conjugacy-class to the mask of
+    the ``sieve_count`` conjugate-unions left after deduplication and
+    containment reduction; signatures are class-constant because unions
+    are conjugation invariant. The maximal classes themselves are owned
+    by ``maximal_classes(G)``. ``raw_unions`` (one union per maximal
+    class) stays only because the benchmark's trace reads its length as
+    the raw sieve count; no module of the package reads it.
     """
 
     order: int
     class_sizes: tuple[int, ...]
     class_of: tuple[int, ...]
     raw_unions: tuple[int, ...]
-    raw_signatures: tuple[int, ...]
     sieve_count: int
     class_signatures: tuple[int, ...]
 
@@ -84,32 +89,32 @@ class ChebValue:
     state_count: int
 
 
+def _union_signatures(G: PermGroup, unions: Sequence[int]) -> tuple[int, ...]:
+    """Per conjugacy class of G, the mask of the unions containing it.
+
+    Bit i stands for ``unions[i]``. Each union is read once, as a binary
+    string at the class representatives, and the signatures are the
+    columns of those strings read back as binary numbers.
+    """
+    # bit x of a union is character order - 1 - x of its binary string
+    at = itemgetter(*[G.order - 1 - rep for rep in conjugacy_classes(G).reps])
+    rows = [at(f"{u:0{G.order}b}") for u in reversed(unions)]  # last union first
+    return tuple([int("".join(col), 2) for col in zip(*rows)])
+
+
 @per_group
 def build_sieves(G: PermGroup) -> SieveSystem:
-    """Conjugate-union sieve system of G (one raw union per maximal class).
-
-    Each union is read once, as a binary string at the class
-    representatives, and a family's signatures are the columns of its
-    unions' strings read back as binary numbers: the raw family's and the
-    reduced family's in the same way. Kept per group.
-    """
+    """Conjugate-union sieve system of G, reduced (one raw union per
+    maximal class, contained unions dropped). Kept per group."""
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no sieves")
     table = conjugacy_classes(G)
     raw = tuple(mc.union_bits for mc in maximal_classes(G))
-    # bit x of a union is character order - 1 - x of its binary string
-    at = itemgetter(*[G.order - 1 - rep for rep in table.reps])
-    row = {u: at(f"{u:0{G.order}b}") for u in raw}
-
-    def signatures(unions: Sequence[int]) -> tuple[int, ...]:
-        # per class, the mask of the unions containing it (last union first)
-        return tuple([int("".join(col), 2) for col in zip(*[row[u] for u in reversed(unions)])])
-
     # dropping a union contained in another never changes the union event
     reduced = tuple(
         sorted({u for u in raw if not any(v != u and u & ~v == 0 for v in raw)})
     )
-    sigs = signatures(reduced)
+    sigs = _union_signatures(G, reduced)
     if G.full_bits in reduced:
         raise InvariantError("a conjugate-union covers G")
     if sigs[table.class_of[0]] != (1 << len(reduced)) - 1:
@@ -119,7 +124,6 @@ def build_sieves(G: PermGroup) -> SieveSystem:
         class_sizes=table.sizes,
         class_of=table.class_of,
         raw_unions=raw,
-        raw_signatures=signatures(raw),
         sieve_count=len(reduced),
         class_signatures=sigs,
     )
@@ -210,21 +214,58 @@ def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
     return 1 - Fraction(sum(alive.values()), S.order**k)
 
 
-def v_property_sum(S: SieveSystem, omega_mask: int) -> Fraction:
-    """Sum over k >= 0 of the probability that k elements all lie in some
-    union from the selected subfamily (mask over raw maximal classes).
+def omega_membership(G: PermGroup, V: ChiefFactorModule) -> int:
+    """Bitmask over ``maximal_classes(G)`` of the classes M in Omega_V:
+    G/core(M) has socle V. Bit i is class i, as ``v_property_sum`` reads it.
 
-    This is the expected wait of the chain on the raw signatures masked
-    to the subfamily; no reduction is needed, since dropping a contained
-    union never changes whether the alive mask is empty. Returns 0 for an
-    empty selection; a bit past the raw classes raises ``ValueError``.
+    Let N_j be the first term of G's chief series inside M, so
+    inside core(M). Then M is in Omega_V iff the factor N_{j-1}/N_j is
+    abelian and G-isomorphic to V. Proof: N_{j-1} n core(M) is normal in
+    G, contains N_j and is not N_{j-1}, so it is N_j, and
+    N_{j-1}core(M)/core(M) is a minimal normal subgroup of G/core(M),
+    G-isomorphic to N_{j-1}/N_j. If that factor is nonabelian, so is a
+    minimal normal subgroup of G/core(M), and M is in no Omega_V. If it is
+    abelian, it is the only minimal normal subgroup, since G/core(M) is
+    primitive and a primitive group with an abelian minimal normal
+    subgroup has no other (Baer). M then complements the factor, as
+    M n N_{j-1} is normalized by M and by the abelian N_{j-1}/N_j, so is
+    N_j: its module is the one ``crown_data`` built, kept per group by
+    ``_factor_module``. A V of another group raises ``BadSectionError``.
     """
-    if omega_mask >> len(S.raw_unions):
-        raise ValueError("the mask selects a class beyond the raw maximal classes")
+    if V.group is not G:
+        raise BadSectionError("V belongs to another group")
+    series = chief_series(G)
+    subs = series.subgroups
+    mask = 0
+    for ci, mc in enumerate(maximal_classes(G)):
+        j = next(j for j, N in enumerate(subs) if N.bits & ~mc.core_bits == 0)
+        if series.factor_abelian[j - 1] and g_isomorphic(
+            _factor_module(G, subs[j - 1], subs[j]), V
+        ):
+            mask |= 1 << ci
+    return mask
+
+
+def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
+    """Sum over k >= 0 of the probability that k elements of G all lie in
+    some union from the selected maximal classes (bit i selects class i of
+    ``maximal_classes(G)``, as ``omega_membership`` sets it).
+
+    This is the expected wait of the chain on the signatures of the
+    selected unions alone; no reduction is needed, since dropping a
+    contained union never changes whether the alive mask is empty.
+    Returns 0 for an empty selection; a bit past the last maximal class
+    raises ``ValueError``.
+    """
+    classes = maximal_classes(G)
+    if omega_mask >> len(classes):
+        raise ValueError("the mask selects a class beyond the maximal classes of G")
     if omega_mask == 0:
         return Fraction(0)
-    chain = _alive_chain(S.class_sizes, S.raw_signatures, omega_mask)
-    return _expected_wait(S.order, chain)
+    selected = [mc.union_bits for i, mc in enumerate(classes) if omega_mask >> i & 1]
+    sigs = _union_signatures(G, selected)
+    chain = _alive_chain(conjugacy_classes(G).sizes, sigs, (1 << len(selected)) - 1)
+    return _expected_wait(G.order, chain)
 
 
 def elementary_abelian_cheb(p: int, delta: int) -> Fraction:

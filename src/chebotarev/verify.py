@@ -23,7 +23,7 @@ from .catalog import (
     RATIO_CATALOG,
     SOLUBLE_CATALOG,
 )
-from .crowns import CrownData, crown_data, omega_membership
+from .crowns import CrownData, crown_data
 from .errors import TooManySievesError
 from .exact import (
     DEFAULT_SIEVE_CAP,
@@ -35,12 +35,13 @@ from .exact import (
     elementary_abelian_cheb,
     frattini_reduce,
     invariable_gen_prob,
+    omega_membership,
     v_property_sum,
 )
 from .groupspec import affine_group, parse_group
 from .mc import mc_estimate
 from .perm import PermGroup, is_klein_four, is_soluble
-from .subgroups import maximal_classes, min_generators
+from .subgroups import min_generators
 
 
 @dataclass
@@ -247,12 +248,9 @@ def item_v_property_decomposition() -> ItemResult:
                 ok = False
                 details.append(f"{label}: no exact value")
                 continue
-            sieves = build_sieves(w.group)
-            mx = maximal_classes(w.group)
             total = Fraction(0)
             for V in w.crowns.A:
-                mask = omega_membership(w.group, mx, V)
-                total += v_property_sum(sieves, mask)
+                total += v_property_sum(w.group, omega_membership(w.group, V))
             if w.crowns.B:
                 total += max(V.delta for V in w.crowns.B)
             total += bnd.SIGMA

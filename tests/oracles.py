@@ -7,6 +7,8 @@ subgroup lists come from closing raw element subsets or from one element
 closure per (subgroup, element) pair, complements from a full lattice
 scan, invariable generation from explicit conjugate substitution,
 derivation counts from an exhaustive search over generator images,
+commutant fields from testing every nonzero commutant element for
+invertibility,
 minimal generating tuples from a backtracking search over k-tuples, d(G)
 from the depth of G in the breadth-first lattice walk, maximal subgroups
 from comparing every pair of proper subgroups and their classes from
@@ -519,6 +521,24 @@ def element_matrices(H: PermGroup, gen_matrices, p: int) -> list:
         gen_mat = by_images[H._bfs_gens[H._via[j]].images]
         mats[j] = mat_mul(gen_mat, mats[H._parent[j]], p)
     return mats
+
+
+def commutant_field_by_span(gen_matrices, p: int):
+    """(q, n) of a module's commutant field, or None if the commutant is
+    not a field: every nonzero element of the commutant (from the same
+    intertwiner solve as ``endo_field``) is tested for invertibility, so a
+    finite division algebra, which is a field, is what passes."""
+    from chebotarev.crowns import _intertwiner_space, mat_rank
+
+    nr = len(gen_matrices[0])
+    basis = _intertwiner_space(gen_matrices, gen_matrices, nr, p)
+    span = [(0,) * (nr * nr)]
+    for b in basis:
+        span += [tuple((x + c * y) % p for x, y in zip(v, b)) for v in span for c in range(1, p)]
+    for v in span[1:]:
+        if mat_rank([v[i * nr : (i + 1) * nr] for i in range(nr)], p) < nr:
+            return None
+    return p ** len(basis), nr // len(basis)
 
 
 def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ from oracles import (
     CATALOG_SPECS,
     brute_derivation_count,
     SOLUBLE_SPECS,
+    commutant_field_by_span,
     chief_series_variant,
     complement_by_lattice_scan,
     complements_by_lattice_scan,
@@ -35,7 +36,6 @@ from chebotarev.crowns import (
     g_isomorphic,
     mat_rank,
     nullspace,
-    omega_membership,
 )
 from chebotarev.errors import (
     BadSectionError,
@@ -44,6 +44,7 @@ from chebotarev.errors import (
     NotChiefFactorError,
     NotIrreducibleError,
 )
+from chebotarev.exact import omega_membership
 from chebotarev.groupspec import parse_group
 from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient
 from chebotarev.subgroups import all_subgroups, maximal_classes
@@ -322,12 +323,11 @@ def test_complements_reject_bad_sections(group_of):
 
 
 def test_modules_of_another_group_are_rejected(group_of):
-    # a crown class or the maximal classes of one group handed to another
+    # a crown class of one group handed to another
     s3, s4 = group_of("symmetric 3"), group_of("symmetric 4")
     with pytest.raises(BadSectionError):
-        omega_membership(s4, maximal_classes(s4), crown_data(s3).A[0])
-    with pytest.raises(BadSectionError):
-        omega_membership(s3, maximal_classes(s4), crown_data(s3).A[0])
+        omega_membership(s4, crown_data(s3).A[0])
+    assert omega_membership(s3, crown_data(s3).A[0])
 
 
 def test_crown_data_is_kept_per_group(group_of):
@@ -400,6 +400,54 @@ def test_endo_field_examples(group_of):
     s4 = group_of("symmetric 4")
     v4s = next(s for s in _normal_subgroups(s4) if s.order == 4)
     assert endo_field(factor_module(s4, v4s, Subgroup.trivial(s4))) == (2, 2)
+
+
+def test_endo_field_of_a_field_extension(group_of):
+    # F_2^4 under the companion matrix of the irreducible x^4 + x + 1: the
+    # commutant is F_2[C] = F_16, so V is one-dimensional over it
+    G = group_of("affine 2 4 [[0,0,0,1],[1,0,0,1],[0,1,0,0],[0,0,1,0]]")
+    V16 = next(N for N in chief_series(G).subgroups if N.order == 16)
+    V = factor_module(G, V16, Subgroup.trivial(G))
+    assert endo_field(V) == commutant_field_by_span(V.gen_matrices, V.p) == (16, 1)
+
+
+def _direct_sum(A, B):
+    n, m = len(A), len(B)
+    return tuple(row + (0,) * m for row in A) + tuple((0,) * n + row for row in B)
+
+
+def test_endo_field_rejects_reducible_modules(group_of):
+    # hand-built reducible modules on real groups' generator lists: V + V
+    # (commutant M_2(F_4), not commutative), V + 1 (F_4 x F_2, Frobenius
+    # fixes a plane) and a Jordan block (a nilpotent that Frobenius kills)
+    a4 = group_of("alternating 4")
+    v4 = next(s for s in _normal_subgroups(a4) if s.order == 4)
+    V = factor_module(a4, v4, Subgroup.trivial(a4))
+    s3 = group_of("symmetric 3")
+    a3 = next(s for s in _normal_subgroups(s3) if s.order == 3)
+    W = factor_module(s3, a3, Subgroup.trivial(s3))
+    jordan = ((1, 1), (0, 1))
+    for mod, mats in (
+        (V, [_direct_sum(M, M) for M in V.gen_matrices]),
+        (V, [_direct_sum(M, ((1,),)) for M in V.gen_matrices]),
+        (V, [jordan] * len(V.gen_matrices)),
+        (W, [jordan] * len(W.gen_matrices)),
+    ):
+        assert commutant_field_by_span(mats, mod.p) is None
+        with pytest.raises(NotIrreducibleError):
+            endo_field(replace(mod, gen_matrices=tuple(mats)))
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_endo_field_matches_span_oracle(spec, group_of):
+    # every abelian chief factor of the catalog, complemented or not
+    G = group_of(spec)
+    series = chief_series(G)
+    subs = series.subgroups
+    for i, abelian in enumerate(series.factor_abelian):
+        if abelian:
+            V = factor_module(G, subs[i], subs[i + 1])
+            assert endo_field(V) == commutant_field_by_span(V.gen_matrices, V.p)
 
 
 def test_crown_data_examples(group_of):
@@ -664,7 +712,7 @@ def test_omega_membership_examples(group_of):
     s3 = group_of("symmetric 3")
     mx3 = maximal_classes(s3)
     cd3 = crown_data(s3)
-    mask_v3 = omega_membership(s3, mx3, cd3.A[0])
+    mask_v3 = omega_membership(s3, cd3.A[0])
     # only the transposition class has core 1 and socle isomorphic to V
     orders = [mc.representative.order for mc in mx3]
     assert mask_v3 == 1 << orders.index(2)
@@ -673,14 +721,14 @@ def test_omega_membership_examples(group_of):
     mx6 = maximal_classes(c6)
     cd6 = crown_data(c6)
     v3 = next(V for V in cd6.B if V.p == 3)
-    mask = omega_membership(c6, mx6, v3)
+    mask = omega_membership(c6, v3)
     orders6 = [mc.representative.order for mc in mx6]
     assert mask == 1 << orders6.index(2)  # the index-3 maximal C_2
 
     klein = group_of("elementary 2 2")
-    mxk = maximal_classes(klein)
     cdk = crown_data(klein)
-    assert omega_membership(klein, mxk, cdk.B[0]) == 0b111
+    assert len(maximal_classes(klein)) == 3
+    assert omega_membership(klein, cdk.B[0]) == 0b111
 
 
 def test_omega_vxv_case(group_of):
@@ -697,7 +745,7 @@ def test_omega_vxv_case(group_of):
         (6, 3), (6, 3), (6, 3), (6, 3), (9, 9)
     ]
     members = [mc.representative.order == 6 for mc in mx]
-    assert omega_membership(G, mx, V) == sum(1 << i for i, m in enumerate(members) if m)
+    assert omega_membership(G, V) == sum(1 << i for i, m in enumerate(members) if m)
 
 
 @pytest.mark.parametrize(
@@ -718,7 +766,7 @@ def test_omega_membership_matches_quotient_socles(spec, group_of):
     mx = maximal_classes(G)
     cd = crown_data(G)
     for V in cd.A + cd.B:
-        assert omega_membership(G, mx, V) == omega_by_quotient_socles(G, mx, V)
+        assert omega_membership(G, V) == omega_by_quotient_socles(G, mx, V)
 
 
 def test_p_fix_bounds(group_of):

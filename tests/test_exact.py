@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    SOLUBLE_SPECS,
     brute_invariable_prob,
     naive_cheb_from_unions,
     naive_prob_from_unions,
@@ -27,12 +28,12 @@ from chebotarev.exact import (
     elementary_abelian_cheb,
     frattini_reduce,
     invariable_gen_prob,
+    omega_membership,
     v_property_sum,
 )
 from chebotarev.crowns import crown_data
 from chebotarev.mc import mc_estimate
 from chebotarev.subgroups import MaximalClassData, maximal_classes
-from chebotarev.crowns import omega_membership
 
 
 def test_build_sieves_examples(group_of):
@@ -145,7 +146,8 @@ def test_chebotarev_matches_naive_subset_loop(group_of):
         assert len(unions) == S.sieve_count
         assert got == naive_cheb_from_unions(G.order, unions)
         # reduction soundness: the raw (unreduced) family gives the same value
-        assert got == naive_cheb_from_unions(G.order, list(S.raw_unions))
+        raw = [mc.union_bits for mc in maximal_classes(G)]
+        assert got == naive_cheb_from_unions(G.order, raw)
 
 
 def test_trivial_group_value(group_of):
@@ -210,35 +212,52 @@ def test_series_consistency_with_tail_bound(group_of):
 
 def test_v_property_sum_examples(group_of):
     s3 = group_of("symmetric 3")
-    S = build_sieves(s3)
-    assert v_property_sum(S, 0) == 0
-    with pytest.raises(ValueError):
-        v_property_sum(S, 1 << 10)  # S3 has two raw classes
+    assert v_property_sum(s3, 0) == 0
+    # bit i selects class i of maximal_classes(G): S3 has two, so a bit
+    # past them selects from another family and raises
+    assert len(maximal_classes(s3)) == 2
+    assert v_property_sum(s3, 0b11) == Fraction(19, 5)  # every class: C(S3)
+    for bad in (0b100, 1 << 10, -1):
+        with pytest.raises(ValueError):
+            v_property_sum(s3, bad)
 
-    mx = maximal_classes(s3)
-    cd = crown_data(s3)
-    mask = omega_membership(s3, mx, cd.A[0])
+    mask = omega_membership(s3, crown_data(s3).A[0])
     # the only qualifying class is the transposition one: union weight 2/3
-    total = v_property_sum(S, mask)
+    total = v_property_sum(s3, mask)
     assert total == sum(Fraction(2, 3) ** k for k in range(80)) + Fraction(
         Fraction(2, 3) ** 80, 1 - Fraction(2, 3)
     )
     assert total == 3
 
     klein = group_of("elementary 2 2")
-    Sk = build_sieves(klein)
-    assert v_property_sum(Sk, 0b111) == Fraction(10, 3)
+    assert v_property_sum(klein, 0b111) == Fraction(10, 3)
 
 
 def test_v_property_reduction_stays_inside_subfamily(group_of):
     # a union dropped by global reduction must still count when the
-    # larger union is outside the selected subfamily
-    G = group_of("cyclic 12")
-    S = build_sieves(G)
-    for mask in range(1, 1 << len(S.raw_unions)):
-        selected = [S.raw_unions[i] for i in range(len(S.raw_unions)) if (mask >> i) & 1]
-        expect = naive_cheb_from_unions(G.order, selected)
-        assert v_property_sum(S, mask) == expect
+    # larger union is outside the selected subfamily: in A5 the S3 and A4
+    # classes have one union (the identity, involutions and 3-cycles), which
+    # reduction keeps once
+    for spec, dropped in (("cyclic 12", 0), ("alternating 5", 1)):
+        G = group_of(spec)
+        unions = [mc.union_bits for mc in maximal_classes(G)]
+        assert len(unions) - build_sieves(G).sieve_count == dropped
+        for mask in range(1, 1 << len(unions)):
+            selected = [u for i, u in enumerate(unions) if (mask >> i) & 1]
+            expect = naive_cheb_from_unions(G.order, selected)
+            assert v_property_sum(G, mask) == expect
+
+
+@pytest.mark.parametrize("spec", SOLUBLE_SPECS)
+def test_v_property_sum_matches_naive_omega_sum(spec, group_of):
+    # the restricted waiting sum over Omega_V is the inclusion-exclusion
+    # sum over exactly the unions of the classes omega_membership selects
+    G = group_of(spec)
+    unions = [mc.union_bits for mc in maximal_classes(G)]
+    for V in crown_data(G).A:
+        mask = omega_membership(G, V)
+        selected = [u for i, u in enumerate(unions) if (mask >> i) & 1]
+        assert v_property_sum(G, mask) == naive_cheb_from_unions(G.order, selected)
 
 
 def test_elementary_abelian_examples():
@@ -334,22 +353,18 @@ def synthetic_sieves(draw):
         class_sizes=(1,) * n,
         class_of=tuple(range(n)),
         raw_unions=tuple(unions),
-        raw_signatures=sigs,
         sieve_count=len(unions),
         class_signatures=sigs,
     )
     return S, unions
 
 
-@given(synthetic_sieves(), st.integers(0, 4), st.data())
-def test_chain_matches_naive_subset_sums(system, k, data):
+@given(synthetic_sieves(), st.integers(0, 4))
+def test_chain_matches_naive_subset_sums(system, k):
     S, unions = system
     n = S.order
     assert chebotarev_exact(S).exact == naive_cheb_from_unions(n, unions)
     assert invariable_gen_prob(S, k) == naive_prob_from_unions(n, unions, k)
-    mask = data.draw(st.integers(0, (1 << len(unions)) - 1))
-    selected = [u for j, u in enumerate(unions) if (mask >> j) & 1]
-    assert v_property_sum(S, mask) == naive_cheb_from_unions(n, selected)
 
 
 def test_covering_union_is_an_invariant_error():
@@ -362,11 +377,8 @@ def test_covering_union_is_an_invariant_error():
         class_sizes=(1, 1),
         class_of=(0, 1),
         raw_unions=(0b11,),
-        raw_signatures=(1, 1),
         sieve_count=1,
         class_signatures=(1, 1),
     )
     with pytest.raises(InvariantError):
         chebotarev_exact(broken)
-    with pytest.raises(InvariantError):
-        v_property_sum(broken, 1)

@@ -92,7 +92,6 @@ def test_trial_cap_guards_broken_sieves():
         class_sizes=(1, 1),
         class_of=(0, 1),
         raw_unions=(0b11,),
-        raw_signatures=(1, 1),
         sieve_count=1,
         class_signatures=(1, 1),
     )
@@ -118,7 +117,6 @@ def _coupon_system(n: int) -> SieveSystem:
         class_sizes=(1,) * n,
         class_of=tuple(range(n)),
         raw_unions=unions,
-        raw_signatures=sigs,
         sieve_count=len(unions),
         class_signatures=sigs,
     )

@@ -161,6 +161,26 @@ def test_omega_from_the_complemented_chief_factor():
     assert "keep" not in inspect.signature(chebotarev.subgroups._cosets).parameters
 
 
+def test_maximal_classes_own_the_family():
+    # maximal_classes(G) is the one copy of the maximal-class family: no
+    # module reads SieveSystem.raw_unions (kept for the benchmark's trace
+    # alone) or names raw_signatures, and Omega masks index G's own classes,
+    # so neither omega_membership nor v_property_sum takes a family to align
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        if "raw_signatures" in text:
+            readers.append((path.name, "raw_signatures"))
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "raw_unions":
+                readers.append((path.name, node.lineno))
+    assert readers == []
+    fields = [f.name for f in dataclasses.fields(chebotarev.exact.SieveSystem)]
+    assert "raw_signatures" not in fields
+    assert list(inspect.signature(chebotarev.omega_membership).parameters) == ["G", "V"]
+    assert list(inspect.signature(chebotarev.v_property_sum).parameters) == ["G", "omega_mask"]
+
+
 def test_oracle_only_code_stays_in_tests():
     # these have no caller in src/; they live in tests/oracles.py
     assert not {
