@@ -205,10 +205,11 @@ def _radical_index(series: ChiefSeries) -> int:
 
 
 @per_group
-def _radical_quotient(G: PermGroup) -> Optional[tuple[PermGroup, Sequence[int], Subgroup]]:
-    """``(Q, epi, R)``: G/R for the soluble radical R, with the projection.
+def _radical_quotient(G: PermGroup) -> Optional[tuple[PermGroup, list[int], Subgroup]]:
+    """``(Q, fibre, R)``: G/R for the soluble radical R, with its fibres.
 
-    ``epi[i]`` is the index in Q of the image of G's element i. Q is G
+    ``fibre[q]`` is the bitmask of the coset of R in G that is Q's
+    element q, so G/R's subgroups are read in G as preimages. Q is G
     itself (no quotient is built) when R = 1, and the result is None when
     R = G, that is when G is soluble. R is a term of G's own series, so
     the quotient is built unchecked.
@@ -217,9 +218,15 @@ def _radical_quotient(G: PermGroup) -> Optional[tuple[PermGroup, Sequence[int], 
     R = series.subgroups[_radical_index(series)]
     if R.order == G.order:
         return None
-    if R.order == 1:
-        return G, range(G.order), R
-    return (*_quotient(G, R.bits), R)
+    Q, epi = (G, range(G.order)) if R.order == 1 else _quotient(G, R.bits)
+    fibre = [0] * Q.order
+    for i, q in enumerate(epi):
+        fibre[q] |= 1 << i
+    return Q, fibre, R
+
+
+def _preimage(fibre: list[int], bits: int) -> int:
+    return sum([fibre[q] for q in bits_iter(bits)])  # disjoint fibres
 
 
 def radical_quotient_min_generators(G: PermGroup) -> int:
@@ -236,29 +243,20 @@ def _has_complement(G: PermGroup, X: Subgroup, Y: Subgroup) -> bool:
     # Lattice scan of G/R, needed only for nonabelian chief factors, whose
     # complements need not be maximal. On a series through R, R <= Y <= U
     # for any complement U, so U is the preimage of a subgroup of G/R.
-    # |UX| = |U||X|/|U n X|, so U complements X/Y iff U n X = Y and the
-    # product set has full size.
+    # |UX| = |U||X|/|U n X|, so U complements X/Y iff U n X = Y and
+    # |U||X| = |G||Y|; the orders are compared before any preimage is read.
     top = _radical_quotient(G)
     if top is None:
         raise InvariantError("a soluble group has no nonabelian chief factor")
-    Q, epi, R = top
+    Q, fibre, R = top
     if R.bits & ~Y.bits:
         raise InvariantError("a nonabelian chief factor lies below the soluble radical")
-    xbits = _image_bits(epi, X.bits)
-    ybits = _image_bits(epi, Y.bits)
-    target = Q.order * ybits.bit_count()
+    target = G.order * Y.order
     # X and Y are normal, so complementing X/Y is conjugation invariant
     return any(
-        U.bits & xbits == ybits and U.order * xbits.bit_count() == target
+        U.order * R.order * X.order == target and _preimage(fibre, U.bits) & X.bits == Y.bits
         for U, *_ in subgroup_classes(Q)
     )
-
-
-def _image_bits(epi: Sequence[int], bits: int) -> int:
-    out = 0
-    for i in bits_iter(bits):
-        out |= 1 << epi[i]
-    return out
 
 
 def _check_chief_factor(G: PermGroup, X: Subgroup, Y: Subgroup) -> None:
@@ -781,21 +779,14 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     top = _radical_quotient(G)
     if top is None:
         return classes
-    Q, epi, _ = top
+    Q, fibre, _ = top
     # a proper overgroup of H lies in a maximal subgroup of larger order;
     # Q, the one class of its order, sorts first and is skipped
     upper: list[list[Subgroup]] = []
     for cls in sorted(subgroup_classes(Q), key=lambda c: -c[0].order)[1:]:
         if not any(cls[0].bits & ~M.bits == 0 for kept in upper for M in kept):
             upper.append(cls)
-    fibre = [0] * Q.order
-    for i, q in enumerate(epi):
-        fibre[q] |= 1 << i
-
-    def preimage(M: Subgroup) -> Subgroup:
-        return Subgroup(G, sum([fibre[q] for q in bits_iter(M.bits)]))  # disjoint fibres
-
-    return classes + [[preimage(M) for M in cls] for cls in upper]
+    return classes + [[Subgroup(G, _preimage(fibre, M.bits)) for M in cls] for cls in upper]
 
 
 # -- crown data -----------------------------------------------------------

@@ -13,6 +13,12 @@ spaces inside their parentheses, matrices must not contain spaces):
     affine P NRAW [MAT...] [power DELTA]
     perm DEGREE CYCLES...
 
+The heads that read a fixed number of integers (``cyclic`` through
+``quaternion8``) are one table, ``_CONSTRUCTORS``, of head -> (builder,
+argument names); their label is the head and its integers. ``quaternion8``
+is Q8's regular representation, written as two fixed permutations.
+``direct_product``, ``affine`` and ``perm`` read their own tails.
+
 ``affine`` builds the semidirect product of DELTA diagonal copies of
 F_p^NRAW with the matrix group generated by the listed invertible
 matrices (no matrices gives the plain translation group, i.e. the
@@ -27,6 +33,7 @@ never sees the degree.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -149,42 +156,16 @@ def alternating_group(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> PermGrou
     return PermGroup(n, gens, order_cap=order_cap)
 
 
-_Q8_TABLE = {
-    # symbols 1 -1 i -i j -j k -k, indexed 0..7
-    ("i", "i"): ("-", "1"),
-    ("i", "j"): ("+", "k"),
-    ("i", "k"): ("-", "j"),
-    ("j", "i"): ("-", "k"),
-    ("j", "j"): ("-", "1"),
-    ("j", "k"): ("+", "i"),
-    ("k", "i"): ("+", "j"),
-    ("k", "j"): ("-", "i"),
-    ("k", "k"): ("-", "1"),
-}
-
-
 def quaternion_group(*, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
-    """The order-8 quaternion group in its regular representation."""
-    symbols = [("+", "1"), ("-", "1"), ("+", "i"), ("-", "i"),
-               ("+", "j"), ("-", "j"), ("+", "k"), ("-", "k")]
-    idx = {s: i for i, s in enumerate(symbols)}
+    """The order-8 quaternion group in its regular representation.
 
-    def q_mult(a, b):
-        sa, xa = a
-        sb, xb = b
-        sign = "+" if sa == sb else "-"
-        if xa == "1":
-            return (sign, xb)
-        if xb == "1":
-            return (sign, xa)
-        s2, x2 = _Q8_TABLE[(xa, xb)]
-        if s2 == "-":
-            sign = "+" if sign == "-" else "-"
-        return (sign, x2)
-
-    gens = []
-    for unit in [("+", "i"), ("+", "j")]:
-        gens.append(Permutation(tuple(idx[q_mult(s, unit)] for s in symbols)))
+    Points 1..8 are 1, -1, i, -i, j, -j, k, -k, and the two generators
+    are right multiplication by i and by j.
+    """
+    gens = [
+        Permutation.from_cycle_string(cycles, 8)
+        for cycles in ("(1 3 2 4)(5 8 6 7)", "(1 5 2 6)(3 7 4 8)")
+    ]
     return PermGroup(8, gens, order_cap=order_cap)
 
 
@@ -218,19 +199,6 @@ def affine_group(
         if mat_rank([list(r) for r in M], p) != n_raw:
             raise SingularMatrixError(f"matrix {M} is singular mod {p}")
 
-    def vec_of(i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(dim):
-            out.append(i % p)
-            i //= p
-        return tuple(out)
-
-    def idx_of(v) -> int:
-        out = 0
-        for x in reversed(v):
-            out = out * p + x
-        return out
-
     gens: list[Permutation] = []
     for coord in range(dim):
         step = p**coord
@@ -239,18 +207,19 @@ def affine_group(
             digit = (i // step) % p
             images[i] = i + step if digit < p - 1 else i - step * (p - 1)
         gens.append(Permutation(tuple(images)))
+    # the digit vectors of one block F_p^n_raw, least significant digit first
+    vecs = [v[::-1] for v in itertools.product(range(p), repeat=n_raw)] if matrices else []
     for M in matrices:
-        images = [0] * npoints
-        for i in range(npoints):
-            v = vec_of(i)
-            w = []
-            for blk in range(power):
-                seg = v[blk * n_raw : (blk + 1) * n_raw]
-                w.extend(
-                    sum(M[r][c] * seg[c] for c in range(n_raw)) % p
-                    for r in range(n_raw)
-                )
-            images[i] = idx_of(w)
+        # M on the vectors of one block; a point's image is that of its
+        # digits in each block, block by block
+        on_block = [
+            sum(p**r * (sum(M[r][c] * v[c] for c in range(n_raw)) % p) for r in range(n_raw))
+            for v in vecs
+        ]
+        images = on_block
+        for _ in range(power - 1):
+            step = len(images)
+            images = [x + step * y for y in on_block for x in images]
         gens.append(Permutation(tuple(images)))
     return PermGroup(npoints, gens, order_cap=order_cap)
 
@@ -293,6 +262,18 @@ def _take_int(tokens: list[str], pos: int, what: str) -> tuple[int, int]:
         raise ParseError(f"expected {what}, got {tokens[pos]!r}") from None
 
 
+# the heads that read a fixed number of integers: head -> (constructor,
+# what each integer is); the label is the head and the integers
+_CONSTRUCTORS = {
+    "cyclic": (cyclic_group, ("order",)),
+    "elementary": (elementary_abelian_group, ("prime", "rank")),
+    "dihedral": (dihedral_group, ("parameter",)),
+    "symmetric": (symmetric_group, ("degree",)),
+    "alternating": (alternating_group, ("degree",)),
+    "quaternion8": (quaternion_group, ()),
+}
+
+
 @dataclass(frozen=True)
 class ParsedGroup:
     group: PermGroup
@@ -307,28 +288,14 @@ def _parse_spec(
     head = tokens[pos]
     pos += 1
     try:
-        if head == "cyclic":
-            n, pos = _take_int(tokens, pos, "order")
-            return cyclic_group(n, order_cap=order_cap), f"cyclic {n}", pos
-        if head == "elementary":
-            p, pos = _take_int(tokens, pos, "prime")
-            d, pos = _take_int(tokens, pos, "rank")
-            return (
-                elementary_abelian_group(p, d, order_cap=order_cap),
-                f"elementary {p} {d}",
-                pos,
-            )
-        if head == "dihedral":
-            n, pos = _take_int(tokens, pos, "parameter")
-            return dihedral_group(n, order_cap=order_cap), f"dihedral {n}", pos
-        if head == "symmetric":
-            n, pos = _take_int(tokens, pos, "degree")
-            return symmetric_group(n, order_cap=order_cap), f"symmetric {n}", pos
-        if head == "alternating":
-            n, pos = _take_int(tokens, pos, "degree")
-            return alternating_group(n, order_cap=order_cap), f"alternating {n}", pos
-        if head == "quaternion8":
-            return quaternion_group(order_cap=order_cap), "quaternion8", pos
+        if head in _CONSTRUCTORS:
+            build, names = _CONSTRUCTORS[head]
+            args = []
+            for what in names:
+                n, pos = _take_int(tokens, pos, what)
+                args.append(n)
+            label = " ".join([head, *map(str, args)])
+            return build(*args, order_cap=order_cap), label, pos
         if head == "direct_product":
             factors: list[PermGroup] = []
             labels: list[str] = []

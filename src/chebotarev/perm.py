@@ -330,10 +330,6 @@ class PermGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
-    def conj(self, i: int, g: int) -> int:
-        """Index of ``g^-1 * elements[i] * g``, read off ``conj_map(g)``."""
-        return self.conj_map(g)[i]
-
     def commutator(self, i: int, j: int) -> int:
         """Index of ``i^-1 j^-1 i j``."""
         return self.mult(self.mult(self._inv[i], self._inv[j]), self.mult(i, j))
@@ -465,11 +461,6 @@ class Subgroup:
         if self._witnesses is None:
             self._witnesses = self.group.witnesses_for_bits(self.bits)
         return self._witnesses
-
-    @classmethod
-    def generated(cls, group: PermGroup, seeds: Iterable[int]) -> "Subgroup":
-        bits = group.closure_bits(tuple(seeds))
-        return cls(group, bits)
 
     @classmethod
     def trivial(cls, group: PermGroup) -> "Subgroup":

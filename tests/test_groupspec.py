@@ -238,3 +238,50 @@ def test_affine_cap_checks_the_point_count(permgroup_calls):
     with pytest.raises(OrderCapError):
         affine_group(5, 1, [[[2]]], order_cap=4)
     assert permgroup_calls == []
+
+
+@pytest.mark.parametrize(
+    "spec, label, degree, gens",
+    [
+        ("cyclic 06", "cyclic 6", 6, ["(1 2 3 4 5 6)"]),
+        ("elementary 3 2", "elementary 3 2", 6, ["(1 2 3)", "(4 5 6)"]),
+        ("dihedral 5", "dihedral 5", 5, ["(1 2 3 4 5)", "(2 5)(3 4)"]),
+        ("symmetric 4", "symmetric 4", 4, ["(1 2)", "(1 2 3 4)"]),
+        ("alternating 5", "alternating 5", 5, ["(1 2 3)", "(1 2 3 4 5)"]),
+        ("alternating 6", "alternating 6", 6, ["(1 2 3)", "(2 3 4 5 6)"]),
+        ("quaternion8", "quaternion8", 8, ["(1 3 2 4)(5 8 6 7)", "(1 5 2 6)(3 7 4 8)"]),
+        ("affine 5 1 [[2]] power 1", "affine 5 1 [[2]]", 5, ["(1 2 3 4 5)", "(2 3 5 4)"]),
+        (
+            "affine 3 1 [[2]] power 2",
+            "affine 3 1 [[2]] power 2",
+            9,
+            ["(1 2 3)(4 5 6)(7 8 9)", "(1 4 7)(2 5 8)(3 6 9)", "(2 3)(4 7)(5 9)(6 8)"],
+        ),
+        (
+            "affine 2 2 [[0,1],[1,1]] power 2",
+            "affine 2 2 [[0,1],[1,1]] power 2",
+            16,
+            [
+                "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)",
+                "(1 3)(2 4)(5 7)(6 8)(9 11)(10 12)(13 15)(14 16)",
+                "(1 5)(2 6)(3 7)(4 8)(9 13)(10 14)(11 15)(12 16)",
+                "(1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16)",
+                "(2 3 4)(5 9 13)(6 11 16)(7 12 14)(8 10 15)",
+            ],
+        ),
+        (
+            "direct_product cyclic 2 direct_product cyclic 3 symmetric 3",
+            "direct_product cyclic 2 direct_product cyclic 3 symmetric 3",
+            8,
+            ["(1 2)", "(3 4 5)", "(6 7)", "(6 7 8)"],
+        ),
+        ("perm 5 (1,2,3)(4 5) (2 1)", "perm 5 (1 2 3)(4 5) (1 2)", 5, ["(1 2 3)(4 5)", "(1 2)"]),
+    ],
+)
+def test_constructors_keep_their_generators(spec, label, degree, gens):
+    # C(G) and the crown data do not depend on element order, so the report
+    # digest cannot see a relabelled element table; the generator images pin it
+    parsed = parse_group(spec)
+    assert parsed.label == label
+    assert parsed.group.degree == degree
+    assert [g.cycle_string() for g in parsed.group.generators] == gens

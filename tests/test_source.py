@@ -77,7 +77,7 @@ def test_one_conjugation_path():
     # conjugation is read off the cached two-column conjugation maps, and
     # the maximal classes of G/R are the lattice walk's own classes, not
     # conjugation orbits walked again
-    assert [c for c in _calls("mult") if c[1] in ("conj", "conj_map")] == []
+    assert [c for c in _calls("mult") if c[1] == "conj_map"] == []
     assert ("perm.py", "conj_map") in _calls("column_at")
     assert [c for c in _calls("conj_bits") if c[1] == "maximal_subgroups"] == []
 
@@ -182,12 +182,15 @@ def test_maximal_classes_own_the_family():
 
 
 def test_oracle_only_code_stays_in_tests():
-    # these have no caller in src/; they live in tests/oracles.py
+    # these have no caller in src/; they live in tests/oracles.py, or the
+    # tests read the primitives (conj_map, closure_bits) directly
     assert not {
         "section_centralizer",
         "is_complemented",
         "element_order",
         "module_order",
+        "conj",
+        "generated",
     } & _defined()
 
 
@@ -289,3 +292,29 @@ def test_records_keep_only_what_is_read():
             assert not isinstance(value, (ast.Dict, ast.DictComp))
             assert getattr(getattr(value, "func", None), "id", None) != "dict"
     assert hasattr(verify.work_for, "cache_info")
+
+
+def test_front_end_states_each_case_once():
+    # the integer-argument heads are one table, not one branch each; the
+    # verify items are checks made into items by one decorator; and the
+    # grammar in the groupspec docstring lists exactly the accepted heads
+    groupspec, verify = chebotarev.groupspec, chebotarev.verify
+    tree = ast.parse((SRC / "groupspec.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_parse_spec")
+    compared = {
+        c.value
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Compare) and getattr(n.left, "id", None) == "head"
+        for c in n.comparators
+        if isinstance(c, ast.Constant)
+    }
+    table = set(groupspec._CONSTRUCTORS)
+    assert compared and not compared & table
+    grammar = groupspec.__doc__.split("\n\n")[2]
+    documented = {line.split()[0] for line in grammar.splitlines()}
+    assert documented == table | compared
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert "run" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    probe = verify._item("key", "title")(lambda details: True)
+    assert len(verify.ALL_ITEMS) == 10
+    assert all(item.__code__ is probe.__code__ for item in verify.ALL_ITEMS)
