@@ -10,13 +10,19 @@ report with ``--json``:
     chebotarev bounds affine 3 1 [[2]]
     chebotarev verify-paper
 
-Exit status is nonzero when a bound is VIOLATED or a verification item
-fails.
+Each subcommand is one entry of ``COMMANDS``: a function from the group
+(None for ``verify-paper``, which runs its fixed catalog) and the parsed
+arguments to the report blocks and the exit code. ``main`` wraps the
+blocks in one envelope and prints them through one path.
+
+Exit status: 0 success, 1 a bound VIOLATED or a verification item
+failed, 2 a usage, parse or construction error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -36,49 +42,97 @@ from .exact import (
 from .groupspec import parse_group
 from .mc import mc_estimate
 from .perm import DEFAULT_ORDER_CAP, is_soluble
-from .verify import analyze, run_all
+from .verify import ItemResult, analyze, run_all
 
 DISPLAY_DIGITS = 12
 
-
-def _group_block(label: str, G) -> dict:
-    return {"label": label, "order": G.order, "soluble": is_soluble(G)}
+_CROWN_FIELDS = ("p", "n_raw", "q", "n", "delta", "theta", "central", "h_order", "m", "label")
+_TERM_KEYS = ("by_size", "by_image", "chosen")  # the branches crown_term returns
 
 
 def _crowns_block(cd) -> list[dict]:
-    out = []
-    for V in list(cd.A) + list(cd.B):
-        out.append(
-            {
-                "p": V.p,
-                "n_raw": V.n_raw,
-                "q": V.q,
-                "n": V.n,
-                "delta": V.delta,
-                "theta": V.theta,
-                "central": V.central,
-                "h_order": V.h_order,
-                "p_fix": str(V.p_fix),
-                "m": V.m,
-                "label": V.label,
-            }
-        )
-    return out
+    return [
+        {**{k: getattr(V, k) for k in _CROWN_FIELDS}, "p_fix": str(V.p_fix)}
+        for V in (*cd.A, *cd.B)
+    ]
 
 
-def _factor_block(V) -> dict:
-    by_size, by_image, chosen = crown_term(V)
+def _cheb_block(cv: ChebValue) -> dict:
     return {
-        "label": V.label,
-        "by_size": str(by_size),
-        "by_image": str(by_image),
-        "chosen": str(chosen),
+        "exact": str(cv.exact),
+        "decimal": decimal_string(cv.exact, DISPLAY_DIGITS),
+        "sieve_count": cv.sieve_count,
+        "state_count": cv.state_count,
     }
+
+
+def _exact(G, args) -> tuple[dict, int]:
+    return {"chebotarev": _cheb_block(chebotarev_of_group(G, max_sieves=args.cap_sieves))}, 0
+
+
+def _mc(G, args) -> tuple[dict, int]:
+    # any int is a seed: it is taken modulo 2^64, the report's seed range
+    rep = mc_estimate(build_sieves(G), args.trials, args.seed & (2**64 - 1))
+    return {"mc": dataclasses.asdict(rep)}, 0
+
+
+def _crowns(G, args) -> tuple[dict, int]:
+    cd = crown_data(G)
+    nonabelian = [[order, comp] for order, comp in cd.nonabelian_factors]
+    return {"crowns": _crowns_block(cd), "nonabelian_factors": nonabelian}, 0
+
+
+def _bounds(G, args) -> tuple[dict, int]:
+    w = analyze(G, max_sieves=args.cap_sieves)
+    rb = w.report
+    bounds = {
+        "exact": None if w.exact is None else str(w.exact.exact),
+        "crown_bound": decimal_string(rb.crown_bound_value, DISPLAY_DIGITS),
+        "min_generator_bound": decimal_string(rb.min_generator_bound_value, DISPLAY_DIGITS),
+        "degenerate_family": rb.degenerate_family,
+        "five_thirds_bound": str(five_thirds_bound(G.order))[:DISPLAY_DIGITS + 2],
+        "d": w.d,
+        "per_factor": [
+            {"label": V.label, **dict(zip(_TERM_KEYS, map(str, crown_term(V))))}
+            for V in w.crowns.A
+        ],
+        "verdicts": {k: v.value for k, v in rb.verdicts.items()},
+    }
+    blocks = {
+        "chebotarev": None if w.exact is None else _cheb_block(w.exact),
+        "crowns": _crowns_block(w.crowns),
+        "bounds": bounds,
+    }
+    return blocks, 1 if rb.any_violated() else 0
+
+
+def _verify_paper(G, args) -> tuple[dict, int]:
+    results = run_all()
+    code = 0 if all(r.passed for r in results) else 1
+    return {"verify": [dataclasses.asdict(r) for r in results]}, code
+
+
+#: name -> (help, run, takes a spec)
+COMMANDS = {
+    "exact": ("exact waiting-time expectation", _exact, True),
+    "mc": ("Monte Carlo estimate", _mc, True),
+    "crowns": ("chief factor crown data", _crowns, True),
+    "bounds": ("bound evaluations and verdicts", _bounds, True),
+    "verify-paper": (
+        "run the full verification catalog at the default caps", _verify_paper, False
+    ),
+}
 
 
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
+        return
+    if "verify" in report:
+        for r in report["verify"]:
+            print(ItemResult(**r).line())
+            for d in r["details"]:
+                print(f"    {d}")
         return
     g = report["group"]
     print(f"group: {g['label']}  order {g['order']}  soluble={g['soluble']}")
@@ -121,15 +175,6 @@ def _print_report(report: dict, as_json: bool) -> None:
             print(f"  {name}: {verdict}")
 
 
-def _cheb_block(cv: ChebValue) -> dict:
-    return {
-        "exact": str(cv.exact),
-        "decimal": decimal_string(cv.exact, DISPLAY_DIGITS),
-        "sieve_count": cv.sieve_count,
-        "state_count": cv.state_count,
-    }
-
-
 def _int_at_least(low: int) -> Callable[[str], int]:
     """An argparse type: an int no smaller than ``low``, else a usage error."""
 
@@ -160,13 +205,14 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap-order",
             type=_int_at_least(1),
-            help="element-table cap",
+            help="element-table cap, read by every command that takes a spec",
             **(kw if suppress else {"default": DEFAULT_ORDER_CAP}),
         )
         p.add_argument(
             "--cap-sieves",
             type=_int_at_least(0),
-            help="maximum reduced conjugate-unions for the exact engine",
+            help="maximum reduced conjugate-unions for the exact engine,"
+            " read by exact and bounds",
             **(kw if suppress else {"default": DEFAULT_SIEVE_CAP}),
         )
 
@@ -176,109 +222,35 @@ def _parser() -> argparse.ArgumentParser:
     )
     add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_cmd(name, help_text, with_spec=True):
+    for name, (help_text, run, takes_spec) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_common(p, suppress=True)
-        if with_spec:
+        if takes_spec:
             p.add_argument("spec", nargs="+", help="group spec tokens")
-        return p
-
-    add_cmd("exact", "exact waiting-time expectation")
-    mcp = add_cmd("mc", "Monte Carlo estimate")
-    mcp.add_argument("--trials", type=_int_at_least(1), default=100_000)
-    mcp.add_argument("--seed", type=lambda s: int(s) & (2**64 - 1), default=0)
-    add_cmd("crowns", "chief factor crown data")
-    add_cmd("bounds", "bound evaluations and verdicts")
-    add_cmd("verify-paper", "run the full verification catalog", with_spec=False)
+        if run is _mc:
+            p.add_argument("--trials", type=_int_at_least(1), default=100_000)
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
-
+    _, run, takes_spec = COMMANDS[args.command]
     try:
-        if args.command == "verify-paper":
-            results = run_all()
-            report = {
-                "schema_version": 3,
-                "group": {"label": "catalog", "order": 1, "soluble": True},
-                "verify": [
-                    {
-                        "key": r.key,
-                        "title": r.title,
-                        "passed": r.passed,
-                        "details": r.details,
-                        "seconds": r.seconds,
-                    }
-                    for r in results
-                ],
-                "timings": {"total": time.perf_counter() - started},
-            }
-            if args.json:
-                print(json.dumps(report, indent=2, sort_keys=True))
-            else:
-                for r in results:
-                    print(r.line())
-                    for d in r.details:
-                        print(f"    {d}")
-            return 0 if all(r.passed for r in results) else 1
-
-        text = " ".join(args.spec)
-        parsed = parse_group(text, order_cap=args.cap_order)
-        G = parsed.group
-        report: dict = {
-            "schema_version": 3,
-            "group": _group_block(parsed.label, G),
-        }
-        exit_code = 0
-
-        if args.command == "exact":
-            report["chebotarev"] = _cheb_block(
-                chebotarev_of_group(G, max_sieves=args.cap_sieves)
-            )
-        elif args.command == "mc":
-            rep = mc_estimate(build_sieves(G), args.trials, args.seed)
-            report["mc"] = {
-                "trials": rep.trials,
-                "mean": rep.mean,
-                "variance": rep.variance,
-                "ci95": list(rep.ci95),
-                "seed": rep.seed,
-                "max_waiting_time": rep.max_waiting_time,
-                "stream_version": rep.stream_version,
-            }
-        elif args.command == "crowns":
-            cd = crown_data(G)
-            report["crowns"] = _crowns_block(cd)
-            report["nonabelian_factors"] = [
-                [order, comp] for order, comp in cd.nonabelian_factors
-            ]
-        elif args.command == "bounds":
-            w = analyze(G, max_sieves=args.cap_sieves)
-            rb = w.report
-            report["chebotarev"] = None if w.exact is None else _cheb_block(w.exact)
-            report["crowns"] = _crowns_block(w.crowns)
-            report["bounds"] = {
-                "exact": None if w.exact is None else str(w.exact.exact),
-                "crown_bound": decimal_string(rb.crown_bound_value, DISPLAY_DIGITS),
-                "min_generator_bound": decimal_string(rb.min_generator_bound_value, DISPLAY_DIGITS),
-                "degenerate_family": rb.degenerate_family,
-                "five_thirds_bound": str(five_thirds_bound(G.order))[:DISPLAY_DIGITS + 2],
-                "d": w.d,
-                "per_factor": [_factor_block(V) for V in w.crowns.A],
-                "verdicts": {k: v.value for k, v in rb.verdicts.items()},
-            }
-            if rb.any_violated():
-                exit_code = 1
-
-        report["timings"] = {"total": time.perf_counter() - started}
-        _print_report(report, args.json)
-        return exit_code
+        if takes_spec:
+            parsed = parse_group(" ".join(args.spec), order_cap=args.cap_order)
+            G = parsed.group
+            group = {"label": parsed.label, "order": G.order, "soluble": is_soluble(G)}
+        else:  # the fixed catalog has no one group: a placeholder block
+            G, group = None, {"label": "catalog", "order": 1, "soluble": True}
+        blocks, exit_code = run(G, args)
     except ChebotarevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    timings = {"total": time.perf_counter() - started}
+    _print_report({"schema_version": 3, "group": group, **blocks, "timings": timings}, args.json)
+    return exit_code
 
 
 if __name__ == "__main__":

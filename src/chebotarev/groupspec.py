@@ -357,7 +357,10 @@ def _parse_spec(
 def parse_group(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> ParsedGroup:
     """Parse one group spec line into a constructed group with its label."""
     tokens = _tokenize(text)
-    group, label, pos = _parse_spec(tokens, 0, order_cap)
+    try:
+        group, label, pos = _parse_spec(tokens, 0, order_cap)
+    except RecursionError:
+        raise ParseError("group spec nests too deeply") from None
     if pos != len(tokens):
         raise ParseError(f"trailing tokens: {' '.join(tokens[pos:])!r}")
     return ParsedGroup(group=group, label=label)

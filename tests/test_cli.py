@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -225,6 +226,17 @@ def test_mc_nonpositive_trials_is_a_usage_error(trials, capsys):
     assert exc.value.code == 2 and "--trials" in err and "at least 1" in err
 
 
+def test_mc_seed_is_an_int_wrapped_to_64_bits(capsys):
+    # a non-integer seed is refused as --trials refuses one; any integer is
+    # taken modulo 2^64
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "cyclic", "2", "--seed", "x"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --seed: invalid int value: 'x'" in err
+    code, report = run_json(capsys, "mc", "cyclic", "2", "--trials", "10", "--seed", "-1")
+    assert code == 0 and report["mc"]["seed"] == 2**64 - 1
+
+
 def test_exact_elementary_2_5_json_and_cap(capsys):
     code, report = run_json(capsys, "exact", "elementary", "2", "5")
     assert code == 0
@@ -311,3 +323,48 @@ def test_insoluble_reports_use_the_lattice(monkeypatch):
     _refuse_lattice(monkeypatch)
     with pytest.raises(RuntimeError, match="lattice"):
         main(["--json", "bounds", "symmetric", "5"])
+
+
+def _table_runs():
+    # tests/data/cli_tables.txt: each run is a "$ chebotarev ARGV  [exit N]"
+    # line followed by the table it printed
+    text = (ROOT / "tests" / "data" / "cli_tables.txt").read_text()
+    for run in text.split("$ chebotarev ")[1:]:
+        head, _, out = run.partition("\n")
+        argv, _, code = head.partition("  [exit ")
+        yield pytest.param(argv.split(), int(code.rstrip("]")), out, id=argv)
+
+
+@pytest.mark.parametrize("argv, code, out", _table_runs())
+def test_table_output_unchanged(argv, code, out, capsys):
+    # the report digest covers --json only; this pins the table renderer
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
+def _verify_paper(monkeypatch, capsys, results, *flags):
+    monkeypatch.setattr(cli, "run_all", lambda: list(results))
+    code = main(["verify-paper", *flags])
+    return code, capsys.readouterr().out
+
+
+def test_verify_paper_reports_every_item(verify_results, monkeypatch, capsys):
+    results = list(verify_results.values())
+    code, out = _verify_paper(monkeypatch, capsys, results, "--json")
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert code == 0 and report["group"] == {"label": "catalog", "order": 1, "soluble": True}
+    assert report["verify"] == [dataclasses.asdict(r) for r in results]
+    code, out = _verify_paper(monkeypatch, capsys, results)
+    lines = [line for r in results for line in [r.line(), *(f"    {d}" for d in r.details)]]
+    assert code == 0 and out.splitlines() == lines
+
+
+def test_verify_paper_exits_1_when_an_item_fails(verify_results, monkeypatch, capsys):
+    results = list(verify_results.values())
+    results[3] = dataclasses.replace(results[3], passed=False)
+    code, out = _verify_paper(monkeypatch, capsys, results)
+    assert code == 1 and results[3].line().startswith("FAIL ")
+    assert out.splitlines().count(results[3].line()) == 1
+    code, out = _verify_paper(monkeypatch, capsys, results, "--json")
+    assert code == 1 and [r["passed"] for r in json.loads(out)["verify"]].count(False) == 1

@@ -145,6 +145,16 @@ def test_parse_errors(bad):
         parse_group(bad)
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    # nesting past the interpreter's recursion limit is a usage error (exit
+    # 2), not a RecursionError traceback (exit 1, the code for FAIL)
+    tokens = [*["direct_product"] * 1200, "cyclic", "2", "cyclic", "2"]
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_group(" ".join(tokens))
+    assert main(["exact", *tokens]) == 2
+    assert capsys.readouterr().err == "error: group spec nests too deeply\n"
+
+
 def test_symmetric_factorial_orders():
     for n in range(1, 6):
         assert symmetric_group(n).order == math.factorial(n)

@@ -1,5 +1,6 @@
 """Static checks over the package source."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -318,3 +319,27 @@ def test_front_end_states_each_case_once():
     probe = verify._item("key", "title")(lambda details: True)
     assert len(verify.ALL_ITEMS) == 10
     assert all(item.__code__ is probe.__code__ for item in verify.ALL_ITEMS)
+
+
+def test_cli_states_each_command_once():
+    # each subcommand is one key of cli.COMMANDS: main dispatches through
+    # the table rather than comparing the command name, the parser adds one
+    # subparser per key, and every report leaves through one json.dumps
+    from chebotarev import cli
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    for node in ast.walk(main):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(getattr(o, "attr", None) == "command" for o in operands):
+                assert not any(isinstance(o, ast.Constant) for o in operands)
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    dumps = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "json.dumps"
+    ]
+    assert len(dumps) == 1
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not {"_group_block", "_factor_block"} & defined
