@@ -31,6 +31,7 @@ decimal square roots.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 from fractions import Fraction
 
@@ -301,9 +302,10 @@ def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
     """
     from chebotarev.subgroups import all_subgroups
 
+    # all_subgroups sorts by order, so only the subgroups after h can hold it
     proper = [s.bits for s in all_subgroups(G) if s.order < G.order]
     return classes_by_conjugation(
-        G, {h for h in proper if not any(h != k and h & ~k == 0 for k in proper)}
+        G, {h for i, h in enumerate(proper) if not any(h & ~k == 0 for k in proper[i + 1 :])}
     )
 
 
@@ -647,17 +649,19 @@ def section_kernel(mod) -> Subgroup:
     return Subgroup(G, sum(1 << i for i, M in enumerate(mats) if M == ident))
 
 
-def socle_factor_modules_by_quotient(G: PermGroup, mc):
+@functools.lru_cache(maxsize=32)
+def socle_factor_modules_by_quotient(G: PermGroup, core_bits: int):
     """Modules on the abelian minimal normal subgroups of an explicit G/core(M).
 
     The quotient's generators are the images of G's, in order, so its
     matrices align with G's generator list; None marks a nonabelian one.
+    Kept for the last few (G, core), as every crown class reads them.
     """
     from chebotarev.crowns import factor_module
     from chebotarev.perm import quotient
     from chebotarev.subgroups import minimal_normal_subgroups
 
-    Q, _ = quotient(G, Subgroup(G, mc.core_bits))
+    Q, _ = quotient(G, Subgroup(G, core_bits))
     mods = []
     for N in minimal_normal_subgroups(Q):
         abelian = all(
@@ -672,13 +676,16 @@ def omega_by_quotient_socles(G: PermGroup, maximals, V) -> int:
 
     M is a member iff the minimal normal subgroups of G/core(M) are all
     abelian and either there is one, G-isomorphic to V, or there are two,
-    both G-isomorphic to V (``socle_factor_modules_by_quotient``).
+    both G-isomorphic to V (``socle_factor_modules_by_quotient``). The
+    core of each class's representative is the intersection of its
+    conjugation orbit (``classes_by_conjugation``).
     """
     from chebotarev.crowns import g_isomorphic
 
     mask = 0
     for ci, mc in enumerate(maximals):
-        mods = socle_factor_modules_by_quotient(G, mc)
+        [(_, _, _, core)] = classes_by_conjugation(G, {mc.representative.bits})
+        mods = socle_factor_modules_by_quotient(G, core)
         if any(m is None for m in mods) or len(mods) > 2:
             continue
         if all(g_isomorphic(m, V) for m in mods):
@@ -700,3 +707,106 @@ def ratio_holds_by_decimal(alpha: Fraction, group_order: int, u_order: int) -> b
         if abs(lhs - rhs) < D(10) ** -50:
             raise ValueError("the ratio is too close to its bound to decide")
         return lhs < rhs
+
+
+# -- random groups as a differential oracle --------------------------------
+
+RANDOM_ORDER_CAP = 2000
+
+
+def random_group(family: str, seed: int) -> PermGroup:
+    """A random permutation group of order at most ``RANDOM_ORDER_CAP``.
+
+    ``family`` is ``"sym"``, the group generated by one to three uniform
+    permutations of n points for a uniform 3 <= n <= 8, or ``"pair"``,
+    a subgroup of S_a x S_b (2 <= a, b <= 5) whose one to three
+    generators each act on both blocks at once, by a uniform permutation
+    of each. A draw whose group passes the order cap or is trivial is
+    thrown away, and the next is made from the same ``random.Random(seed)``,
+    so a seed always gives the same group.
+    """
+    import random
+
+    from chebotarev.errors import OrderCapError
+
+    rng = random.Random(seed)
+
+    def shuffled(n: int, start: int = 0) -> list[int]:
+        images = list(range(start, start + n))
+        rng.shuffle(images)
+        return images
+
+    while True:
+        if family == "sym":
+            n = rng.randint(3, 8)
+            gens = [shuffled(n) for _ in range(rng.randint(1, 3))]
+        elif family == "pair":
+            a, b = rng.randint(2, 5), rng.randint(2, 5)
+            n = a + b
+            gens = [shuffled(a) + shuffled(b, a) for _ in range(rng.randint(1, 3))]
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        try:
+            G = PermGroup(n, [Permutation(g) for g in gens], order_cap=RANDOM_ORDER_CAP)
+        except OrderCapError:
+            continue
+        if G.order > 1:
+            return G
+
+
+def class_mask(G: PermGroup, bits: int) -> int:
+    """Bit c for each conjugacy class c of G whose representative lies in ``bits``.
+
+    On a union of conjugacy classes, such as a conjugate-union, this is
+    the set of classes it holds.
+    """
+    from chebotarev.perm import conjugacy_classes
+
+    return sum(1 << c for c, r in enumerate(conjugacy_classes(G).reps) if bits >> r & 1)
+
+
+def differential_mismatches(G: PermGroup) -> list[str]:
+    """The names of the package's values on G that its oracles contradict.
+
+    - ``maximal_classes``: each class, as (least conjugate, class size,
+      the classes its conjugate-union holds), against the pairwise scan
+      of the lattice (``maximal_classes_by_pairs``);
+    - ``min_generators``: against the depth of G in its lattice walk;
+    - ``chebotarev``: C(G) against subset enumeration over the scan's
+      reduced unions, when there are at most 12;
+    - ``crown_data``: the crown classes against ``crown_summary`` over
+      the second oracle chief series;
+    - ``omega``: each crown class's Omega mask against the socles of the
+      explicitly built quotients G/core(M).
+    """
+    from chebotarev.crowns import crown_data
+    from chebotarev.exact import chebotarev_of_group, omega_membership
+    from chebotarev.subgroups import maximal_classes, min_generators
+
+    bad = []
+    scanned = maximal_classes_by_pairs(G)
+    want = sorted((rep, size, class_mask(G, union)) for rep, size, union, _ in scanned)
+    got = []
+    for mc in maximal_classes(G):
+        [(rep, size, _, _)] = classes_by_conjugation(G, {mc.representative.bits})
+        got.append((rep, size, class_mask(G, mc.union_bits)))
+    if sorted(got) != want:
+        bad.append("maximal_classes")
+    if min_generators(G) != min_generators_by_lattice(G):
+        bad.append("min_generators")
+    unions = sorted({union for _, _, union, _ in scanned})
+    reduced = [u for u in unions if not any(v != u and u | v == v for v in unions)]
+    if len(reduced) <= 12 and (
+        chebotarev_of_group(G).exact != naive_cheb_from_unions(G.order, reduced)
+    ):
+        bad.append("chebotarev")
+    cd = crown_data(G)
+    got_crowns = sorted(
+        (V.p, V.n_raw, V.q, V.n, V.delta, V.central, V.h_order) for V in cd.A + cd.B
+    )
+    if got_crowns != crown_summary(G, chief_series_variant(G, 1)):
+        bad.append("crown_data")
+    mx = maximal_classes(G)
+    if any(omega_membership(G, V) != omega_by_quotient_socles(G, mx, V) for V in cd.A + cd.B):
+        bad.append("omega")
+    return bad
