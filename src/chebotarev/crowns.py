@@ -13,8 +13,8 @@ runs through the soluble radical R. Below R, the chief series is found in
 G by ``subgroups._minimal_normal(G, N)``, which returns preimages, and
 every module acts through G's own generators.
 A section X/Y is checked once, where a caller hands it in
-(``factor_module``, ``complements``); the chief factors the pipeline
-found itself go unchecked to ``_factor_module`` and ``_complement_system``.
+(``factor_module``); the chief factors the pipeline found itself go
+unchecked to ``_factor_module`` and ``_complement_system``.
 Above R, the one quotient G/R is built (``perm._quotient``, unchecked;
 G itself when R = 1, none when G is soluble), and only its subgroup
 lattice is walked, one conjugacy class of subgroups at a time and with
@@ -31,14 +31,12 @@ the cocycle condition written along the Cayley graph. The complements of
 an abelian chief factor X/Y solve the inhomogeneous form of the same
 condition, written along the coset graph of X (``_cocycle_rows`` builds
 both systems). Each abelian section is solved once per G: its F_p
-coordinates (shared by its module and its complements) and its
-complements are kept per group, and complementedness is read off the
-complements. The complements of the factors below R, with the preimages
-of the maximal subgroups of G/R, are all the maximal subgroups of G
-(``maximal_subgroups``), in the conjugacy classes that
-``subgroups.maximal_classes`` takes from here: a factor's complements
-are classed by their solutions modulo the coboundaries B^1, and the
-preimages from G/R keep the classes its lattice walk built. The chief
+coordinates (shared by its module and its complements) and one
+complement per conjugacy class are kept per group, and complementedness
+is whether the system is consistent. The complements of the factors
+below R, with the preimages of the maximal subgroups of G/R, are all the
+maximal subgroups of G; ``maximal_subgroups`` gives one per conjugacy
+class to ``subgroups.maximal_classes``. The chief
 series, G/R, the right cosets of its terms, each section's module and
 ``crown_data`` are kept per group too (``perm.per_group``). Nothing
 here reads ``maximal_classes``, which is built from this module's
@@ -285,7 +283,7 @@ class ChiefFactorModule:
     ``gen_matrices`` holds one matrix per ambient-group generator, in the
     generator order of ``group`` (column-vector convention, right action:
     the matrix of g sends v to the class of g^-1 v g), over the section
-    coordinates that ``complements`` shares. ``acting_group`` is
+    coordinates that ``_complement_system`` shares. ``acting_group`` is
     H = G/C_G(V), built once as the permutations the generator matrices
     make of V's p^n vectors, its generators aligned with ``gen_matrices``;
     ``h_order`` and ``central`` are read off it. Fields after ``p_fix`` are
@@ -543,9 +541,9 @@ def _cocycle_rows(
     y = x needs M_k = I (else ``InvariantError``), and then its rows are
     -u_k at every node: they are written at the first loop of k only, so
     ``offset`` must take one value on the loops of k (in the coset graph
-    of ``complements``, a generator in X loops at every coset, with offset
-    vec(g_k)). The reduced echelon form depends only on the row space, so
-    each distinct nonzero row is returned once, reduced mod p.
+    of ``_complement_system``, a generator in X loops at every coset,
+    with offset vec(g_k)). The reduced echelon form depends only on the
+    row space, so each distinct nonzero row is returned once, reduced mod p.
     """
     n = len(gen_mats[0])
     ncols = n * len(gen_mats)
@@ -640,55 +638,38 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
 # -- complements of abelian chief factors --------------------------------
 
 
-def complements(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
-    """Every U <= G with UX = G and U n X = Y, for an abelian chief factor X/Y.
-
-    Such a U meets each coset of X in one coset of Y. BFS the cosets of X,
-    from X itself, with G's BFS generators g_k; coset c gets the tree
-    element t_c. U is fixed by its elements g^_k = g_k x(u_k) in the
-    cosets of the g_k: one unknown u_k in X/Y = F_p^n per generator.
-    Build t^_c along the tree, t^_{c g_k} = t^_c g^_k, and write
-    t^_c = t_c x(zeta(c)); then zeta(c g_k) = M_k zeta(c) + u_k, as in
-    ``derivations``. The union of the cosets t^_c Y is a subgroup iff it
-    is closed under the g^_k, that is iff every non-tree edge
-    (c, g_k) -> c' satisfies zeta(c') = M_k zeta(c) + u_k + r, where
-    r = vec(t_c'^-1 t_c g_k) is the offset of t_c g_k from t_c'. A g_k
-    inside X fixes every coset of X (X is normal) and acts on the abelian
-    X/Y as M_k = I, so each of its |G:X| loops gives the same n rows,
-    -u_k = vec(g_k): they are written once (``_cocycle_rows``), which
-    leaves the row space, and so the reduced system, as it was. So the
-    complements are the solutions of that inhomogeneous cocycle system:
-    none if it is inconsistent, else one per point of an affine space over
-    Z^1 (Celler, Neubueser and Wright, Acta Appl. Math. 21, 1990).
-    Witnesses are found on first read. Raises as ``factor_module`` does.
-    """
-    _check_chief_factor(G, X, Y)
-    return _complement_system(G, X, Y)[0]
-
-
-def _complement_classes(G: PermGroup, X: Subgroup, Y: Subgroup) -> list[list[Subgroup]]:
-    """The complements of the abelian chief factor X/Y in conjugacy classes.
-
-    G = UX, so the conjugates of a complement U are its conjugates by X,
-    and Y <= U acts trivially. Conjugating by x(v) sends g^_k = g_k x(u_k)
-    to g_k x(u_k + (I - M_k) v), where M_k is the matrix of g_k
-    (``complements``). So two complements are conjugate iff their solution
-    vectors differ by an element of the coboundaries B^1, spanned by
-    ((I - M_k) v)_k over v in X/Y: the classes are the cosets of B^1, in
-    the order of their first member, and no element is conjugated.
-    """
-    classes: dict[tuple[int, ...], list[Subgroup]] = {}
-    for K, key in zip(*_complement_system(G, X, Y)):
-        classes.setdefault(key, []).append(K)
-    return list(classes.values())
-
-
 @per_group
-def _complement_system(
-    G: PermGroup, X: Subgroup, Y: Subgroup
-) -> tuple[tuple[Subgroup, ...], tuple[tuple[int, ...], ...]]:
-    # (the complements of X/Y, each one's solution vector reduced modulo
-    # B^1), kept per group and (X, Y); see ``complements``
+def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup, ...]:
+    """One complement of the abelian chief factor X/Y per conjugacy class.
+
+    A complement U has UX = G and U n X = Y, so it meets each coset of X
+    in one coset of Y. BFS the cosets of X, from X itself, with G's BFS
+    generators g_k; coset c gets the tree element t_c. U is fixed by its
+    elements g^_k = g_k x(u_k) in the cosets of the g_k: one unknown u_k in
+    X/Y = F_p^n per generator. Build t^_c along the tree,
+    t^_{c g_k} = t^_c g^_k, and write t^_c = t_c x(zeta(c)); then
+    zeta(c g_k) = M_k zeta(c) + u_k, as in ``derivations``. The union of
+    the cosets t^_c Y is a subgroup iff it is closed under the g^_k, that
+    is iff every non-tree edge (c, g_k) -> c' satisfies
+    zeta(c') = M_k zeta(c) + u_k + r, where r = vec(t_c'^-1 t_c g_k) is
+    the offset of t_c g_k from t_c'. A g_k inside X fixes every coset of X
+    (X is normal) and acts on the abelian X/Y as M_k = I, so each of its
+    |G:X| loops gives the same n rows, -u_k = vec(g_k): they are written
+    once (``_cocycle_rows``), which leaves the row space, and so the
+    reduced system, as it was. So the complements are the solutions of
+    that inhomogeneous cocycle system: none if it is inconsistent, else a
+    particular solution plus Z^1, the kernel (Celler, Neubueser and
+    Wright, Acta Appl. Math. 21, 1990).
+
+    G = UX, so the conjugates of U are its conjugates by X, and Y <= U
+    acts trivially. Conjugating by x(v) sends g^_k = g_k x(u_k) to
+    g_k x(u_k + (I - M_k) v). So two complements are conjugate iff their
+    solutions differ by an element of the coboundaries B^1, spanned by
+    ((I - M_k) v)_k over v in X/Y. Each class holds one solution reduced
+    modulo B^1 (0 at B^1's pivot columns): the reduced particular solution
+    plus the span of the reduced kernel, and only those are built. Empty
+    when X/Y has no complement. Unchecked; kept per group and (X, Y).
+    """
     p, basis, vec, rep = _section_coordinates(G, X, Y)
     n = len(basis)
     gens = G._bfs_gen_indices
@@ -721,15 +702,10 @@ def _complement_system(
     rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
     reduced, pivots = _rref(rows, ncols + 1, p)
     if ncols in pivots:
-        return (), ()
+        return ()
     particular = [0] * ncols
     for row, col in zip(reduced, pivots):
         particular[col] = row[ncols]
-    solutions = [particular]
-    for b in _kernel_basis(reduced, pivots, ncols, p):
-        solutions = [
-            [(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions
-        ]
     # B^1 is spanned by ((I - M_k) e_i)_k over the basis vectors e_i
     coboundaries, b1_pivots = _rref(
         ([int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)),
@@ -737,10 +713,23 @@ def _complement_system(
         p,
     )
 
+    def modulo_b1(u: list[int]) -> list[int]:
+        for row, col in zip(coboundaries, b1_pivots):
+            f = u[col]
+            if f:
+                u = [(a - f * b) % p for a, b in zip(u, row)]
+        return u
+
+    kernel = [modulo_b1(list(b)) for b in _kernel_basis(reduced, pivots, ncols, p)]
+    solutions = [modulo_b1(particular)]
+    for b in _rref(kernel, ncols, p)[0]:  # a basis of Z^1 / B^1
+        solutions = [
+            [(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions
+        ]
+
     _, ycid, ycbits = _cosets(G, Y.bits)
     target = G.order * Y.order
     found = []
-    keys = []
     for u in solutions:
         ghat = [mult(g, rep[tuple(u[k * n : (k + 1) * n])]) for k, g in enumerate(gens)]
         that = [0]
@@ -750,35 +739,31 @@ def _complement_system(
         if kbits.bit_count() * X.order != target or kbits & X.bits != Y.bits:
             raise InvariantError("a solution of the complement system is not a complement")
         found.append(Subgroup(G, kbits))
-        for row, col in zip(coboundaries, b1_pivots):
-            f = u[col]
-            if f:
-                u = [(a - f * b) % p for a, b in zip(u, row)]
-        keys.append(tuple(u))
-    return tuple(found), tuple(keys)
+    return tuple(found)
 
 
-def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
-    """Every maximal subgroup of G, each exactly once, in conjugacy classes.
+def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
+    """One maximal subgroup of G from each conjugacy class of them.
 
     Take G's own chief series, which runs through the soluble radical
     R (``chief_series``). A maximal M that does not contain R complements
     the abelian chief factor N_{j-1}/N_j below R where N_j is the first
     term inside M, and every complement of such a factor is maximal: these
-    are the complements of the factors below R, in the classes of
-    ``_complement_classes``. A maximal M that contains R is the preimage of
-    a maximal subgroup of G/R: of a class that the lattice walk of G/R
+    are the complements of the factors below R, one per class
+    (``_complement_system``). A maximal M that contains R is the preimage
+    of a maximal subgroup of G/R: of a class that the lattice walk of G/R
     built (``subgroup_classes``) and no larger maximal subgroup contains,
-    its witnesses found on first read. A soluble G has R = G and walks no
+    represented by the least bitset among its members' preimages, its
+    witnesses found on first read. A soluble G has R = G and walks no
     lattice; for R = 1 these are the lattice's own maximal classes of G
     (Cannon and Holt, J. Symbolic Comput. 37, 2004).
     """
     series = chief_series(G)
     subs = series.subgroups[_radical_index(series):]
-    classes = [cls for X, Y in zip(subs, subs[1:]) for cls in _complement_classes(G, X, Y)]
+    reps = [U for X, Y in zip(subs, subs[1:]) for U in _complement_system(G, X, Y)]
     top = _radical_quotient(G)
     if top is None:
-        return classes
+        return reps
     Q, fibre, _ = top
     # a proper overgroup of H lies in a maximal subgroup of larger order;
     # Q, the one class of its order, sorts first and is skipped
@@ -786,7 +771,7 @@ def maximal_subgroups(G: PermGroup) -> list[list[Subgroup]]:
     for cls in sorted(subgroup_classes(Q), key=lambda c: -c[0].order)[1:]:
         if not any(cls[0].bits & ~M.bits == 0 for kept in upper for M in kept):
             upper.append(cls)
-    return classes + [[Subgroup(G, _preimage(fibre, M.bits)) for M in cls] for cls in upper]
+    return reps + [Subgroup(G, min(_preimage(fibre, M.bits) for M in cls)) for cls in upper]
 
 
 # -- crown data -----------------------------------------------------------
@@ -824,7 +809,7 @@ def crown_data(G: PermGroup) -> CrownData:
         X, Y = subs[i], subs[i + 1]
         if not series.factor_abelian[i]:
             nonabelian.append((series.factor_orders[i], _has_complement(G, X, Y)))
-        elif _complement_system(G, X, Y)[0]:
+        elif _complement_system(G, X, Y):
             modules.append((i, _factor_module(G, X, Y)))
 
     classes: list[list[tuple[int, ChiefFactorModule]]] = []

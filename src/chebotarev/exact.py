@@ -1,10 +1,11 @@
 """Exact Chebotarev invariants from the alive-mask chain.
 
 A tuple of elements fails to invariably generate G exactly when it lies
-inside the conjugate-union of some maximal subgroup. After k draws, the
-unions still containing every drawn element form the AND of the drawn
-classes' signatures: the alive mask. The waiting time C(G) is the
-expected number of draws until that mask is empty, and P_I(G, k) the
+inside the conjugate-union of some maximal subgroup, a union of G's
+conjugacy classes kept as their mask (``maximal_classes``). After k
+draws, the unions still containing every drawn element form the AND of
+the drawn classes' signatures: the alive mask. The waiting time C(G) is
+the expected number of draws until that mask is empty, and P_I(G, k) the
 probability that it is empty after k draws.
 
 Alive masks only move to submasks, so taking the reachable masks in
@@ -19,7 +20,7 @@ decimal strings are rendering only.
 sieve system keeps only what the chain reads, and the restricted waiting
 sums read G's own classes: ``omega_membership(G, V)`` sets bit i for
 class i in Omega_V, and ``v_property_sum(G, mask)`` runs the chain on
-the selected classes' unions alone.
+the selected classes' masks alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Sequence
 
 from .crowns import ChiefFactorModule, _factor_module, chief_series, g_isomorphic
 from .errors import BadSectionError, InvariantError, TooManySievesError, TrivialGroupError
 from .groupspec import check_prime
-from .perm import PermGroup, conjugacy_classes, per_group, quotient
+from .perm import PermGroup, bits_iter, conjugacy_classes, per_group, quotient
 from .subgroups import frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
@@ -59,13 +59,13 @@ def decimal_string(x: Fraction, digits: int) -> str:
 class SieveSystem:
     """What the alive-mask chain reads of a nontrivial group's sieves.
 
-    ``class_signatures`` map each element-conjugacy-class to the mask of
-    the ``sieve_count`` conjugate-unions left after deduplication and
-    containment reduction; signatures are class-constant because unions
-    are conjugation invariant. The maximal classes themselves are owned
-    by ``maximal_classes(G)``. ``raw_unions`` (one union per maximal
-    class) stays only because the benchmark's trace reads its length as
-    the raw sieve count; no module of the package reads it.
+    The sieves are the maximal classes' class masks, deduplicated, with
+    every mask inside another dropped, in increasing numeric order.
+    ``class_signatures`` are their transpose: bit i of class c's signature
+    is bit c of sieve i. The maximal classes themselves are owned by
+    ``maximal_classes(G)``. ``raw_unions`` (each maximal class's mask)
+    stays only because the benchmark's trace reads its length as the raw
+    sieve count; no module of the package reads it.
     """
 
     order: int
@@ -89,34 +89,31 @@ class ChebValue:
     state_count: int
 
 
-def _union_signatures(G: PermGroup, unions: Sequence[int]) -> tuple[int, ...]:
-    """Per conjugacy class of G, the mask of the unions containing it.
-
-    Bit i stands for ``unions[i]``. Each union is read once, as a binary
-    string at the class representatives, and the signatures are the
-    columns of those strings read back as binary numbers.
-    """
-    # bit x of a union is character order - 1 - x of its binary string
-    at = itemgetter(*[G.order - 1 - rep for rep in conjugacy_classes(G).reps])
-    rows = [at(f"{u:0{G.order}b}") for u in reversed(unions)]  # last union first
-    return tuple([int("".join(col), 2) for col in zip(*rows)])
+def _signatures(masks: Sequence[int], classes: int) -> tuple[int, ...]:
+    """The transpose of the class masks: per class c of the ``classes``,
+    bit i is set iff ``masks[i]`` holds c."""
+    sigs = [0] * classes
+    for i, mask in enumerate(masks):
+        for c in bits_iter(mask):
+            sigs[c] |= 1 << i
+    return tuple(sigs)
 
 
 @per_group
 def build_sieves(G: PermGroup) -> SieveSystem:
-    """Conjugate-union sieve system of G, reduced (one raw union per
-    maximal class, contained unions dropped). Kept per group."""
+    """Sieve system of G: the class mask of each maximal class, reduced
+    (equal masks merged, contained ones dropped). Kept per group."""
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no sieves")
     table = conjugacy_classes(G)
-    raw = tuple(mc.union_bits for mc in maximal_classes(G))
+    raw = tuple(mc.class_mask for mc in maximal_classes(G))
     # dropping a union contained in another never changes the union event
     reduced = tuple(
         sorted({u for u in raw if not any(v != u and u & ~v == 0 for v in raw)})
     )
-    sigs = _union_signatures(G, reduced)
-    if G.full_bits in reduced:
+    if (1 << len(table.reps)) - 1 in reduced:
         raise InvariantError("a conjugate-union covers G")
+    sigs = _signatures(reduced, len(table.reps))
     if sigs[table.class_of[0]] != (1 << len(reduced)) - 1:
         raise InvariantError("the identity lies outside a conjugate-union")
     return SieveSystem(
@@ -218,9 +215,10 @@ def omega_membership(G: PermGroup, V: ChiefFactorModule) -> int:
     """Bitmask over ``maximal_classes(G)`` of the classes M in Omega_V:
     G/core(M) has socle V. Bit i is class i, as ``v_property_sum`` reads it.
 
-    Let N_j be the first term of G's chief series inside M, so
-    inside core(M). Then M is in Omega_V iff the factor N_{j-1}/N_j is
-    abelian and G-isomorphic to V. Proof: N_{j-1} n core(M) is normal in
+    Let N_j be the first term of G's chief series inside M, so inside
+    core(M), as N_j is normal: only the representative's bits are read.
+    Then M is in Omega_V iff the factor N_{j-1}/N_j is abelian and
+    G-isomorphic to V. Proof: N_{j-1} n core(M) is normal in
     G, contains N_j and is not N_{j-1}, so it is N_j, and
     N_{j-1}core(M)/core(M) is a minimal normal subgroup of G/core(M),
     G-isomorphic to N_{j-1}/N_j. If that factor is nonabelian, so is a
@@ -238,7 +236,7 @@ def omega_membership(G: PermGroup, V: ChiefFactorModule) -> int:
     subs = series.subgroups
     mask = 0
     for ci, mc in enumerate(maximal_classes(G)):
-        j = next(j for j, N in enumerate(subs) if N.bits & ~mc.core_bits == 0)
+        j = next(j for j, N in enumerate(subs) if N.bits & ~mc.representative.bits == 0)
         if series.factor_abelian[j - 1] and g_isomorphic(
             _factor_module(G, subs[j - 1], subs[j]), V
         ):
@@ -252,8 +250,8 @@ def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
     ``maximal_classes(G)``, as ``omega_membership`` sets it).
 
     This is the expected wait of the chain on the signatures of the
-    selected unions alone; no reduction is needed, since dropping a
-    contained union never changes whether the alive mask is empty.
+    selected classes' masks alone; no reduction is needed, since dropping
+    a contained union never changes whether the alive mask is empty.
     Returns 0 for an empty selection; a bit past the last maximal class
     raises ``ValueError``.
     """
@@ -262,9 +260,9 @@ def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
         raise ValueError("the mask selects a class beyond the maximal classes of G")
     if omega_mask == 0:
         return Fraction(0)
-    selected = [mc.union_bits for i, mc in enumerate(classes) if omega_mask >> i & 1]
-    sigs = _union_signatures(G, selected)
-    chain = _alive_chain(conjugacy_classes(G).sizes, sigs, (1 << len(selected)) - 1)
+    selected = [mc.class_mask for i, mc in enumerate(classes) if omega_mask >> i & 1]
+    sizes = conjugacy_classes(G).sizes
+    chain = _alive_chain(sizes, _signatures(selected, len(sizes)), (1 << len(selected)) - 1)
     return _expected_wait(G.order, chain)
 
 

@@ -4,9 +4,10 @@
 group, through its soluble radical R (``crowns``): the maximal subgroups
 are the complements of the chief factors below R and the preimages of the
 maximal subgroups of G/R, and d(G) is the larger of d(G/R) and the crown
-count. Only G/R walks the subgroup lattice: that is G itself when R = 1,
-and a soluble G (R = G) walks none. The lattice of all of G otherwise
-serves the test oracles.
+count. A maximal class is one representative and the mask of G's
+classes that meet it. Only G/R walks the subgroup lattice: that is G
+itself when R = 1, and a soluble G (R = G) walks none. The lattice of
+all of G otherwise serves the test oracles.
 
 The chief series climbs by ``_minimal_normal(G, N)`` on the terms it
 built itself, unchecked (``minimal_normal_subgroups`` checks the N a
@@ -14,8 +15,8 @@ caller hands in): each minimal normal subgroup of G/N is N C_x for any
 x in it outside N, C_x the normal closure of x, and only classes of
 prime-power order are closed (``_minimal_normal`` says why). The
 complements of each abelian chief factor X/Y then solve one cocycle
-system (``crowns.complements``), in which a generator inside X loops at
-every coset of X and writes its rows once.
+system (``crowns._complement_system``), in which a generator inside X
+loops at every coset of X and writes its rows once.
 
 Enumeration is exhaustive (every subgroup exactly once) and runs up to
 conjugacy (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -189,61 +190,58 @@ def _lattice(G: PermGroup) -> tuple[list[Subgroup], list[list[Subgroup]]]:
 
 @dataclass(frozen=True)
 class MaximalClassData:
-    """One conjugacy class of maximal subgroups.
+    """One conjugacy class of maximal subgroups: a representative M and
+    ``class_mask``, bit c set for each conjugacy class c of G that meets M.
 
-    ``union_bits`` is the union of all G-conjugates of the representative
-    (always a proper subset of G) and ``core_bits`` their intersection.
+    An element lies in some conjugate of M iff its class meets M, so the
+    mask is the conjugate-union of M read over G's classes.
     """
 
     representative: Subgroup
-    class_size: int
-    union_bits: int
-    core_bits: int
+    class_mask: int
 
 
 @per_group
 def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
-    """Conjugacy classes of maximal subgroups, sorted by (order, bitset).
+    """Conjugacy classes of maximal subgroups, by representative (order, bitset).
 
-    The classes come from ``crowns.maximal_subgroups``: the complements of
-    each chief factor below the soluble radical R, grouped by their
-    solution vector modulo the coboundaries B^1, and the preimages of the
-    maximal subgroups of G/R, grouped by conjugation in G/R. The
-    representative is a class's least bitset, and the union and core are
-    read off its members, so no element of G is conjugated here.
+    One representative per class comes from ``crowns.maximal_subgroups``,
+    and its class mask is one pass over its elements: no conjugate is built.
     """
     if G.order == 1:
         raise TrivialGroupError("the trivial group has no maximal subgroups")
     from .crowns import maximal_subgroups
 
+    table = conjugacy_classes(G)
+    every = (1 << len(table.reps)) - 1
     classes: list[MaximalClassData] = []
-    for members in maximal_subgroups(G):
-        union = 0
-        core = G.full_bits
-        for s in members:
-            union |= s.bits
-            core &= s.bits
-        if union == G.full_bits:
+    for M in maximal_subgroups(G):
+        mask = sum([1 << c for c in {table.class_of[x] for x in bits_iter(M.bits)}])
+        if mask == every:
             raise InvariantError("conjugate-union of a maximal covers G")
-        classes.append(
-            MaximalClassData(
-                representative=min(members, key=lambda s: s.bits),
-                class_size=len(members),
-                union_bits=union,
-                core_bits=core,
-            )
-        )
+        classes.append(MaximalClassData(representative=M, class_mask=mask))
     classes.sort(key=lambda c: (c.representative.order, c.representative.bits))
     return classes
 
 
 def frattini(G: PermGroup) -> Subgroup:
-    """Intersection of all maximal subgroups (trivial subgroup for |G|=1)."""
+    """Intersection of all maximal subgroups (trivial subgroup for |G|=1).
+
+    The maximal subgroups are the conjugates of the class representatives,
+    and core(A n B) = core(A) n core(B), so Phi(G) is the core of the
+    representatives' intersection: the set that conjugation by G's
+    generators no longer shrinks.
+    """
     if G.order == 1:
         return Subgroup.trivial(G)
     bits = G.full_bits
     for mc in maximal_classes(G):
-        bits &= mc.core_bits
+        bits &= mc.representative.bits
+    last = 0
+    while last != bits:
+        last = bits
+        for g in G._bfs_gen_indices:
+            bits &= G.conj_bits(bits, g)
     return Subgroup(G, bits)
 
 

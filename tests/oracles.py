@@ -5,7 +5,8 @@ from a breadth-first walk composing permutations point by point, action
 matrices of every element from matrix products along the BFS tree,
 subgroup lists come from closing raw element subsets or from one element
 closure per (subgroup, element) pair, complements from a full lattice
-scan, invariable generation from explicit conjugate substitution,
+scan or from the conjugation orbits of one complement per class,
+invariable generation from explicit conjugate substitution,
 derivation counts from an exhaustive search over generator images,
 commutant fields from testing every nonzero commutant element for
 invertibility,
@@ -15,13 +16,16 @@ from comparing every pair of proper subgroups and their classes from
 walking conjugation orbits, normality from conjugating every element,
 solubility from the derived series, and the inclusion-exclusion value
 from a transparent double loop over subsets, the reduced sieve family
-from a pairwise containment scan of the maximal-class unions, Monte
+from a pairwise containment scan of the maximal classes' unions, each
+the union of its representative's conjugation orbit, Monte
 Carlo waiting times from a per-trial loop on Python-int masks that makes the same generator
 calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups or from the normal closure of every class
 representative, other chief series from those lattice minimal normal
-subgroups, crown classes from the public module calls, socle modules from an explicitly built quotient group,
+subgroups, crown classes from the public module calls, socle modules
+from an explicitly built quotient group, random groups from seeded
+random generators,
 quotient groups from one product per coset and element, section
 centralizers from the commutator with every element, element orders
 from repeated products, and the waiting-time ratio verdict from 60-digit
@@ -33,6 +37,7 @@ from __future__ import annotations
 import decimal
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -154,7 +159,7 @@ def crown_summary(G: PermGroup, series) -> list[tuple]:
     is ``factor_module``'s, and modules join one class when
     ``g_isomorphic`` says so.
     """
-    from chebotarev.crowns import complements, endo_field, factor_module, g_isomorphic
+    from chebotarev.crowns import endo_field, factor_module, g_isomorphic
 
     classes: list[list] = []
     subs = series.subgroups
@@ -228,6 +233,38 @@ def cyclic_extension_subgroups(G: PermGroup) -> list[tuple[int, tuple[int, ...]]
     return sorted(seen.items(), key=lambda item: (item[0].bit_count(), item[0]))
 
 
+def conjugation_orbit(G: PermGroup, bits: int) -> set[int]:
+    """The conjugates of a subgroup bitset: its orbit under conjugation by
+    G's generators."""
+    orbit = {bits}
+    frontier = [bits]
+    while frontier:
+        b = frontier.pop()
+        for g in G._bfs_gen_indices:
+            c = G.conj_bits(b, g)
+            if c not in orbit:
+                orbit.add(c)
+                frontier.append(c)
+    return orbit
+
+
+def complements(G: PermGroup, X, Y) -> tuple[Subgroup, ...]:
+    """Every U <= G with UX = G and U n X = Y, for an abelian chief factor X/Y.
+
+    The section is checked as ``factor_module`` checks it, and every
+    complement is a conjugate of one of the complement system's class
+    representatives (``crowns._complement_system``): their conjugation
+    orbits, in order, each member once.
+    """
+    from chebotarev.crowns import _check_chief_factor, _complement_system
+
+    _check_chief_factor(G, X, Y)
+    found: dict[int, None] = {}
+    for U in _complement_system(G, X, Y):
+        found.update(dict.fromkeys(sorted(conjugation_orbit(G, U.bits))))
+    return tuple(Subgroup(G, b) for b in found)
+
+
 def complements_by_lattice_scan(G: PermGroup, X, Y) -> set[int]:
     """Bitsets of the subgroups U with U n X = Y and |U||X| = |G||Y|, i.e. UX = G."""
     from chebotarev.subgroups import all_subgroups
@@ -251,8 +288,6 @@ def is_complemented(G: PermGroup, X, Y) -> bool:
     ``NotChiefFactorError`` if a normal subgroup of G lies strictly between
     Y and X.
     """
-    from chebotarev.crowns import complements
-
     return bool(complements(G, X, Y))
 
 
@@ -302,11 +337,22 @@ def maximal_classes_by_pairs(G: PermGroup) -> list[tuple[int, int, int, int]]:
     """
     from chebotarev.subgroups import all_subgroups
 
-    # all_subgroups sorts by order, so only the subgroups after h can hold it
-    proper = [s.bits for s in all_subgroups(G) if s.order < G.order]
+    # all_subgroups sorts by order, so only the subgroups after h can hold
+    # it; the largest are tried first, as they hold the most
+    top = [s.bits for s in reversed(all_subgroups(G)) if s.order < G.order]
     return classes_by_conjugation(
-        G, {h for i, h in enumerate(proper) if not any(h & ~k == 0 for k in proper[i + 1 :])}
+        G, {h for i, h in enumerate(top) if not any(h & ~k == 0 for k in top[:i])}
     )
+
+
+def maximal_classes_by_orbits(G: PermGroup) -> list[tuple[int, int, int, int]]:
+    """``maximal_classes(G)`` as ``maximal_classes_by_pairs`` lists classes:
+    ``(rep_bits, class_size, union_bits, core_bits)`` of each representative's
+    conjugation orbit, sorted by (order, bits)."""
+    from chebotarev.subgroups import maximal_classes
+
+    classes = [classes_by_conjugation(G, {mc.representative.bits})[0] for mc in maximal_classes(G)]
+    return sorted(classes, key=lambda c: (c[0].bit_count(), c[0]))
 
 
 def classes_by_conjugation(G: PermGroup, maximal: set[int]) -> list[tuple[int, int, int, int]]:
@@ -319,15 +365,7 @@ def classes_by_conjugation(G: PermGroup, maximal: set[int]) -> list[tuple[int, i
     maximal = set(maximal)
     classes = []
     while maximal:
-        orbit = {min(maximal)}
-        frontier = list(orbit)
-        while frontier:
-            b = frontier.pop()
-            for g in G._bfs_gen_indices:
-                c = G.conj_bits(b, g)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
+        orbit = conjugation_orbit(G, min(maximal))
         maximal -= orbit
         union, core = 0, G.full_bits
         for b in orbit:
@@ -453,14 +491,25 @@ def brute_invariable_prob(G: PermGroup, k: int) -> Fraction:
     return Fraction(good, G.order**k)
 
 
-def reduced_unions(G: PermGroup) -> list[int]:
-    """The reduced sieve family: maximal-class unions, deduplicated, with
-    every union inside another dropped, in increasing bit order (the
-    order of the bits of ``build_sieves``' class signatures)."""
+def class_unions(G: PermGroup) -> list[int]:
+    """The conjugate-union of each of ``maximal_classes(G)``, as |G| bits:
+    the union of its representative's conjugation orbit."""
     from chebotarev.subgroups import maximal_classes
 
-    unions = sorted({mc.union_bits for mc in maximal_classes(G)})
-    return [u for u in unions if not any(v != u and u | v == v for v in unions)]
+    return [
+        functools.reduce(operator.or_, conjugation_orbit(G, mc.representative.bits))
+        for mc in maximal_classes(G)
+    ]
+
+
+def reduced_unions(G: PermGroup) -> list[int]:
+    """The reduced sieve family at element level: the maximal classes'
+    conjugate-unions (``class_unions``), deduplicated, with every union
+    inside another dropped, in increasing order of the unions' class masks
+    (the order of the bits of ``build_sieves``' class signatures)."""
+    unions = set(class_unions(G))
+    reduced = [u for u in unions if not any(v != u and u | v == v for v in unions)]
+    return sorted(reduced, key=lambda u: class_mask(G, u))
 
 
 def naive_cheb_from_unions(order: int, unions: list[int]) -> Fraction:
@@ -768,10 +817,12 @@ def class_mask(G: PermGroup, bits: int) -> int:
 def differential_mismatches(G: PermGroup) -> list[str]:
     """The names of the package's values on G that its oracles contradict.
 
-    - ``maximal_classes``: each class, as (least conjugate, class size,
-      the classes its conjugate-union holds), against the pairwise scan
-      of the lattice (``maximal_classes_by_pairs``);
+    - ``maximal_classes``: each class's conjugation orbit against the
+      pairwise scan of the lattice (``maximal_classes_by_pairs``), and its
+      class mask against the classes its conjugate-union holds;
     - ``min_generators``: against the depth of G in its lattice walk;
+    - ``sieves``: the sieves, read back from ``build_sieves``' class
+      signatures, against the class masks of the scan's reduced unions;
     - ``chebotarev``: C(G) against subset enumeration over the scan's
       reduced unions, when there are at most 12;
     - ``crown_data``: the crown classes against ``crown_summary`` over
@@ -780,22 +831,25 @@ def differential_mismatches(G: PermGroup) -> list[str]:
       explicitly built quotients G/core(M).
     """
     from chebotarev.crowns import crown_data
-    from chebotarev.exact import chebotarev_of_group, omega_membership
+    from chebotarev.exact import build_sieves, chebotarev_of_group, omega_membership
     from chebotarev.subgroups import maximal_classes, min_generators
 
     bad = []
     scanned = maximal_classes_by_pairs(G)
-    want = sorted((rep, size, class_mask(G, union)) for rep, size, union, _ in scanned)
-    got = []
-    for mc in maximal_classes(G):
-        [(rep, size, _, _)] = classes_by_conjugation(G, {mc.representative.bits})
-        got.append((rep, size, class_mask(G, mc.union_bits)))
-    if sorted(got) != want:
+    mx = maximal_classes(G)
+    orbits = [classes_by_conjugation(G, {mc.representative.bits})[0] for mc in mx]
+    if sorted(orbits, key=lambda c: (c[0].bit_count(), c[0])) != scanned or [
+        mc.class_mask for mc in mx
+    ] != [class_mask(G, union) for _, _, union, _ in orbits]:
         bad.append("maximal_classes")
     if min_generators(G) != min_generators_by_lattice(G):
         bad.append("min_generators")
     unions = sorted({union for _, _, union, _ in scanned})
     reduced = [u for u in unions if not any(v != u and u | v == v for v in unions)]
+    sigs = build_sieves(G).class_signatures
+    sieves = [sum(1 << c for c, sig in enumerate(sigs) if sig >> i & 1) for i in range(len(reduced))]
+    if sieves != sorted(class_mask(G, u) for u in reduced) or any(sig >> len(reduced) for sig in sigs):
+        bad.append("sieves")
     if len(reduced) <= 12 and (
         chebotarev_of_group(G).exact != naive_cheb_from_unions(G.order, reduced)
     ):
@@ -806,7 +860,6 @@ def differential_mismatches(G: PermGroup) -> list[str]:
     )
     if got_crowns != crown_summary(G, chief_series_variant(G, 1)):
         bad.append("crown_data")
-    mx = maximal_classes(G)
     if any(omega_membership(G, V) != omega_by_quotient_socles(G, mx, V) for V in cd.A + cd.B):
         bad.append("omega")
     return bad

@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    CATALOG_SPECS,
     SOLUBLE_SPECS,
     brute_invariable_prob,
+    class_unions,
     naive_cheb_from_unions,
     naive_prob_from_unions,
     reduced_unions,
@@ -33,6 +35,7 @@ from chebotarev.exact import (
 )
 from chebotarev.crowns import crown_data
 from chebotarev.mc import mc_estimate
+from chebotarev.perm import conjugacy_classes
 from chebotarev.subgroups import MaximalClassData, maximal_classes
 
 
@@ -73,6 +76,21 @@ def test_sieve_invariants(group_of):
             assert [sig >> i & 1 for i in range(len(unions))] == [u >> x & 1 for u in unions]
 
 
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_sieves_are_the_reduced_unions_read_at_classes(spec, group_of):
+    # the class-level family is the element-level one: the signature of
+    # each class holds bit i iff its representative lies in the i-th
+    # reduced conjugate-union, the unions built from conjugation orbits
+    G = group_of(spec)
+    unions = reduced_unions(G)
+    sigs = tuple(
+        sum(1 << i for i, u in enumerate(unions) if u >> rep & 1)
+        for rep in conjugacy_classes(G).reps
+    )
+    S = build_sieves(G)
+    assert (S.sieve_count, S.class_signatures) == (len(unions), sigs)
+
+
 def test_build_sieves_is_kept_per_group(group_of):
     G = group_of("symmetric 4")
     assert build_sieves(G) is build_sieves(G)
@@ -84,8 +102,9 @@ def test_build_sieves_rejects_bad_unions(union, monkeypatch):
     # group is parsed afresh, as a shared one would hit the memo
     G = parse_group("symmetric 3").group
     real = maximal_classes(G)[0]
-    bits = G.full_bits if union == "full" else real.union_bits & ~1
-    bad = MaximalClassData(real.representative, real.class_size, bits, real.core_bits)
+    # class 0 is the identity's
+    every = (1 << len(conjugacy_classes(G).reps)) - 1
+    bad = MaximalClassData(real.representative, every if union == "full" else real.class_mask & ~1)
     monkeypatch.setattr(exact, "maximal_classes", lambda H: [bad])
     with pytest.raises(InvariantError):
         build_sieves(G)
@@ -146,7 +165,7 @@ def test_chebotarev_matches_naive_subset_loop(group_of):
         assert len(unions) == S.sieve_count
         assert got == naive_cheb_from_unions(G.order, unions)
         # reduction soundness: the raw (unreduced) family gives the same value
-        raw = [mc.union_bits for mc in maximal_classes(G)]
+        raw = class_unions(G)
         assert got == naive_cheb_from_unions(G.order, raw)
 
 
@@ -240,7 +259,7 @@ def test_v_property_reduction_stays_inside_subfamily(group_of):
     # reduction keeps once
     for spec, dropped in (("cyclic 12", 0), ("alternating 5", 1)):
         G = group_of(spec)
-        unions = [mc.union_bits for mc in maximal_classes(G)]
+        unions = class_unions(G)
         assert len(unions) - build_sieves(G).sieve_count == dropped
         for mask in range(1, 1 << len(unions)):
             selected = [u for i, u in enumerate(unions) if (mask >> i) & 1]
@@ -253,7 +272,7 @@ def test_v_property_sum_matches_naive_omega_sum(spec, group_of):
     # the restricted waiting sum over Omega_V is the inclusion-exclusion
     # sum over exactly the unions of the classes omega_membership selects
     G = group_of(spec)
-    unions = [mc.union_bits for mc in maximal_classes(G)]
+    unions = class_unions(G)
     for V in crown_data(G).A:
         mask = omega_membership(G, V)
         selected = [u for i, u in enumerate(unions) if (mask >> i) & 1]

@@ -182,6 +182,18 @@ def test_maximal_classes_own_the_family():
     assert list(inspect.signature(chebotarev.v_property_sum).parameters) == ["G", "omega_mask"]
 
 
+def test_class_level_sieve_family():
+    # a maximal class is one representative and the mask of G's classes
+    # that meet it: no conjugate is listed, no |G|-bit union or core is
+    # kept, the signatures are not read back through binary strings, and
+    # the complement systems build one complement per class
+    fields = [f.name for f in dataclasses.fields(chebotarev.subgroups.MaximalClassData)]
+    assert fields == ["representative", "class_mask"]
+    assert not {"complements", "_complement_classes", "_union_signatures"} & _defined()
+    assert ("exact.py", "build_sieves") in _calls("_signatures")
+    assert ("exact.py", "v_property_sum") in _calls("_signatures")
+
+
 def test_oracle_only_code_stays_in_tests():
     # these have no caller in src/; they live in tests/oracles.py, or the
     # tests read the primitives (conj_map, closure_bits) directly
@@ -247,12 +259,9 @@ def test_checks_only_at_entry_points():
     # a section is checked once, where a caller hands it in: the chief
     # series pipeline calls the private builders on the terms it built
     # itself, and no knob turns the check off
-    for name in ("factor_module", "complements", "minimal_normal_subgroups"):
+    for name in ("factor_module", "minimal_normal_subgroups"):
         assert _calls(name) == []
-    assert sorted(_calls("_check_chief_factor")) == [
-        ("crowns.py", "complements"),
-        ("crowns.py", "factor_module"),
-    ]
+    assert _calls("_check_chief_factor") == [("crowns.py", "factor_module")]
     assert sorted(set(_calls("is_normal"))) == [
         ("crowns.py", "_check_chief_factor"),
         ("perm.py", "quotient"),

@@ -10,8 +10,11 @@ from oracles import (
     SOLUBLE_SPECS,
     brute_min_generating_tuple,
     brute_subgroup_bits,
+    class_mask,
     classes_by_conjugation,
+    conjugation_orbit,
     cyclic_extension_subgroups,
+    maximal_classes_by_orbits,
     maximal_classes_by_pairs,
     min_generators_by_lattice,
     minimal_normal_by_all_closures,
@@ -90,7 +93,7 @@ def test_walk_extends_one_subgroup_per_class(monkeypatch):
 
 def _maximal_class_key(G):
     return [
-        (c.representative.bits, c.representative.witnesses, c.class_size, c.union_bits, c.core_bits)
+        (c.representative.bits, c.representative.witnesses, c.class_mask)
         for c in maximal_classes(G)
     ]
 
@@ -124,10 +127,14 @@ def test_maximal_classes_examples(group_of):
     classes = maximal_classes(s3)
     by_order = {c.representative.order: c for c in classes}
     assert set(by_order) == {2, 3}
-    assert by_order[3].class_size == 1
-    assert by_order[3].union_bits.bit_count() == 3
-    assert by_order[2].class_size == 3
-    assert by_order[2].union_bits.bit_count() == 4
+    # (class size, union size): A3 is normal, the three C2 cover four elements
+    [(_, size3, union3, _)] = classes_by_conjugation(s3, {by_order[3].representative.bits})
+    assert (size3, union3.bit_count()) == (1, 3)
+    [(_, size2, union2, _)] = classes_by_conjugation(s3, {by_order[2].representative.bits})
+    assert (size2, union2.bit_count()) == (3, 4)
+    # each meets the identity's class and one more: 3-cycles or transpositions
+    assert [by_order[n].class_mask for n in (3, 2)] == [class_mask(s3, union3), class_mask(s3, union2)]
+    assert by_order[3].class_mask.bit_count() == by_order[2].class_mask.bit_count() == 2
 
     c4 = group_of("cyclic 4")
     assert len(maximal_classes(c4)) == 1
@@ -164,13 +171,16 @@ def test_maximality_exhaustive(spec, group_of):
         for H in subs:
             if H.bits != c.representative.bits and c.representative.bits & ~H.bits == 0:
                 assert H.order == G.order  # nothing strictly between M and G
-    # union properness and class coverage
+    # union properness, class masks and class coverage, the unions, cores
+    # and class sizes read off each representative's conjugation orbit
     total = 0
     for c in maximal_classes(G):
-        assert c.union_bits != G.full_bits
-        assert c.union_bits & c.representative.bits == c.representative.bits
-        assert Subgroup(G, c.core_bits).is_normal()
-        total += c.class_size
+        [(_, size, union, core)] = classes_by_conjugation(G, {c.representative.bits})
+        assert union != G.full_bits
+        assert union & c.representative.bits == c.representative.bits
+        assert c.class_mask == class_mask(G, union)
+        assert Subgroup(G, core).is_normal()
+        total += size
     all_maximal = [
         H
         for H in subs
@@ -211,34 +221,41 @@ INSOLUBLE_SPECS = (
     ),
 )
 def test_maximal_classes_match_pairwise_scan(spec, group_of):
+    # each representative's conjugation orbit is one class of the scan, and
+    # its class mask holds exactly the classes of its conjugate-union
     G = group_of(spec)
-    got = [
-        (c.representative.bits, c.class_size, c.union_bits, c.core_bits)
-        for c in maximal_classes(G)
-    ]
-    assert got == maximal_classes_by_pairs(G)
+    assert maximal_classes_by_orbits(G) == maximal_classes_by_pairs(G)
     for c in maximal_classes(G):
+        [(_, _, union, _)] = classes_by_conjugation(G, {c.representative.bits})
+        assert c.class_mask == class_mask(G, union)
         assert G.closure_bits(c.representative.witnesses) == c.representative.bits
 
 
 @pytest.mark.parametrize("spec", SOLUBLE_SPECS)
 def test_complement_classes_match_conjugation_orbits(spec, group_of):
-    # a soluble G's maximal subgroups are complements, classed by their
-    # solution vectors modulo B^1: against walking conjugation orbits
+    # a soluble G's maximal subgroups are complements, one per class of
+    # solution vectors modulo B^1: no two are conjugate, against walking
+    # conjugation orbits, and each class mask is its orbit's union's
     G = group_of(spec)
-    classes = maximal_subgroups(G)
-    members = [s.bits for cls in classes for s in cls]
-    assert len(set(members)) == len(members)
-    got = [(c.representative.bits, c.class_size, c.union_bits, c.core_bits) for c in maximal_classes(G)]
-    assert got == classes_by_conjugation(G, set(members))
+    reps = maximal_subgroups(G)
+    assert len(classes_by_conjugation(G, {M.bits for M in reps})) == len(reps)
+    orbits = [conjugation_orbit(G, M.bits) for M in reps]
+    assert sum(map(len, orbits)) == len(set().union(*orbits))
+    for c in maximal_classes(G):
+        [(_, _, union, _)] = classes_by_conjugation(G, {c.representative.bits})
+        assert c.class_mask == class_mask(G, union)
 
 
 def test_core_is_intersection_of_class(group_of):
-    G = group_of("symmetric 4")
-    for c in maximal_classes(G):
-        # core contains exactly the elements fixed into every conjugate
-        [(_, size, _, core)] = classes_by_conjugation(G, {c.representative.bits})
-        assert (core, size) == (c.core_bits, c.class_size)
+    # the Frattini subgroup is the intersection of the classes' cores, each
+    # the elements fixed into every conjugate of the representative
+    for spec in ["symmetric 4", "quaternion8", "cyclic 36", "alternating 5"]:
+        G = group_of(spec)
+        phi = G.full_bits
+        for c in maximal_classes(G):
+            [(_, _, _, core)] = classes_by_conjugation(G, {c.representative.bits})
+            phi &= core
+        assert frattini(G).bits == phi
 
 
 def test_frattini_examples(group_of):
@@ -402,7 +419,10 @@ def test_maximal_classes_alternating_7(group_of):
     # A6, two classes of L2(7), S5 and (A4 x 3):2, of index 7, 15, 15, 21
     # and 35 (ATLAS of Finite Groups)
     G = group_of("alternating 7")
-    assert [(c.representative.order, c.class_size) for c in maximal_classes(G)] == [
+    assert [
+        (c.representative.order, len(conjugation_orbit(G, c.representative.bits)))
+        for c in maximal_classes(G)
+    ] == [
         (72, 35),
         (120, 21),
         (168, 15),
