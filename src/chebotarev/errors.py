@@ -59,7 +59,8 @@ class UnclassifiedRatioError(ChebotarevError):
 
 
 class TrialCapError(ChebotarevError):
-    """A Monte Carlo trial could never end: some union is all of G (sieve-system bug)."""
+    """A Monte Carlo run is refused: it asks for more than ``mc.MAX_TRIALS``
+    trials, or no trial could end as some union is all of G (sieve-system bug)."""
 
 
 class ParseError(ChebotarevError):

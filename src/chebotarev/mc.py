@@ -34,6 +34,14 @@ STREAM_VERSION = 2
 
 _WORD = 64
 
+# The most trials one run makes, 100 times the CLI default. A live trial
+# holds its draw index (8 bytes), its mask words, their drawn copies and
+# the compressed copies: peaks measured at 10^6 trials come to about 14
+# bytes a trial with one uint8 word and 43 with two uint64 words, so a run
+# at the cap peaks near 0.15-0.45 GB, plus about 0.17 GB per further 64
+# sieves.
+MAX_TRIALS = 10**7
+
 
 @dataclass(frozen=True)
 class McReport:
@@ -57,13 +65,16 @@ class McReport:
 def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
     """Mean waiting time over seeded trials, with a normal-theory 95% CI.
 
-    Raises ``TrialCapError`` before any draw if some union is all of G
-    (the AND of every class signature is nonzero), since then no trial
-    can end. With no sieves every trial ends at once: no draw is made
-    and the wait is 0, as in the exact chain.
+    Raises ``TrialCapError`` before any array exists if ``trials``
+    exceeds ``MAX_TRIALS``, or if some union is all of G (the AND of
+    every class signature is nonzero), since then no trial can end. With
+    no sieves every trial ends at once: no draw is made and the wait is
+    0, as in the exact chain.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise TrialCapError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
     if reduce(and_, S.class_signatures):
         raise TrialCapError(
             "some union contains every element class, so no trial can end;"

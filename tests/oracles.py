@@ -645,6 +645,21 @@ def brute_derivation_count(H: PermGroup, gen_matrices, p: int) -> tuple[int, int
     return der_count, len(inner)
 
 
+def shuffled_sieves(S, seed: int):
+    """The sieve system ``S`` with its sieves in a random order: bit i of
+    every class signature moves to bit perm[i], perm drawn from ``seed``."""
+    import dataclasses
+    import random
+
+    perm = list(range(S.sieve_count))
+    random.Random(seed).shuffle(perm)
+    sigs = tuple(
+        sum(1 << perm[i] for i in range(S.sieve_count) if sig >> i & 1)
+        for sig in S.class_signatures
+    )
+    return dataclasses.replace(S, class_signatures=sigs)
+
+
 def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
     """Waiting time of every trial under Monte Carlo stream version 2.
 

@@ -226,6 +226,13 @@ def test_mc_nonpositive_trials_is_a_usage_error(trials, capsys):
     assert exc.value.code == 2 and "--trials" in err and "at least 1" in err
 
 
+def test_mc_trials_past_the_cap_exit_2(capsys):
+    # refused before numpy allocates anything, so the huge count costs nothing
+    code = main(["mc", "cyclic", "4", "--trials", str(10**12)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "exceed the cap of 10000000" in err
+
+
 def test_mc_seed_is_an_int_wrapped_to_64_bits(capsys):
     # a non-integer seed is refused as --trials refuses one; any integer is
     # taken modulo 2^64

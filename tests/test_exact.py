@@ -12,6 +12,7 @@ from oracles import (
     naive_cheb_from_unions,
     naive_prob_from_unions,
     reduced_unions,
+    shuffled_sieves,
 )
 from chebotarev import exact
 from chebotarev.groupspec import parse_group
@@ -89,6 +90,17 @@ def test_sieves_are_the_reduced_unions_read_at_classes(spec, group_of):
     )
     S = build_sieves(G)
     assert (S.sieve_count, S.class_signatures) == (len(unions), sigs)
+
+
+@pytest.mark.parametrize("spec", ["symmetric 4", "elementary 3 5"])
+def test_values_do_not_depend_on_sieve_order(spec, group_of):
+    # 3 sieves, and 121, past one 64-bit word: a permutation of the sieve
+    # bits maps the chain's states one to one, so no value or count moves
+    S = build_sieves(group_of(spec))
+    shuffled = shuffled_sieves(S, 7)
+    assert shuffled.class_signatures != S.class_signatures
+    assert chebotarev_exact(shuffled) == chebotarev_exact(S)
+    assert invariable_gen_prob(shuffled, 3) == invariable_gen_prob(S, 3)
 
 
 def test_build_sieves_is_kept_per_group(group_of):

@@ -5,9 +5,9 @@ import pytest
 
 from chebotarev.errors import TrialCapError
 from chebotarev.exact import SieveSystem, build_sieves, chebotarev_exact
-from chebotarev.mc import mc_estimate
+from chebotarev.mc import MAX_TRIALS, mc_estimate
 
-from oracles import mc_waits_by_trial
+from oracles import mc_waits_by_trial, shuffled_sieves
 
 
 def test_reproducibility(group_of):
@@ -39,6 +39,20 @@ def test_trials_validation(group_of):
     S = build_sieves(group_of("cyclic 2"))
     with pytest.raises(ValueError):
         mc_estimate(S, 0, 0)
+    # refused before any array is allocated, so the count costs nothing
+    for trials in (MAX_TRIALS + 1, 10**12):
+        with pytest.raises(TrialCapError):
+            mc_estimate(S, trials, 0)
+
+
+@pytest.mark.parametrize("spec", ["elementary 2 5", "elementary 3 5"])
+def test_reports_do_not_depend_on_sieve_order(spec, group_of):
+    # 31 sieves fill one mask word and 121 two; permuting the sieve bits
+    # leaves the step at which each trial's mask empties, so the report
+    S = build_sieves(group_of(spec))
+    shuffled = shuffled_sieves(S, 3)
+    assert shuffled.class_signatures != S.class_signatures
+    assert mc_estimate(shuffled, 20_000, 5) == mc_estimate(S, 20_000, 5)
 
 
 @pytest.mark.parametrize(

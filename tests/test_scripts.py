@@ -28,6 +28,14 @@ def test_mc_accuracy_runs():
     assert "group symmetric 3: exact = 3.8000000000" in out
 
 
+def test_random_oracle_runs():
+    out = _run("random_oracle.py", "--seeds", "2").splitlines()
+    assert [line.split()[:2] for line in out[:-1]] == [
+        ["sym", "0"], ["sym", "1"], ["pair", "0"], ["pair", "1"]
+    ]
+    assert out[-1] == "0 of 4 groups disagree"
+
+
 def test_catalog_sweep_runs():
     out = _run("catalog_sweep.py")
     assert out.rstrip().splitlines()[-1].startswith("largest ratio: ")
