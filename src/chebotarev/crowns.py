@@ -713,14 +713,14 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
         p,
     )
 
-    def modulo_b1(u: list[int]) -> list[int]:
+    def modulo_b1(u: Sequence[int]) -> Sequence[int]:
         for row, col in zip(coboundaries, b1_pivots):
             f = u[col]
             if f:
                 u = [(a - f * b) % p for a, b in zip(u, row)]
         return u
 
-    kernel = [modulo_b1(list(b)) for b in _kernel_basis(reduced, pivots, ncols, p)]
+    kernel = [modulo_b1(b) for b in _kernel_basis(reduced, pivots, ncols, p)]
     solutions = [modulo_b1(particular)]
     for b in _rref(kernel, ncols, p)[0]:  # a basis of Z^1 / B^1
         solutions = [

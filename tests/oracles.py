@@ -852,10 +852,9 @@ def differential_mismatches(G: PermGroup) -> list[str]:
     bad = []
     scanned = maximal_classes_by_pairs(G)
     mx = maximal_classes(G)
-    orbits = [classes_by_conjugation(G, {mc.representative.bits})[0] for mc in mx]
-    if sorted(orbits, key=lambda c: (c[0].bit_count(), c[0])) != scanned or [
-        mc.class_mask for mc in mx
-    ] != [class_mask(G, union) for _, _, union, _ in orbits]:
+    if maximal_classes_by_orbits(G) != scanned or [mc.class_mask for mc in mx] != [
+        class_mask(G, u) for u in class_unions(G)
+    ]:
         bad.append("maximal_classes")
     if min_generators(G) != min_generators_by_lattice(G):
         bad.append("min_generators")

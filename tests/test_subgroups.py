@@ -239,8 +239,6 @@ def test_complement_classes_match_conjugation_orbits(spec, group_of):
     G = group_of(spec)
     reps = maximal_subgroups(G)
     assert len(classes_by_conjugation(G, {M.bits for M in reps})) == len(reps)
-    orbits = [conjugation_orbit(G, M.bits) for M in reps]
-    assert sum(map(len, orbits)) == len(set().union(*orbits))
     for c in maximal_classes(G):
         [(_, _, union, _)] = classes_by_conjugation(G, {c.representative.bits})
         assert c.class_mask == class_mask(G, union)
