@@ -38,8 +38,7 @@ _WORD = 64
 # holds its draw index (8 bytes), its mask words, their drawn copies and
 # the compressed copies: peaks measured at 10^6 trials come to about 14
 # bytes a trial with one uint8 word and 43 with two uint64 words, so a run
-# at the cap peaks near 0.15-0.45 GB, plus about 0.17 GB per further 64
-# sieves.
+# at the cap peaks near 0.15-0.45 GB at those widths.
 MAX_TRIALS = 10**7
 
 
