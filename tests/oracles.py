@@ -23,7 +23,8 @@ calls as the vectorised simulation, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups or from the normal closure of every class
 representative, other chief series from those lattice minimal normal
-subgroups, crown classes from the public module calls, socle modules
+subgroups, crown classes from the module calls over another chief
+series, socle modules
 from an explicitly built quotient group, random groups from seeded
 random generators,
 quotient groups from one product per coset and element, section
@@ -154,17 +155,17 @@ def chief_series_variant(G: PermGroup, variant: int):
 def crown_summary(G: PermGroup, series) -> list[tuple]:
     """``(p, n_raw, q, n, delta, central, h_order)`` per crown class, sorted.
 
-    Read off ``series`` through the public calls alone: a factor counts
-    when it is abelian and ``complements`` finds a complement, its module
-    is ``factor_module``'s, and modules join one class when
-    ``g_isomorphic`` says so.
+    Read off ``series``: a factor counts when it is abelian and
+    ``is_complemented`` says so (the consistency of the complement system
+    that ``crown_data`` reads too), its module is ``factor_module``'s, and
+    modules join one class when ``g_isomorphic`` says so.
     """
     from chebotarev.crowns import endo_field, factor_module, g_isomorphic
 
     classes: list[list] = []
     subs = series.subgroups
     for X, Y, abelian in zip(subs, subs[1:], series.factor_abelian):
-        if not (abelian and complements(G, X, Y)):
+        if not (abelian and is_complemented(G, X, Y)):
             continue
         mod = factor_module(G, X, Y)
         for cls in classes:
@@ -284,11 +285,15 @@ def complement_by_lattice_scan(G: PermGroup, X, Y) -> bool:
 def is_complemented(G: PermGroup, X, Y) -> bool:
     """True iff some U <= G satisfies UX = G and U n X = Y (abelian chief X/Y).
 
-    Read off the complement system of X/Y (``complements``), which raises
-    ``NotChiefFactorError`` if a normal subgroup of G lies strictly between
-    Y and X.
+    Whether the complement system of X/Y (``crowns._complement_system``)
+    has a solution, after the section is checked as ``factor_module``
+    checks it: ``NotChiefFactorError`` if a normal subgroup of G lies
+    strictly between Y and X.
     """
-    return bool(complements(G, X, Y))
+    from chebotarev.crowns import _check_chief_factor, _complement_system
+
+    _check_chief_factor(G, X, Y)
+    return bool(_complement_system(G, X, Y))
 
 
 def section_centralizer(G: PermGroup, X, Y) -> Subgroup:
@@ -816,6 +821,14 @@ def random_group(family: str, seed: int) -> PermGroup:
             continue
         if G.order > 1:
             return G
+
+
+def radical_order(G: PermGroup) -> int:
+    """|R|, the order of the soluble radical, read off G's chief series."""
+    from chebotarev.crowns import _radical_index, chief_series
+
+    series = chief_series(G)
+    return series.subgroups[_radical_index(series)].order
 
 
 def class_mask(G: PermGroup, bits: int) -> int:

@@ -12,8 +12,7 @@ from functools import cache
 
 import pytest
 
-from oracles import differential_mismatches, random_group
-from chebotarev.crowns import _radical_index, chief_series
+from oracles import differential_mismatches, radical_order, random_group
 
 # (family, seed), taken from seeds 0-119 of each family, weighted to the
 # insoluble groups: in each family, insoluble groups of order at most 400
@@ -30,15 +29,10 @@ CASES = (
 group = cache(random_group)
 
 
-def _radical_order(G) -> int:
-    series = chief_series(G)
-    return series.subgroups[_radical_index(series)].order
-
-
 def test_cases_are_weighted_to_insoluble_groups():
     # 50 groups of order at most 2000: 32 insoluble, 14 of them with a
     # nontrivial soluble radical R (13 from S_a x S_b, and AGL(3, 2))
-    orders = [(group(f, s).order, _radical_order(group(f, s))) for f, s in CASES]
+    orders = [(group(f, s).order, radical_order(group(f, s))) for f, s in CASES]
     assert len(CASES) == 50 and max(n for n, _ in orders) <= 2000
     insoluble = [(n, r) for n, r in orders if r < n]
     assert len(insoluble) == 32
