@@ -118,9 +118,9 @@ FRATTINI_CATALOG: tuple[str, ...] = (
     "dihedral 4",
 )
 
-#: Elementary abelian sweep parameters (p, delta). The exact engine runs
-#: whenever the maximal-subgroup count (p^delta - 1) / (p - 1) fits the
-#: sieve cap; larger cases are checked through the closed form only.
+#: Elementary abelian sweep parameters (p, delta). The exact engine runs on
+#: every case: the largest maximal-subgroup count, (5^4 - 1) / (5 - 1) = 156,
+#: is the default sieve cap.
 ELEMENTARY_SWEEP: tuple[tuple[int, int], ...] = tuple(
     (p, d) for p in (2, 3, 5) for d in (1, 2, 3, 4)
 )

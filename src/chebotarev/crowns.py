@@ -30,10 +30,14 @@ field is the self-intertwiner space, and derivations are the nullspace of
 the cocycle condition written along the Cayley graph. The complements of
 an abelian chief factor X/Y solve the inhomogeneous form of the same
 condition, written along the coset graph of X (``_cocycle_rows`` builds
-both systems). Each abelian section is solved once per G: its F_p
-coordinates (shared by its module and its complements) and one
-complement per conjugacy class are kept per group, and complementedness
-is whether the system is consistent. The complements of the factors
+both systems). Two complements are conjugate iff their solutions differ
+by a coboundary, so that system is solved with the pivot columns of B^1
+fixed at 0: each of its solutions is one conjugacy class, and the only
+other elimination is the one of B^1 that finds those columns. Each
+abelian section is solved once per G: its F_p coordinates (shared by
+its module and its complements) and one complement per conjugacy class
+are kept per group, and complementedness is whether the system is
+consistent. The complements of the factors
 below R, with the preimages of the maximal subgroups of G/R, are all the
 maximal subgroups of G; ``maximal_subgroups`` gives one per conjugacy
 class to ``subgroups.maximal_classes``. The chief
@@ -591,6 +595,16 @@ def _cocycle_rows(
     return [row for row in rows if any(row)]
 
 
+def _coboundary_rows(gen_mats: Sequence[Mat]) -> list[list[int]]:
+    """The rows ((I - M_k) e_i)_k over the basis vectors e_i: they span B^1.
+
+    Laid out as the unknowns of ``_cocycle_rows``, n columns per generator;
+    the entries are not yet reduced mod p.
+    """
+    n = len(gen_mats[0])
+    return [[int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)]
+
+
 @dataclass(frozen=True)
 class DerivationCount:
     der_count: int
@@ -606,7 +620,8 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     each zeta(x) as a linear map of the unknowns; every other Cayley edge
     (x, g_k) must satisfy the same relation, n equations each. Every
     solution is a derivation, so |Z^1| = p^nullity. The inner derivations
-    are the images v -> (v^g - v)_g of V, so |B^1| = p^(n - dim C_V(H)).
+    are the images v -> (v^g - v)_g of V, spanned by the coboundary rows
+    ((I - M_k) e_i)_k (``_coboundary_rows``), so |B^1| = p^rank of those rows.
     ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q, which
     comes from the same commutant solve as ``endo_field``. The matrices
     align with ``H.generators``, as those of a module align with its
@@ -623,10 +638,7 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     ncols = n * len(gen_mats)
     rows = _cocycle_rows(H._right, H._parent, H._via, gen_mats, p)
     z1_dim = ncols - len(_rref(rows, ncols, p)[1])
-    fixed_rows = [
-        [M[i][j] - (i == j) for j in range(n)] for M in gen_mats for i in range(n)
-    ]
-    b1_dim = n - len(nullspace(fixed_rows, n, p))
+    b1_dim = mat_rank(_coboundary_rows(gen_mats), p)
 
     _, nv = _commutant_field(gen_matrices, p)
     m, rest = divmod(z1_dim - b1_dim, n // nv)
@@ -665,10 +677,15 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
     acts trivially. Conjugating by x(v) sends g^_k = g_k x(u_k) to
     g_k x(u_k + (I - M_k) v). So two complements are conjugate iff their
     solutions differ by an element of the coboundaries B^1, spanned by
-    ((I - M_k) v)_k over v in X/Y. Each class holds one solution reduced
-    modulo B^1 (0 at B^1's pivot columns): the reduced particular solution
-    plus the span of the reduced kernel, and only those are built. Empty
-    when X/Y has no complement. Unchecked; kept per group and (X, Y).
+    ((I - M_k) e_i)_k over the basis vectors e_i (``_coboundary_rows``),
+    and the solutions are a union of cosets of B^1. Each row of B^1's
+    echelon form is 1 at its own pivot column and 0 at the others, so
+    each coset holds exactly one solution that is 0 at those columns. One
+    unit row per pivot column, with right-hand side 0, fixes that gauge
+    inside the system, and the one elimination of the augmented system
+    gives one solution per class: its particular solution plus the span
+    of its kernel. Only those are built. Empty when X/Y has no complement.
+    Unchecked; kept per group and (X, Y).
     """
     p, basis, vec, rep = _section_coordinates(G, X, Y)
     n = len(basis)
@@ -699,30 +716,18 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
 
     gen_mats = [_action_matrix(G, basis, vec, g) for g in gens]
     ncols = n * len(gens)
+    _, b1_pivots = _rref(_coboundary_rows(gen_mats), ncols, p)
     rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
+    # the gauge: each solution is 0 at B^1's pivot columns
+    rows += [tuple(int(j == col) for j in range(ncols + 1)) for col in b1_pivots]
     reduced, pivots = _rref(rows, ncols + 1, p)
     if ncols in pivots:
         return ()
     particular = [0] * ncols
     for row, col in zip(reduced, pivots):
         particular[col] = row[ncols]
-    # B^1 is spanned by ((I - M_k) e_i)_k over the basis vectors e_i
-    coboundaries, b1_pivots = _rref(
-        ([int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)),
-        ncols,
-        p,
-    )
-
-    def modulo_b1(u: Sequence[int]) -> Sequence[int]:
-        for row, col in zip(coboundaries, b1_pivots):
-            f = u[col]
-            if f:
-                u = [(a - f * b) % p for a, b in zip(u, row)]
-        return u
-
-    kernel = [modulo_b1(b) for b in _kernel_basis(reduced, pivots, ncols, p)]
-    solutions = [modulo_b1(particular)]
-    for b in _rref(kernel, ncols, p)[0]:  # a basis of Z^1 / B^1
+    solutions = [particular]
+    for b in _kernel_basis(reduced, pivots, ncols, p):  # a complement of B^1 in Z^1
         solutions = [
             [(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions
         ]

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .crowns import ChiefFactorModule, _factor_module, chief_series, g_isomorphic
-from .errors import BadSectionError, InvariantError, TooManySievesError, TrivialGroupError
+from .errors import BadSectionError, InvariantError, TooManySievesError
 from .groupspec import check_prime
 from .perm import PermGroup, bits_iter, conjugacy_classes, per_group, quotient
 from .subgroups import frattini, maximal_classes
@@ -57,7 +57,7 @@ def decimal_string(x: Fraction, digits: int) -> str:
 
 @dataclass(frozen=True)
 class SieveSystem:
-    """What the alive-mask chain reads of a nontrivial group's sieves.
+    """What the alive-mask chain reads of a group's sieves (the trivial group has none).
 
     The sieves are the maximal classes' class masks, deduplicated, with
     every mask inside another dropped, in increasing numeric order.
@@ -103,8 +103,6 @@ def _signatures(masks: Sequence[int], classes: int) -> tuple[int, ...]:
 def build_sieves(G: PermGroup) -> SieveSystem:
     """Sieve system of G: the class mask of each maximal class, reduced
     (equal masks merged, contained ones dropped). Kept per group."""
-    if G.order == 1:
-        raise TrivialGroupError("the trivial group has no sieves")
     table = conjugacy_classes(G)
     raw = tuple(mc.class_mask for mc in maximal_classes(G))
     # dropping a union contained in another never changes the union event
@@ -200,7 +198,7 @@ def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
     full = (1 << S.sieve_count) - 1
     chain = _alive_chain(S.class_sizes, S.class_signatures, full)
     # integer weight of the k-tuples reaching each nonempty alive mask
-    alive = {full: 1}
+    alive = {full: 1} if full else {}
     for _ in range(k):
         step: dict[int, int] = {}
         for s, c in alive.items():
@@ -286,7 +284,4 @@ def chebotarev_of_group(
     G: PermGroup, *, max_sieves: int = DEFAULT_SIEVE_CAP
 ) -> ChebValue:
     """Convenience: build sieves and evaluate C(G); 0 for the trivial group."""
-    if G.order == 1:
-        # no sieves: the only alive mask is the empty one
-        return ChebValue(exact=Fraction(0), sieve_count=0, state_count=1)
     return chebotarev_exact(build_sieves(G), max_sieves=max_sieves)

@@ -66,9 +66,9 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
 
     Raises ``TrialCapError`` before any array exists if ``trials``
     exceeds ``MAX_TRIALS``, or if some union is all of G (the AND of
-    every class signature is nonzero), since then no trial can end. With
-    no sieves every trial ends at once: no draw is made and the wait is
-    0, as in the exact chain.
+    every class signature is nonzero), since then no trial can end. The
+    trivial group has no sieves, so every trial ends at once: no draw is
+    made and the wait is 0, the C = 0 that the exact chain gives too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -208,8 +208,6 @@ def maximal_classes(G: PermGroup) -> list[MaximalClassData]:
     One representative per class comes from ``crowns.maximal_subgroups``,
     and its class mask is one pass over its elements: no conjugate is built.
     """
-    if G.order == 1:
-        raise TrivialGroupError("the trivial group has no maximal subgroups")
     from .crowns import maximal_subgroups
 
     table = conjugacy_classes(G)
@@ -232,8 +230,6 @@ def frattini(G: PermGroup) -> Subgroup:
     representatives' intersection: the set that conjugation by G's
     generators no longer shrinks.
     """
-    if G.order == 1:
-        return Subgroup.trivial(G)
     bits = G.full_bits
     for mc in maximal_classes(G):
         bits &= mc.representative.bits

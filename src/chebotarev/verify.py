@@ -166,20 +166,12 @@ def item_elementary_sweep(details: list[str]) -> bool:
             bound_ok = lhs == rhs
         else:
             bound_ok = lhs < rhs
-        sieve_count = (p**d - 1) // (p - 1)
-        if sieve_count <= DEFAULT_SIEVE_CAP:
-            G = affine_group(p, 1, [], power=d)  # regular representation
-            value = chebotarev_of_group(G).exact
-            engine_ok = value == closed
-            details.append(
-                f"({p},{d}): engine {value} == closed {closed}, bound {'=' if (p, d) == (2, 2) else '<'} ok={bound_ok}"
-            )
-        else:
-            engine_ok = True
-            details.append(
-                f"({p},{d}): closed {closed} (engine skipped, {sieve_count} sieves), bound ok={bound_ok}"
-            )
-        ok &= bound_ok and engine_ok
+        G = affine_group(p, 1, [], power=d)  # regular representation
+        value = chebotarev_of_group(G).exact
+        details.append(
+            f"({p},{d}): engine {value} == closed {closed}, bound {'=' if (p, d) == (2, 2) else '<'} ok={bound_ok}"
+        )
+        ok &= bound_ok and value == closed
     return ok
 
 

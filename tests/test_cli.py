@@ -210,11 +210,14 @@ def test_constructor_argument_errors_exit_2(capsys):
         assert code == 2 and err.startswith("error: ")
 
 
-def test_mc_trivial_group_exit_2(capsys):
-    # the trivial group has no sieves to draw against
-    code = main(["mc", "cyclic", "1"])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: ")
+def test_mc_trivial_group_is_zero(capsys):
+    # the trivial group has no sieves: every trial waits 0 draws, as the
+    # exact engine gives C = 0
+    code, report = run_json(capsys, "mc", "cyclic", "1", "--trials", "100")
+    assert code == 0
+    mc = report["mc"]
+    assert mc["mean"] == mc["variance"] == mc["max_waiting_time"] == 0
+    assert mc["ci95"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -20,7 +20,6 @@ from chebotarev.errors import (
     InvariantError,
     NotPrimeError,
     TooManySievesError,
-    TrivialGroupError,
 )
 from chebotarev.exact import (
     SieveSystem,
@@ -53,8 +52,8 @@ def test_build_sieves_examples(group_of):
     assert [u.bit_count() for u in reduced_unions(c4)] == [2]
     assert build_sieves(c4).sieve_count == 1
 
-    with pytest.raises(TrivialGroupError):
-        build_sieves(group_of("cyclic 1"))
+    trivial = build_sieves(group_of("cyclic 1"))
+    assert trivial.sieve_count == 0 and trivial.class_signatures == (0,)
 
 
 def test_sieve_invariants(group_of):
@@ -195,6 +194,9 @@ def test_invariable_gen_prob_examples(group_of):
     assert invariable_gen_prob(S, 2) == Fraction(1, 3)
     c2 = build_sieves(group_of("cyclic 2"))
     assert invariable_gen_prob(c2, 1) == Fraction(1, 2)
+    # the empty tuple already generates the trivial group
+    trivial = build_sieves(group_of("cyclic 1"))
+    assert [invariable_gen_prob(trivial, k) for k in range(3)] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("spec", ["symmetric 3", "cyclic 6", "elementary 2 2", "dihedral 4", "quaternion8", "alternating 4"])

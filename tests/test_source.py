@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
@@ -13,11 +14,17 @@ import chebotarev
 SRC = Path(__file__).resolve().parents[1] / "src" / "chebotarev"
 
 
+@functools.cache
+def _tree(name):
+    # each src/ file is parsed once per session
+    path = SRC / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert statements, so runtime invariants must raise
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(path.name)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert on lines {lines}"
 
 
@@ -27,20 +34,29 @@ def test_public_names_resolve(name):
     assert hasattr(chebotarev, name)
 
 
+@functools.cache
+def _call_index():
+    # call name -> [(file, innermost enclosing function)] over src/, one
+    # walk per file: each line's owner is written by its defs widest first,
+    # so the innermost (on a tie, the first walked) is written last
+    index = {}
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(ast.walk(_tree(path.name)))
+        defs = [n for n in nodes if isinstance(n, ast.FunctionDef)]
+        owner = {}
+        for d in sorted(defs[::-1], key=lambda d: d.lineno - d.end_lineno):
+            owner.update(dict.fromkeys(range(d.lineno, d.end_lineno + 1), d.name))
+        for node in nodes:
+            f = getattr(node, "func", None)
+            name = getattr(f, "attr", getattr(f, "id", None))
+            if name is not None:
+                index.setdefault(name, []).append((path.name, owner.get(node.lineno)))
+    return index
+
+
 def _calls(name):
     # (file, innermost enclosing function) of every call to ``name`` in src/
-    calls = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            f = getattr(node, "func", None)
-            if getattr(f, "attr", getattr(f, "id", None)) != name:
-                continue
-            owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
-            innermost = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
-            calls.append((path.name, innermost and innermost.name))
-    return calls
+    return list(_call_index().get(name, []))
 
 
 def test_one_bound_report_pipeline():
@@ -89,10 +105,10 @@ def test_one_product_reader():
     # mult reads a kept column or asks column_at, never the graph itself
     names = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_tree(path.name)):
             names.add(getattr(node, "attr", getattr(node, "id", getattr(node, "name", None))))
     assert not {"_ensure_table", "_word", "_mult_table", "_gen_right"} & names
-    tree = ast.parse((SRC / "perm.py").read_text())
+    tree = _tree("perm.py")
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "mult")
     read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
     assert not {"_right", "_parent", "_via"} & read
@@ -102,7 +118,7 @@ def test_one_product_reader():
 def test_crowns_never_reads_the_maximal_classes():
     # complementedness comes from the complement systems; maximal_classes
     # of a soluble G is itself built from them
-    tree = ast.parse((SRC / "crowns.py").read_text())
+    tree = _tree("crowns.py")
     called = {
         getattr(n.func, "attr", getattr(n.func, "id", None))
         for n in ast.walk(tree)
@@ -115,7 +131,7 @@ def _defined():
     # the names of every function defined in src/
     defined = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _tree(path.name)
         defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     return defined
 
@@ -144,7 +160,7 @@ def test_one_acting_group():
 def test_one_primality_check():
     # one trial division: check_prime reads the least prime divisor and
     # loops over nothing itself
-    tree = ast.parse((SRC / "groupspec.py").read_text())
+    tree = _tree("groupspec.py")
     fn = next(
         n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "check_prime"
     )
@@ -172,7 +188,7 @@ def test_maximal_classes_own_the_family():
         text = path.read_text()
         if "raw_signatures" in text:
             readers.append((path.name, "raw_signatures"))
-        for node in ast.walk(ast.parse(text, filename=str(path))):
+        for node in ast.walk(_tree(path.name)):
             if isinstance(node, ast.Attribute) and node.attr == "raw_unions":
                 readers.append((path.name, node.lineno))
     assert readers == []
@@ -192,6 +208,19 @@ def test_class_level_sieve_family():
     assert not {"complements", "_complement_classes", "_union_signatures"} & _defined()
     assert ("exact.py", "build_sieves") in _calls("_signatures")
     assert ("exact.py", "v_property_sum") in _calls("_signatures")
+
+
+def test_complement_classes_from_one_elimination():
+    # the B^1 gauge is fixed inside the complement system: one elimination
+    # of B^1 for its pivot columns and one of the augmented system, with
+    # no reduction modulo B^1 afterwards, and the coboundary rows come
+    # from one function that derivations calls too
+    assert "modulo_b1" not in _defined()
+    assert _calls("_rref").count(("crowns.py", "_complement_system")) == 2
+    assert sorted(_calls("_coboundary_rows")) == [
+        ("crowns.py", "_complement_system"),
+        ("crowns.py", "derivations"),
+    ]
 
 
 def test_oracle_only_code_stays_in_tests():
@@ -230,7 +259,7 @@ def test_one_memo():
     # reads or writes G._cache, and the sieves take no hand-made classes
     owners = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _tree(path.name)
         defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "_cache":
@@ -249,7 +278,7 @@ def test_one_memo():
     assert fields == ["A", "B", "nonabelian_factors"]
     assert not [n for n, v in vars(crowns.CrownData).items() if isinstance(v, property)]
     # conj_map is read in hot loops, so it keeps its own per-g dict
-    tree = ast.parse((SRC / "perm.py").read_text())
+    tree = _tree("perm.py")
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "conj_map")
     read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
     assert fn.decorator_list == [] and "_conj_maps" in read
@@ -295,7 +324,7 @@ def test_records_keep_only_what_is_read():
     )
     # the harness keeps its analyses through functools.cache, with no
     # hand-written dict beside it
-    tree = ast.parse((SRC / "verify.py").read_text())
+    tree = _tree("verify.py")
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             value = node.value
@@ -309,7 +338,7 @@ def test_front_end_states_each_case_once():
     # verify items are checks made into items by one decorator; and the
     # grammar in the groupspec docstring lists exactly the accepted heads
     groupspec, verify = chebotarev.groupspec, chebotarev.verify
-    tree = ast.parse((SRC / "groupspec.py").read_text())
+    tree = _tree("groupspec.py")
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_parse_spec")
     compared = {
         c.value
@@ -323,7 +352,7 @@ def test_front_end_states_each_case_once():
     grammar = groupspec.__doc__.split("\n\n")[2]
     documented = {line.split()[0] for line in grammar.splitlines()}
     assert documented == table | compared
-    tree = ast.parse((SRC / "verify.py").read_text())
+    tree = _tree("verify.py")
     assert "run" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     probe = verify._item("key", "title")(lambda details: True)
     assert len(verify.ALL_ITEMS) == 10
@@ -336,7 +365,7 @@ def test_cli_states_each_command_once():
     # subparser per key, and every report leaves through one json.dumps
     from chebotarev import cli
 
-    tree = ast.parse((SRC / "cli.py").read_text())
+    tree = _tree("cli.py")
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     for node in ast.walk(main):
         if isinstance(node, ast.Compare):

@@ -143,8 +143,7 @@ def test_maximal_classes_examples(group_of):
     klein = group_of("elementary 2 2")
     assert len(maximal_classes(klein)) == 3
 
-    with pytest.raises(TrivialGroupError):
-        maximal_classes(group_of("cyclic 1"))
+    assert maximal_classes(group_of("cyclic 1")) == []
 
 
 def test_maximal_union_covering_group_is_typed_error(monkeypatch):
