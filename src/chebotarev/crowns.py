@@ -419,24 +419,23 @@ def _factor_module(G: PermGroup, X: Subgroup, Y: Subgroup) -> ChiefFactorModule:
     )
 
 
-def _acting_group(p: int, n: int, gen_mats: Sequence[Mat]) -> PermGroup:
-    # the permutations the matrices make of the p^n vectors (vector v is
-    # the point sum v_i p^i), so the generators align with gen_mats; by
-    # linearity the image of v + c e_j is that of v plus c times column j
+def _vector_images(p: int, n: int, M: Mat) -> tuple[int, ...]:
+    # the images under M of the p^n vectors (v is the point sum v_i p^i);
+    # by linearity that of v + c e_j is that of v plus c times column j
     weights = [p**i for i in range(n)]
-    perms = []
-    for M in gen_mats:
-        images: list[tuple[int, ...]] = [(0,) * n]
-        for j in range(n):
-            col = [row[j] for row in M]
-            step = images[:]  # the images of the points below p^j
-            for _ in range(1, p):
-                step = [tuple([(a + b) % p for a, b in zip(v, col)]) for v in step]
-                images.extend(step)
-        perms.append(
-            Permutation._raw(tuple([sum(map(mul, v, weights)) for v in images]))
-        )
-    return PermGroup(p**n, perms)
+    images: list[tuple[int, ...]] = [(0,) * n]
+    for j in range(n):
+        col = [row[j] for row in M]
+        step = images[:]  # the images of the points below p^j
+        for _ in range(1, p):
+            step = [tuple([(a + b) % p for a, b in zip(v, col)]) for v in step]
+            images.extend(step)
+    return tuple([sum(map(mul, v, weights)) for v in images])
+
+
+def _acting_group(p: int, n: int, gen_mats: Sequence[Mat]) -> PermGroup:
+    # the permutations the matrices make of the p^n vectors, aligned with gen_mats
+    return PermGroup(p**n, [Permutation._raw(_vector_images(p, n, M)) for M in gen_mats])
 
 
 def _intertwiner_space(
@@ -531,25 +530,22 @@ def _cocycle_rows(
     parent: Sequence[int],
     via: Sequence[int],
     gen_mats: Sequence[Mat],
+    n: int,
     p: int,
     offset: Optional[Callable[[int, int, int], tuple[int, ...]]] = None,
 ) -> list[tuple[int, ...]]:
     """Rows of the cocycle condition zeta(y) = M_k zeta(x) + u_k on a graph.
 
-    Node x has one edge ``x -> right[k][x]`` per generator k. The BFS tree
-    ``(parent, via)``, rooted at node 0 with ``parent[j] < j``, writes each
-    zeta(x) as a linear map of the unknowns u_k in F_p^n: zeta(0) = 0 and
-    a tree edge sets zeta(y) = M_k zeta(x) + u_k. Every other edge gives
-    the n rows zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)``, when
-    given, is their right-hand side, appended as one more column. A loop
-    y = x needs M_k = I (else ``InvariantError``), and then its rows are
-    -u_k at every node: they are written at the first loop of k only, so
-    ``offset`` must take one value on the loops of k (in the coset graph
-    of ``_complement_system``, a generator in X loops at every coset,
-    with offset vec(g_k)). The reduced echelon form depends only on the
-    row space, so each distinct nonzero row is returned once, reduced mod p.
+    Node x has one edge ``x -> right[k][x]`` per generator k, with its
+    n x n matrix M_k. The BFS tree ``(parent, via)``, rooted at node 0
+    with ``parent[j] < j``, writes each zeta(x) as a linear map of the
+    unknowns u_k in F_p^n: zeta(0) = 0 and a tree edge sets
+    zeta(y) = M_k zeta(x) + u_k. Every other edge gives the n rows
+    zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)``, when given, is
+    their right-hand side, appended as one more column. The reduced
+    echelon form depends only on the row space, so each distinct nonzero
+    row is returned once, reduced mod p.
     """
-    n = len(gen_mats[0])
     ncols = n * len(gen_mats)
     # the nonzero entries (column, value) of each row of each M_k, read once
     nonzero = [[[(t, m) for t, m in enumerate(Mi) if m] for Mi in M] for M in gen_mats]
@@ -568,22 +564,12 @@ def _cocycle_rows(
     lin = [[[0] * ncols for _ in range(n)]]
     for j in range(1, len(parent)):
         lin.append(image(lin[parent[j]], via[j]))
-    identity = [[(i, 1)] for i in range(n)]
-    looped: set[int] = set()
     rows: dict[tuple[int, ...], None] = {}
     for x, Lx in enumerate(lin):
         for k, targets in enumerate(right):
             y = targets[x]
             if parent[y] == x and via[y] == k:
                 continue  # a tree edge holds by construction
-            if y == x:
-                # a loop: with M_k = I its rows are -u_k at every node, so
-                # they are written at the first loop of k only
-                if k in looped:
-                    continue
-                if nonzero[k] != identity:
-                    raise InvariantError("a looping generator acts as a matrix other than I")
-                looped.add(k)
             rhs = () if offset is None else offset(x, k, y)
             for i, terms in enumerate(nonzero[k]):
                 # row i of zeta(y) - (M_k zeta(x) + u_k)
@@ -595,13 +581,12 @@ def _cocycle_rows(
     return [row for row in rows if any(row)]
 
 
-def _coboundary_rows(gen_mats: Sequence[Mat]) -> list[list[int]]:
+def _coboundary_rows(gen_mats: Sequence[Mat], n: int) -> list[list[int]]:
     """The rows ((I - M_k) e_i)_k over the basis vectors e_i: they span B^1.
 
     Laid out as the unknowns of ``_cocycle_rows``, n columns per generator;
     the entries are not yet reduced mod p.
     """
-    n = len(gen_mats[0])
     return [[int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)]
 
 
@@ -625,20 +610,35 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q, which
     comes from the same commutant solve as ``endo_field``. The matrices
     align with ``H.generators``, as those of a module align with its
-    ``acting_group``: one n x n matrix per generator, else ``ValueError``.
+    ``acting_group``: p must be prime, and some homomorphism H -> GL(n, p)
+    must send each generator to its own n x n matrix, else ``ValueError``.
     """
     if H.order == 1:
         raise ValueError("derivations require a nontrivial acting group")
     sizes = {len(r) for M in gen_matrices for r in (M, *M)}  # each matrix and its rows
-    if len(gen_matrices) != len(H.generators) or len(sizes) != 1:
-        raise ValueError("derivations need one n x n matrix per generator of H")
+    if len(gen_matrices) != len(H.generators) or len(sizes) != 1 or p < 2 or _least_prime(p) != p:
+        raise ValueError("derivations need a prime p and one n x n matrix per generator of H")
     n = len(gen_matrices[0])
-    by_images = {g.images: M for g, M in zip(H.generators, gen_matrices)}
-    gen_mats = [by_images[g.images] for g in H._bfs_gens]
+    # phi gives each element of H, along its BFS tree, its matrix's images
+    # of the basis vectors (the points p^j), which fix a linear map; the
+    # matrices are an action iff phi holds on every Cayley edge and sends
+    # each generator, repeated and identity ones too, to its own matrix
+    images = [_vector_images(p, n, M) for M in gen_matrices]
+    by_images = {g.images: (M, v) for g, M, v in zip(H.generators, gen_matrices, images)}
+    gen_mats, acts = zip(*[by_images[g.images] for g in H._bfs_gens])
+    phi = [tuple(p**j for j in range(n))]
+    for j in range(1, H.order):
+        phi.append(tuple(acts[H._via[j]][v] for v in phi[H._parent[j]]))
+    own = [tuple(v[w] for w in phi[0]) for v in images]
+    edges = ((a, x, y) for a, targets in zip(acts, H._right) for x, y in enumerate(targets))
+    if [phi[i] for i in H.generator_indices] != own or any(
+        phi[y] != tuple(a[v] for v in phi[x]) for a, x, y in edges
+    ):
+        raise ValueError("the matrices are not an action of H")
     ncols = n * len(gen_mats)
-    rows = _cocycle_rows(H._right, H._parent, H._via, gen_mats, p)
+    rows = _cocycle_rows(H._right, H._parent, H._via, gen_mats, n, p)
     z1_dim = ncols - len(_rref(rows, ncols, p)[1])
-    b1_dim = mat_rank(_coboundary_rows(gen_mats), p)
+    b1_dim = mat_rank(_coboundary_rows(gen_mats, n), p)
 
     _, nv = _commutant_field(gen_matrices, p)
     m, rest = divmod(z1_dim - b1_dim, n // nv)
@@ -655,23 +655,22 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
     """One complement of the abelian chief factor X/Y per conjugacy class.
 
     A complement U has UX = G and U n X = Y, so it meets each coset of X
-    in one coset of Y. BFS the cosets of X, from X itself, with G's BFS
-    generators g_k; coset c gets the tree element t_c. U is fixed by its
-    elements g^_k = g_k x(u_k) in the cosets of the g_k: one unknown u_k in
-    X/Y = F_p^n per generator. Build t^_c along the tree,
+    in one coset of Y. The BFS generators g_k of G outside X generate G
+    modulo X, and each moves every coset of X (X is normal), so U is
+    generated by Y and its elements g^_k = g_k x(u_k) in the cosets X g_k:
+    one unknown u_k in X/Y = F_p^n per generator outside X, and none for
+    a generator inside X. BFS the cosets of X, from X itself, with those
+    g_k; coset c gets the tree element t_c. Build t^_c along the tree,
     t^_{c g_k} = t^_c g^_k, and write t^_c = t_c x(zeta(c)); then
     zeta(c g_k) = M_k zeta(c) + u_k, as in ``derivations``. The union of
     the cosets t^_c Y is a subgroup iff it is closed under the g^_k, that
     is iff every non-tree edge (c, g_k) -> c' satisfies
     zeta(c') = M_k zeta(c) + u_k + r, where r = vec(t_c'^-1 t_c g_k) is
-    the offset of t_c g_k from t_c'. A g_k inside X fixes every coset of X
-    (X is normal) and acts on the abelian X/Y as M_k = I, so each of its
-    |G:X| loops gives the same n rows, -u_k = vec(g_k): they are written
-    once (``_cocycle_rows``), which leaves the row space, and so the
-    reduced system, as it was. So the complements are the solutions of
-    that inhomogeneous cocycle system: none if it is inconsistent, else a
-    particular solution plus Z^1, the kernel (Celler, Neubueser and
-    Wright, Acta Appl. Math. 21, 1990).
+    the offset of t_c g_k from t_c'. So the complements are the solutions
+    of that inhomogeneous cocycle system: none if it is inconsistent,
+    else a particular solution plus Z^1, the kernel (Celler, Neubueser
+    and Wright, Acta Appl. Math. 21, 1990). For X = G no generator is
+    left, the system is empty, and its one solution is Y.
 
     G = UX, so the conjugates of U are its conjugates by X, and Y <= U
     acts trivially. Conjugating by x(v) sends g^_k = g_k x(u_k) to
@@ -689,7 +688,7 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
     """
     p, basis, vec, rep = _section_coordinates(G, X, Y)
     n = len(basis)
-    gens = G._bfs_gen_indices
+    gens = [g for g in G._bfs_gen_indices if not (X.bits >> g) & 1]
     mult = G.mult
     # BFS over the cosets of X by their ids, through each generator's
     # coset action; a tree element is built only when its coset is reached
@@ -716,8 +715,8 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
 
     gen_mats = [_action_matrix(G, basis, vec, g) for g in gens]
     ncols = n * len(gens)
-    _, b1_pivots = _rref(_coboundary_rows(gen_mats), ncols, p)
-    rows = _cocycle_rows(right, parent, via, gen_mats, p, offset)
+    _, b1_pivots = _rref(_coboundary_rows(gen_mats, n), ncols, p)
+    rows = _cocycle_rows(right, parent, via, gen_mats, n, p, offset)
     # the gauge: each solution is 0 at B^1's pivot columns
     rows += [tuple(int(j == col) for j in range(ncols + 1)) for col in b1_pivots]
     reduced, pivots = _rref(rows, ncols + 1, p)

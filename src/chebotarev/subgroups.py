@@ -15,8 +15,8 @@ caller hands in): each minimal normal subgroup of G/N is N C_x for any
 x in it outside N, C_x the normal closure of x, and only classes of
 prime-power order are closed (``_minimal_normal`` says why). The
 complements of each abelian chief factor X/Y then solve one cocycle
-system (``crowns._complement_system``), in which a generator inside X
-loops at every coset of X and writes its rows once.
+system (``crowns._complement_system``), with one unknown per generator
+of G outside X.
 
 Enumeration is exhaustive (every subgroup exactly once) and runs up to
 conjugacy (Holt, Eick and O'Brien, Handbook of Computational Group

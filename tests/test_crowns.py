@@ -26,8 +26,10 @@ from oracles import (
     section_kernel,
 )
 from chebotarev.catalog import SOLUBLE_CATALOG
+import chebotarev.crowns
 from chebotarev.crowns import (
     _cocycle_rows,
+    _complement_system,
     _has_complement,
     chief_series,
     crown_data,
@@ -40,7 +42,6 @@ from chebotarev.crowns import (
 )
 from chebotarev.errors import (
     BadSectionError,
-    InvariantError,
     NotAbelianFactorError,
     NotChiefFactorError,
     NotIrreducibleError,
@@ -173,8 +174,8 @@ def test_crown_deltas_count_the_complemented_abelian_factors(spec, group_of):
     assert sum(V.delta for V in cd.A + cd.B) == complemented
 
 
-# a BFS generator lies in a proper chief-series term X, so it loops at every
-# coset of X in the complement system of X/Y
+# a BFS generator lies in a proper chief-series term X, so it fixes every
+# coset of X, and the complement system of X/Y gives it no unknown
 LOOPING_SPECS = (
     "elementary 2 3",
     "direct_product cyclic 2 cyclic 4",
@@ -202,38 +203,37 @@ def test_complements_match_lattice_scan(spec, group_of):
 
 @pytest.mark.parametrize("spec", LOOPING_SPECS)
 def test_looping_specs_loop(spec, group_of):
-    # the specs above keep the loops of the complement systems covered
+    # the specs above keep the generators inside X covered
     G = group_of(spec)
     for variant in (0, 1):
         subs = chief_series_variant(G, variant).subgroups
         assert any((X.bits >> g) & 1 for X in subs[1:-1] for g in G._bfs_gen_indices)
 
 
-def _two_node_graph():
-    # node 1 = node 0 * g_1 (the tree edge), g_0 loops at both nodes, and
-    # g_1 takes node 1 back to node 0
-    return [[0, 1], [1, 0]], [-1, 0], [-1, 1]
+@pytest.mark.parametrize("spec", LOOPING_SPECS)
+def test_complement_systems_move_every_coset(spec, monkeypatch):
+    # each complement system hands _cocycle_rows a coset graph with no
+    # loop, and one matrix per BFS generator outside X
+    G = parse_group(spec).group  # a fresh group: no complement system kept
+    seen = []
 
+    def recording(right, parent, via, gen_mats, *args):
+        seen.append((right, gen_mats))
+        return _cocycle_rows(right, parent, via, gen_mats, *args)
 
-def test_cocycle_rows_write_a_loop_once():
-    right, parent, via = _two_node_graph()
-    asked = []
-
-    def offset(x, k, y):
-        asked.append((x, k, y))
-        return (1,)
-
-    rows = _cocycle_rows(right, parent, via, [((1,),), ((1,),)], 3, offset)
-    # the loops of g_0 give the one row -u_0 = 1, and the edge (1, g_1)
-    # the row zeta(0) - (zeta(1) + u_1) = -2 u_1 = 1
-    assert asked == [(0, 0, 0), (1, 1, 0)]
-    assert rows == [(2, 0, 1), (0, 1, 1)]
-
-
-def test_cocycle_rows_reject_a_looping_non_identity():
-    right, parent, via = _two_node_graph()
-    with pytest.raises(InvariantError):
-        _cocycle_rows(right, parent, via, [((2,),), ((1,),)], 3)
+    monkeypatch.setattr(chebotarev.crowns, "_cocycle_rows", recording)
+    sections = {}  # each section once, as the system is kept per (X, Y)
+    for variant in (0, 1):
+        subs = chief_series_variant(G, variant).subgroups
+        sections.update(((X.bits, Y.bits), (X, Y)) for X, Y in zip(subs, subs[1:]))
+    for X, Y in sections.values():
+        seen.clear()
+        _complement_system(G, X, Y)
+        outside = [g for g in G._bfs_gen_indices if not (X.bits >> g) & 1]
+        assert [len(mats) for _, mats in seen] == [len(outside)]
+        right = seen[0][0]
+        assert len(right) == len(outside)
+        assert all(y != x for targets in right for x, y in enumerate(targets))
 
 
 def test_factor_module_central(group_of):
@@ -617,11 +617,34 @@ def test_chief_series_runs_through_the_soluble_radical(spec, variant, group_of):
 
 
 def test_derivations_reject_misaligned_matrices(group_of):
-    # one n x n matrix per generator of H, or a typed error
+    # one n x n matrix per generator of H over a prime field, or a typed error
     with pytest.raises(ValueError):
         derivations(group_of("cyclic 2"), [], 3)
     with pytest.raises(ValueError):
         derivations(group_of("symmetric 3"), [((1, 0), (0, 1)), ((1,),)], 2)
+    for p in (1, 4):
+        with pytest.raises(ValueError):
+            derivations(group_of("cyclic 2"), [((p - 1,),)], p)
+
+
+def test_derivations_reject_matrices_that_are_no_action(group_of):
+    # some homomorphism H -> GL(n, p) must send each generator of H to its
+    # own matrix: no homomorphism sends C_3's generator to -1, of order 2,
+    # and a repeated or an identity generator must get the matrix its twin
+    # or the identity gets
+    with pytest.raises(ValueError):
+        derivations(group_of("cyclic 3"), [((2,),)], 3)
+    g = Permutation((1, 0))
+    twice = PermGroup(2, [g, g])
+    for mats in ([((2,),), ((1,),)], [((1,),), ((2,),)]):
+        with pytest.raises(ValueError):
+            derivations(twice, mats, 3)
+    with_identity = PermGroup(2, [g, Permutation((0, 1))])
+    with pytest.raises(ValueError):
+        derivations(with_identity, [((2,),), ((2,),)], 3)
+    for H, mats in ((twice, [((2,),), ((2,),)]), (with_identity, [((2,),), ((1,),)])):
+        res = derivations(H, mats, 3)
+        assert (res.der_count, res.inner_count, res.m) == (3, 3, 0)
 
 
 def test_derivations_inversion_action(group_of):

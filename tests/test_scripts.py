@@ -50,6 +50,23 @@ def test_report_digest_runs():
     assert all(d["exit"] == 0 and "timings" not in d["report"] for d in lines)
 
 
+def test_complement_digest_runs():
+    # S3 > A3 > 1: the top factor's one complement is A3 itself, the
+    # bottom factor's one class is a transposition subgroup, and those two
+    # are the maximal classes; then one line per seed of each family
+    out = _run("complement_digest.py", "symmetric 3", "cyclic 1", "--seeds", "1")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [d["group"] for d in lines] == [
+        "symmetric 3", "cyclic 1", "random sym 0", "random pair 0"
+    ]
+    s3 = lines[0]
+    assert [f["factor"] for f in s3["factors"]] == [0, 1]
+    (a3,), (s2,) = (f["complements"] for f in s3["factors"])
+    assert sorted(s3["maximal"]) == sorted([a3, s2])
+    assert (int(a3, 16).bit_count(), int(s2, 16).bit_count()) == (3, 2)
+    assert lines[1] == {"factors": [], "group": "cyclic 1", "maximal": []}
+
+
 def _report_digest():
     # scripts/report_digest.py, loaded as a module
     path = ROOT / "scripts" / "report_digest.py"
