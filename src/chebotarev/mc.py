@@ -8,16 +8,26 @@ the mask empties. All trials advance together, one draw per step, and a
 trial drops out at the step its mask empties. Masks of any width are held
 as one word per 64 sieves, each word in the narrowest unsigned dtype that
 holds its sieves (``uint8`` up to 8, then ``uint16``, ``uint32``,
-``uint64``), so a step touches as few bytes as the family allows. Each
-step ANDs the drawn elements' words into the masks in place and compacts
-the alive trials with an order-preserving ``compress``.
+``uint64``), so a step touches as few bytes as the family allows.
 
-The PRNG is numpy's PCG64, seeded explicitly. Step 1 draws
-``integers(0, order, size=trials)``; every later step draws
-``integers(0, order, size=alive)``, one element per trial still alive, in
-trial order. That layout is stream version 2 (version 1 drew a
-trials x 32 block first). Identical (group, trials, seed) inputs give
-bit-identical reports within one stream version.
+A step runs over the alive trials in blocks of ``_BLOCK``: per block it
+draws one element per trial, ANDs the drawn elements' words into that
+slice of the masks in place and marks which of those trials stay alive;
+then it compacts the alive trials once, with an order-preserving
+``compress``. The blocks keep a step's temporaries (the int64 draws and
+the gathered words) at a fixed size that malloc serves from its heap,
+where whole-step temporaries were large enough to be mapped and
+zero-filled afresh on every step. The arrays that grow with the trial
+count are then the masks, the keep mask and the compaction.
+
+The PRNG is numpy's PCG64, seeded explicitly. Step 1 draws ``trials``
+values of ``integers(0, order)``; every later step draws one per trial
+still alive, in trial order. Drawing a step block by block reads the same
+values as one ``integers(0, order, size=alive)``, because the bounded
+draw takes each value from the generator's one buffered stream. That
+layout is stream version 2 (version 1 drew a trials x 32 block first).
+Identical (group, trials, seed) inputs give bit-identical reports within
+one stream version.
 """
 
 from __future__ import annotations
@@ -35,11 +45,21 @@ STREAM_VERSION = 2
 _WORD = 64
 
 # The most trials one run makes, 100 times the CLI default. A live trial
-# holds its draw index (8 bytes), its mask words, their drawn copies and
-# the compressed copies: peaks measured at 10^6 trials come to about 14
-# bytes a trial with one uint8 word and 43 with two uint64 words, so a run
-# at the cap peaks near 0.15-0.45 GB at those widths.
+# holds its mask words and a keep flag, and a compaction adds an int64
+# index and the compacted words for each survivor. Peaks measured at 10^6
+# trials come to about 8 bytes a trial with one uint8 word, 14 with one
+# uint32 word and 28 with two uint64 words (tracemalloc and RSS agree), so
+# a run at the cap adds about 80-290 MB to the process.
 MAX_TRIALS = 10**7
+
+# Trials per block of a step. One block's int64 draws take 128 KiB, glibc
+# malloc's default mmap threshold, so malloc serves a step's temporaries
+# from its heap; whole-step temporaries of 10^5 trials were mapped and
+# zero-filled afresh on every step: 21 300 minor page faults in one
+# in-process pass over the benchmark's mc ops, against 2 200 in blocks.
+# Blocks of 2^13 ran about 5 % slower; 2^15 and 2^16 were no faster beyond
+# the noise of alternating runs and fault more (8 900 and 25 100 a pass).
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,10 +119,13 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
         step += 1
         total += alive
         total_sq += (2 * step - 1) * alive
-        idx = rng.integers(0, S.order, size=alive)
-        for m, t in zip(masks, tables):
-            m &= t.take(idx)
-        keep = reduce(np.bitwise_or, masks).astype(bool)
+        keep = np.empty(alive, bool)
+        for lo in range(0, alive, _BLOCK):
+            hi = min(lo + _BLOCK, alive)
+            idx = rng.integers(0, S.order, size=hi - lo)
+            for m, t in zip(masks, tables):
+                m[lo:hi] &= t.take(idx)
+            keep[lo:hi] = reduce(np.bitwise_or, (m[lo:hi] for m in masks))
         # a Python int, so that total, mean and variance stay Python numbers
         survivors = int(np.count_nonzero(keep))
         if survivors < alive:

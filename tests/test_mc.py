@@ -1,8 +1,10 @@
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from chebotarev import mc
 from chebotarev.errors import TrialCapError
 from chebotarev.exact import SieveSystem, build_sieves, chebotarev_exact
 from chebotarev.mc import MAX_TRIALS, mc_estimate
@@ -156,31 +158,67 @@ def test_no_sieves_waits_zero():
     assert rep.max_waiting_time == 0
 
 
-@pytest.mark.parametrize(
-    "system",
-    [
-        pytest.param(lambda group_of: build_sieves(group_of("alternating 4")), id="A4"),
-        pytest.param(lambda group_of: build_sieves(group_of("elementary 2 5")), id="E32"),
-        pytest.param(lambda group_of: _coupon_system(66), id="coupon66"),
-        # each mask-word dtype boundary: 8|9, 16|17, 32|33 sieves, and a full word
-        *(
-            pytest.param(lambda group_of, n=k + 1: _coupon_system(n), id=f"coupon{k + 1}")
-            for k in (8, 9, 16, 17, 32, 33, 64)
-        ),
-    ],
-)
-def test_stream_matches_per_trial_oracle(system, group_of):
+_SYSTEMS = [
+    pytest.param(lambda group_of: build_sieves(group_of("alternating 4")), id="A4"),
+    pytest.param(lambda group_of: build_sieves(group_of("elementary 2 5")), id="E32"),
+    pytest.param(lambda group_of: _coupon_system(66), id="coupon66"),
+    # each mask-word dtype boundary: 8|9, 16|17, 32|33 sieves, and a full word
+    *(
+        pytest.param(lambda group_of, n=k + 1: _coupon_system(n), id=f"coupon{k + 1}")
+        for k in (8, 9, 16, 17, 32, 33, 64)
+    ),
+]
+
+
+def _assert_matches_oracle(S, trials, seed):
     # the report is a function of the per-trial waits of stream version 2
-    S = system(group_of)
-    trials = 300
-    waits = mc_waits_by_trial(S, trials, 17)
-    rep = mc_estimate(S, trials, 17)
+    waits = mc_waits_by_trial(S, trials, seed)
+    rep = mc_estimate(S, trials, seed)
     total = sum(waits)
     total_sq = sum(w * w for w in waits)
     assert rep.stream_version == 2
     assert rep.mean == total / trials
     assert rep.variance == (total_sq - total * total / trials) / (trials - 1)
     assert rep.max_waiting_time == max(waits)
+
+
+@pytest.mark.parametrize("system", _SYSTEMS)
+def test_stream_matches_per_trial_oracle(system, group_of):
+    _assert_matches_oracle(system(group_of), 300, 17)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("system", _SYSTEMS)
+def test_stream_across_block_boundaries(system, block, group_of, monkeypatch):
+    # a step draws its alive trials block by block; with blocks this small
+    # every step of 300 trials spans several blocks and ends on a short one,
+    # and the draws must still be the oracle's one draw per step
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    _assert_matches_oracle(system(group_of), 300, 17)
+
+
+def test_stream_at_full_block_size(group_of):
+    # two full blocks and a short one at the first steps, on one uint8 word
+    _assert_matches_oracle(build_sieves(group_of("symmetric 3")), 2 * mc._BLOCK + 3, 23)
+
+
+def test_traced_peak_per_trial(group_of):
+    # a step's temporaries are one block long, so the arrays that grow with
+    # the trial count are the masks, the keep mask and the compaction's
+    # index and copies: about 8 bytes a trial with one uint8 word, 18 when a
+    # step drew for all its trials at once. numpy reports its buffers to
+    # tracemalloc, so this involves no timing.
+    S = build_sieves(group_of("symmetric 3"))
+    trials = 200_000
+    mc_estimate(S, 1, 0)  # numpy is imported before tracing starts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc_estimate(S, trials, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / trials < 10
 
 
 # (spec, seed, mean, variance, max_waiting_time) of mc_estimate(S, 100_000,

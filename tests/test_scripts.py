@@ -13,19 +13,37 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGEST = ROOT / "tests" / "data" / "report_digest.jsonl"
 
 
-def _run(script: str, *args: str) -> str:
+def _proc(script: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def _run(script: str, *args: str) -> str:
+    proc = _proc(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_mc_accuracy_runs():
-    out = _run("mc_accuracy.py", "--seeds", "2", "--budgets", "1000")
-    assert "group symmetric 3: exact = 3.8000000000" in out
+    out = _run("mc_accuracy.py", "--seeds", "2", "--budgets", "1000").splitlines()
+    assert out[0] == "group symmetric 3: exact = 3.8000000000"
+    assert out[1].split() == [
+        "trials", "worst", "|err|", "mean", "half-ci", "s/run", "peak", "B/trial"
+    ]
+    trials, _, _, seconds, per_trial = out[2].split()
+    assert trials == "1000" and float(seconds) > 0 and float(per_trial) > 0
+    # no seeds to average over, and a group without an exact value to
+    # compare with, are usage errors, not tracebacks
+    for args, message in (
+        (("--seeds", "0"), "--seeds must be at least 1"),
+        (("--spec", "elementary 2 8"), "255 reduced sieves exceed the cap"),
+    ):
+        proc = _proc("mc_accuracy.py", *args)
+        assert proc.returncode == 2 and message in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_random_oracle_runs():
