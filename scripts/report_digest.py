@@ -26,12 +26,19 @@ from chebotarev.cli import main as cli_main
 COMMANDS = ("bounds", "exact", "crowns")
 
 #: Insoluble groups whose soluble radical, nonabelian chief factors and
-#: lattice walk of G/R the catalog lists do not reach.
+#: lattice walk of G/R the catalog lists do not reach. The last two,
+#: AGL(3,2) and 2^4:SL(2,4), split their natural module with H^1 of
+#: dimension 1 over the commutant field F_2 and F_4, so their crowns
+#: report m = 1, which no catalog group does.
 INSOLUBLE_SPECS = (
     "symmetric 6",
     "direct_product alternating 5 symmetric 4",
     "direct_product symmetric 5 symmetric 3",
     "alternating 6",
+    "affine 2 3 [[1,1,0],[0,1,0],[0,0,1]] [[0,0,1],[1,0,0],[0,1,0]]",
+    "affine 2 4 [[1,0,1,0],[0,1,0,1],[0,0,1,0],[0,0,0,1]]"
+    " [[1,0,0,1],[0,1,1,1],[0,0,1,0],[0,0,0,1]]"
+    " [[1,0,0,0],[0,1,0,0],[1,0,1,0],[0,1,0,1]]",
 )
 
 

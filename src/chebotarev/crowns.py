@@ -22,31 +22,29 @@ no cap but the element-table one: for the maximal subgroups of G that
 contain R, for d(G/R) and for the complements of the nonabelian chief
 factors.
 
-Every module question is linear over F_p and is answered by one
-reduced row echelon form (``_rref``): G-isomorphism is a nonempty
-intertwiner space (by Schur's lemma a nonzero intertwiner between
-irreducible modules of equal dimension is invertible), the commutant
-field is the self-intertwiner space, and derivations are the nullspace of
-the cocycle condition written along the Cayley graph. The complements of
-an abelian chief factor X/Y solve the inhomogeneous form of the same
-condition, written along the coset graph of X (``_cocycle_rows`` builds
-both systems). Two complements are conjugate iff their solutions differ
-by a coboundary, so that system is solved with the pivot columns of B^1
-fixed at 0: each of its solutions is one conjugacy class, and the only
-other elimination is the one of B^1 that finds those columns. Each
-abelian section is solved once per G: its F_p coordinates (shared by
-its module and its complements) and one complement per conjugacy class
-are kept per group, and complementedness is whether the system is
-consistent. The complements of the factors
-below R, with the preimages of the maximal subgroups of G/R, are all the
-maximal subgroups of G; ``maximal_subgroups`` gives one per conjugacy
-class to ``subgroups.maximal_classes``. The chief
-series, G/R, the right cosets of its terms, each section's module and
-``crown_data`` are kept per group too (``perm.per_group``). Nothing
-here reads ``maximal_classes``, which is built from this module's
-``maximal_subgroups``, so Omega_V membership (read off the chief factor
-that a maximal class complements) is ``exact.omega_membership``, beside
-the restricted waiting sum that reads its mask.
+Every module question is linear over F_p and is answered by reduced row
+echelon forms (``_rref``): G-isomorphism is a nonempty intertwiner space
+(by Schur's lemma a nonzero intertwiner between irreducible modules of
+equal dimension is invertible), and the commutant field is the
+self-intertwiner space. Derivations solve the cocycle condition written
+along the Cayley graph, and the complements of an abelian chief factor
+X/Y solve its inhomogeneous form, written along the coset graph of X.
+Both go through one solve (``_cocycle_solve``), which fixes the pivot
+columns of B^1 at 0, so each solution stands for one coset of B^1: one
+class of H^1, or one conjugacy class of complements. Each abelian
+section is solved once per G: its F_p coordinates (shared by its module
+and its complements) and one complement per conjugacy class are kept
+per group, and complementedness is whether the system is consistent.
+The complements of the factors below R, with the preimages of the
+maximal subgroups of G/R, are all the maximal subgroups of G;
+``maximal_subgroups`` gives one per conjugacy class to
+``subgroups.maximal_classes``. The chief series, G/R, the right cosets
+of its terms, each section's module and ``crown_data`` are kept per
+group too (``perm.per_group``). Nothing here reads ``maximal_classes``,
+which is built from this module's ``maximal_subgroups``, so Omega_V
+membership (read off the chief factor that a maximal class complements)
+is ``exact.omega_membership``, beside the restricted waiting sum that
+reads its mask.
 """
 
 from __future__ import annotations
@@ -138,10 +136,6 @@ def _kernel_basis(
             vec[pcol] = (-row[fcol]) % p
         basis.append(tuple(vec))
     return basis
-
-
-def mat_is_invertible(A: Mat, p: int) -> bool:
-    return mat_rank(A, p) == len(A)
 
 
 def _vec_to_mat(v: tuple[int, ...], n: int) -> Mat:
@@ -472,7 +466,7 @@ def g_isomorphic(M1: ChiefFactorModule, M2: ChiefFactorModule) -> bool:
     basis = _intertwiner_space(M1.gen_matrices, M2.gen_matrices, n, p)
     if not basis:
         return False
-    if mat_is_invertible(_vec_to_mat(basis[0], n), p):
+    if mat_rank(_vec_to_mat(basis[0], n), p) == n:
         return True
     raise NotIrreducibleError("a nonzero intertwiner is singular, so a module is reducible")
 
@@ -532,7 +526,7 @@ def _cocycle_rows(
     gen_mats: Sequence[Mat],
     n: int,
     p: int,
-    offset: Optional[Callable[[int, int, int], tuple[int, ...]]] = None,
+    offset: Callable[[int, int, int], tuple[int, ...]],
 ) -> list[tuple[int, ...]]:
     """Rows of the cocycle condition zeta(y) = M_k zeta(x) + u_k on a graph.
 
@@ -541,8 +535,8 @@ def _cocycle_rows(
     with ``parent[j] < j``, writes each zeta(x) as a linear map of the
     unknowns u_k in F_p^n: zeta(0) = 0 and a tree edge sets
     zeta(y) = M_k zeta(x) + u_k. Every other edge gives the n rows
-    zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)``, when given, is
-    their right-hand side, appended as one more column. The reduced
+    zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)`` is their
+    right-hand side, appended as one more column. The reduced
     echelon form depends only on the row space, so each distinct nonzero
     row is returned once, reduced mod p.
     """
@@ -570,24 +564,47 @@ def _cocycle_rows(
             y = targets[x]
             if parent[y] == x and via[y] == k:
                 continue  # a tree edge holds by construction
-            rhs = () if offset is None else offset(x, k, y)
+            rhs = offset(x, k, y)
             for i, terms in enumerate(nonzero[k]):
                 # row i of zeta(y) - (M_k zeta(x) + u_k)
                 row = lin[y][i][:]
                 for t, m in terms:
                     row = [(a - m * b) % p for a, b in zip(row, Lx[t])]
                 row[k * n + i] = (row[k * n + i] - 1) % p
-                rows[(*row, *rhs[i : i + 1])] = None  # and entry i of the offset
+                rows[(*row, rhs[i])] = None  # and entry i of the offset
     return [row for row in rows if any(row)]
 
 
-def _coboundary_rows(gen_mats: Sequence[Mat], n: int) -> list[list[int]]:
-    """The rows ((I - M_k) e_i)_k over the basis vectors e_i: they span B^1.
+def _cocycle_solve(
+    right: Sequence[Sequence[int]],
+    parent: Sequence[int],
+    via: Sequence[int],
+    gen_mats: Sequence[Mat],
+    n: int,
+    p: int,
+    offset: Callable[[int, int, int], tuple[int, ...]],
+) -> Optional[tuple[list[int], list[tuple[int, ...]], int]]:
+    """The ``_cocycle_rows`` system, solved once per coset of B^1.
 
-    Laid out as the unknowns of ``_cocycle_rows``, n columns per generator;
-    the entries are not yet reduced mod p.
+    The coboundaries B^1 = {((I - M_k) v)_k} lie in Z^1, so the solutions
+    are a union of cosets of B^1, and each coset holds one vector that is
+    0 at the pivot columns of B^1's echelon form. One unit row per pivot
+    column, right-hand side 0, fixes that gauge, and one elimination
+    solves the system: ``None`` if it is inconsistent, else (particular,
+    basis, dim B^1), the basis spanning a complement of B^1 in Z^1.
     """
-    return [[int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)]
+    ncols = n * len(gen_mats)
+    coboundaries = [[int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)]
+    _, b1_pivots = _rref(coboundaries, ncols, p)
+    rows = _cocycle_rows(right, parent, via, gen_mats, n, p, offset)
+    rows += [tuple(int(j == col) for j in range(ncols + 1)) for col in b1_pivots]
+    reduced, pivots = _rref(rows, ncols + 1, p)
+    if ncols in pivots:
+        return None
+    particular = [0] * ncols
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[ncols]
+    return particular, _kernel_basis(reduced, pivots, ncols, p), len(b1_pivots)
 
 
 @dataclass(frozen=True)
@@ -601,17 +618,17 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     """Count derivations H -> V by solving the cocycle condition over F_p.
 
     The unknowns are one vector u_k = zeta(g_k) per distinct BFS generator
-    g_k of H. Along the BFS tree, zeta(x*g) = zeta(x)^g + zeta(g) writes
-    each zeta(x) as a linear map of the unknowns; every other Cayley edge
-    (x, g_k) must satisfy the same relation, n equations each. Every
-    solution is a derivation, so |Z^1| = p^nullity. The inner derivations
-    are the images v -> (v^g - v)_g of V, spanned by the coboundary rows
-    ((I - M_k) e_i)_k (``_coboundary_rows``), so |B^1| = p^rank of those rows.
-    ``m`` solves q^m = |Z^1| / |B^1| over the commutant field F_q, which
-    comes from the same commutant solve as ``endo_field``. The matrices
-    align with ``H.generators``, as those of a module align with its
-    ``acting_group``: p must be prime, and some homomorphism H -> GL(n, p)
-    must send each generator to its own n x n matrix, else ``ValueError``.
+    g_k of H, and every Cayley edge (x, g_k) must satisfy
+    zeta(x*g_k) = zeta(x)^g_k + u_k (``_cocycle_rows``). ``_cocycle_solve``
+    solves that system with a zero right-hand side. It gives the dimension
+    of B^1, the inner derivations v -> (v^g - v)_g, and a basis of a
+    complement of B^1 in Z^1. So |Z^1| = p^(len(basis) + dim B^1), and
+    m = len(basis) / (n / n_V) solves q^m = |Z^1| / |B^1| over the
+    commutant field F_q, which comes from the same commutant solve as
+    ``endo_field``. The matrices align with ``H.generators``, as those of
+    a module align with its ``acting_group``: p must be prime, and some
+    homomorphism H -> GL(n, p) must send each generator to its own n x n
+    matrix, else ``ValueError``.
     """
     if H.order == 1:
         raise ValueError("derivations require a nontrivial acting group")
@@ -635,16 +652,14 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
         phi[y] != tuple(a[v] for v in phi[x]) for a, x, y in edges
     ):
         raise ValueError("the matrices are not an action of H")
-    ncols = n * len(gen_mats)
-    rows = _cocycle_rows(H._right, H._parent, H._via, gen_mats, n, p)
-    z1_dim = ncols - len(_rref(rows, ncols, p)[1])
-    b1_dim = mat_rank(_coboundary_rows(gen_mats, n), p)
+    zero = (0,) * n  # a homogeneous system is consistent, so never None
+    _, basis, b1_dim = _cocycle_solve(H._right, H._parent, H._via, gen_mats, n, p, lambda *_: zero)
 
     _, nv = _commutant_field(gen_matrices, p)
-    m, rest = divmod(z1_dim - b1_dim, n // nv)
+    m, rest = divmod(len(basis), n // nv)
     if rest:
         raise NotIrreducibleError("H^1 size is not a power of the commutant field size")
-    return DerivationCount(der_count=p**z1_dim, inner_count=p**b1_dim, m=m)
+    return DerivationCount(der_count=p ** (len(basis) + b1_dim), inner_count=p**b1_dim, m=m)
 
 
 # -- complements of abelian chief factors --------------------------------
@@ -675,16 +690,9 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
     G = UX, so the conjugates of U are its conjugates by X, and Y <= U
     acts trivially. Conjugating by x(v) sends g^_k = g_k x(u_k) to
     g_k x(u_k + (I - M_k) v). So two complements are conjugate iff their
-    solutions differ by an element of the coboundaries B^1, spanned by
-    ((I - M_k) e_i)_k over the basis vectors e_i (``_coboundary_rows``),
-    and the solutions are a union of cosets of B^1. Each row of B^1's
-    echelon form is 1 at its own pivot column and 0 at the others, so
-    each coset holds exactly one solution that is 0 at those columns. One
-    unit row per pivot column, with right-hand side 0, fixes that gauge
-    inside the system, and the one elimination of the augmented system
-    gives one solution per class: its particular solution plus the span
-    of its kernel. Only those are built. Empty when X/Y has no complement.
-    Unchecked; kept per group and (X, Y).
+    solutions differ by a coboundary, and ``_cocycle_solve`` gives one
+    solution per coset of B^1: only those complements are built, one per
+    class. Unchecked; kept per group and (X, Y).
     """
     p, basis, vec, rep = _section_coordinates(G, X, Y)
     n = len(basis)
@@ -714,22 +722,13 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
         return vec[mult(G.inv(tree[y]), mult(tree[x], gens[k]))]
 
     gen_mats = [_action_matrix(G, basis, vec, g) for g in gens]
-    ncols = n * len(gens)
-    _, b1_pivots = _rref(_coboundary_rows(gen_mats, n), ncols, p)
-    rows = _cocycle_rows(right, parent, via, gen_mats, n, p, offset)
-    # the gauge: each solution is 0 at B^1's pivot columns
-    rows += [tuple(int(j == col) for j in range(ncols + 1)) for col in b1_pivots]
-    reduced, pivots = _rref(rows, ncols + 1, p)
-    if ncols in pivots:
+    solved = _cocycle_solve(right, parent, via, gen_mats, n, p, offset)
+    if solved is None:
         return ()
-    particular = [0] * ncols
-    for row, col in zip(reduced, pivots):
-        particular[col] = row[ncols]
+    particular, kernel, _ = solved
     solutions = [particular]
-    for b in _kernel_basis(reduced, pivots, ncols, p):  # a complement of B^1 in Z^1
-        solutions = [
-            [(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions
-        ]
+    for b in kernel:
+        solutions = [[(a + c * v) % p for a, v in zip(u, b)] for c in range(p) for u in solutions]
 
     _, ycid, ycbits = _cosets(G, Y.bits)
     target = G.order * Y.order

@@ -856,7 +856,9 @@ def differential_mismatches(G: PermGroup) -> list[str]:
     - ``crown_data``: the crown classes against ``crown_summary`` over
       the second oracle chief series;
     - ``omega``: each crown class's Omega mask against the socles of the
-      explicitly built quotients G/core(M).
+      explicitly built quotients G/core(M);
+    - ``m``: |Z^1| = |B^1| q^m for each non-central crown class, counted
+      by generator-image search on its acting group.
     """
     from chebotarev.crowns import crown_data
     from chebotarev.exact import build_sieves, chebotarev_of_group, omega_membership
@@ -889,4 +891,9 @@ def differential_mismatches(G: PermGroup) -> list[str]:
         bad.append("crown_data")
     if any(omega_membership(G, V) != omega_by_quotient_socles(G, mx, V) for V in cd.A + cd.B):
         bad.append("omega")
+    for V in cd.A:
+        der, inner = brute_derivation_count(V.acting_group, V.gen_matrices, V.p)
+        if der != inner * V.q**V.m:
+            bad.append("m")
+            break
     return bad

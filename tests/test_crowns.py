@@ -554,6 +554,9 @@ def test_insoluble_crown_with_nonzero_cohomology(spec, order, q, n, group_of):
     assert HQ.order == V.h_order == order // module_order(V)
     der_count, inner_count = brute_derivation_count(HQ, V.gen_matrices, V.p)
     assert der_count == inner_count * q**V.m
+    # the solve agrees with the search; over F_4, n / n_V = 2
+    res = derivations(HQ, V.gen_matrices, V.p)
+    assert (res.der_count, res.inner_count) == (der_count, inner_count)
     # V = R is the bottom factor, and its complements match the derivations
     subs = chief_series(G).subgroups
     assert V.label == f"factor[{len(subs) - 2:02d}]"

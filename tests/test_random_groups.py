@@ -1,7 +1,7 @@
 """Random groups as a differential oracle.
 
 Every other cross-check runs on groups that some spec names. Here the
-package's maximal classes, d(G), C(G), crown data and Omega masks are
+package's maximal classes, d(G), C(G), crown data, Omega masks and m are
 compared with the oracles (``oracles.differential_mismatches``) on random
 permutation groups (``oracles.random_group``) drawn from fixed seeds.
 ``scripts/random_oracle.py --seeds N`` runs the same comparisons on the
@@ -12,6 +12,7 @@ from functools import cache
 
 import pytest
 
+from chebotarev.crowns import crown_data
 from oracles import differential_mismatches, radical_order, random_group
 
 # (family, seed), taken from seeds 0-119 of each family, weighted to the
@@ -37,6 +38,10 @@ def test_cases_are_weighted_to_insoluble_groups():
     insoluble = [(n, r) for n, r in orders if r < n]
     assert len(insoluble) == 32
     assert len([r for _, r in insoluble if r > 1]) == 14
+    # the m oracle meets a nonzero m: AGL(3, 2) splits its natural module
+    # with H^1 of dimension 1
+    assert group("sym", 24).order == 1344
+    assert [V.m for V in crown_data(group("sym", 24)).A] == [1]
 
 
 @pytest.mark.parametrize("family,seed", CASES, ids=[f"{f}-{s}" for f, s in CASES])

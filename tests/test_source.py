@@ -211,16 +211,20 @@ def test_class_level_sieve_family():
 
 
 def test_complement_classes_from_one_elimination():
-    # the B^1 gauge is fixed inside the complement system: one elimination
-    # of B^1 for its pivot columns and one of the augmented system, with
-    # no reduction modulo B^1 afterwards, and the coboundary rows come
-    # from one function that derivations calls too
+    # complements and derivations share one cocycle solve, which fixes the
+    # B^1 gauge inside the system: one elimination of B^1 for its pivot
+    # columns and one of the augmented system, with no reduction modulo
+    # B^1 afterwards and no second Z^1 or B^1 elimination in derivations
     assert "modulo_b1" not in _defined()
-    assert _calls("_rref").count(("crowns.py", "_complement_system")) == 2
-    assert sorted(_calls("_coboundary_rows")) == [
+    assert "_coboundary_rows" not in _defined()
+    rref = _calls("_rref")
+    assert rref.count(("crowns.py", "_cocycle_solve")) == 2
+    assert not {("crowns.py", "_complement_system"), ("crowns.py", "derivations")} & set(rref)
+    assert sorted(_calls("_cocycle_solve")) == [
         ("crowns.py", "_complement_system"),
         ("crowns.py", "derivations"),
     ]
+    assert ("crowns.py", "derivations") not in _calls("mat_rank")
 
 
 def test_oracle_only_code_stays_in_tests():
