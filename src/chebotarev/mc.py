@@ -10,24 +10,33 @@ as one word per 64 sieves, each word in the narrowest unsigned dtype that
 holds its sieves (``uint8`` up to 8, then ``uint16``, ``uint32``,
 ``uint64``), so a step touches as few bytes as the family allows.
 
-A step runs over the alive trials in blocks of ``_BLOCK``: per block it
-draws one element per trial, ANDs the drawn elements' words into that
-slice of the masks in place and marks which of those trials stay alive;
-then it compacts the alive trials once, with an order-preserving
-``compress``. The blocks keep a step's temporaries (the int64 draws and
-the gathered words) at a fixed size that malloc serves from its heap,
-where whole-step temporaries were large enough to be mapped and
-zero-filled afresh on every step. The arrays that grow with the trial
-count are then the masks, the keep mask and the compaction.
+A step runs over the alive trials in slices of at most one block of
+draws: per slice it ANDs the drawn elements' words into that slice of the
+masks in place and marks which of those trials stay alive; then it
+compacts the alive trials once, with an order-preserving ``compress``. A
+slice ends where the step or the current block of draws ends, so a block
+may serve the end of one step and the start of the next. The blocks keep
+a step's temporaries (the int64 draws and the gathered words) at a fixed
+size that malloc serves from its heap, where whole-step temporaries were
+large enough to be mapped and zero-filled afresh on every step. The arrays
+that grow with the trial count are then the masks, the keep mask and the
+compaction.
 
-The PRNG is numpy's PCG64, seeded explicitly. Step 1 draws ``trials``
-values of ``integers(0, order)``; every later step draws one per trial
-still alive, in trial order. Drawing a step block by block reads the same
-values as one ``integers(0, order, size=alive)``, because the bounded
-draw takes each value from the generator's one buffered stream. That
+The PRNG is numpy's PCG64, seeded explicitly, and the draws are the values
+of ``Generator(PCG64(seed)).integers(0, order)``: step 1 takes ``trials``
+of them, every later step one per trial still alive, in trial order. That
 layout is stream version 2 (version 1 drew a trials x 32 block first).
-Identical (group, trials, seed) inputs give bit-identical reports within
-one stream version.
+``_blocks`` derives the values from PCG64's raw 64-bit words as numpy does
+for 2 <= order <= 2^32, by Lemire's method ("Fast Random Integer
+Generation in an Interval", ACM TOMACS 29, 2019). numpy's 32-bit outputs
+are the low half of each word, then its high half. An output x gives
+m = x * order in 64 bits and the value m >> 32, unless the low 32 bits of
+m fall below 2^32 mod order; then x is dropped. numpy keeps an unread high
+half for its next call, so its values form one sequence however the calls
+split it, and whole-array operations on the raw words give that sequence
+in the same order. A run draws fewer than one block of values that it
+does not use. Identical (group, trials, seed) inputs give bit-identical
+reports within one stream version.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .errors import TrialCapError
+from .errors import InvariantError, TrialCapError
 from .exact import SieveSystem
 
 STREAM_VERSION = 2
@@ -46,20 +55,63 @@ _WORD = 64
 
 # The most trials one run makes, 100 times the CLI default. A live trial
 # holds its mask words and a keep flag, and a compaction adds an int64
-# index and the compacted words for each survivor. Peaks measured at 10^6
-# trials come to about 8 bytes a trial with one uint8 word, 14 with one
-# uint32 word and 28 with two uint64 words (tracemalloc and RSS agree), so
-# a run at the cap adds about 80-290 MB to the process.
+# index and the compacted words for each survivor; the draws add one
+# block's buffer, at most 128 KiB. Peaks measured at 10^6 trials come to
+# about 8 bytes a trial with one uint8 word, 14 with one uint32 word and
+# 28 with two uint64 words (tracemalloc and RSS agree), so a run at the
+# cap adds about 80-290 MB to the process.
 MAX_TRIALS = 10**7
 
-# Trials per block of a step. One block's int64 draws take 128 KiB, glibc
-# malloc's default mmap threshold, so malloc serves a step's temporaries
-# from its heap; whole-step temporaries of 10^5 trials were mapped and
-# zero-filled afresh on every step: 21 300 minor page faults in one
-# in-process pass over the benchmark's mc ops, against 2 200 in blocks.
-# Blocks of 2^13 ran about 5 % slower; 2^15 and 2^16 were no faster beyond
-# the noise of alternating runs and fault more (8 900 and 25 100 a pass).
+# Draws per block of a run of at least _BLOCK trials: the candidates of
+# _BLOCK / 2 raw words (rounded up), less the rejections, below
+# order / 2^32 (5e-6 under the order cap) of the candidates. One block's
+# int64 draws take 128 KiB, glibc malloc's default mmap threshold, and a
+# step's slices are at most a block long, so malloc serves a step's
+# temporaries from its heap; whole-step temporaries of 10^5 trials were
+# mapped and zero-filled afresh on every step: 21 300 minor page faults in
+# one in-process pass over the benchmark's mc ops, against 2 200 in
+# blocks. Blocks of 2^13 were slower, with numpy's bounded draws and
+# again with raw-word draws; 2^15 and 2^16 were no faster beyond the noise
+# of alternating runs and fault more (8 900 and 25 100 a pass).
 _BLOCK = 1 << 14
+
+
+def _blocks(order: int, bits, size: int):
+    """Yield the stream of ``Generator(bits).integers(0, order)``, for a
+    fresh ``PCG64`` ``bits``, as int64 blocks, each the accepted values of
+    ``size`` candidates rounded up to whole 64-bit words.
+
+    Each block is a view of one buffer, which the next block overwrites.
+    The first block raises ``InvariantError`` unless 2 <= order <= 2^32,
+    the range in which numpy draws these values: at order 1 it draws
+    nothing, and above 2^32 it reduces whole 64-bit words.
+    """
+    if not 2 <= order <= 1 << 32:
+        raise InvariantError(f"order {order} lies outside 2..2^32, where the draws follow numpy's")
+    import numpy as np
+
+    threshold = (1 << 32) % order
+    words = (size + 1) // 2
+    buf = np.empty(2 * words, np.uint64)
+    while True:
+        # numpy's next_uint32 reads the low half of a word, then the high
+        # half, which "<u4" lists in that order on any host. dtype= fixes
+        # the 64-bit loop: left to promotion, numpy 1.x would multiply in
+        # uint32 and wrap. No temporary stays bound while the generator waits.
+        m = np.multiply(
+            bits.random_raw(words).astype("<u8", copy=False).view("<u4"),
+            order,
+            out=buf,
+            dtype=np.uint64,
+        )
+        # under the order cap most blocks reject nothing, and the min()
+        # test spares them the compress (filtering every block ran 5 %
+        # slower on the benchmark's mc wall_s, BENCH_38.json)
+        if threshold:
+            low = m.astype(np.uint32)
+            if low.min() < threshold:
+                m = m[low >= threshold]
+        yield np.right_shift(m, 32, out=m).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -107,7 +159,13 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
         full = (1 << min(_WORD, S.sieve_count - shift)) - 1
         word = [(sig >> shift) & full for sig in S.class_signatures]
         tables.append(np.array(word, dtype=np.min_scalar_type(full))[class_of])
-    rng = np.random.Generator(np.random.PCG64(seed))
+    # built before any draw, so that numpy refuses a bad seed even when the
+    # trivial group draws nothing
+    bits = np.random.PCG64(seed)
+    # no step draws more than ``trials`` values, so a run of fewer trials
+    # than _BLOCK reads blocks of its own size
+    blocks = _blocks(S.order, bits, min(_BLOCK, trials))
+    block, used = (), 0
 
     # Trials are exchangeable, so only the alive count per step matters:
     # a trial that takes step s adds 1 to its wait and 2s - 1 to its square.
@@ -120,12 +178,18 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
         total += alive
         total_sq += (2 * step - 1) * alive
         keep = np.empty(alive, bool)
-        for lo in range(0, alive, _BLOCK):
-            hi = min(lo + _BLOCK, alive)
-            idx = rng.integers(0, S.order, size=hi - lo)
+        lo = 0
+        while lo < alive:
+            # a slice ends where the step or the current block ends
+            if used == len(block):
+                block, used = next(blocks), 0
+            idx = block[used : used + alive - lo]
+            used += len(idx)
+            hi = lo + len(idx)
             for m, t in zip(masks, tables):
                 m[lo:hi] &= t.take(idx)
             keep[lo:hi] = reduce(np.bitwise_or, (m[lo:hi] for m in masks))
+            lo = hi
         # a Python int, so that total, mean and variance stay Python numbers
         survivors = int(np.count_nonzero(keep))
         if survivors < alive:

@@ -18,8 +18,10 @@ solubility from the derived series, and the inclusion-exclusion value
 from a transparent double loop over subsets, the reduced sieve family
 from a pairwise containment scan of the maximal classes' unions, each
 the union of its representative's conjugation orbit, Monte
-Carlo waiting times from a per-trial loop on Python-int masks that makes the same generator
-calls as the vectorised simulation, normal closures from closing every
+Carlo waiting times from a per-trial loop on Python-int masks that draws
+through numpy's ``Generator.integers``, which the simulation derives from
+raw words instead, bounded draws from Lemire's rule applied to one
+candidate at a time in Python ints, normal closures from closing every
 conjugate of the seeds, minimal normal subgroups above N from the
 lattice's normal subgroups or from the normal closure of every class
 representative, other chief series from those lattice minimal normal
@@ -669,7 +671,9 @@ def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
     """Waiting time of every trial under Monte Carlo stream version 2.
 
     Each step draws one element per alive trial, in trial order; masks are
-    unbounded Python ints over all reduced unions.
+    unbounded Python ints over all reduced unions. The draws come from
+    numpy's ``Generator.integers``, not from ``mc._blocks``, which derives
+    the same values from the raw words.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     full = (1 << S.sieve_count) - 1
@@ -685,6 +689,18 @@ def mc_waits_by_trial(S, trials: int, seed: int) -> list[int]:
                 waits[t] = step
                 del masks[t]
     return waits
+
+
+def lemire_draws(candidates, order: int) -> list[int]:
+    """Values of numpy's 32-bit bounded draw on ``integers(0, order)`` from
+    the given 32-bit outputs, one candidate at a time.
+
+    As numpy's ``buffered_bounded_lemire_uint32``: a candidate x gives
+    m = x * order and the value m >> 32, and is dropped when the low 32
+    bits of m fall below 2^32 mod order.
+    """
+    threshold = (1 << 32) % order
+    return [x * order >> 32 for x in candidates if (x * order) & 0xFFFFFFFF >= threshold]
 
 
 def quotient_by_mult(G: PermGroup, N: Subgroup) -> tuple[PermGroup, tuple[int, ...]]:

@@ -2,14 +2,15 @@ import signal
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chebotarev import mc
-from chebotarev.errors import TrialCapError
+from chebotarev.errors import InvariantError, TrialCapError
 from chebotarev.exact import SieveSystem, build_sieves, chebotarev_exact
 from chebotarev.mc import MAX_TRIALS, mc_estimate
 
-from oracles import mc_waits_by_trial, shuffled_sieves
+from oracles import lemire_draws, mc_waits_by_trial, shuffled_sieves
 
 
 def test_reproducibility(group_of):
@@ -158,6 +159,14 @@ def test_no_sieves_waits_zero():
     assert rep.max_waiting_time == 0
 
 
+def test_bad_seed_refused_without_draws():
+    # numpy refuses a negative seed when the PCG64 is built, before any
+    # draw, so a run of the trivial group, which draws nothing, refuses it
+    # too and no report carries a seed outside the schema
+    with pytest.raises(ValueError):
+        mc_estimate(_coupon_system(1), 10, -1)
+
+
 _SYSTEMS = [
     pytest.param(lambda group_of: build_sieves(group_of("alternating 4")), id="A4"),
     pytest.param(lambda group_of: build_sieves(group_of("elementary 2 5")), id="E32"),
@@ -190,16 +199,89 @@ def test_stream_matches_per_trial_oracle(system, group_of):
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("system", _SYSTEMS)
 def test_stream_across_block_boundaries(system, block, group_of, monkeypatch):
-    # a step draws its alive trials block by block; with blocks this small
-    # every step of 300 trials spans several blocks and ends on a short one,
-    # and the draws must still be the oracle's one draw per step
+    # the stream is read in blocks that ignore step boundaries: with blocks
+    # this small every step of 300 trials spans several of them, starts and
+    # ends inside one, and the draws must still be the oracle's one draw per
+    # alive trial per step
     monkeypatch.setattr(mc, "_BLOCK", block)
     _assert_matches_oracle(system(group_of), 300, 17)
 
 
 def test_stream_at_full_block_size(group_of):
-    # two full blocks and a short one at the first steps, on one uint8 word
+    # step 1 reads two whole blocks and 3 values of a third, so step 2
+    # starts inside a block; one uint8 word
     _assert_matches_oracle(build_sieves(group_of("symmetric 3")), 2 * mc._BLOCK + 3, 23)
+
+
+def _stream(order, seed, n, size):
+    # the first n values of mc's block stream, copied out of its one buffer
+    parts, blocks = [], mc._blocks(order, np.random.PCG64(seed), size)
+    while n > 0:
+        parts.append(next(blocks)[:n].copy())
+        n -= len(parts[-1])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("size", [7, mc._BLOCK])
+@pytest.mark.parametrize(
+    "order",
+    [
+        # 2^32 mod order is 0, so no value is rejected
+        2, 4, 32, 2**31, 2**32,
+        # small thresholds, rejections below 5e-6 a draw
+        3, 6, 12, 20_000,
+        # heavy rejection (about 50 % and 25 % of the draws), and the top
+        # order with a threshold (1)
+        2**31 + 1, 3 * 2**30, 2**32 - 1,
+    ],
+)
+def test_blocks_equal_numpy_integers(order, size):
+    # numpy reads 32-bit halves of one buffered stream across calls, so
+    # calls of uneven sizes, odd ones among them, give one sequence; the
+    # blocks must give that sequence, rejections included
+    sizes = (1, 2, 333, 5000)
+    for seed in (0, 17, 2**63 + 5, 2**64 - 1):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = np.concatenate([rng.integers(0, order, size=k) for k in sizes])
+        got = _stream(order, seed, sum(sizes), size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+class _ChosenWords:
+    # stands in for PCG64: random_raw hands out the given 64-bit words
+    def __init__(self, words):
+        self._words = words
+
+    def random_raw(self, k):
+        assert k == len(self._words)
+        return np.array(self._words, np.uint64)
+
+
+@pytest.mark.parametrize("order", [3, 19_999, 2**31 + 1, 2**32 - 1])
+def test_blocks_reject_at_the_threshold_edge(order):
+    # candidates whose low 32 bits of x * order land on 2^32 mod order - 1
+    # (dropped) and on 2^32 mod order (kept) come once in 2^32 draws, so no
+    # seeded stream reaches them; they are solved for here (order is odd,
+    # so it is invertible mod 2^32) and read through stand-in raw words
+    threshold = (1 << 32) % order
+    inverse = pow(order, -1, 1 << 32)
+    edge = [(low * inverse) % (1 << 32) for low in (threshold - 1, threshold)]
+    candidates = [*edge, 0, 1, 2**32 - 1, *edge[::-1], 12345]
+    words = [lo | hi << 32 for lo, hi in zip(candidates[::2], candidates[1::2])]
+    block = next(mc._blocks(order, _ChosenWords(words), len(candidates)))
+    assert block.tolist() == lemire_draws(candidates, order)
+    # both copies of the lower edge go, and so does x = 0, whose low bits 0
+    # lie below every nonzero threshold
+    assert len(block) == len(candidates) - 3
+
+
+@pytest.mark.parametrize("order", [1, 2**32 + 1, 2**40])
+def test_blocks_refuse_orders_outside_the_stream(order):
+    # numpy draws nothing at order 1 and reduces 64-bit words above 2^32,
+    # so the blocks would be another stream there
+    with pytest.raises(InvariantError):
+        next(mc._blocks(order, np.random.PCG64(0), mc._BLOCK))
 
 
 def test_traced_peak_per_trial(group_of):

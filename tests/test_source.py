@@ -227,6 +227,16 @@ def test_complement_classes_from_one_elimination():
     assert ("crowns.py", "derivations") not in _calls("mat_rank")
 
 
+def test_one_definition_of_the_stream():
+    # mc._blocks is the one place where the PCG64 stream becomes draws: no
+    # src/ module builds a numpy Generator or calls its integers, so the
+    # stream oracle in tests/oracles.py, which does, checks an independent
+    # derivation of the same values
+    assert _calls("integers") == []
+    assert _calls("Generator") == []
+    assert _calls("random_raw") == [("mc.py", "_blocks")]
+
+
 def test_oracle_only_code_stays_in_tests():
     # these have no caller in src/; they live in tests/oracles.py, or the
     # tests read the primitives (conj_map, closure_bits) directly
