@@ -4,9 +4,12 @@
 For each trial budget the script runs several seeds and reports the worst
 absolute deviation from the exact value, which should shrink like
 1/sqrt(trials), the mean half-width of the 95% interval, the mean seconds
-of one run, and the peak bytes per trial that ``tracemalloc`` traces in
-one more run (seed 0) of that budget. numpy reports its array buffers to
-``tracemalloc``, so the peak is the run's arrays, not the process's RSS.
+of one run, the mean minor page faults of one run (the process's
+``ru_minflt`` over the budget's seeds, divided by the seed count), and the
+peak bytes per trial that ``tracemalloc`` traces in one more run (seed 0)
+of that budget. numpy reports its array buffers to ``tracemalloc``, so the
+peak is the run's arrays, not the process's RSS; the faults show arrays
+that are mapped and zero-filled afresh, which the heap would have reused.
 
 The group must be one the exact engine solves, since the error is taken
 against the exact value; a spec it refuses is a usage error (exit 2).
@@ -15,6 +18,7 @@ Usage: python scripts/mc_accuracy.py [--spec "symmetric 3"] [--seeds 10]
 """
 
 import argparse
+import resource
 import sys
 import time
 import tracemalloc
@@ -62,20 +66,25 @@ def main() -> int:
     except ChebotarevError as exc:
         parser.error(f"{args.spec!r}: {exc}")
     print(f"group {parsed.label}: exact = {exact:.10f}")
-    print(f"{'trials':>9} {'worst |err|':>12} {'mean half-ci':>13} {'s/run':>9} {'peak B/trial':>13}")
+    print(
+        f"{'trials':>9} {'worst |err|':>12} {'mean half-ci':>13} {'s/run':>9}"
+        f" {'faults/run':>11} {'peak B/trial':>13}"
+    )
     for trials in args.budgets:
         worst = 0.0
         half_sum = 0.0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         for seed in range(args.seeds):
             rep = mc_estimate(S, trials, seed)
             worst = max(worst, abs(rep.mean - exact))
             half_sum += (rep.ci95[1] - rep.ci95[0]) / 2
         seconds = (time.perf_counter() - start) / args.seeds
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         per_trial = traced_peak(S, trials, 0) / trials
         print(
             f"{trials:9d} {worst:12.6f} {half_sum / args.seeds:13.6f}"
-            f" {seconds:9.4f} {per_trial:13.1f}"
+            f" {seconds:9.4f} {faults / args.seeds:11.1f} {per_trial:13.1f}"
         )
     return 0
 

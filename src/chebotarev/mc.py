@@ -12,15 +12,19 @@ holds its sieves (``uint8`` up to 8, then ``uint16``, ``uint32``,
 
 A step runs over the alive trials in slices of at most one block of
 draws: per slice it ANDs the drawn elements' words into that slice of the
-masks in place and marks which of those trials stay alive; then it
-compacts the alive trials once, with an order-preserving ``compress``. A
-slice ends where the step or the current block of draws ends, so a block
-may serve the end of one step and the start of the next. The blocks keep
-a step's temporaries (the int64 draws and the gathered words) at a fixed
-size that malloc serves from its heap, where whole-step temporaries were
-large enough to be mapped and zero-filled afresh on every step. The arrays
-that grow with the trial count are then the masks, the keep mask and the
-compaction.
+masks in place, then moves the slice's surviving trials, in order, to the
+live front of the masks, with an order-preserving ``compress`` when some
+trial died and a plain copy when none did. The survivors of a step's
+earlier slices fill no more than those slices did, so the front never
+overtakes the slice being read, and after the step the front is exactly
+the alive trials in trial order. A slice ends where the step or the
+current block of draws ends, so a block may serve the end of one step and
+the start of the next. The blocks keep a step's temporaries (the int64
+draws, the gathered words and the compaction's index) at a fixed size that
+malloc serves from its heap, where whole-step temporaries were large
+enough to be mapped and zero-filled afresh on every step. The masks are
+allocated once, at the trial count, and are the only arrays that grow
+with it.
 
 The PRNG is numpy's PCG64, seeded explicitly, and the draws are the values
 of ``Generator(PCG64(seed)).integers(0, order)``: step 1 takes ``trials``
@@ -53,13 +57,12 @@ STREAM_VERSION = 2
 
 _WORD = 64
 
-# The most trials one run makes, 100 times the CLI default. A live trial
-# holds its mask words and a keep flag, and a compaction adds an int64
-# index and the compacted words for each survivor; the draws add one
-# block's buffer, at most 128 KiB. Peaks measured at 10^6 trials come to
-# about 8 bytes a trial with one uint8 word, 14 with one uint32 word and
-# 28 with two uint64 words (tracemalloc and RSS agree), so a run at the
-# cap adds about 80-290 MB to the process.
+# The most trials one run makes, 100 times the CLI default. A trial holds
+# its mask words for the whole run; everything else is at most a block
+# long (the draws' buffer is 128 KiB). Peaks measured at 10^6 trials come
+# to about 1.3 bytes a trial with one uint8 word, 4.3 with one uint32 word
+# and 17 with two uint64 words, so a run at the cap adds about 10-160 MB to
+# the process.
 MAX_TRIALS = 10**7
 
 # Draws per block of a run of at least _BLOCK trials: the candidates of
@@ -68,11 +71,13 @@ MAX_TRIALS = 10**7
 # int64 draws take 128 KiB, glibc malloc's default mmap threshold, and a
 # step's slices are at most a block long, so malloc serves a step's
 # temporaries from its heap; whole-step temporaries of 10^5 trials were
-# mapped and zero-filled afresh on every step: 21 300 minor page faults in
-# one in-process pass over the benchmark's mc ops, against 2 200 in
-# blocks. Blocks of 2^13 were slower, with numpy's bounded draws and
-# again with raw-word draws; 2^15 and 2^16 were no faster beyond the noise
-# of alternating runs and fault more (8 900 and 25 100 a pass).
+# mapped and zero-filled afresh on every step. One in-process pass over
+# the benchmark's mc ops takes about 235 minor page faults, against
+# 21 300 with whole-step draws and 3 800-5 500 with a whole-step keep
+# mask and compaction. Blocks of 2^13 were slower, with numpy's bounded
+# draws and again with raw-word draws; 2^15 and 2^16 were no faster
+# beyond the noise of alternating runs, and 2^15 faults more (2 100-2 400
+# a pass).
 _BLOCK = 1 << 14
 
 
@@ -177,8 +182,7 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
         step += 1
         total += alive
         total_sq += (2 * step - 1) * alive
-        keep = np.empty(alive, bool)
-        lo = 0
+        lo = kept = 0
         while lo < alive:
             # a slice ends where the step or the current block ends
             if used == len(block):
@@ -188,13 +192,20 @@ def mc_estimate(S: SieveSystem, trials: int, seed: int) -> McReport:
             hi = lo + len(idx)
             for m, t in zip(masks, tables):
                 m[lo:hi] &= t.take(idx)
-            keep[lo:hi] = reduce(np.bitwise_or, (m[lo:hi] for m in masks))
+            # compress reads a bool condition about 2.5 times as fast as words
+            keep = reduce(np.bitwise_or, (m[lo:hi] for m in masks)).astype(bool)
+            # a Python int, so that total, mean and variance stay Python numbers
+            n = int(np.count_nonzero(keep))
+            # the slice's survivors move, in order, to the live front; kept <= lo
+            if n < hi - lo:
+                for m in masks:
+                    m[kept : kept + n] = m[lo:hi].compress(keep)
+            elif kept < lo:
+                for m in masks:
+                    m[kept : kept + n] = m[lo:hi]
+            kept += n
             lo = hi
-        # a Python int, so that total, mean and variance stay Python numbers
-        survivors = int(np.count_nonzero(keep))
-        if survivors < alive:
-            masks = [m.compress(keep) for m in masks]
-            alive = survivors
+        alive = kept
 
     n = trials
     mean = total / n

@@ -31,10 +31,11 @@ def test_mc_accuracy_runs():
     out = _run("mc_accuracy.py", "--seeds", "2", "--budgets", "1000").splitlines()
     assert out[0] == "group symmetric 3: exact = 3.8000000000"
     assert out[1].split() == [
-        "trials", "worst", "|err|", "mean", "half-ci", "s/run", "peak", "B/trial"
+        "trials", "worst", "|err|", "mean", "half-ci", "s/run", "faults/run", "peak", "B/trial"
     ]
-    trials, _, _, seconds, per_trial = out[2].split()
+    trials, _, _, seconds, faults, per_trial = out[2].split()
     assert trials == "1000" and float(seconds) > 0 and float(per_trial) > 0
+    assert float(faults) >= 0
     # no seeds to average over, and a group without an exact value to
     # compare with, are usage errors, not tracebacks
     for args, message in (
