@@ -4,23 +4,21 @@ A tuple of elements fails to invariably generate G exactly when it lies
 inside the conjugate-union of some maximal subgroup, a union of G's
 conjugacy classes kept as their mask (``maximal_classes``). After k
 draws, the unions still containing every drawn element form the AND of
-the drawn classes' signatures: the alive mask. The waiting time C(G) is
-the expected number of draws until that mask is empty, and P_I(G, k) the
-probability that it is empty after k draws.
+the drawn classes' signatures: the alive mask. The wait n is the number of
+draws until that mask is empty: C(G) is its mean and P_I(G, k) = P(n <= k).
 
-Alive masks only move to submasks, so taking the reachable masks in
-increasing numeric order solves the expectation in one triangular pass
-and propagates k-step weights forward. Each mask reads its moves off the
-merged moves of the mask that first reached it, not off every class, and
-the expectation is carried as reduced integer pairs, with one
-``Fraction`` at the end. Everything is exact big-rational arithmetic;
-decimal strings are rendering only.
+Alive masks only move to submasks, so one integer pass over the
+reachable masks in increasing numeric order gives the law of the wait
+(``_wait_law``), and C(G), P_I(G, k) and the restricted waiting sums are
+sums over its terms. Each mask reads its moves off the merged moves of
+the mask that first reached it, not off every class. Everything is exact
+big-rational arithmetic; decimal strings are rendering only.
 
 ``maximal_classes(G)`` is the one copy of the maximal-class family. The
 sieve system keeps only what the chain reads, and the restricted waiting
 sums read G's own classes: ``omega_membership(G, V)`` sets bit i for
-class i in Omega_V, and ``v_property_sum(G, mask)`` runs the chain on
-the selected classes' masks alone.
+class i in Omega_V, and ``v_property_sum(G, mask)`` reads the mean off
+the law of the chain on the selected classes' masks alone.
 """
 
 from __future__ import annotations
@@ -38,10 +36,9 @@ from .perm import PermGroup, bits_iter, conjugacy_classes, per_group, quotient
 from .subgroups import frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
-# 156 is the family of elementary 5 4, the widest in the closed-form sweep
-# of ``verify``; the chain solves it with 1120 states in about 0.03 s on a
-# 2-core Xeon (0.075 s when every state read every class). Monte Carlo
-# has no width limit, so it is the fallback above the cap.
+# 156 is elementary 5 4, the widest in the closed-form sweep of ``verify``:
+# 1120 states, about 0.03 s on a 2-core Xeon with Python 3.11. Above the
+# cap, Monte Carlo, which has no width limit, is the fallback.
 DEFAULT_SIEVE_CAP = 156
 
 
@@ -152,31 +149,46 @@ def _alive_chain(
     return dict(sorted(chain.items()))
 
 
-def _expected_wait(order: int, chain: dict[int, dict[int, int]]) -> Fraction:
-    """Expected draws until the alive mask empties, from the chain's top.
-
-    E[0] = 0 and E[s] = (|G| + sum of w * E[t] over moves t != s) / (|G| - w_stay),
-    solved in increasing mask order. Each E[s] is kept as a reduced pair
-    (numerator, denominator) of integers: the moves are summed over the
-    lcm of their denominators and reduced by one gcd, and the start's pair
-    becomes the one ``Fraction``. A nonempty mask that every draw keeps
-    (a union covering G) has no finite wait and raises ``InvariantError``.
-    """
-    E: dict[int, tuple[int, int]] = {}
+def _wait_law(chain: dict[int, dict[int, int]]) -> dict[int, int]:
+    """The law of the wait n from the chain's top: {m: c} with P(n > k) the
+    sum of c * (m / |G|)^k over stay counts m, by P. Hall's Moebius inversion
+    (1936) on the reached masks. In increasing order, a mask s takes
+    c_s[m] = (sum of w * c_t[m] over its moves t != s) / (m - m_s) and
+    c_s[m_s] = 1 minus the rest; equal laws are kept once, so the moves are
+    summed per law. A mask below s that stays as long as s, or a remainder,
+    cannot occur on a reached chain and raises ``InvariantError``."""
+    laws, index, law_of = [], {}, {}  # distinct laws, law -> its place, mask -> place
     for s, out in chain.items():
-        if s == 0:
-            E[s] = (0, 1)
-            continue
-        leave = order - out.get(s, 0)
-        if leave == 0:
-            raise InvariantError(f"no draw leaves the alive mask {s:#x}: a union covers G")
-        moves = [(w, E[t]) for t, w in out.items() if t != s]
-        den = math.lcm(*[d for _, (_, d) in moves])
-        num = order * den + sum([w * n * (den // d) for w, (n, d) in moves])
-        den *= leave
-        g = math.gcd(num, den)
-        E[s] = (num // g, den // g)
-    return Fraction(*E[s])  # the last, largest mask is the start
+        stay, by_law, acc = out.get(s, 0), {}, {}
+        for t, w in out.items():
+            if t != s:
+                i = law_of[t]
+                by_law[i] = by_law.get(i, 0) + w
+        for i, w in by_law.items():
+            for m, c in laws[i]:
+                acc[m] = acc.get(m, 0) + w * c
+        if stay in acc:
+            raise InvariantError(f"the alive mask {s:#x} stays as long as a mask below it")
+        law = {}
+        for m, a in acc.items():
+            law[m], r = divmod(a, m - stay)
+            if r:
+                raise InvariantError(f"a coefficient of the alive mask {s:#x} is fractional")
+        law[stay] = (1 if s else 0) - sum(law.values())  # the empty mask has no terms
+        key = tuple([(m, c) for m, c in law.items() if c])
+        i = law_of[s] = index.setdefault(key, len(laws))
+        if i == len(laws):
+            laws.append(key)
+    return dict(laws[law_of[s]])  # the last, largest mask is the start
+
+
+def _mean_wait(order: int, law: dict[int, int]) -> Fraction:
+    """E[n] = sum of c * |G| / (|G| - m); a term that stays for every draw
+    (a union covering G) has no finite sum and raises ``InvariantError``."""
+    if order in law:
+        raise InvariantError("an alive mask no draw leaves: a union covers G")
+    den = math.lcm(*[order - m for m in law])
+    return Fraction(sum([c * order * (den // (order - m)) for m, c in law.items()]), den)
 
 
 def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> ChebValue:
@@ -187,26 +199,15 @@ def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> 
             f"{r} reduced sieves exceed the cap of {max_sieves}; fall back to Monte Carlo"
         )
     chain = _alive_chain(S.class_sizes, S.class_signatures, (1 << r) - 1)
-    exact = _expected_wait(S.order, chain)
-    return ChebValue(exact=exact, sieve_count=r, state_count=len(chain))
+    return ChebValue(_mean_wait(S.order, _wait_law(chain)), r, len(chain))
 
 
 def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
-    """P_I(G, k): probability that k uniform elements invariably generate."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    full = (1 << S.sieve_count) - 1
-    chain = _alive_chain(S.class_sizes, S.class_signatures, full)
-    # integer weight of the k-tuples reaching each nonempty alive mask
-    alive = {full: 1} if full else {}
-    for _ in range(k):
-        step: dict[int, int] = {}
-        for s, c in alive.items():
-            for t, w in chain[s].items():
-                if t:
-                    step[t] = step.get(t, 0) + c * w
-        alive = step
-    return 1 - Fraction(sum(alive.values()), S.order**k)
+    """P_I(G, k) = P(n <= k): the chance that k uniform elements invariably generate."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError("k must be a nonnegative integer")
+    law = _wait_law(_alive_chain(S.class_sizes, S.class_signatures, (1 << S.sieve_count) - 1))
+    return 1 - Fraction(sum(map(lambda m, c: c * m**k, law, law.values())), S.order**k)
 
 
 def omega_membership(G: PermGroup, V: ChiefFactorModule) -> int:
@@ -256,12 +257,10 @@ def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
     classes = maximal_classes(G)
     if omega_mask >> len(classes):
         raise ValueError("the mask selects a class beyond the maximal classes of G")
-    if omega_mask == 0:
-        return Fraction(0)
     selected = [mc.class_mask for i, mc in enumerate(classes) if omega_mask >> i & 1]
     sizes = conjugacy_classes(G).sizes
     chain = _alive_chain(sizes, _signatures(selected, len(sizes)), (1 << len(selected)) - 1)
-    return _expected_wait(G.order, chain)
+    return _mean_wait(G.order, _wait_law(chain))
 
 
 def elementary_abelian_cheb(p: int, delta: int) -> Fraction:

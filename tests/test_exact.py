@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -6,15 +8,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     CATALOG_SPECS,
+    RANDOM_CASES,
     SOLUBLE_SPECS,
     brute_invariable_prob,
     class_unions,
+    expected_wait,
     naive_cheb_from_unions,
     naive_prob_from_unions,
+    propagated_invariable_prob,
+    random_case,
     reduced_unions,
     shuffled_sieves,
 )
 from chebotarev import exact
+from chebotarev.catalog import ELEMENTARY_SWEEP
 from chebotarev.groupspec import parse_group
 from chebotarev.errors import (
     InvariantError,
@@ -415,3 +422,97 @@ def test_covering_union_is_an_invariant_error():
     )
     with pytest.raises(InvariantError):
         chebotarev_exact(broken)
+
+
+def _insoluble_specs():
+    # scripts/report_digest.py's INSOLUBLE_SPECS, loaded as a module
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.INSOLUBLE_SPECS
+
+
+# the catalogs, the digest's insoluble groups, the closed-form sweep and
+# S4^3, whose law has 146 terms, then the random groups
+LAW_SPECS = tuple(
+    dict.fromkeys(
+        CATALOG_SPECS
+        + _insoluble_specs()
+        + tuple(f"elementary {p} {d}" for p, d in ELEMENTARY_SWEEP)
+        + ("direct_product symmetric 4 symmetric 4 symmetric 4",)
+    )
+) + tuple(f"random {f} {s}" for f, s in RANDOM_CASES)
+
+
+@pytest.mark.parametrize("spec", LAW_SPECS)
+def test_law_readings_match_chain_propagation(spec, group_of):
+    # C(G), P_I(G, k) and every restricted sum over Omega_V are readings of
+    # the wait's law; the oracles solve the expectation and carry k-step
+    # weights over the same chain
+    if spec.startswith("random "):
+        _, family, seed = spec.split()
+        G = random_case(family, int(seed))
+    else:
+        G = group_of(spec)
+    S = build_sieves(G)
+    chain = exact._alive_chain(S.class_sizes, S.class_signatures, (1 << S.sieve_count) - 1)
+    assert chebotarev_exact(S).exact == expected_wait(G.order, chain)
+    for k in range(7):
+        assert invariable_gen_prob(S, k) == propagated_invariable_prob(G.order, chain, k)
+    sizes = conjugacy_classes(G).sizes
+    classes = maximal_classes(G)
+    for V in crown_data(G).A:
+        mask = omega_membership(G, V)
+        selected = [mc.class_mask for i, mc in enumerate(classes) if mask >> i & 1]
+        sigs = exact._signatures(selected, len(sizes))
+        sub = exact._alive_chain(sizes, sigs, (1 << len(selected)) - 1)
+        assert v_property_sum(G, mask) == expected_wait(G.order, sub)
+
+
+def test_law_refuses_a_mask_below_that_stays_as_long():
+    # hand-built: the mask 0b11 and its successor 0b01 both keep one of the
+    # two elements, which no reached chain allows, as every successor of a
+    # reached mask stays strictly longer
+    chain = {0: {0: 2}, 0b01: {0b01: 1, 0: 1}, 0b11: {0b11: 1, 0b01: 1}}
+    with pytest.raises(InvariantError):
+        exact._wait_law(chain)
+
+
+def test_law_refuses_a_fractional_coefficient():
+    # hand-built: 0b01 has the law {3: 1}, so 0b11, which stays 1 of 4,
+    # would take the coefficient 1 / (3 - 1) at 3
+    chain = {0: {0: 4}, 0b01: {0b01: 3, 0: 1}, 0b11: {0b11: 1, 0b01: 1, 0: 2}}
+    with pytest.raises(InvariantError):
+        exact._wait_law(chain)
+
+
+def test_covering_union_readings(monkeypatch):
+    # the term that stays for every draw: P_I reads it as the propagation
+    # does (no tuple ever generates), and the restricted sum refuses it as
+    # C(G) does
+    broken = SieveSystem(
+        order=2,
+        class_sizes=(1, 1),
+        class_of=(0, 1),
+        raw_unions=(0b11,),
+        sieve_count=1,
+        class_signatures=(1, 1),
+    )
+    chain = exact._alive_chain(broken.class_sizes, broken.class_signatures, 1)
+    assert exact._wait_law(chain) == {2: 1}
+    for k in range(4):
+        assert invariable_gen_prob(broken, k) == propagated_invariable_prob(2, chain, k) == 0
+    G = parse_group("symmetric 3").group
+    every = (1 << len(conjugacy_classes(G).reps)) - 1
+    covering = MaximalClassData(maximal_classes(G)[0].representative, every)
+    monkeypatch.setattr(exact, "maximal_classes", lambda H: [covering])
+    with pytest.raises(InvariantError):
+        v_property_sum(G, 1)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, -1], ids=["bool", "float", "negative"])
+def test_invariable_gen_prob_rejects_k(k, group_of):
+    # the law reads m^k, so a float k would come back as a float
+    with pytest.raises(ValueError):
+        invariable_gen_prob(build_sieves(group_of("symmetric 3")), k)
