@@ -7,12 +7,13 @@ draws, the unions still containing every drawn element form the AND of
 the drawn classes' signatures: the alive mask. The wait n is the number of
 draws until that mask is empty: C(G) is its mean and P_I(G, k) = P(n <= k).
 
-Alive masks only move to submasks, so one integer pass over the
-reachable masks in increasing numeric order gives the law of the wait
-(``_wait_law``), and C(G), P_I(G, k) and the restricted waiting sums are
-sums over its terms. Each mask reads its moves off the merged moves of
-the mask that first reached it, not off every class. Everything is exact
-big-rational arithmetic; decimal strings are rendering only.
+Alive masks only move to submasks, so one depth-first walk over the
+reachable masks gives each its law of the wait in post-order, with no
+chain stored or sorted (``_wait_law``), and C(G), P_I(G, k) and the
+restricted waiting sums are sums over the start's terms. Each mask reads
+its moves off the merged moves of the mask that pushed it, not off every
+class. Everything is exact big-rational arithmetic; decimal strings are
+rendering only.
 
 ``maximal_classes(G)`` is the one copy of the maximal-class family. The
 sieve system keeps only what the chain reads, and the restricted waiting
@@ -24,7 +25,9 @@ the law of the chain on the selected classes' masks alone.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,8 +40,8 @@ from .subgroups import frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
 # 156 is elementary 5 4, the widest in the closed-form sweep of ``verify``:
-# 1120 states, about 0.03 s on a 2-core Xeon with Python 3.11. Above the
-# cap, Monte Carlo, which has no width limit, is the fallback.
+# 1120 states, 0.02 to 0.03 s on a shared 2-core Xeon with Python 3.11.7.
+# Above the cap, Monte Carlo, which has no width limit, is the fallback.
 DEFAULT_SIEVE_CAP = 156
 
 
@@ -121,65 +124,61 @@ def build_sieves(G: PermGroup) -> SieveSystem:
     )
 
 
-def _alive_chain(
-    sizes: Sequence[int], sigs: Sequence[int], start: int
-) -> dict[int, dict[int, int]]:
-    """Transitions of the alive-mask chain reachable from ``start``.
+def _wait_law(sizes: Sequence[int], sigs: Sequence[int]) -> tuple[dict[int, int], int]:
+    """The law of the wait n from the identity's signature, the OR of all
+    ``sigs``, and the number of alive masks reached.
 
-    Drawing an element of a class with signature sigma moves the alive
-    mask s to s & sigma. Maps every reachable mask to {next mask: total
-    class size}, with keys in increasing order; that order is
-    topological, since every step goes to a submask. The moves of
-    ``start`` merge the classes by their signature masked to it. Every
-    other mask t reads its moves off the merged moves of the mask s that
-    first reached it, not off every class: t is a submask of s, so
-    t & (s & sigma) = t & sigma, and t never reads more moves than s has.
+    A draw from a class of signature sigma moves the alive mask s to
+    s & sigma. The law is {m: c} with P(n > k) the sum of c * (m / |G|)^k,
+    by P. Hall's Moebius inversion (1936): a mask s that stays for m_s
+    elements takes c_s[m] = (sum of w * c_t[m] over its moves, w elements
+    to t != s) / (m - m_s) and c_s[m_s] = 1 minus the rest. Moves go to
+    submasks, so a depth-first walk's post-order is topological: it keeps
+    the moves along its path and one law index a mask, and sorts nothing.
+    A mask merges its moves from those of the mask that pushed it, as
+    t & (s & sigma) = t & sigma, and equal laws are kept once, so moves
+    are summed per law. A mask below s that stays as long as s, or a
+    remainder, cannot occur on a reached chain and raises ``InvariantError``.
     """
-    chain: dict[int, dict[int, int]] = {}
-    todo = [(start, zip(sigs, sizes))]
-    while todo:
-        s, moves = todo.pop()
-        if s in chain:
-            continue
-        out: dict[int, int] = {}
+    laws, index, law_of = [], {}, {}  # distinct laws, law -> its place, mask -> place
+
+    def push(s, moves):
+        out = {}
         for sig, w in moves:
             out[s & sig] = out.get(s & sig, 0) + w
-        chain[s] = out
-        todo.extend((t, out.items()) for t in out if t not in chain)
-    return dict(sorted(chain.items()))
+        path.append((s, out, iter(out)))
 
-
-def _wait_law(chain: dict[int, dict[int, int]]) -> dict[int, int]:
-    """The law of the wait n from the chain's top: {m: c} with P(n > k) the
-    sum of c * (m / |G|)^k over stay counts m, by P. Hall's Moebius inversion
-    (1936) on the reached masks. In increasing order, a mask s takes
-    c_s[m] = (sum of w * c_t[m] over its moves t != s) / (m - m_s) and
-    c_s[m_s] = 1 minus the rest; equal laws are kept once, so the moves are
-    summed per law. A mask below s that stays as long as s, or a remainder,
-    cannot occur on a reached chain and raises ``InvariantError``."""
-    laws, index, law_of = [], {}, {}  # distinct laws, law -> its place, mask -> place
-    for s, out in chain.items():
-        stay, by_law, acc = out.get(s, 0), {}, {}
-        for t, w in out.items():
-            if t != s:
-                i = law_of[t]
-                by_law[i] = by_law.get(i, 0) + w
-        for i, w in by_law.items():
-            for m, c in laws[i]:
-                acc[m] = acc.get(m, 0) + w * c
-        if stay in acc:
-            raise InvariantError(f"the alive mask {s:#x} stays as long as a mask below it")
-        law = {}
-        for m, a in acc.items():
-            law[m], r = divmod(a, m - stay)
-            if r:
-                raise InvariantError(f"a coefficient of the alive mask {s:#x} is fractional")
-        law[stay] = (1 if s else 0) - sum(law.values())  # the empty mask has no terms
-        key = tuple([(m, c) for m, c in law.items() if c])
-        i = law_of[s] = index.setdefault(key, len(laws))
-        if i == len(laws):
-            laws.append(key)
-    return dict(laws[law_of[s]])  # the last, largest mask is the start
+    path = []
+    push(functools.reduce(operator.or_, sigs, 0), zip(sigs, sizes))
+    while path:
+        s, out, todo = path[-1]
+        for t in todo:
+            if t != s and t not in law_of:
+                push(t, out.items())
+                break
+        else:  # every move of s has its law
+            path.pop()
+            stay, by_law, acc = out.get(s, 0), {}, {}
+            for t, w in out.items():
+                if t != s:
+                    i = law_of[t]
+                    by_law[i] = by_law.get(i, 0) + w
+            for i, w in by_law.items():
+                for m, c in laws[i]:
+                    acc[m] = acc.get(m, 0) + w * c
+            if stay in acc:
+                raise InvariantError(f"the alive mask {s:#x} stays as long as a mask below it")
+            law = {}
+            for m, a in acc.items():
+                law[m], r = divmod(a, m - stay)
+                if r:
+                    raise InvariantError(f"a coefficient of the alive mask {s:#x} is fractional")
+            law[stay] = (1 if s else 0) - sum(law.values())  # the empty mask has no terms
+            key = tuple([(m, c) for m, c in law.items() if c])
+            i = law_of[s] = index.setdefault(key, len(laws))
+            if i == len(laws):
+                laws.append(key)
+    return dict(key), len(law_of)  # the start is the last mask to take its law
 
 
 def _mean_wait(order: int, law: dict[int, int]) -> Fraction:
@@ -198,15 +197,15 @@ def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> 
         raise TooManySievesError(
             f"{r} reduced sieves exceed the cap of {max_sieves}; fall back to Monte Carlo"
         )
-    chain = _alive_chain(S.class_sizes, S.class_signatures, (1 << r) - 1)
-    return ChebValue(_mean_wait(S.order, _wait_law(chain)), r, len(chain))
+    law, states = _wait_law(S.class_sizes, S.class_signatures)
+    return ChebValue(_mean_wait(S.order, law), r, states)
 
 
 def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
     """P_I(G, k) = P(n <= k): the chance that k uniform elements invariably generate."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
-    law = _wait_law(_alive_chain(S.class_sizes, S.class_signatures, (1 << S.sieve_count) - 1))
+    law, _ = _wait_law(S.class_sizes, S.class_signatures)
     return 1 - Fraction(sum(map(lambda m, c: c * m**k, law, law.values())), S.order**k)
 
 
@@ -259,8 +258,8 @@ def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
         raise ValueError("the mask selects a class beyond the maximal classes of G")
     selected = [mc.class_mask for i, mc in enumerate(classes) if omega_mask >> i & 1]
     sizes = conjugacy_classes(G).sizes
-    chain = _alive_chain(sizes, _signatures(selected, len(sizes)), (1 << len(selected)) - 1)
-    return _mean_wait(G.order, _wait_law(chain))
+    law, _ = _wait_law(sizes, _signatures(selected, len(sizes)))
+    return _mean_wait(G.order, law)
 
 
 def elementary_abelian_cheb(p: int, delta: int) -> Fraction:

@@ -32,9 +32,10 @@ random generators,
 quotient groups from one product per coset and element, section
 centralizers from the commutator with every element, element orders
 from repeated products, the waiting-time ratio verdict from 60-digit
-decimal square roots, and the readings of the wait's law from the
-alive-mask chain itself: the mean solved mask by mask as reduced integer
-pairs, and P_I(G, k) by carrying integer weights forward k steps.
+decimal square roots, the alive-mask chain from reading every class at
+every reached mask, and the readings of the wait's law from that chain
+itself: the mean solved mask by mask as reduced integer pairs, and
+P_I(G, k) by carrying integer weights forward k steps.
 """
 
 from __future__ import annotations
@@ -554,6 +555,25 @@ def naive_prob_from_unions(order: int, unions: list[int], k: int) -> Fraction:
         sign = 1 if size % 2 else -1
         total += sign * q**k
     return 1 - total
+
+
+def alive_chain(sizes, sigs) -> dict[int, dict[int, int]]:
+    """The alive-mask chain from the identity's signature, the OR of all
+    ``sigs``: every reachable mask s maps to {s & sigma: total size of the
+    classes of signature sigma}, reading every class at every mask, with
+    the masks in increasing order (topological, as moves go to submasks)."""
+    chain: dict[int, dict[int, int]] = {}
+    todo = [functools.reduce(operator.or_, sigs, 0)]
+    while todo:
+        s = todo.pop()
+        if s in chain:
+            continue
+        out: dict[int, int] = {}
+        for sig, w in zip(sigs, sizes):
+            out[s & sig] = out.get(s & sig, 0) + w
+        chain[s] = out
+        todo.extend(t for t in out if t not in chain)
+    return dict(sorted(chain.items()))
 
 
 def expected_wait(order: int, chain: dict[int, dict[int, int]]) -> Fraction:

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from oracles import (
     CATALOG_SPECS,
     RANDOM_CASES,
     SOLUBLE_SPECS,
+    alive_chain,
     brute_invariable_prob,
     class_unions,
     expected_wait,
@@ -449,15 +451,18 @@ LAW_SPECS = tuple(
 def test_law_readings_match_chain_propagation(spec, group_of):
     # C(G), P_I(G, k) and every restricted sum over Omega_V are readings of
     # the wait's law; the oracles solve the expectation and carry k-step
-    # weights over the same chain
+    # weights over the chain built by reading every class at every mask,
+    # and the walk reaches the masks that chain holds
     if spec.startswith("random "):
         _, family, seed = spec.split()
         G = random_case(family, int(seed))
     else:
         G = group_of(spec)
     S = build_sieves(G)
-    chain = exact._alive_chain(S.class_sizes, S.class_signatures, (1 << S.sieve_count) - 1)
-    assert chebotarev_exact(S).exact == expected_wait(G.order, chain)
+    chain = alive_chain(S.class_sizes, S.class_signatures)
+    value = chebotarev_exact(S)
+    assert value.exact == expected_wait(G.order, chain)
+    assert value.state_count == len(chain)
     for k in range(7):
         assert invariable_gen_prob(S, k) == propagated_invariable_prob(G.order, chain, k)
     sizes = conjugacy_classes(G).sizes
@@ -466,25 +471,30 @@ def test_law_readings_match_chain_propagation(spec, group_of):
         mask = omega_membership(G, V)
         selected = [mc.class_mask for i, mc in enumerate(classes) if mask >> i & 1]
         sigs = exact._signatures(selected, len(sizes))
-        sub = exact._alive_chain(sizes, sigs, (1 << len(selected)) - 1)
+        sub = alive_chain(sizes, sigs)
         assert v_property_sum(G, mask) == expected_wait(G.order, sub)
 
 
 def test_law_refuses_a_mask_below_that_stays_as_long():
-    # hand-built: the mask 0b11 and its successor 0b01 both keep one of the
-    # two elements, which no reached chain allows, as every successor of a
-    # reached mask stays strictly longer
-    chain = {0: {0: 2}, 0b01: {0b01: 1, 0: 1}, 0b11: {0b11: 1, 0b01: 1}}
+    # a class of size 0 moves 0b11 to 0b01, which then keeps exactly the
+    # one element 0b11 keeps. No group has an empty class, and the classes
+    # that move a mask to t also keep t, so on a group every successor of
+    # a reached mask stays strictly longer
     with pytest.raises(InvariantError):
-        exact._wait_law(chain)
+        exact._wait_law((1, 0, 1), (0b11, 0b01, 0))
 
 
-def test_law_refuses_a_fractional_coefficient():
-    # hand-built: 0b01 has the law {3: 1}, so 0b11, which stays 1 of 4,
-    # would take the coefficient 1 / (3 - 1) at 3
-    chain = {0: {0: 4}, 0b01: {0b01: 3, 0: 1}, 0b11: {0b11: 1, 0b01: 1, 0: 2}}
+def test_law_refuses_a_fractional_coefficient(monkeypatch):
+    # no sizes and signatures reach this guard: by inclusion-exclusion over
+    # the masks each coefficient is a sum of Moebius values, an integer, so
+    # every division is exact. A divmod that leaves a remainder stands in
+    # for the fault. Here 0b11, which stays 1 of 3, moves to 0b01, whose
+    # law is {2: 1}, and takes 1 / (2 - 1) at 2
+    sizes, sigs = (1, 1, 1), (0b11, 0b01, 0)
+    assert exact._wait_law(sizes, sigs) == ({2: 1}, 3)
+    monkeypatch.setattr(exact, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(InvariantError):
-        exact._wait_law(chain)
+        exact._wait_law(sizes, sigs)
 
 
 def test_covering_union_readings(monkeypatch):
@@ -499,8 +509,8 @@ def test_covering_union_readings(monkeypatch):
         sieve_count=1,
         class_signatures=(1, 1),
     )
-    chain = exact._alive_chain(broken.class_sizes, broken.class_signatures, 1)
-    assert exact._wait_law(chain) == {2: 1}
+    chain = alive_chain(broken.class_sizes, broken.class_signatures)
+    assert exact._wait_law(broken.class_sizes, broken.class_signatures) == ({2: 1}, 1)
     for k in range(4):
         assert invariable_gen_prob(broken, k) == propagated_invariable_prob(2, chain, k) == 0
     G = parse_group("symmetric 3").group
@@ -509,6 +519,23 @@ def test_covering_union_readings(monkeypatch):
     monkeypatch.setattr(exact, "maximal_classes", lambda H: [covering])
     with pytest.raises(InvariantError):
         v_property_sum(G, 1)
+
+
+def test_traced_peak_per_mask(group_of):
+    # the walk keeps one law index a mask and the moves along its path, not
+    # every mask's moves: elementary 3 5 (2664 masks) peaks at about 72
+    # bytes a mask, where a stored chain peaked at about 1000. tracemalloc
+    # counts allocations, so this involves no timing
+    S = build_sieves(group_of("elementary 3 5"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = chebotarev_exact(S)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert value.state_count == 2664
+    assert peak / value.state_count < 300
 
 
 @pytest.mark.parametrize("k", [True, 2.0, -1], ids=["bool", "float", "negative"])

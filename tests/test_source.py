@@ -66,24 +66,24 @@ def test_one_bound_report_pipeline():
 
 
 def test_one_chain_engine():
-    # C(G), P_I(G, k) and the restricted waiting sums all walk the one
-    # alive-mask chain; another caller would be a second engine
+    # C(G), P_I(G, k) and the restricted waiting sums each read the one law
+    # of the wait from the one walk over the alive masks; another caller
+    # would be a second engine, and a stored chain a second pass
     readers = [
         ("exact.py", "chebotarev_exact"),
         ("exact.py", "invariable_gen_prob"),
         ("exact.py", "v_property_sum"),
     ]
-    assert sorted(_calls("_alive_chain")) == readers
-    # and each reads the one law of the wait: no second propagation, and
-    # P_I(G, k) is one sum over the law's terms, with no loop over k
     assert sorted(_calls("_wait_law")) == readers
+    assert "_alive_chain" not in _defined()
     assert "_expected_wait" not in _defined()
     tree = _tree("exact.py")
-    fn = next(
-        n
-        for n in ast.walk(tree)
-        if isinstance(n, ast.FunctionDef) and n.name == "invariable_gen_prob"
-    )
+    defs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    # the walk's post-order is topological, so the masks are never sorted
+    calls = [n.func for n in ast.walk(defs["_wait_law"]) if isinstance(n, ast.Call)]
+    assert not {getattr(f, "attr", getattr(f, "id", None)) for f in calls} & {"sorted", "sort"}
+    # P_I(G, k) is one sum over the law's terms, with no loop over k
+    fn = defs["invariable_gen_prob"]
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [n for n in ast.walk(fn) if isinstance(n, loops)]
 
