@@ -3,11 +3,11 @@
 
 For each of the first N seeds of both families of ``oracles.random_group``
 (random subgroups of S_n, and of S_a x S_b with generators acting on both
-blocks), the package's maximal classes, sieves, d(G), C(G), crown data,
-Omega masks and m are compared with the test oracles
-(``oracles.differential_mismatches``). One line is printed per group:
-family, seed, order, the order of the soluble radical R and the
-comparisons that disagree. Exits 1 if any comparison disagrees.
+blocks), the package's maximal classes, sieves, d(G), C(G), P_I(G, k),
+crown data, Omega masks, m and restricted waiting sums are compared with
+the test oracles (``oracles.differential_mismatches``). One line is
+printed per group: family, seed, order, the order of the soluble radical
+R and the comparisons that disagree. Exits 1 if any comparison disagrees.
 
 Usage: python scripts/random_oracle.py [--seeds 20]
 """

@@ -9,17 +9,17 @@ draws until that mask is empty: C(G) is its mean and P_I(G, k) = P(n <= k).
 
 Alive masks only move to submasks, so one depth-first walk over the
 reachable masks gives each its law of the wait in post-order, with no
-chain stored or sorted (``_wait_law``), and C(G), P_I(G, k) and the
-restricted waiting sums are sums over the start's terms. Each mask reads
-its moves off the merged moves of the mask that pushed it, not off every
-class. Everything is exact big-rational arithmetic; decimal strings are
-rendering only.
+chain stored or sorted (``_wait_law``), and a sieve system keeps the law
+of its first reading: C(G), P_I(G, k) at every k and the restricted
+waiting sums are sums over its terms. Each mask reads its moves off the
+merged moves of the mask that pushed it, not off every class. Everything
+is exact big-rational arithmetic; decimal strings are rendering only.
 
-``maximal_classes(G)`` is the one copy of the maximal-class family. The
-sieve system keeps only what the chain reads, and the restricted waiting
-sums read G's own classes: ``omega_membership(G, V)`` sets bit i for
-class i in Omega_V, and ``v_property_sum(G, mask)`` reads the mean off
-the law of the chain on the selected classes' masks alone.
+``maximal_classes(G)`` is the one copy of the maximal-class family, and
+one builder turns class masks into a sieve system: ``build_sieves(G)``
+gives it every maximal class's mask, and ``v_property_sum(G, mask)`` the
+masks of the classes that ``omega_membership(G, V)`` selects in Omega_V
+(bit i is class i of G's own maximal classes).
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ def decimal_string(x: Fraction, digits: int) -> str:
 class SieveSystem:
     """What the alive-mask chain reads of a group's sieves (the trivial group has none).
 
-    The sieves are the maximal classes' class masks, deduplicated, with
+    The sieves are the class masks it was built from, deduplicated, with
     every mask inside another dropped, in increasing numeric order.
     ``class_signatures`` are their transpose: bit i of class c's signature
-    is bit c of sieve i. The maximal classes themselves are owned by
-    ``maximal_classes(G)``. ``raw_unions`` (each maximal class's mask)
-    stays only because the benchmark's trace reads its length as the raw
-    sieve count; no module of the package reads it.
+    is bit c of sieve i. ``raw_unions`` (the masks as given) stays only
+    because the benchmark's trace reads its length as the raw sieve count;
+    no module of the package reads it. ``_law``, the law of the wait and
+    the number of alive masks reached, is walked on its first reading and
+    kept: a system only simulated never walks.
     """
 
     order: int
@@ -74,6 +75,10 @@ class SieveSystem:
     raw_unions: tuple[int, ...]
     sieve_count: int
     class_signatures: tuple[int, ...]
+
+    @functools.cached_property
+    def _law(self) -> tuple[dict[int, int], int]:
+        return _wait_law(self.class_sizes, self.class_signatures)
 
 
 @dataclass(frozen=True)
@@ -89,39 +94,35 @@ class ChebValue:
     state_count: int
 
 
-def _signatures(masks: Sequence[int], classes: int) -> tuple[int, ...]:
-    """The transpose of the class masks: per class c of the ``classes``,
-    bit i is set iff ``masks[i]`` holds c."""
-    sigs = [0] * classes
-    for i, mask in enumerate(masks):
-        for c in bits_iter(mask):
-            sigs[c] |= 1 << i
-    return tuple(sigs)
-
-
-@per_group
-def build_sieves(G: PermGroup) -> SieveSystem:
-    """Sieve system of G: the class mask of each maximal class, reduced
-    (equal masks merged, contained ones dropped). Kept per group."""
+def _sieve_system(G: PermGroup, masks: tuple[int, ...]) -> SieveSystem:
+    """G's sieve system on the given maximal classes' masks: equal masks
+    merged, contained ones dropped, the rest transposed into signatures."""
     table = conjugacy_classes(G)
-    raw = tuple(mc.class_mask for mc in maximal_classes(G))
     # dropping a union contained in another never changes the union event
-    reduced = tuple(
-        sorted({u for u in raw if not any(v != u and u & ~v == 0 for v in raw)})
-    )
+    reduced = sorted({u for u in masks if not any(v != u and u & ~v == 0 for v in masks)})
     if (1 << len(table.reps)) - 1 in reduced:
         raise InvariantError("a conjugate-union covers G")
-    sigs = _signatures(reduced, len(table.reps))
+    sigs = [0] * len(table.reps)
+    for i, mask in enumerate(reduced):
+        for c in bits_iter(mask):
+            sigs[c] |= 1 << i
     if sigs[table.class_of[0]] != (1 << len(reduced)) - 1:
         raise InvariantError("the identity lies outside a conjugate-union")
     return SieveSystem(
         order=G.order,
         class_sizes=table.sizes,
         class_of=table.class_of,
-        raw_unions=raw,
+        raw_unions=masks,
         sieve_count=len(reduced),
-        class_signatures=sigs,
+        class_signatures=tuple(sigs),
     )
+
+
+@per_group
+def build_sieves(G: PermGroup) -> SieveSystem:
+    """Sieve system of G: the class mask of each maximal class, reduced
+    (equal masks merged, contained ones dropped). Kept per group."""
+    return _sieve_system(G, tuple(mc.class_mask for mc in maximal_classes(G)))
 
 
 def _wait_law(sizes: Sequence[int], sigs: Sequence[int]) -> tuple[dict[int, int], int]:
@@ -136,9 +137,10 @@ def _wait_law(sizes: Sequence[int], sigs: Sequence[int]) -> tuple[dict[int, int]
     submasks, so a depth-first walk's post-order is topological: it keeps
     the moves along its path and one law index a mask, and sorts nothing.
     A mask merges its moves from those of the mask that pushed it, as
-    t & (s & sigma) = t & sigma, and equal laws are kept once, so moves
-    are summed per law. A mask below s that stays as long as s, or a
-    remainder, cannot occur on a reached chain and raises ``InvariantError``.
+    t & (s & sigma) = t & sigma, and equal laws are kept once, keyed by
+    their set of terms, so moves are summed per law. A mask below s that
+    stays as long as s, or a remainder, cannot occur on a reached chain
+    and raises ``InvariantError``.
     """
     laws, index, law_of = [], {}, {}  # distinct laws, law -> its place, mask -> place
 
@@ -174,7 +176,7 @@ def _wait_law(sizes: Sequence[int], sigs: Sequence[int]) -> tuple[dict[int, int]
                 if r:
                     raise InvariantError(f"a coefficient of the alive mask {s:#x} is fractional")
             law[stay] = (1 if s else 0) - sum(law.values())  # the empty mask has no terms
-            key = tuple([(m, c) for m, c in law.items() if c])
+            key = frozenset([(m, c) for m, c in law.items() if c])
             i = law_of[s] = index.setdefault(key, len(laws))
             if i == len(laws):
                 laws.append(key)
@@ -197,15 +199,15 @@ def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> 
         raise TooManySievesError(
             f"{r} reduced sieves exceed the cap of {max_sieves}; fall back to Monte Carlo"
         )
-    law, states = _wait_law(S.class_sizes, S.class_signatures)
+    law, states = S._law
     return ChebValue(_mean_wait(S.order, law), r, states)
 
 
 def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
-    """P_I(G, k) = P(n <= k): the chance that k uniform elements invariably generate."""
+    """P_I(G, k) = P(n <= k), read off the kept law: every k costs one walk."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
-    law, _ = _wait_law(S.class_sizes, S.class_signatures)
+    law, _ = S._law
     return 1 - Fraction(sum(map(lambda m, c: c * m**k, law, law.values())), S.order**k)
 
 
@@ -247,19 +249,16 @@ def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
     some union from the selected maximal classes (bit i selects class i of
     ``maximal_classes(G)``, as ``omega_membership`` sets it).
 
-    This is the expected wait of the chain on the signatures of the
-    selected classes' masks alone; no reduction is needed, since dropping
-    a contained union never changes whether the alive mask is empty.
-    Returns 0 for an empty selection; a bit past the last maximal class
-    raises ``ValueError``.
+    This is the expected wait on the sieve system of the selected classes'
+    masks, reduced as ``build_sieves`` reduces: dropping a contained union
+    never changes whether the alive mask is empty. Returns 0 for an empty
+    selection; a bit past the last maximal class raises ``ValueError``.
     """
     classes = maximal_classes(G)
     if omega_mask >> len(classes):
         raise ValueError("the mask selects a class beyond the maximal classes of G")
-    selected = [mc.class_mask for i, mc in enumerate(classes) if omega_mask >> i & 1]
-    sizes = conjugacy_classes(G).sizes
-    law, _ = _wait_law(sizes, _signatures(selected, len(sizes)))
-    return _mean_wait(G.order, law)
+    selected = tuple(mc.class_mask for i, mc in enumerate(classes) if omega_mask >> i & 1)
+    return _mean_wait(G.order, _sieve_system(G, selected)._law[0])
 
 
 def elementary_abelian_cheb(p: int, delta: int) -> Fraction:

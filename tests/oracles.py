@@ -953,29 +953,44 @@ def differential_mismatches(G: PermGroup) -> list[str]:
       signatures, against the class masks of the scan's reduced unions;
     - ``chebotarev``: C(G) against subset enumeration over the scan's
       reduced unions, when there are at most 12;
+    - ``prob``: P_I(G, k) for k <= 3 against subset enumeration over the
+      same unions, when there are at most 12;
     - ``crown_data``: the crown classes against ``crown_summary`` over
       the second oracle chief series;
     - ``omega``: each crown class's Omega mask against the socles of the
       explicitly built quotients G/core(M);
     - ``m``: |Z^1| = |B^1| q^m for each non-central crown class, counted
-      by generator-image search on its acting group.
+      by generator-image search on its acting group;
+    - ``v_sum``: each non-central crown class's ``v_property_sum`` against
+      subset enumeration over the conjugate-unions of the maximal classes
+      its Omega mask selects, reduced, when there are at most 12.
     """
     from chebotarev.crowns import crown_data
-    from chebotarev.exact import build_sieves, chebotarev_of_group, omega_membership
+    from chebotarev.exact import (
+        build_sieves,
+        chebotarev_of_group,
+        invariable_gen_prob,
+        omega_membership,
+        v_property_sum,
+    )
     from chebotarev.subgroups import maximal_classes, min_generators
+
+    def maximal_unions(unions):
+        return [u for u in unions if not any(v != u and u | v == v for v in unions)]
 
     bad = []
     scanned = maximal_classes_by_pairs(G)
     mx = maximal_classes(G)
+    per_class = class_unions(G)
     if maximal_classes_by_orbits(G) != scanned or [mc.class_mask for mc in mx] != [
-        class_mask(G, u) for u in class_unions(G)
+        class_mask(G, u) for u in per_class
     ]:
         bad.append("maximal_classes")
     if min_generators(G) != min_generators_by_lattice(G):
         bad.append("min_generators")
-    unions = sorted({union for _, _, union, _ in scanned})
-    reduced = [u for u in unions if not any(v != u and u | v == v for v in unions)]
-    sigs = build_sieves(G).class_signatures
+    reduced = maximal_unions(sorted({union for _, _, union, _ in scanned}))
+    S = build_sieves(G)
+    sigs = S.class_signatures
     sieves = [sum(1 << c for c, sig in enumerate(sigs) if sig >> i & 1) for i in range(len(reduced))]
     if sieves != sorted(class_mask(G, u) for u in reduced) or any(sig >> len(reduced) for sig in sigs):
         bad.append("sieves")
@@ -983,6 +998,10 @@ def differential_mismatches(G: PermGroup) -> list[str]:
         chebotarev_of_group(G).exact != naive_cheb_from_unions(G.order, reduced)
     ):
         bad.append("chebotarev")
+    if len(reduced) <= 12 and any(
+        invariable_gen_prob(S, k) != naive_prob_from_unions(G.order, reduced, k) for k in range(4)
+    ):
+        bad.append("prob")
     cd = crown_data(G)
     got_crowns = sorted(
         (V.p, V.n_raw, V.q, V.n, V.delta, V.central, V.h_order) for V in cd.A + cd.B
@@ -995,5 +1014,13 @@ def differential_mismatches(G: PermGroup) -> list[str]:
         der, inner = brute_derivation_count(V.acting_group, V.gen_matrices, V.p)
         if der != inner * V.q**V.m:
             bad.append("m")
+            break
+    for V in cd.A:
+        mask = omega_membership(G, V)
+        picked = maximal_unions({u for i, u in enumerate(per_class) if mask >> i & 1})
+        if len(picked) > 12:
+            continue
+        if v_property_sum(G, mask) != naive_cheb_from_unions(G.order, picked):
+            bad.append("v_sum")
             break
     return bad

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import tracemalloc
 from fractions import Fraction
@@ -435,6 +436,8 @@ def _insoluble_specs():
     return script.INSOLUBLE_SPECS
 
 
+S4_CUBED = "direct_product symmetric 4 symmetric 4 symmetric 4"
+
 # the catalogs, the digest's insoluble groups, the closed-form sweep and
 # S4^3, whose law has 146 terms, then the random groups
 LAW_SPECS = tuple(
@@ -442,7 +445,7 @@ LAW_SPECS = tuple(
         CATALOG_SPECS
         + _insoluble_specs()
         + tuple(f"elementary {p} {d}" for p, d in ELEMENTARY_SWEEP)
-        + ("direct_product symmetric 4 symmetric 4 symmetric 4",)
+        + (S4_CUBED,)
     )
 ) + tuple(f"random {f} {s}" for f, s in RANDOM_CASES)
 
@@ -470,7 +473,9 @@ def test_law_readings_match_chain_propagation(spec, group_of):
     for V in crown_data(G).A:
         mask = omega_membership(G, V)
         selected = [mc.class_mask for i, mc in enumerate(classes) if mask >> i & 1]
-        sigs = exact._signatures(selected, len(sizes))
+        sigs = [
+            sum(1 << i for i, u in enumerate(selected) if u >> c & 1) for c in range(len(sizes))
+        ]
         sub = alive_chain(sizes, sigs)
         assert v_property_sum(G, mask) == expected_wait(G.order, sub)
 
@@ -499,8 +504,8 @@ def test_law_refuses_a_fractional_coefficient(monkeypatch):
 
 def test_covering_union_readings(monkeypatch):
     # the term that stays for every draw: P_I reads it as the propagation
-    # does (no tuple ever generates), and the restricted sum refuses it as
-    # C(G) does
+    # does (no tuple ever generates), and the restricted sum's system is
+    # refused by the builder that refuses it for build_sieves
     broken = SieveSystem(
         order=2,
         class_sizes=(1, 1),
@@ -521,12 +526,11 @@ def test_covering_union_readings(monkeypatch):
         v_property_sum(G, 1)
 
 
-def test_traced_peak_per_mask(group_of):
-    # the walk keeps one law index a mask and the moves along its path, not
-    # every mask's moves: elementary 3 5 (2664 masks) peaks at about 72
-    # bytes a mask, where a stored chain peaked at about 1000. tracemalloc
-    # counts allocations, so this involves no timing
-    S = build_sieves(group_of("elementary 3 5"))
+def _traced_walk(S):
+    # (masks reached, traced peak bytes) of C(G) on a fresh copy of S, which
+    # keeps no law from an earlier reading, so the walk runs under the trace.
+    # tracemalloc counts allocations, so this involves no timing
+    S = dataclasses.replace(S)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -534,8 +538,43 @@ def test_traced_peak_per_mask(group_of):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert value.state_count == 2664
-    assert peak / value.state_count < 300
+    return value.state_count, peak
+
+
+def test_traced_peak_per_mask(group_of):
+    # the walk keeps one law index a mask and the moves along its path, not
+    # every mask's moves: elementary 3 5 (2664 masks) peaks at about 72
+    # bytes a mask, where a stored chain peaked at about 1000
+    states, peak = _traced_walk(build_sieves(group_of("elementary 3 5")))
+    assert states == 2664
+    assert peak / states < 300
+
+
+def test_traced_peak_with_equal_laws(group_of):
+    # S4^3 reaches 188 distinct laws with their terms in many orders: kept
+    # once by value, the walk peaks at about 674 bytes a mask, where a
+    # key on the order of the terms kept 653 laws and peaked at about 1345
+    states, peak = _traced_walk(build_sieves(group_of(S4_CUBED)))
+    assert states == 1024
+    assert peak / states < 1000
+
+
+def test_one_walk_per_system(monkeypatch):
+    # a system keeps its law: C(G) and P_I(G, k) at every k read one walk,
+    # and neither building a system nor simulating it walks (freshly parsed
+    # groups, so no system is kept from another test)
+    walks = []
+    walk = exact._wait_law
+    monkeypatch.setattr(exact, "_wait_law", lambda *args: walks.append(args) or walk(*args))
+    S = build_sieves(parse_group("symmetric 4").group)
+    assert walks == []
+    chebotarev_exact(S)
+    for k in range(7):
+        invariable_gen_prob(S, k)
+    assert len(walks) == 1
+    walks.clear()
+    mc_estimate(build_sieves(parse_group("elementary 2 3").group), 1000, 0)
+    assert walks == []
 
 
 @pytest.mark.parametrize("k", [True, 2.0, -1], ids=["bool", "float", "negative"])

@@ -1,9 +1,10 @@
 """Random groups as a differential oracle.
 
 Every other cross-check runs on groups that some spec names. Here the
-package's maximal classes, d(G), C(G), crown data, Omega masks and m are
-compared with the oracles (``oracles.differential_mismatches``) on random
-permutation groups (``oracles.random_group``) drawn from fixed seeds.
+package's maximal classes, d(G), C(G), P_I(G, k), crown data, Omega masks,
+m and restricted waiting sums are compared with the oracles
+(``oracles.differential_mismatches``) on random permutation groups
+(``oracles.random_group``) drawn from fixed seeds.
 ``scripts/random_oracle.py --seeds N`` runs the same comparisons on the
 first N seeds of both families.
 """

@@ -66,15 +66,10 @@ def test_one_bound_report_pipeline():
 
 
 def test_one_chain_engine():
-    # C(G), P_I(G, k) and the restricted waiting sums each read the one law
-    # of the wait from the one walk over the alive masks; another caller
-    # would be a second engine, and a stored chain a second pass
-    readers = [
-        ("exact.py", "chebotarev_exact"),
-        ("exact.py", "invariable_gen_prob"),
-        ("exact.py", "v_property_sum"),
-    ]
-    assert sorted(_calls("_wait_law")) == readers
+    # C(G), P_I(G, k) and the restricted waiting sums each read the law a
+    # sieve system keeps from its one walk over the alive masks; a reader
+    # that walks would be a second engine, and a stored chain a second pass
+    assert _calls("_wait_law") == [("exact.py", "_law")]
     assert "_alive_chain" not in _defined()
     assert "_expected_wait" not in _defined()
     tree = _tree("exact.py")
@@ -214,13 +209,18 @@ def test_maximal_classes_own_the_family():
 def test_class_level_sieve_family():
     # a maximal class is one representative and the mask of G's classes
     # that meet it: no conjugate is listed, no |G|-bit union or core is
-    # kept, the signatures are not read back through binary strings, and
-    # the complement systems build one complement per class
+    # kept, the signatures are not read back through binary strings, the
+    # complement systems build one complement per class, and masks become
+    # signatures in one builder, which the whole family and the restricted
+    # sums' selections both reach
     fields = [f.name for f in dataclasses.fields(chebotarev.subgroups.MaximalClassData)]
     assert fields == ["representative", "class_mask"]
     assert not {"complements", "_complement_classes", "_union_signatures"} & _defined()
-    assert ("exact.py", "build_sieves") in _calls("_signatures")
-    assert ("exact.py", "v_property_sum") in _calls("_signatures")
+    assert "_signatures" not in _defined()
+    assert sorted(_calls("_sieve_system")) == [
+        ("exact.py", "build_sieves"),
+        ("exact.py", "v_property_sum"),
+    ]
 
 
 def test_complement_classes_from_one_elimination():
