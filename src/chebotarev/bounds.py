@@ -4,7 +4,7 @@ Bound values are assembled in exact rational arithmetic (the sigma
 constant is a fixed decimal literal, hence an exact rational), and every
 verdict is an exact comparison of rationals: a comparison with square
 roots is squared until none is left. Only the displayed (5/3) sqrt(|G|)
-is a decimal, rounded up.
+is a decimal, rounded up in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -33,21 +33,20 @@ class Verdict(str, enum.Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-def _sqrt(x: Fraction, rounding: str) -> decimal.Decimal:
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PREC
-        ctx.rounding = rounding
-        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-        return d.sqrt()
-
-
 def five_thirds_bound(order: int) -> decimal.Decimal:
-    """(5/3) * sqrt(order), rounded up."""
-    root = _sqrt(Fraction(order), decimal.ROUND_CEILING)
+    """The least decimal of ``_PREC`` significant digits at or above (5/3) sqrt(order).
+
+    It is c 10^-s, with s = ``_PREC`` less the digits of its integer part
+    and c the least integer with 9 c^2 >= 25 order 100^s, in integers.
+    """
+    s = _PREC - len(str(math.isqrt(25 * order) // 3))
+    a = 25 * order * 100 ** max(s, 0)
+    r = math.isqrt(a)
+    # ceil(ceil(sqrt(a)) / 3), over 10^-s too for an order past 10^75
+    c = -(-(r + (r * r < a)) // (3 * 10 ** max(-s, 0)))
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC
-        ctx.rounding = decimal.ROUND_CEILING
-        return decimal.Decimal(5) * root / decimal.Decimal(3)
+        return decimal.Decimal(c) / decimal.Decimal(10) ** s  # exact
 
 
 def five_thirds_check(exact: Fraction, order: int, is_klein: bool) -> Verdict:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import functools
 import json
 import sys
@@ -82,6 +83,12 @@ def _crowns(G, args) -> tuple[dict, int]:
     return {"crowns": _crowns_block(cd), "nonabelian_factors": nonabelian}, 0
 
 
+def _five_thirds_display(order: int) -> str:
+    # rounded up, never down: the printed bound is never below (5/3) sqrt(|G|)
+    ceiling = decimal.Context(DISPLAY_DIGITS, decimal.ROUND_CEILING)
+    return str(ceiling.plus(five_thirds_bound(order)))
+
+
 def _bounds(G, args) -> tuple[dict, int]:
     w = analyze(G, max_sieves=args.cap_sieves)
     rb = w.report
@@ -90,7 +97,7 @@ def _bounds(G, args) -> tuple[dict, int]:
         "crown_bound": decimal_string(rb.crown_bound_value, DISPLAY_DIGITS),
         "min_generator_bound": decimal_string(rb.min_generator_bound_value, DISPLAY_DIGITS),
         "degenerate_family": rb.degenerate_family,
-        "five_thirds_bound": str(five_thirds_bound(G.order))[:DISPLAY_DIGITS + 2],
+        "five_thirds_bound": _five_thirds_display(G.order),
         "d": w.d,
         "per_factor": [
             {"label": V.label, **dict(zip(_TERM_KEYS, map(str, crown_term(V))))}

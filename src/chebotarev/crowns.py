@@ -29,12 +29,13 @@ equal dimension is invertible), and the commutant field is the
 self-intertwiner space. Derivations solve the cocycle condition written
 along the Cayley graph, and the complements of an abelian chief factor
 X/Y solve its inhomogeneous form, written along the coset graph of X.
-Both go through one solve (``_cocycle_solve``), which fixes the pivot
-columns of B^1 at 0, so each solution stands for one coset of B^1: one
-class of H^1, or one conjugacy class of complements. Each abelian
-section is solved once per G: its F_p coordinates (shared by its module
-and its complements) and one complement per conjugacy class are kept
-per group, and complementedness is whether the system is consistent.
+One function writes and solves both systems (``_cocycle_solve``). It
+fixes the pivot columns of B^1 at 0, so each solution stands for one
+coset of B^1: one class of H^1, or one conjugacy class of complements.
+Each abelian section is solved once per G: its F_p coordinates (shared
+by its module and its complements) and one complement per conjugacy
+class are kept per group, and complementedness is whether the system is
+consistent.
 The complements of the factors below R, with the preimages of the
 maximal subgroups of G/R, are all the maximal subgroups of G;
 ``maximal_subgroups`` gives one per conjugacy class to
@@ -519,7 +520,7 @@ def _commutant_field(gen_matrices: Sequence[Mat], p: int) -> tuple[int, int]:
 # -- derivations and first cohomology ------------------------------------
 
 
-def _cocycle_rows(
+def _cocycle_solve(
     right: Sequence[Sequence[int]],
     parent: Sequence[int],
     via: Sequence[int],
@@ -527,20 +528,29 @@ def _cocycle_rows(
     n: int,
     p: int,
     offset: Callable[[int, int, int], tuple[int, ...]],
-) -> list[tuple[int, ...]]:
-    """Rows of the cocycle condition zeta(y) = M_k zeta(x) + u_k on a graph.
+) -> Optional[tuple[list[int], list[tuple[int, ...]], int]]:
+    """Solve zeta(y) = M_k zeta(x) + u_k on a graph, once per coset of B^1.
 
     Node x has one edge ``x -> right[k][x]`` per generator k, with its
     n x n matrix M_k. The BFS tree ``(parent, via)``, rooted at node 0
     with ``parent[j] < j``, writes each zeta(x) as a linear map of the
-    unknowns u_k in F_p^n: zeta(0) = 0 and a tree edge sets
-    zeta(y) = M_k zeta(x) + u_k. Every other edge gives the n rows
-    zeta(y) - (M_k zeta(x) + u_k); ``offset(x, k, y)`` is their
-    right-hand side, appended as one more column. The reduced
-    echelon form depends only on the row space, so each distinct nonzero
-    row is returned once, reduced mod p.
+    unknowns u_k in F_p^n: zeta(0) = 0, and a tree edge holds by
+    construction. Every other edge gives n rows zeta(y) - (M_k zeta(x)
+    + u_k), with ``offset(x, k, y)`` as their right-hand side; each
+    distinct nonzero row is kept once, as the echelon form depends only
+    on the row space.
+
+    The coboundaries B^1 = {((I - M_k) v)_k} lie in Z^1, so the solutions
+    are a union of cosets of B^1, and each coset holds one vector that is
+    0 at the pivot columns of B^1's echelon form. So B^1 is eliminated
+    first, for those columns, and one unit row per pivot column,
+    right-hand side 0, fixes that gauge. One elimination of the whole
+    system then gives ``None`` if it is inconsistent, else (particular,
+    basis, dim B^1), the basis spanning a complement of B^1 in Z^1.
     """
     ncols = n * len(gen_mats)
+    coboundaries = [[int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)]
+    _, b1_pivots = _rref(coboundaries, ncols, p)
     # the nonzero entries (column, value) of each row of each M_k, read once
     nonzero = [[[(t, m) for t, m in enumerate(Mi) if m] for Mi in M] for M in gen_mats]
 
@@ -572,33 +582,9 @@ def _cocycle_rows(
                     row = [(a - m * b) % p for a, b in zip(row, Lx[t])]
                 row[k * n + i] = (row[k * n + i] - 1) % p
                 rows[(*row, rhs[i])] = None  # and entry i of the offset
-    return [row for row in rows if any(row)]
-
-
-def _cocycle_solve(
-    right: Sequence[Sequence[int]],
-    parent: Sequence[int],
-    via: Sequence[int],
-    gen_mats: Sequence[Mat],
-    n: int,
-    p: int,
-    offset: Callable[[int, int, int], tuple[int, ...]],
-) -> Optional[tuple[list[int], list[tuple[int, ...]], int]]:
-    """The ``_cocycle_rows`` system, solved once per coset of B^1.
-
-    The coboundaries B^1 = {((I - M_k) v)_k} lie in Z^1, so the solutions
-    are a union of cosets of B^1, and each coset holds one vector that is
-    0 at the pivot columns of B^1's echelon form. One unit row per pivot
-    column, right-hand side 0, fixes that gauge, and one elimination
-    solves the system: ``None`` if it is inconsistent, else (particular,
-    basis, dim B^1), the basis spanning a complement of B^1 in Z^1.
-    """
-    ncols = n * len(gen_mats)
-    coboundaries = [[int(i == j) - M[j][i] for M in gen_mats for j in range(n)] for i in range(n)]
-    _, b1_pivots = _rref(coboundaries, ncols, p)
-    rows = _cocycle_rows(right, parent, via, gen_mats, n, p, offset)
-    rows += [tuple(int(j == col) for j in range(ncols + 1)) for col in b1_pivots]
-    reduced, pivots = _rref(rows, ncols + 1, p)
+    system = [row for row in rows if any(row)]
+    system += [tuple(int(j == col) for j in range(ncols + 1)) for col in b1_pivots]
+    reduced, pivots = _rref(system, ncols + 1, p)
     if ncols in pivots:
         return None
     particular = [0] * ncols
@@ -619,8 +605,8 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
 
     The unknowns are one vector u_k = zeta(g_k) per distinct BFS generator
     g_k of H, and every Cayley edge (x, g_k) must satisfy
-    zeta(x*g_k) = zeta(x)^g_k + u_k (``_cocycle_rows``). ``_cocycle_solve``
-    solves that system with a zero right-hand side. It gives the dimension
+    zeta(x*g_k) = zeta(x)^g_k + u_k. ``_cocycle_solve`` writes and solves
+    that system with a zero right-hand side. It gives the dimension
     of B^1, the inner derivations v -> (v^g - v)_g, and a basis of a
     complement of B^1 in Z^1. So |Z^1| = p^(len(basis) + dim B^1), and
     m = len(basis) / (n / n_V) solves q^m = |Z^1| / |B^1| over the

@@ -204,7 +204,11 @@ def chebotarev_exact(S: SieveSystem, *, max_sieves: int = DEFAULT_SIEVE_CAP) -> 
 
 
 def invariable_gen_prob(S: SieveSystem, k: int) -> Fraction:
-    """P_I(G, k) = P(n <= k), read off the kept law: every k costs one walk."""
+    """P_I(G, k) = P(n <= k), read off the kept law: every k costs one walk.
+
+    No sieve cap applies: ``elementary 2 8``, with 255 reduced sieves
+    above ``DEFAULT_SIEVE_CAP``, walks 417 199 masks (8 s, 2-core Xeon).
+    """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
     law, _ = S._law
@@ -253,6 +257,7 @@ def v_property_sum(G: PermGroup, omega_mask: int) -> Fraction:
     masks, reduced as ``build_sieves`` reduces: dropping a contained union
     never changes whether the alive mask is empty. Returns 0 for an empty
     selection; a bit past the last maximal class raises ``ValueError``.
+    The subfamily is walked with no sieve cap, as in ``invariable_gen_prob``.
     """
     classes = maximal_classes(G)
     if omega_mask >> len(classes):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 from oracles import SOLUBLE_SPECS
 from chebotarev import cli, subgroups
+from chebotarev.bounds import five_thirds_bound
 from chebotarev.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -378,3 +380,17 @@ def test_verify_paper_exits_1_when_an_item_fails(verify_results, monkeypatch, ca
     assert out.splitlines().count(results[3].line()) == 1
     code, out = _verify_paper(monkeypatch, capsys, results, "--json")
     assert code == 1 and [r["passed"] for r in json.loads(out)["verify"]].count(False) == 1
+
+
+def test_five_thirds_display_is_the_least_decimal_above_the_bound():
+    # the printed (5/3) sqrt(|G|) is rounded up, never down or cut: D has at
+    # most DISPLAY_DIGITS significant digits, 9 D^2 >= 25 |G|, and D less one
+    # unit in its last digit is below the bound; five_thirds_bound itself is
+    # the least such decimal of bounds._PREC digits
+    for order in range(1, 2001):
+        shown = Decimal(cli._five_thirds_display(order))
+        assert len(shown.as_tuple().digits) <= cli.DISPLAY_DIGITS
+        for d in (shown, five_thirds_bound(order)):
+            D = Fraction(d)
+            ulp = Fraction(10) ** d.as_tuple().exponent
+            assert 9 * D * D >= 25 * order > 9 * (D - ulp) ** 2, (order, d)

@@ -28,7 +28,7 @@ from oracles import (
 from chebotarev.catalog import SOLUBLE_CATALOG
 import chebotarev.crowns
 from chebotarev.crowns import (
-    _cocycle_rows,
+    _cocycle_solve,
     _complement_system,
     _has_complement,
     chief_series,
@@ -212,16 +212,16 @@ def test_looping_specs_loop(spec, group_of):
 
 @pytest.mark.parametrize("spec", LOOPING_SPECS)
 def test_complement_systems_move_every_coset(spec, monkeypatch):
-    # each complement system hands _cocycle_rows a coset graph with no
+    # each complement system hands _cocycle_solve a coset graph with no
     # loop, and one matrix per BFS generator outside X
     G = parse_group(spec).group  # a fresh group: no complement system kept
     seen = []
 
     def recording(right, parent, via, gen_mats, *args):
         seen.append((right, gen_mats))
-        return _cocycle_rows(right, parent, via, gen_mats, *args)
+        return _cocycle_solve(right, parent, via, gen_mats, *args)
 
-    monkeypatch.setattr(chebotarev.crowns, "_cocycle_rows", recording)
+    monkeypatch.setattr(chebotarev.crowns, "_cocycle_solve", recording)
     sections = {}  # each section once, as the system is kept per (X, Y)
     for variant in (0, 1):
         subs = chief_series_variant(G, variant).subgroups

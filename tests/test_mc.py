@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from chebotarev import mc
-from chebotarev.errors import InvariantError, TrialCapError
-from chebotarev.exact import SieveSystem, build_sieves, chebotarev_exact
+from chebotarev.errors import InvariantError, TooManySievesError, TrialCapError
+from chebotarev.exact import (
+    SieveSystem,
+    build_sieves,
+    chebotarev_exact,
+    elementary_abelian_cheb,
+)
 from chebotarev.mc import MAX_TRIALS, mc_estimate
 
 from oracles import lemire_draws, mc_waits_by_trial, shuffled_sieves
@@ -147,6 +152,17 @@ def test_coupon_collector_any_width(n):
     rep = mc_estimate(S, 10_000, 5)
     exact = n * sum(1 / k for k in range(1, n))  # n * H_{n-1}
     assert rep.within_sigmas(exact, 4.0)
+
+
+def test_mc_where_the_exact_engine_refuses(group_of):
+    # elementary 3 6 has 364 reduced sieves, six 64-bit mask words, past the
+    # sieve cap: Monte Carlo stands in there and must meet the closed form
+    S = build_sieves(group_of("elementary 3 6"))
+    assert S.sieve_count == 364
+    with pytest.raises(TooManySievesError):
+        chebotarev_exact(S)
+    rep = mc_estimate(S, 50_000, 13)
+    assert rep.within_sigmas(float(elementary_abelian_cheb(3, 6)), 4.0)
 
 
 def test_no_sieves_waits_zero():

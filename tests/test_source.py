@@ -227,9 +227,9 @@ def test_complement_classes_from_one_elimination():
     # complements and derivations share one cocycle solve, which fixes the
     # B^1 gauge inside the system: one elimination of B^1 for its pivot
     # columns and one of the augmented system, with no reduction modulo
-    # B^1 afterwards and no second Z^1 or B^1 elimination in derivations
-    assert "modulo_b1" not in _defined()
-    assert "_coboundary_rows" not in _defined()
+    # B^1 afterwards and no second Z^1 or B^1 elimination in derivations;
+    # the solve writes its own rows, with no second function for them
+    assert not {"modulo_b1", "_coboundary_rows", "_cocycle_rows"} & _defined()
     rref = _calls("_rref")
     assert rref.count(("crowns.py", "_cocycle_solve")) == 2
     assert not {("crowns.py", "_complement_system"), ("crowns.py", "derivations")} & set(rref)
