@@ -5,8 +5,9 @@ One sorted JSON object per group: its label, one entry per abelian chief
 factor (its index in the chief series and the bitsets of the complements
 ``crowns._complement_system`` returns, in that order) and the bitsets of
 the maximal-class representatives (``subgroups.maximal_classes``). The
-order is fixed, so ``diff`` of the output of two checkouts, both run with
-PYTHONHASHSEED=0, lists every group whose complements or maximal classes
+order is fixed, and every set and dict on the way is keyed by ints, so
+the output does not depend on the hash seed, and ``diff`` of the output
+of two checkouts lists every group whose complements or maximal classes
 changed.
 
 Usage: python scripts/complement_digest.py [SPEC ...] [--seeds N]

@@ -28,7 +28,8 @@ echelon forms (``_rref``): G-isomorphism is a nonempty intertwiner space
 equal dimension is invertible), and the commutant field is the
 self-intertwiner space. Derivations solve the cocycle condition written
 along the Cayley graph, and the complements of an abelian chief factor
-X/Y solve its inhomogeneous form, written along the coset graph of X.
+X/Y solve its inhomogeneous form, written along the coset graph of X,
+whose tree is the group's own BFS tree on the cosets' least elements.
 One function writes and solves both systems (``_cocycle_solve``). It
 fixes the pivot columns of B^1 at 0, so each solution stands for one
 coset of B^1: one class of H^1, or one conjugacy class of complements.
@@ -77,6 +78,7 @@ from .subgroups import (
     _least_prime,
     _minimal_normal,
     all_subgroups,
+    check_prime,
     subgroup_classes,
 )
 
@@ -612,15 +614,16 @@ def derivations(H: PermGroup, gen_matrices: Sequence[Mat], p: int) -> Derivation
     m = len(basis) / (n / n_V) solves q^m = |Z^1| / |B^1| over the
     commutant field F_q, which comes from the same commutant solve as
     ``endo_field``. The matrices align with ``H.generators``, as those of
-    a module align with its ``acting_group``: p must be prime, and some
-    homomorphism H -> GL(n, p) must send each generator to its own n x n
-    matrix, else ``ValueError``.
+    a module align with its ``acting_group``: p must be prime, else
+    ``NotPrimeError``, and some homomorphism H -> GL(n, p) must send each
+    generator to its own n x n matrix, else ``ValueError``.
     """
     if H.order == 1:
         raise ValueError("derivations require a nontrivial acting group")
+    check_prime(p)
     sizes = {len(r) for M in gen_matrices for r in (M, *M)}  # each matrix and its rows
-    if len(gen_matrices) != len(H.generators) or len(sizes) != 1 or p < 2 or _least_prime(p) != p:
-        raise ValueError("derivations need a prime p and one n x n matrix per generator of H")
+    if len(gen_matrices) != len(H.generators) or len(sizes) != 1:
+        raise ValueError("derivations need one n x n matrix per generator of H")
     n = len(gen_matrices[0])
     # phi gives each element of H, along its BFS tree, its matrix's images
     # of the basis vectors (the points p^j), which fix a linear map; the
@@ -660,8 +663,12 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
     modulo X, and each moves every coset of X (X is normal), so U is
     generated by Y and its elements g^_k = g_k x(u_k) in the cosets X g_k:
     one unknown u_k in X/Y = F_p^n per generator outside X, and none for
-    a generator inside X. BFS the cosets of X, from X itself, with those
-    g_k; coset c gets the tree element t_c. Build t^_c along the tree,
+    a generator inside X. Coset c of X gets its least element t_c, and
+    G's BFS edge t_c = t_b g_k into it is the tree edge b -> c: t_b is
+    least in an earlier coset b, and g_k lies outside X as it moves b
+    (``PermGroup.right_cosets`` says why). A wrong tree would give a
+    consistent system with wrong solutions, so a BFS parent that is not
+    least in its coset raises ``InvariantError``. Build t^_c along the tree,
     t^_{c g_k} = t^_c g^_k, and write t^_c = t_c x(zeta(c)); then
     zeta(c g_k) = M_k zeta(c) + u_k, as in ``derivations``. The union of
     the cosets t^_c Y is a subgroup iff it is closed under the g^_k, that
@@ -684,25 +691,15 @@ def _complement_system(G: PermGroup, X: Subgroup, Y: Subgroup) -> tuple[Subgroup
     n = len(basis)
     gens = [g for g in G._bfs_gen_indices if not (X.bits >> g) & 1]
     mult = G.mult
-    # BFS over the cosets of X by their ids, through each generator's
-    # coset action; a tree element is built only when its coset is reached
-    xreps, xcid, _ = _cosets(G, X.bits)
-    acts = [_coset_action(G, xreps, xcid)(g) for g in gens]
-    node = [-1] * len(xreps)
-    node[0] = 0
-    tree, coset = [0], [0]
-    parent, via, right = [-1], [-1], [[] for _ in gens]
-    for x, c in enumerate(coset):  # grows while it is walked
-        for k, act in enumerate(acts):
-            d = act[c]
-            y = node[d]
-            if y < 0:
-                y = node[d] = len(tree)
-                tree.append(mult(tree[x], gens[k]))
-                coset.append(d)
-                parent.append(x)
-                via.append(k)
-            right[k].append(y)
+    tree, xcid, _ = _cosets(G, X.bits)  # node c: coset c and its least element
+    right = [_coset_action(G, tree, xcid)(g) for g in gens]
+    parent, via = [-1], [-1]
+    for t in tree[1:]:
+        up = G._parent[t]
+        if tree[xcid[up]] != up:
+            raise InvariantError("a coset's least element has a BFS parent not least in its coset")
+        parent.append(xcid[up])
+        via.append(gens.index(G._bfs_gen_indices[G._via[t]]))
 
     def offset(x: int, k: int, y: int) -> tuple[int, ...]:
         return vec[mult(G.inv(tree[y]), mult(tree[x], gens[k]))]

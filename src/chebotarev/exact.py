@@ -34,9 +34,8 @@ from typing import Sequence
 
 from .crowns import ChiefFactorModule, _factor_module, chief_series, g_isomorphic
 from .errors import BadSectionError, InvariantError, TooManySievesError
-from .groupspec import check_prime
 from .perm import PermGroup, bits_iter, conjugacy_classes, per_group, quotient
-from .subgroups import frattini, maximal_classes
+from .subgroups import check_prime, frattini, maximal_classes
 
 # A guard on the chain engine, whose reachable masks can grow like 2^r.
 # 156 is elementary 5 4, the widest in the closed-form sweep of ``verify``:

@@ -33,22 +33,15 @@ never sees the degree.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
-from .crowns import mat_rank
-from .errors import NotPrimeError, OrderCapError, ParseError, SingularMatrixError
+from .crowns import _vector_images, mat_rank
+from .errors import OrderCapError, ParseError, SingularMatrixError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation
-from .subgroups import _least_prime
+from .subgroups import check_prime
 
 PERM_DEGREE_LIMIT = DEFAULT_ORDER_CAP
-
-
-def check_prime(p: int) -> None:
-    """Raise ``NotPrimeError`` unless p is prime."""
-    if p < 2 or _least_prime(p) != p:
-        raise NotPrimeError(f"{p} is not prime")
 
 
 def _refuse_order(exceeds: bool, order_cap: int) -> None:
@@ -207,16 +200,10 @@ def affine_group(
             digit = (i // step) % p
             images[i] = i + step if digit < p - 1 else i - step * (p - 1)
         gens.append(Permutation(tuple(images)))
-    # the digit vectors of one block F_p^n_raw, least significant digit first
-    vecs = [v[::-1] for v in itertools.product(range(p), repeat=n_raw)] if matrices else []
     for M in matrices:
-        # M on the vectors of one block; a point's image is that of its
-        # digits in each block, block by block
-        on_block = [
-            sum(p**r * (sum(M[r][c] * v[c] for c in range(n_raw)) % p) for r in range(n_raw))
-            for v in vecs
-        ]
-        images = on_block
+        # M on the p^n_raw points of one block; a point's image is that of
+        # its digits in each block, block by block
+        images = on_block = _vector_images(p, n_raw, M)
         for _ in range(power - 1):
             step = len(images)
             images = [x + step * y for y in on_block for x in images]

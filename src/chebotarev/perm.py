@@ -391,6 +391,11 @@ class PermGroup:
         index of every element, and each coset as a bitmask. No product
         column is read: t = parent[t] * gen[via[t]], so Ht is the coset of
         t's BFS parent read through the one edge ``_right[via[t]]``.
+
+        The BFS parent of a coset's least element is the least element of
+        an earlier coset (``crowns._complement_system`` reads its tree off
+        this): all of Hs move to Hsg, so the BFS first reaches each new
+        coset from a least element x, and xg is the coset's first, its least.
         """
         if bits == 1:  # every element is its own coset, read without a walk
             ids = list(range(self.order))

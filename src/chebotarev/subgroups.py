@@ -63,7 +63,9 @@ from math import gcd, isqrt
 from operator import itemgetter
 from typing import Optional
 
-from .errors import BadSectionError, InvariantError, NotNormalError, TrivialGroupError
+from .errors import (
+    BadSectionError, InvariantError, NotNormalError, NotPrimeError, TrivialGroupError
+)
 from .perm import PermGroup, Subgroup, _coset_action, bits_iter, conjugacy_classes, per_group
 
 
@@ -73,6 +75,12 @@ def _least_prime(n: int) -> int:
     # isqrt(n), so n is its own when trial division finds none below; kept
     # per n, as the same orders recur across the chief series
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
+def check_prime(p: int) -> None:
+    """Raise ``NotPrimeError`` unless p is prime."""
+    if p < 2 or _least_prime(p) != p:
+        raise NotPrimeError(f"{p} is not prime")
 
 
 def _is_prime_power(n: int) -> bool:

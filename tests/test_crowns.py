@@ -45,11 +45,12 @@ from chebotarev.errors import (
     NotAbelianFactorError,
     NotChiefFactorError,
     NotIrreducibleError,
+    NotPrimeError,
 )
 from chebotarev.exact import omega_membership
 from chebotarev.groupspec import parse_group
 from chebotarev.perm import PermGroup, Permutation, Subgroup, is_soluble, quotient
-from chebotarev.subgroups import all_subgroups, maximal_classes
+from chebotarev.subgroups import _cosets, all_subgroups, maximal_classes
 
 
 @st.composite
@@ -213,12 +214,14 @@ def test_looping_specs_loop(spec, group_of):
 @pytest.mark.parametrize("spec", LOOPING_SPECS)
 def test_complement_systems_move_every_coset(spec, monkeypatch):
     # each complement system hands _cocycle_solve a coset graph with no
-    # loop, and one matrix per BFS generator outside X
+    # loop, and one matrix per BFS generator outside X; node c is coset c
+    # of _cosets(G, X.bits), and its tree element, that coset's least
+    # element, is its tree parent's times its tree edge's generator
     G = parse_group(spec).group  # a fresh group: no complement system kept
     seen = []
 
     def recording(right, parent, via, gen_mats, *args):
-        seen.append((right, gen_mats))
+        seen.append((right, parent, via, gen_mats))
         return _cocycle_solve(right, parent, via, gen_mats, *args)
 
     monkeypatch.setattr(chebotarev.crowns, "_cocycle_solve", recording)
@@ -230,10 +233,18 @@ def test_complement_systems_move_every_coset(spec, monkeypatch):
         seen.clear()
         _complement_system(G, X, Y)
         outside = [g for g in G._bfs_gen_indices if not (X.bits >> g) & 1]
-        assert [len(mats) for _, mats in seen] == [len(outside)]
-        right = seen[0][0]
+        assert [len(mats) for *_, mats in seen] == [len(outside)]
+        right, parent, via, _ = seen[0]
         assert len(right) == len(outside)
         assert all(y != x for targets in right for x, y in enumerate(targets))
+        reps, cid, _ = _cosets(G, X.bits)
+        assert [list(targets) for targets in right] == [
+            [cid[G.mult(t, g)] for t in reps] for g in outside
+        ]
+        assert len(parent) == len(via) == len(reps)
+        for c in range(1, len(reps)):
+            assert parent[c] < c
+            assert G.mult(reps[parent[c]], outside[via[c]]) == reps[c]
 
 
 def test_factor_module_central(group_of):
@@ -626,7 +637,7 @@ def test_derivations_reject_misaligned_matrices(group_of):
     with pytest.raises(ValueError):
         derivations(group_of("symmetric 3"), [((1, 0), (0, 1)), ((1,),)], 2)
     for p in (1, 4):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPrimeError):
             derivations(group_of("cyclic 2"), [((p - 1,),)], p)
 
 

@@ -191,6 +191,23 @@ def test_right_cosets_match_products_and_read_no_column(spec, tabled, monkeypatc
         assert _kept(G) == kept
 
 
+@pytest.mark.parametrize(
+    "spec",
+    # A5 x C29 has order 1740, above the table limit
+    ["symmetric 4", "alternating 5", "dihedral 12", "direct_product alternating 5 cyclic 29"],
+)
+def test_least_coset_elements_have_least_bfs_parents(spec):
+    # the coset tree of crowns._complement_system: for every subgroup H,
+    # the BFS parent of each coset's least element is the least element
+    # of an earlier coset
+    G = parse_group(spec).group
+    for H in all_subgroups(G):
+        reps, cid, _ = G.right_cosets(H.bits)
+        for c, t in enumerate(reps[1:], 1):
+            up = G._parent[t]
+            assert cid[up] < c and reps[cid[up]] == up
+
+
 @pytest.mark.parametrize("spec", ["cyclic 12", "symmetric 4", "dihedral 9"])
 def test_product_keeps_its_ancestor_columns(spec):
     # below the limit a product builds and keeps exactly the columns on

@@ -11,6 +11,9 @@ from chebotarev import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGEST = ROOT / "tests" / "data" / "report_digest.jsonl"
+COMPLEMENTS = ROOT / "tests" / "data" / "complement_digest.jsonl"
+# order 2880, above the table limit, so its products walk generator words
+ABOVE_TABLE_LIMIT = "direct_product symmetric 4 symmetric 4 cyclic 5"
 
 
 def _proc(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -84,6 +87,20 @@ def test_complement_digest_runs():
     assert sorted(s3["maximal"]) == sorted([a3, s2])
     assert (int(a3, 16).bit_count(), int(s2, 16).bit_count()) == (3, 2)
     assert lines[1] == {"factors": [], "group": "cyclic 1", "maximal": []}
+
+
+def test_every_complement_unchanged():
+    # COMPLEMENTS is complement_digest.py's output on the default specs and
+    # ABOVE_TABLE_LIMIT: each abelian chief factor's complements, one per
+    # class, and the maximal-class representatives, bit for bit; the
+    # script runs under the hash seed of the environment, random unless
+    # PYTHONHASHSEED is set, so no set or dict order may reach its output
+    specs = [*_report_digest().default_specs(), ABOVE_TABLE_LIMIT]
+    got = _run("complement_digest.py", *specs).splitlines()
+    want = COMPLEMENTS.read_text().splitlines()
+    assert [json.loads(line)["group"] for line in want] == specs
+    changed = [json.loads(line)["group"] for line, old in zip(got, want) if line != old]
+    assert len(got) == len(want) and changed == [], f"complements changed: {changed}"
 
 
 def _report_digest():

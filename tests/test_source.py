@@ -166,15 +166,21 @@ def test_one_acting_group():
 
 
 def test_one_primality_check():
-    # one trial division: check_prime reads the least prime divisor and
-    # loops over nothing itself
-    tree = _tree("groupspec.py")
+    # one trial division: check_prime, beside _least_prime in subgroups.py,
+    # reads the least prime divisor and loops over nothing itself;
+    # groupspec keeps no copy, and derivations asks check_prime
+    tree = _tree("subgroups.py")
     fn = next(
         n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "check_prime"
     )
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [n for n in ast.walk(fn) if isinstance(n, loops)]
-    assert ("groupspec.py", "check_prime") in _calls("_least_prime")
+    assert "check_prime" not in {
+        n.name for n in ast.walk(_tree("groupspec.py")) if isinstance(n, ast.FunctionDef)
+    }
+    assert ("subgroups.py", "check_prime") in _calls("_least_prime")
+    assert ("crowns.py", "derivations") not in _calls("_least_prime")
+    assert ("crowns.py", "derivations") in _calls("check_prime")
 
 
 def test_omega_from_the_complemented_chief_factor():
@@ -238,6 +244,30 @@ def test_complement_classes_from_one_elimination():
         ("crowns.py", "derivations"),
     ]
     assert ("crowns.py", "derivations") not in _calls("mat_rank")
+
+
+def test_complement_tree_is_the_bfs_tree():
+    # _complement_system reads each coset's tree edge off G's own BFS
+    # (G._parent, G._via) and keeps no queue of its own: no list it walks
+    # grows while it is walked
+    fn = next(
+        n
+        for n in ast.walk(_tree("crowns.py"))
+        if isinstance(n, ast.FunctionDef) and n.name == "_complement_system"
+    )
+    read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert {"_parent", "_via"} <= read
+    for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+        walked = {n.id for n in ast.walk(loop.iter) if isinstance(n, ast.Name)}
+        grown = {
+            n.func.value.id
+            for n in ast.walk(loop)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("append", "extend")
+            and isinstance(n.func.value, ast.Name)
+        }
+        assert not walked & grown, f"line {loop.lineno} grows the list it walks"
 
 
 def test_one_definition_of_the_stream():
